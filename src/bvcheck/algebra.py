@@ -27,12 +27,16 @@ class GeneratorTable:
 
     names: tuple[str, ...]
     degrees: tuple[int, ...]
+    # indices of the odd generators, ascending; only these carry signs
+    odd: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.names) != len(self.degrees):
             raise AlgebraError("GeneratorTable: names/degrees length mismatch")
         if len(set(self.names)) != len(self.names):
             raise AlgebraError("GeneratorTable: duplicate generator names")
+        odd = tuple(i for i, d in enumerate(self.degrees) if d % 2)
+        object.__setattr__(self, "odd", odd)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -50,7 +54,7 @@ class GeneratorTable:
         return sum(e * d for e, d in zip(mono, self.degrees))
 
     def monomial_parity(self, mono: Monomial) -> int:
-        return sum(e * d for e, d in zip(mono, self.degrees)) % 2
+        return sum(mono[i] for i in self.odd) % 2
 
     def check_monomial(self, mono: Monomial) -> None:
         if len(mono) != len(self.names):
@@ -67,20 +71,19 @@ class GeneratorTable:
 def monomial_mul(table: GeneratorTable, a: Monomial, b: Monomial):
     """Product of two normal-form monomials: (sign, monomial) or None if zero.
 
-    The sign counts crossings of odd factors of ``b`` moving left past odd
-    factors of ``a`` with larger table index.
+    The sign is the int +1 or -1.  It counts crossings of odd factors of ``b``
+    moving left past odd factors of ``a`` with larger table index.
     """
     crossings = 0
-    for i in range(len(a)):
-        if not table.parity(i) or not a[i]:
-            continue
-        if b[i]:
-            return None  # odd generator squared
-        for j in range(i):
-            if table.parity(j) and b[j]:
-                crossings += 1
+    b_odd_below = 0  # odd factors of b at smaller table index than i
+    for i in table.odd:
+        if a[i]:
+            if b[i]:
+                return None  # odd generator squared
+            crossings += b_odd_below
+        b_odd_below += b[i]
     mono = tuple(x + y for x, y in zip(a, b))
-    return (Fraction(-1) if crossings % 2 else Fraction(1)), mono
+    return (-1 if crossings % 2 else 1), mono
 
 
 class Element:
@@ -93,7 +96,8 @@ class Element:
         clean: dict[Monomial, Coeff] = {}
         if coeffs:
             for mono, c in coeffs.items():
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
                 if c:
                     table.check_monomial(mono)
                     clean[mono] = c
@@ -205,7 +209,9 @@ class Element:
                 if sm is None:
                     continue
                 sign, mono = sm
-                coeffs[mono] = coeffs.get(mono, Fraction(0)) + sign * ca * cb
+                c = ca * cb if sign > 0 else -(ca * cb)
+                prev = coeffs.get(mono)
+                coeffs[mono] = c if prev is None else prev + c
         return Element(self.table, coeffs)
 
     # --- display ----------------------------------------------------------
@@ -215,15 +221,6 @@ class Element:
 
     def __str__(self) -> str:
         return format_element(self)
-
-
-def multiply(a: Element, b: Element) -> Element:
-    """Graded-commutative product (functional alias for ``a * b``)."""
-    return a * b
-
-
-def grade_decompose(a: Element) -> dict[int, Element]:
-    return a.grade_decompose()
 
 
 def enumerate_monomials(table: GeneratorTable, max_degree: int) -> list[Monomial]:
@@ -281,11 +278,19 @@ def parse_element(table: GeneratorTable, text: str) -> Element:
     text = text.strip()
     if text in ("0", ""):
         return Element.zero(table)
-    # split on top-level + and - (no parentheses in the grammar)
+    # split on top-level + and - (no parentheses in the grammar); a sign
+    # right after e/E stays in a numeric factor such as 1e-3, but not in a
+    # generator name such as xe
     terms: list[str] = []
     buf = ""
     for i, ch in enumerate(text):
-        if ch in "+-" and buf.strip() and text[i - 1] not in "/^*eE+-":
+        prev = text[i - 1]
+        if (
+            ch in "+-"
+            and buf.strip()
+            and prev not in "/^*+-"
+            and not (prev in "eE" and buf.rpartition("*")[2].lstrip(" +-")[:1].isdigit())
+        ):
             terms.append(buf)
             buf = ch
         else:

@@ -111,7 +111,7 @@ def koszul_bracket(D: Operator, args) -> Element:
 def bv_bracket(delta: Operator, a: Element, b: Element) -> Element:
     """Odd bracket induced by a BV-type operator: (-1)^{|a|} F^2(a, b)."""
     val = akman_bracket(delta, (a, b))
-    return -val if a.parity() else val
+    return -val if a and a.parity() else val
 
 
 @dataclass

@@ -30,22 +30,49 @@ TermKey = tuple[Monomial, Monomial]  # (multiplier, derivatives)
 
 
 def _diff_monomial(table: GeneratorTable, i: int, mono: Monomial):
-    """Left derivative d_i of a normal-form monomial: (coeff, monomial) or None."""
-    if mono[i] == 0:
+    """Left derivative d_i of a normal-form monomial: (coeff, monomial) or None.
+
+    The coefficient is an int: the exponent for an even generator, +1 or -1
+    (the odd factors d_i crosses) for an odd one.
+    """
+    e = mono[i]
+    if not e:
         return None
-    reduced = tuple(e - 1 if j == i else e for j, e in enumerate(mono))
-    if table.parity(i):
-        crossings = sum(mono[j] for j in range(i) if table.parity(j))
-        coeff = Fraction(-1) if crossings % 2 else Fraction(1)
-    else:
-        coeff = Fraction(mono[i])
-    return coeff, reduced
+    reduced = mono[:i] + (e - 1,) + mono[i + 1:]
+    if not table.parity(i):
+        return e, reduced
+    sign = 1
+    for j in table.odd:
+        if j >= i:
+            break
+        if mono[j]:
+            sign = -sign
+    return sign, reduced
+
+
+def _diff_word(table: GeneratorTable, deriv: Monomial, mono: Monomial):
+    """d^deriv of a normal-form monomial: (int coeff, monomial) or None."""
+    coeff = 1
+    # innermost derivative is the highest generator index
+    for i in reversed(range(len(table))):
+        for _ in range(deriv[i]):
+            d = _diff_monomial(table, i, mono)
+            if d is None:
+                return None
+            dc, mono = d
+            coeff *= dc
+    return coeff, mono
 
 
 class Operator:
-    """Normal-form finite sum of (multiplier x derivative) terms."""
+    """Normal-form finite sum of (multiplier x derivative) terms.
 
-    __slots__ = ("table", "terms")
+    ``terms`` is never changed after construction, so each operator keeps the
+    images of the monomials it has been applied to, filled as it goes and
+    living as long as the operator.
+    """
+
+    __slots__ = ("table", "terms", "_images")
 
     def __init__(self, table: GeneratorTable, terms: Mapping[TermKey, Fraction] | None = None):
         self.table = table
@@ -65,6 +92,7 @@ class Operator:
                         )
                 clean[(tuple(mult), tuple(deriv))] = c
         self.terms = clean
+        self._images: dict[Monomial, dict[Monomial, Fraction]] = {}
 
     # --- constructors -----------------------------------------------------
 
@@ -174,27 +202,33 @@ class Operator:
     def apply(self, a: Element) -> Element:
         if self.table != a.table:
             raise AlgebraError("operator and element over different tables")
+        images = self._images
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in a.coeffs.items():
+            image = images.get(mono)
+            if image is None:
+                image = images[mono] = self._image(mono)
+            for m, ci in image.items():
+                v = c * ci
+                prev = out.get(m)
+                out[m] = v if prev is None else prev + v
+        return Element(self.table, out)
+
+    def _image(self, mono: Monomial) -> dict[Monomial, Fraction]:
+        """Image of one normal-form monomial, as {monomial: nonzero coeff}."""
         table = self.table
-        out = Element.zero(table)
+        out: dict[Monomial, Fraction] = {}
         for (mult, deriv), c in self.terms.items():
-            partial = a
-            # innermost derivative is the highest generator index
-            for i in reversed(range(len(table))):
-                for _ in range(deriv[i]):
-                    coeffs = {}
-                    for mono, cm in partial.coeffs.items():
-                        d = _diff_monomial(table, i, mono)
-                        if d is None:
-                            continue
-                        dc, dm = d
-                        coeffs[dm] = coeffs.get(dm, Fraction(0)) + dc * cm
-                    partial = Element(table, coeffs)
-                    if partial.is_zero():
-                        break
-            if partial.is_zero():
+            d = _diff_word(table, deriv, mono)
+            if d is None:
                 continue
-            out = out + Element.monomial(table, mult, c) * partial
-        return out
+            dc, m = d
+            sm = monomial_mul(table, mult, m)
+            if sm is None:
+                continue
+            sign, prod = sm
+            out[prod] = out.get(prod, 0) + c * (sign * dc)
+        return {m: v for m, v in out.items() if v}
 
     def __call__(self, a: Element) -> Element:
         return self.apply(a)
@@ -303,30 +337,6 @@ class Operator:
 
     def __repr__(self) -> str:
         return f"Operator({format_operator(self)!r})"
-
-
-def apply(D: Operator, a: Element) -> Element:
-    return D.apply(a)
-
-
-def compose(D: Operator, E: Operator) -> Operator:
-    return D.compose(E)
-
-
-def degree_components(D: Operator) -> dict[int, Operator]:
-    return D.degree_components()
-
-
-def structural_order(D: Operator) -> int:
-    return D.structural_order()
-
-
-def is_odd(D: Operator) -> bool:
-    return D.is_odd()
-
-
-def is_square_zero(D: Operator):
-    return D.is_square_zero()
 
 
 def format_operator(D: Operator) -> str:

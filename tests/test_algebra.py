@@ -12,9 +12,11 @@ from bvcheck.algebra import (
     monomial_mul,
     parse_element,
 )
+from bvcheck.models import mixed_order_model
 
 TABLE = GeneratorTable(("x", "y", "xi", "eta"), (0, 2, 1, 3))
-ODD = (2, 3)  # indices of odd generators
+# odd and even generators interleaved, odd ones of negative degree included
+MIXED_TABLE = mixed_order_model().table
 
 
 def letters(mono):
@@ -24,8 +26,9 @@ def letters(mono):
     return out
 
 
-def brute_product(a, b):
+def brute_product(table, a, b):
     """Concatenate letter words and bubble into table order, counting odd swaps."""
+    odd = {i for i, d in enumerate(table.degrees) if d % 2}
     word = letters(a) + letters(b)
     sign = 1
     changed = True
@@ -33,12 +36,12 @@ def brute_product(a, b):
         changed = False
         for i in range(len(word) - 1):
             if word[i] > word[i + 1]:
-                if word[i] in ODD and word[i + 1] in ODD:
+                if word[i] in odd and word[i + 1] in odd:
                     sign = -sign
                 word[i], word[i + 1] = word[i + 1], word[i]
                 changed = True
     for i in range(len(word) - 1):
-        if word[i] == word[i + 1] and word[i] in ODD:
+        if word[i] == word[i + 1] and word[i] in odd:
             return None
     mono = tuple(word.count(i) for i in range(len(a)))
     return sign, mono
@@ -48,9 +51,18 @@ MONOS = enumerate_monomials(TABLE, 4)
 
 
 def test_monomial_mul_matches_letter_oracle():
-    for a in MONOS:
-        for b in MONOS:
-            assert monomial_mul(TABLE, a, b) == brute_product(a, b)
+    for table in (TABLE, MIXED_TABLE):
+        monos = enumerate_monomials(table, 4)
+        for a in monos:
+            for b in monos:
+                got = monomial_mul(table, a, b)
+                assert got == brute_product(table, a, b)
+                assert got is None or type(got[0]) is int
+
+
+def test_monomial_parity_on_negative_odd_degrees():
+    for mono in enumerate_monomials(MIXED_TABLE, 4):
+        assert MIXED_TABLE.monomial_parity(mono) == MIXED_TABLE.monomial_degree(mono) % 2
 
 
 mono_st = st.sampled_from(MONOS)
@@ -142,3 +154,19 @@ def test_format_examples():
     text = format_element(a)
     assert "3/2" in text and "x^2" in text
     assert parse_element(TABLE, text) == a
+
+
+E_TABLE = GeneratorTable(("xe", "xE", "y"), (0, 0, 2))
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("xe-y", {(1, 0, 0): 1, (0, 0, 1): -1}),
+        ("2*xE^2+y", {(0, 2, 0): 2, (0, 0, 1): 1}),
+        ("1/2*xe - 3", {(1, 0, 0): Fraction(1, 2), (0, 0, 0): -3}),
+        ("1e-3*y+xe", {(0, 0, 1): Fraction(1, 1000), (1, 0, 0): 1}),
+    ],
+)
+def test_parse_names_ending_in_e(text, terms):
+    assert parse_element(E_TABLE, text) == Element(E_TABLE, terms)

@@ -82,6 +82,13 @@ def test_bv_bracket_values():
     assert bv_bracket(DELTA, x1, gen("x2")).is_zero()
 
 
+@pytest.mark.parametrize("name", ["x1", "xi1"])
+def test_bv_bracket_with_zero_argument(name):
+    zero, b = Element.zero(TABLE), gen(name)
+    assert bv_bracket(DELTA, zero, b) == zero
+    assert bv_bracket(DELTA, b, zero) == zero
+
+
 def test_order_certificates():
     budget = Budget(max_degree=2, max_tuples=120)
     cert = akman_order_check(DELTA, 2, budget)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvcheck.algebra import (
     AlgebraError,
@@ -8,9 +9,12 @@ from bvcheck.algebra import (
     GeneratorTable,
     enumerate_monomials,
 )
-from bvcheck.operators import Operator, format_operator
+from bvcheck.models import BUILTIN_MODELS, mixed_order_model
+from bvcheck.operators import Operator, _diff_monomial, format_operator
 
 TABLE = GeneratorTable(("x", "y", "xi", "eta"), (0, 2, 1, 3))
+# odd and even generators interleaved, odd ones of negative degree included
+MIXED_TABLE = mixed_order_model().table
 
 
 def gen(name):
@@ -38,6 +42,8 @@ def test_multiplication_operator():
     m = Operator.multiplication(xi)
     assert m.apply(gen("x")) == xi * gen("x")
     assert m.apply(xi).is_zero()
+    # the multiplier eta sits after xi in the table, so it crosses xi
+    assert Operator.multiplication(gen("eta")).apply(xi) == -(xi * gen("eta"))
 
 
 def test_derivative_word_ordering():
@@ -128,3 +134,83 @@ def test_format_operator_term_lines():
     text = format_operator(op)
     assert text == "-3/2 | x | d/dxi"
     assert format_operator(Operator.zero(TABLE)) == "0"
+
+
+def leibniz_derivative(table, i, mono):
+    """Oracle for d_i: remove each letter i from the letter word in turn, with
+    the sign of moving d_i past the odd letters before it."""
+    word = [j for j, e in enumerate(mono) for _ in range(e)]
+    total = 0
+    for pos, letter in enumerate(word):
+        if letter == i:
+            odd_before = sum(1 for j in word[:pos] if table.degrees[j] % 2)
+            total += -1 if table.degrees[i] % 2 and odd_before % 2 else 1
+    if not total:
+        return None
+    reduced = tuple(e - 1 if j == i else e for j, e in enumerate(mono))
+    return total, reduced
+
+
+def test_diff_monomial_matches_leibniz_oracle():
+    for table in (TABLE, MIXED_TABLE):
+        for mono in enumerate_monomials(table, 4):
+            for i in range(len(table)):
+                got = _diff_monomial(table, i, mono)
+                assert got == leibniz_derivative(table, i, mono), (table, i, mono)
+                assert got is None or type(got[0]) is int
+
+
+# --- the per-operator image cache against a cold operator --------------------
+
+coeff_st = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+
+
+@st.composite
+def model_and_element(draw):
+    model = BUILTIN_MODELS[draw(st.sampled_from(sorted(BUILTIN_MODELS)))]()
+    monos = enumerate_monomials(model.table, 3)
+    coeffs = draw(st.dictionaries(st.sampled_from(monos), coeff_st, max_size=5))
+    return model, Element(model.table, coeffs)
+
+
+def cold_copy(D):
+    return Operator(D.table, D.terms)
+
+
+@given(model_and_element())
+@settings(max_examples=60, deadline=None)
+def test_cached_apply_matches_cold_operator(model_a):
+    model, a = model_a
+    D = model.D
+    assert D.apply(a) == cold_copy(D).apply(a)  # cache empty before
+    for mono in enumerate_monomials(model.table, 3):
+        D.apply(Element.monomial(model.table, mono))
+    assert D.apply(a) == cold_copy(D).apply(a)  # and warm
+
+
+@given(model_and_element(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_apply_after_apply_is_apply_of_compose(model_a, data):
+    model, a = model_a
+    monos = enumerate_monomials(model.table, 2)
+    b = Element(
+        model.table,
+        data.draw(st.dictionaries(st.sampled_from(monos), coeff_st, max_size=3)),
+    )
+    ops = [model.D, model.d, Operator.multiplication(b)]
+    D = data.draw(st.sampled_from(ops))
+    E = data.draw(st.sampled_from(ops))
+    assert D.apply(E.apply(a)) == D.compose(E).apply(a)
+
+
+def test_filling_the_cache_keeps_equality_hash_and_results():
+    for build in BUILTIN_MODELS.values():
+        model = build()
+        D, cold = model.D, cold_copy(model.D)
+        before = hash(D)
+        for mono in enumerate_monomials(model.table, 3):
+            a = Element.monomial(model.table, mono)
+            D.apply(a).coeffs.clear()  # a caller changing its result
+            assert D.apply(a) == cold.apply(a)
+        assert D == cold and cold == D
+        assert hash(D) == before == hash(cold)
