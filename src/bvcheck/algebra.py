@@ -173,18 +173,24 @@ class Element:
     # --- arithmetic -------------------------------------------------------
 
     def _check_table(self, other: "Element") -> None:
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             raise AlgebraError("elements over different generator tables")
 
     def __add__(self, other: "Element") -> "Element":
         self._check_table(other)
         coeffs = dict(self.coeffs)
         for mono, c in other.coeffs.items():
-            coeffs[mono] = coeffs.get(mono, Fraction(0)) + c
+            prev = coeffs.get(mono)
+            coeffs[mono] = c if prev is None else prev + c
         return Element(self.table, coeffs)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
+        self._check_table(other)
+        coeffs = dict(self.coeffs)
+        for mono, c in other.coeffs.items():
+            prev = coeffs.get(mono)
+            coeffs[mono] = -c if prev is None else prev - c
+        return Element(self.table, coeffs)
 
     def __neg__(self) -> "Element":
         return Element(self.table, {m: -c for m, c in self.coeffs.items()})

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 from .algebra import AlgebraError, Element, enumerate_monomials
 from .graded import koszul_sign, unshuffles
@@ -29,7 +28,10 @@ from .operators import Operator
 
 
 def _check_args(D: Operator, args) -> tuple[int, list[int]]:
-    """Validate a bracket request; return (|D| parity, argument parities)."""
+    """Validate a bracket request; return (|D| parity, argument parities).
+
+    Reads D's cached degree set, so the cost does not grow with D's terms.
+    """
     if not args:
         raise AlgebraError("bracket needs at least one argument")
     if D.is_zero():
@@ -43,7 +45,7 @@ def _check_args(D: Operator, args) -> tuple[int, list[int]]:
         if a.is_zero():
             parities.append(0)
             continue
-        if not a.table == D.table:
+        if a.table is not D.table and a.table != D.table:
             raise AlgebraError("bracket argument over a different table")
         parities.append(a.parity())  # raises on mixed parity
     return D.parity(), parities
@@ -54,7 +56,7 @@ def akman_recursion(apply_fn, mul_fn, p_D: int, args, parities):
 
     ``apply_fn``/``mul_fn`` operate on whatever value type the caller uses
     (Elements here, cohomology classes in the induced-structure checks);
-    values must support +, - and int scaling.
+    values must support + and -.
     """
 
     def rec(tup, pars):
@@ -66,9 +68,10 @@ def akman_recursion(apply_fn, mul_fn, p_D: int, args, parities):
         head, head_p = tup[:-2], pars[:-2]
         t1 = rec(head + (mul_fn(a_n, a_np1),), head_p + ((p_n + pars[-1]) % 2,))
         t2 = mul_fn(rec(head + (a_n,), head_p + (p_n,)), a_np1)
-        sign = -1 if p_n * ((sum(head_p) + p_D) % 2) % 2 else 1
         t3 = mul_fn(a_n, rec(head + (a_np1,), head_p + (pars[-1],)))
-        return t1 - t2 - sign * t3
+        if p_n * ((sum(head_p) + p_D) % 2) % 2:
+            return t1 - t2 + t3
+        return t1 - t2 - t3
 
     return rec(tuple(args), tuple(parities))
 
@@ -88,23 +91,28 @@ def koszul_bracket(D: Operator, args) -> Element:
             eps(sigma) D(a_{sigma(1)} ... a_{sigma(k)})
                        * a_{sigma(k+1)} ... a_{sigma(n)},
     with eps the Koszul reordering sign in the (unshifted) element degrees.
+
+    Each index-ordered subset product is built once, from the product of the
+    subset without its last index; ((a b) c) = (a (b c)) keeps the result
+    exactly that of multiplying left to right per unshuffle.
     """
     args = tuple(args)
     _, parities = _check_args(D, args)
     n = len(args)
-    table = args[0].table
-    out = Element.zero(table)
+    products = {(i,): a for i, a in enumerate(args)}
+    for size in range(2, n + 1):
+        for subset in combinations(range(n), size):
+            products[subset] = products[subset[:-1]] * args[subset[-1]]
+    out = Element.zero(args[0].table)
     for k in range(1, n + 1):
-        outer_sign = Fraction(-1) if (n - k) % 2 else Fraction(1)
         for sigma in unshuffles(k, n):
-            sign = outer_sign * koszul_sign(parities, sigma)
-            left = args[sigma[0]]
-            for idx in sigma[1:k]:
-                left = left * args[idx]
-            term = D.apply(left)
-            for idx in sigma[k:]:
-                term = term * args[idx]
-            out = out + sign.numerator * term
+            negative = ((n - k) % 2 == 1) != (koszul_sign(parities, sigma).numerator < 0)
+            term = D.apply(products[sigma[:k]])
+            if not term:
+                continue
+            if k < n:
+                term = term * products[sigma[k:]]
+            out = out - term if negative else out + term
     return out
 
 

@@ -12,9 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-ONE = Fraction(1)
-MINUS_ONE = Fraction(-1)
-
 
 class GradedError(ValueError):
     """Domain error in the graded kernel (bad permutation, length mismatch...)."""
@@ -36,19 +33,6 @@ def unshuffles(k: int, n: int) -> list[tuple[int, ...]]:
         right = tuple(i for i in universe if i not in left_set)
         result.append(left + right)
     return result
-
-
-def is_unshuffle(sigma: tuple[int, ...], k: int) -> bool:
-    """Predicate form of the unshuffle property, used as a brute-force oracle."""
-    n = len(sigma)
-    if sorted(sigma) != list(range(n)):
-        return False
-    for i in range(n - 1):
-        if i + 1 == k:
-            continue
-        if sigma[i] >= sigma[i + 1]:
-            return False
-    return True
 
 
 def graded_sign(degrees, sigma) -> Fraction:
@@ -91,32 +75,3 @@ def koszul_sign(degrees, sigma) -> Fraction:
             if sigma[t] > sigma[u] and degrees[sigma[t]] % 2 and degrees[sigma[u]] % 2:
                 sign = -sign
     return Fraction(sign)
-
-
-def graded_sign_bubble(degrees, sigma) -> Fraction:
-    """Independent graded_sign oracle: accumulate over adjacent transpositions."""
-    if len(degrees) != len(sigma):
-        raise GradedError("graded_sign_bubble: length mismatch")
-    seq = list(sigma)
-    sign = 1
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(seq) - 1):
-            if seq[i] > seq[i + 1]:
-                da, db = degrees[seq[i]], degrees[seq[i + 1]]
-                sign *= -1 if (da * db) % 2 == 0 else 1
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
-                changed = True
-    return Fraction(sign)
-
-
-def perm_sign(sigma) -> int:
-    """Ordinary sign of a permutation."""
-    sign = 1
-    n = len(sigma)
-    for t in range(n):
-        for u in range(t + 1, n):
-            if sigma[t] > sigma[u]:
-                sign = -sign
-    return sign

@@ -203,19 +203,20 @@ def linfty_relation(D: Operator, n: int, args) -> Element:
     args = tuple(args)
     if len(args) != n:
         raise AlgebraError(f"relation index {n} with {len(args)} arguments")
+    out = Element.zero(args[0].table)
+    if not all(args):
+        return out  # R_n is multilinear
     parities = [a.parity() for a in args]
-    table = args[0].table
-    out = Element.zero(table)
     for l in range(1, n + 1):
         for sigma in unshuffles(l, n):
-            sign = koszul_sign(parities, sigma)
+            negative = koszul_sign(parities, sigma).numerator < 0
             # koszul_bracket == akman_bracket (tested); the former is cheaper
             inner = koszul_bracket(D, [args[i] for i in sigma[:l]])
             if inner.is_zero():
                 continue
             outer_args = (inner,) + tuple(args[i] for i in sigma[l:])
             term = koszul_bracket(D, outer_args)
-            out = out + sign.numerator * term
+            out = out - term if negative else out + term
     return out
 
 

@@ -68,15 +68,16 @@ class Operator:
     """Normal-form finite sum of (multiplier x derivative) terms.
 
     ``terms`` is never changed after construction, so each operator keeps the
-    images of the monomials it has been applied to, filled as it goes and
-    living as long as the operator.
+    set of its term degrees, built once, and the images of the monomials it
+    has been applied to, filled as it goes and living as long as the operator.
     """
 
-    __slots__ = ("table", "terms", "_images")
+    __slots__ = ("table", "terms", "_degrees", "_images")
 
     def __init__(self, table: GeneratorTable, terms: Mapping[TermKey, Fraction] | None = None):
         self.table = table
         clean: dict[TermKey, Fraction] = {}
+        degrees: set[int] = set()
         if terms:
             for (mult, deriv), c in terms.items():
                 c = Fraction(c)
@@ -91,7 +92,9 @@ class Operator:
                             f"bad derivative exponent {e} for generator {table.names[i]!r}"
                         )
                 clean[(tuple(mult), tuple(deriv))] = c
+                degrees.add(table.monomial_degree(mult) - table.monomial_degree(deriv))
         self.terms = clean
+        self._degrees = frozenset(degrees)
         self._images: dict[Monomial, dict[Monomial, Fraction]] = {}
 
     # --- constructors -----------------------------------------------------
@@ -146,17 +149,14 @@ class Operator:
         mult, deriv = key
         return self.table.monomial_degree(mult) - self.table.monomial_degree(deriv)
 
-    def term_parity(self, key: TermKey) -> int:
-        return self.term_degree(key) % 2
-
     def degree(self) -> int:
-        degs = {self.term_degree(k) for k in self.terms}
-        if len(degs) != 1:
+        if len(self._degrees) != 1:
             raise AlgebraError("degree of a non-homogeneous or zero operator")
-        return degs.pop()
+        (deg,) = self._degrees
+        return deg
 
     def parity(self) -> int:
-        pars = {self.term_parity(k) for k in self.terms}
+        pars = {d % 2 for d in self._degrees}
         if len(pars) != 1:
             raise AlgebraError(
                 "parity of a mixed-parity or zero operator; decompose first"
@@ -164,15 +164,15 @@ class Operator:
         return pars.pop()
 
     def is_degree_homogeneous(self) -> bool:
-        return len({self.term_degree(k) for k in self.terms}) <= 1
+        return len(self._degrees) <= 1
 
     def is_parity_homogeneous(self) -> bool:
-        return len({self.term_parity(k) for k in self.terms}) <= 1
+        return len({d % 2 for d in self._degrees}) <= 1
 
     # --- arithmetic -------------------------------------------------------
 
     def _check_table(self, other) -> None:
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             raise AlgebraError("operators over different generator tables")
 
     def __add__(self, other: "Operator") -> "Operator":
@@ -200,7 +200,7 @@ class Operator:
     # --- action -----------------------------------------------------------
 
     def apply(self, a: Element) -> Element:
-        if self.table != a.table:
+        if self.table is not a.table and self.table != a.table:
             raise AlgebraError("operator and element over different tables")
         images = self._images
         out: dict[Monomial, Fraction] = {}
@@ -303,9 +303,7 @@ class Operator:
 
     def is_odd(self) -> bool:
         """True iff every term has odd degree."""
-        return bool(self.terms) and all(
-            self.term_degree(k) % 2 == 1 for k in self.terms
-        )
+        return bool(self._degrees) and all(d % 2 for d in self._degrees)
 
     def is_square_zero(self, witness_degree: int = 4):
         """Exact check of D o D == 0 on normal forms.

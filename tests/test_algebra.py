@@ -84,6 +84,15 @@ def test_product_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@given(elem_st, elem_st)
+@settings(max_examples=60, deadline=None)
+def test_difference_is_sum_with_negation(a, b):
+    assert a - b == a + (-b)
+    assert (a + b) - b == a
+    cancelled = a - Element(TABLE, dict(a.coeffs))
+    assert cancelled == Element.zero(TABLE) and not cancelled.coeffs
+
+
 def test_graded_commutativity_on_monomials():
     for ma in MONOS:
         for mb in MONOS:

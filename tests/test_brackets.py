@@ -1,6 +1,7 @@
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvcheck.algebra import AlgebraError, Element, GeneratorTable, enumerate_monomials
 from bvcheck.brackets import (
@@ -12,8 +13,9 @@ from bvcheck.brackets import (
     monomial_tuples,
 )
 from bvcheck.graded import koszul_sign
-from bvcheck.models import polyvector_model
+from bvcheck.models import BUILTIN_MODELS, polyvector_model
 from bvcheck.operators import Operator
+from oracles import koszul_bracket_by_unshuffles
 
 MODEL = polyvector_model(2)
 TABLE = MODEL.table
@@ -73,6 +75,59 @@ def test_mixed_parity_operator_rejected():
     D = Operator.derivative(TABLE, "x1") + Operator.derivative(TABLE, "xi1")
     with pytest.raises(AlgebraError):
         akman_bracket(D, [gen("x1")])
+    # the same through the cached degree set of a built-in model's operator
+    D = DELTA + Operator.derivative(TABLE, "x1")
+    for bracket in (akman_bracket, koszul_bracket):
+        with pytest.raises(AlgebraError):
+            bracket(D, [gen("x1"), gen("xi1")])
+
+
+@st.composite
+def operator_and_arguments(draw):
+    """An odd operator of a built-in model and 1-4 parity-homogeneous
+    arguments of mixed parities, each a combination of up to three monomials."""
+    model = BUILTIN_MODELS[draw(st.sampled_from(sorted(BUILTIN_MODELS)))]()
+    table = model.table
+    by_parity = {0: [], 1: []}
+    for m in enumerate_monomials(table, 2):
+        by_parity[table.monomial_parity(m)].append(m)
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    args = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        monos = by_parity[draw(st.sampled_from((0, 1)))]
+        coeffs = draw(st.dictionaries(st.sampled_from(monos), coeff, min_size=1, max_size=3))
+        args.append(Element(table, coeffs))
+    return draw(st.sampled_from((model.D, model.d))), args
+
+
+@given(operator_and_arguments())
+@settings(max_examples=80, deadline=None)
+def test_shared_subset_products_match_both_oracles(D_args):
+    D, args = D_args
+    got = koszul_bracket(D, args)
+    assert got == koszul_bracket_by_unshuffles(D, args)
+    assert got == akman_bracket(D, args)
+
+
+def test_equal_tables_interoperate_and_different_tables_raise():
+    twin = GeneratorTable(TABLE.names, TABLE.degrees)
+    assert twin == TABLE and twin is not TABLE
+    x1, xi1 = gen("x1"), gen("xi1")
+    twin_xi1 = Element.generator(twin, "xi1")
+    assert x1 * twin_xi1 == x1 * xi1
+    assert x1 - twin_xi1 == x1 - xi1
+    image = DELTA.apply(x1 * twin_xi1)
+    assert image == DELTA.apply(x1 * xi1) and not image.is_zero()
+    assert akman_bracket(DELTA, (twin_xi1, x1)) == akman_bracket(DELTA, (xi1, x1))
+    assert Operator.derivative(twin, "x1") + DELTA == Operator.derivative(TABLE, "x1") + DELTA
+
+    other = GeneratorTable(TABLE.names, (0, 2, 1, 1))
+    y = Element.generator(other, "x1")
+    for op in (lambda: x1 * y, lambda: x1 - y, lambda: x1 + y, lambda: DELTA.apply(y),
+               lambda: akman_bracket(DELTA, (x1, y)),
+               lambda: Operator.derivative(other, "x1") + DELTA):
+        with pytest.raises(AlgebraError):
+            op()
 
 
 def test_bv_bracket_values():

@@ -4,15 +4,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from bvcheck.graded import (
-    GradedError,
-    graded_sign,
-    graded_sign_bubble,
-    is_unshuffle,
-    koszul_sign,
-    perm_sign,
-    unshuffles,
-)
+from bvcheck.graded import GradedError, graded_sign, koszul_sign, unshuffles
+from oracles import graded_sign_bubble, is_unshuffle, perm_sign
 
 
 def test_unshuffle_count_is_binomial():

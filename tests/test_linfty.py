@@ -128,6 +128,15 @@ def test_relation_one_is_the_square():
         assert linfty_relation(DELTA, 1, [a]) == DELTA.apply(DELTA.apply(a))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_relation_with_a_zero_argument_is_zero(n):
+    zero = Element.zero(TABLE)
+    for slot in range(n):
+        args = [gen("x1"), gen("xi2"), gen("x2") * gen("xi1")][:n]
+        args[slot] = zero
+        assert linfty_relation(DELTA, n, args) == zero
+
+
 def test_relations_vanish_for_square_zero_operator():
     reports = verify_linfty(DELTA, 3, Budget(max_degree=2, max_tuples=40))
     assert all(r.passed for r in reports)

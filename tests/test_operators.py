@@ -63,6 +63,46 @@ def test_degree_and_parity_of_terms():
         mixed.degree()
 
 
+def assert_degree_queries_match_terms(op):
+    """The cached degree set against a recomputation from ``terms``."""
+    degs = {
+        sum(e * g for e, g in zip(mult, op.table.degrees))
+        - sum(e * g for e, g in zip(deriv, op.table.degrees))
+        for mult, deriv in op.terms
+    }
+    pars = {d % 2 for d in degs}
+    assert op.is_degree_homogeneous() == (len(degs) <= 1)
+    assert op.is_parity_homogeneous() == (len(pars) <= 1)
+    assert op.is_odd() == (pars == {1})
+    if len(degs) == 1:
+        assert op.degree() == min(degs)
+    else:
+        with pytest.raises(AlgebraError):
+            op.degree()
+    if len(pars) == 1:
+        assert op.parity() == min(pars)
+    else:
+        with pytest.raises(AlgebraError):
+            op.parity()
+
+
+def test_cached_degree_set_matches_the_terms():
+    for build in BUILTIN_MODELS.values():
+        model = build()
+        table, D, d = model.table, model.D, model.d
+        even = Operator.derivative(table, table.names[0], 1) + Operator.multiplication(
+            Element.one(table)
+        )
+        ops = [D, d, Operator.zero(table), Operator.identity(table), even,
+               D.compose(D), D.compose(d), D.compose(even), even.compose(D),
+               D.scale(Fraction(-2, 3)), D.scale(0), 3 * D, -D,
+               D + d, D - d, D - D, D + even, D - even]
+        ops += D.degree_components().values()
+        ops += (D + even).degree_components().values()
+        for op in ops:
+            assert_degree_queries_match_terms(op)
+
+
 def test_compose_agrees_with_sequential_apply():
     z = (0, 0, 0, 0)
     ops = [
