@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 Monomial = tuple[int, ...]
 Coeff = Fraction

@@ -19,7 +19,7 @@ degree-homogeneous inputs are the common case.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product as iter_product
 
 from .algebra import AlgebraError, Element, enumerate_monomials
@@ -106,7 +106,7 @@ def koszul_bracket(D: Operator, args) -> Element:
     out = Element.zero(args[0].table)
     for k in range(1, n + 1):
         for sigma in unshuffles(k, n):
-            negative = ((n - k) % 2 == 1) != (koszul_sign(parities, sigma).numerator < 0)
+            negative = ((n - k) % 2 == 1) != (koszul_sign(parities, sigma) < 0)
             term = D.apply(products[sigma[:k]])
             if not term:
                 continue
@@ -148,6 +148,18 @@ def monomial_tuples(table, arity: int, budget: Budget, nonunit: bool = False):
     ]
 
 
+def first_witness(cases, holds):
+    """``(tried, witness)``: the first of ``cases`` that ``holds``, or None, and
+    how many cases were tried, the witness included.  Nothing after the witness
+    is consumed; wrap ``cases`` in ``islice`` to cap the search."""
+    tried = 0
+    for case in cases:
+        tried += 1
+        if holds(case):
+            return tried, case
+    return tried, None
+
+
 @dataclass
 class OrderCertificate:
     """Machine-checkable evidence that an operator has a given bracket order."""
@@ -156,10 +168,13 @@ class OrderCertificate:
     structural_bound: int
     tuples_tested: int
     passed: bool
-    sharp: bool
     failure_witness: tuple | None = None
     sharp_witness: tuple | None = None
     degenerate_zero: bool = False
+
+    @property
+    def sharp(self) -> bool:
+        return self.sharp_witness is not None
 
     def verdict(self) -> str:
         if self.degenerate_zero:
@@ -181,34 +196,14 @@ def akman_order_check(D: Operator, k: int, budget: Budget | None = None) -> Orde
     budget = budget or Budget()
     table = D.table
     if D.is_zero():
-        return OrderCertificate(k, 0, 0, True, False, degenerate_zero=True)
+        return OrderCertificate(k, 0, 0, True, degenerate_zero=True)
     structural = D.structural_order()
 
-    tested = 0
-    failure = None
-    for tup in monomial_tuples(table, k + 1, budget):
-        elems = [Element.monomial(table, m) for m in tup]
-        tested += 1
-        if not akman_bracket(D, elems).is_zero():
-            failure = tup
-            break
+    def nonzero(tup):
+        return not akman_bracket(D, [Element.monomial(table, m) for m in tup]).is_zero()
 
-    sharp = False
+    tested, failure = first_witness(monomial_tuples(table, k + 1, budget), nonzero)
     sharp_witness = None
     if failure is None and k >= 1:
-        for tup in monomial_tuples(table, k, budget):
-            elems = [Element.monomial(table, m) for m in tup]
-            if not akman_bracket(D, elems).is_zero():
-                sharp = True
-                sharp_witness = tup
-                break
-
-    return OrderCertificate(
-        claimed_order=k,
-        structural_bound=structural,
-        tuples_tested=tested,
-        passed=failure is None,
-        sharp=sharp,
-        failure_witness=failure,
-        sharp_witness=sharp_witness,
-    )
+        _, sharp_witness = first_witness(monomial_tuples(table, k, budget), nonzero)
+    return OrderCertificate(k, structural, tested, failure is None, failure, sharp_witness)

@@ -24,12 +24,13 @@ from .brackets import (
     akman_bracket,
     akman_order_check,
     bv_bracket,
+    first_witness,
     koszul_bracket,
     monomial_tuples,
 )
 from .linfty import verify_linfty
 from .models import BUILTIN_MODELS
-from .operators import Operator, format_operator
+from .operators import format_operator
 from .specfile import ModelSpec, SpecError, parse_spec
 from .structures import (
     StructReport,
@@ -98,20 +99,18 @@ def run_suite(name: str, spec: ModelSpec, budget: Budget, params: dict) -> Struc
     if name == "brackets":
         report = StructReport("bracket route agreement")
         arity = params.get("arity", 3)
+
+        def routes_differ(tup):
+            elems = [Element.monomial(table, m) for m in tup]
+            return not (akman_bracket(D, elems) - koszul_bracket(D, elems)).is_zero()
+
         for n in range(1, arity + 1):
-            bad = None
-            tested = 0
-            for tup in monomial_tuples(table, n, budget):
-                elems = [Element.monomial(table, m) for m in tup]
-                tested += 1
-                if not (akman_bracket(D, elems) - koszul_bracket(D, elems)).is_zero():
-                    bad = tup
-                    break
-            report.add(
+            tested, bad = first_witness(monomial_tuples(table, n, budget), routes_differ)
+            report.tally(
                 f"recursion vs unshuffle expansion, arity {n}",
-                "fail" if bad else "pass",
-                "" if bad else f"{tested} tuples",
-                witness=str(bad) if bad else None,
+                tested,
+                None if bad is None else str(bad),  # str of the monomial tuple
+                "tuples",
             )
         return report
 

@@ -2,9 +2,10 @@
 
 Everything here works with plain integers: a degree is an int, a permutation
 is a tuple ``sigma`` with the convention that the permuted sequence is
-``(v[sigma[0]], v[sigma[1]], ...)`` (0-based).  Signs are returned as
-``Fraction(1)`` or ``Fraction(-1)`` so they slot directly into coefficient
-arithmetic.
+``(v[sigma[0]], v[sigma[1]], ...)`` (0-based).  ``graded_sign`` returns
+``Fraction(1)`` or ``Fraction(-1)`` so it slots directly into coefficient
+arithmetic; ``koszul_sign``, which the bracket kernels only compare with 0,
+returns the int 1 or -1.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def graded_sign(degrees, sigma) -> Fraction:
     return Fraction(sign)
 
 
-def koszul_sign(degrees, sigma) -> Fraction:
+def koszul_sign(degrees, sigma) -> int:
     """Pure Koszul sign epsilon(sigma): (-1)^{|v_i||v_j|} per inversion.
 
     This is graded_sign with the plain permutation sign divided out; it is the
@@ -74,4 +75,4 @@ def koszul_sign(degrees, sigma) -> Fraction:
         for u in range(t + 1, n):
             if sigma[t] > sigma[u] and degrees[sigma[t]] % 2 and degrees[sigma[u]] % 2:
                 sign = -sign
-    return Fraction(sign)
+    return sign

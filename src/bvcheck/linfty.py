@@ -22,13 +22,11 @@ vanishes for every n iff D o D = 0; the n = 1 member is literally D(D a).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 
-from .algebra import AlgebraError, Element, GeneratorTable, enumerate_monomials
-from .brackets import Budget, akman_bracket, koszul_bracket, monomial_tuples
+from .algebra import AlgebraError, Element
+from .brackets import Budget, first_witness, koszul_bracket, monomial_tuples
 from .graded import graded_sign, koszul_sign, unshuffles
 from .operators import Operator
 
@@ -209,7 +207,7 @@ def linfty_relation(D: Operator, n: int, args) -> Element:
     parities = [a.parity() for a in args]
     for l in range(1, n + 1):
         for sigma in unshuffles(l, n):
-            negative = koszul_sign(parities, sigma).numerator < 0
+            negative = koszul_sign(parities, sigma) < 0
             # koszul_bracket == akman_bracket (tested); the former is cheaper
             inner = koszul_bracket(D, [args[i] for i in sigma[:l]])
             if inner.is_zero():
@@ -228,12 +226,6 @@ class RelationReport:
     tuples_tested: int
     passed: bool
     failing_tuple: tuple | None = None
-    residual: Element | None = None
-
-    def verdict(self) -> str:
-        if self.passed:
-            return f"relation n={self.index}: pass ({self.tuples_tested} tuples)"
-        return f"relation n={self.index}: FAIL at {self.failing_tuple}"
 
 
 def verify_linfty(D: Operator, n_max: int, budget: Budget | None = None) -> list[RelationReport]:
@@ -244,23 +236,9 @@ def verify_linfty(D: Operator, n_max: int, budget: Budget | None = None) -> list
     table = D.table
     reports = []
     for n in range(1, n_max + 1):
-        tested = 0
-        failing = None
-        residual = None
-        for tup in monomial_tuples(table, n, budget):
-            elems = [Element.monomial(table, m) for m in tup]
-            tested += 1
-            res = linfty_relation(D, n, elems)
-            if not res.is_zero():
-                failing, residual = tup, res
-                break
-        reports.append(
-            RelationReport(
-                index=n,
-                tuples_tested=tested,
-                passed=failing is None,
-                failing_tuple=failing,
-                residual=residual,
-            )
-        )
+        def fails(tup):
+            return not linfty_relation(D, n, [Element.monomial(table, m) for m in tup]).is_zero()
+
+        tested, failing = first_witness(monomial_tuples(table, n, budget), fails)
+        reports.append(RelationReport(n, tested, failing is None, failing))
     return reports

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraError, Element, GeneratorTable, monomial_mul
+from .algebra import AlgebraError, Element, GeneratorTable
 from .operators import Operator
 
 

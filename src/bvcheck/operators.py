@@ -314,14 +314,10 @@ class Operator:
         square = self.compose(self)
         if square.is_zero():
             return True, None
-        for mono in enumerate_monomials(self.table, witness_degree):
-            m = Element.monomial(self.table, mono)
-            if not square.apply(m).is_zero():
-                return False, mono
-        # nonzero normal form whose action vanished on the scanned monomials:
-        # widen the scan (faithfulness on the free algebra guarantees a witness)
+        # scan the window, then widen it while the nonzero normal form still
+        # acts as zero (faithfulness on the free algebra guarantees a witness)
         max_deriv = max(sum(d) for (_, d) in square.terms)
-        for bound in range(witness_degree + 1, witness_degree + max_deriv + 2):
+        for bound in range(witness_degree, witness_degree + max_deriv + 2):
             for mono in enumerate_monomials(self.table, bound):
                 m = Element.monomial(self.table, mono)
                 if not square.apply(m).is_zero():

@@ -9,8 +9,7 @@ errors (violated preconditions) do raise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 
 from .algebra import AlgebraError, Element, GeneratorTable, enumerate_monomials
 from .brackets import (
@@ -20,6 +19,7 @@ from .brackets import (
     akman_order_check,
     akman_recursion,
     bv_bracket,
+    first_witness,
     monomial_tuples,
 )
 from .linalg import RowSpace, kernel_and_image
@@ -50,6 +50,20 @@ class StructReport:
     def add(self, name, status, details="", witness=None):
         self.items.append(CheckItem(name, status, details, witness))
 
+    def tally(self, name, tried, witness, unit=""):
+        """Fail at ``witness``, or pass with ``tried`` counted in ``unit`` (if any)."""
+        if witness is not None:
+            self.add(name, "fail", witness=_show(witness))
+        else:
+            self.add(name, "pass", f"{tried} {unit}" if unit else "")
+
+    def exhibit(self, name, witness, untested):
+        """A failure expected to exist: pass once ``witness`` exhibits it."""
+        if witness is not None:
+            self.add(name, "pass", "failure witness exhibited", witness=_show(witness))
+        else:
+            self.add(name, "untested", untested)
+
     @property
     def passed(self) -> bool:
         return all(i.status != "fail" for i in self.items)
@@ -62,8 +76,16 @@ class StructReport:
         return [self.title] + ["  " + i.line() for i in self.items]
 
 
-def _pair_str(a: Element, b: Element) -> str:
-    return f"({a}, {b})"
+def _show(witness) -> str:
+    """``(a, b, ...)`` for a tuple of elements, else ``str``."""
+    if isinstance(witness, tuple):
+        return "(" + ", ".join(str(x) for x in witness) + ")"
+    return str(witness)
+
+
+def _first_tuples(elems, arity: int, budget: Budget):
+    """The first ``budget.max_tuples`` arity-tuples of ``elems`` (none if negative)."""
+    return islice(iter_product(elems, repeat=arity), max(budget.max_tuples, 0))
 
 
 def _hom_bilinear(fn, a: Element, b: Element) -> Element:
@@ -100,87 +122,50 @@ def check_gerstenhaber(
     budget = budget or Budget()
     report = StructReport(title)
     elems = [e for e in elements if not e.is_zero()]
-    max_pairs = budget.max_tuples
 
-    bad = None
-    count = 0
-    for a, b in iter_product(elems, repeat=2):
-        if count >= max_pairs:
-            break
-        count += 1
+    def antisymmetry_fails(pair):
+        a, b = pair
         # [a,b] = -(-1)^{(|a|+1)(|b|+1)} [b,a]
         sign = -1 if ((a.degree() + 1) * (b.degree() + 1)) % 2 == 0 else 1
-        if not (bracket(a, b) - sign * bracket(b, a)).is_zero():
-            bad = (a, b)
-            break
-    if bad:
-        report.add("graded antisymmetry", "fail", witness=_pair_str(*bad))
-    else:
-        report.add("graded antisymmetry", "pass", f"{count} pairs")
+        return not (bracket(a, b) - sign * bracket(b, a)).is_zero()
 
-    bad = None
-    count = 0
-    for a, b, c in iter_product(elems, repeat=3):
-        if count >= max_pairs:
-            break
-        count += 1
+    def jacobi_fails(triple):
+        a, b, c = triple
         sign = -1 if ((a.degree() + 1) * (b.degree() + 1)) % 2 else 1
         lhs = _hom_bilinear(bracket, a, bracket(b, c))
-        rhs = _hom_bilinear(bracket, bracket(a, b), c) + sign * _hom_bilinear(
-            bracket, b, bracket(a, c)
-        )
-        if not (lhs - rhs).is_zero():
-            bad = (a, b, c)
-            break
-    if bad:
-        report.add("graded Jacobi", "fail", witness=f"({bad[0]}, {bad[1]}, {bad[2]})")
-    else:
-        report.add("graded Jacobi", "pass", f"{count} triples")
+        rhs = _hom_bilinear(bracket, bracket(a, b), c)
+        rhs = rhs + sign * _hom_bilinear(bracket, b, bracket(a, c))
+        return not (lhs - rhs).is_zero()
 
-    bad = None
-    count = 0
-    for a, b, c in iter_product(elems, repeat=3):
-        if count >= max_pairs:
-            break
-        count += 1
+    def leibniz_fails(triple):
+        a, b, c = triple
         sign = -1 if (b.degree() * c.degree()) % 2 else 1
         lhs = _hom_bilinear(bracket, a, product(b, c))
         rhs = product(bracket(a, b), c) + sign * product(bracket(a, c), b)
-        if not (lhs - rhs).is_zero():
-            bad = (a, b, c)
-            break
-    if bad:
-        report.add("Leibniz rule", "fail", witness=f"({bad[0]}, {bad[1]}, {bad[2]})")
-    else:
-        report.add("Leibniz rule", "pass", f"{count} triples")
+        return not (lhs - rhs).is_zero()
 
-    if bracket_degree is not None:
-        bad = None
-        for a, b in iter_product(elems[: max(4, len(elems) // 2)], repeat=2):
-            v = bracket(a, b)
-            if v.is_zero():
-                continue
-            if v.degree() != a.degree() + b.degree() + bracket_degree:
-                bad = (a, b)
-                break
-        report.add(
-            f"bracket degree offset {bracket_degree:+d}",
-            "fail" if bad else "pass",
-            witness=_pair_str(*bad) if bad else None,
-        )
-    if product_degree is not None:
-        bad = None
-        for a, b in iter_product(elems[: max(4, len(elems) // 2)], repeat=2):
-            v = product(a, b)
-            if v.is_zero():
-                continue
-            if v.degree() != a.degree() + b.degree() + product_degree:
-                bad = (a, b)
-                break
-        report.add(
-            f"product degree offset {product_degree:+d}",
-            "fail" if bad else "pass",
-            witness=_pair_str(*bad) if bad else None,
+    for name, arity, fails, unit in (
+        ("graded antisymmetry", 2, antisymmetry_fails, "pairs"),
+        ("graded Jacobi", 3, jacobi_fails, "triples"),
+        ("Leibniz rule", 3, leibniz_fails, "triples"),
+    ):
+        report.tally(name, *first_witness(_first_tuples(elems, arity, budget), fails), unit)
+
+    head = elems[: max(4, len(elems) // 2)]
+    for label, op, offset in (
+        ("bracket", bracket, bracket_degree),
+        ("product", product, product_degree),
+    ):
+        if offset is None:
+            continue
+
+        def off_degree(pair):
+            v = op(*pair)
+            return bool(v) and v.degree() != pair[0].degree() + pair[1].degree() + offset
+
+        report.tally(
+            f"{label} degree offset {offset:+d}",
+            *first_witness(iter_product(head, repeat=2), off_degree),
         )
     return report
 
@@ -284,95 +269,52 @@ def check_derivation_lemma(D: Operator, budget: Budget | None = None) -> StructR
     def bracket(a, b):
         return _hom_bilinear(lambda u, v: bv_bracket(D, u, v), a, b)
 
+    def pairs():
+        return (
+            (Element.monomial(table, m), Element.monomial(table, n))
+            for m, n in monomial_tuples(table, 2, budget)
+        )
+
+    def not_bracket_derivation(X, a, b):
+        lhs = X.apply(bracket(a, b))
+        sign = -1 if a.parity() else 1
+        rhs = bracket(X.apply(a), b) - sign * bracket(a, X.apply(b))
+        return not (lhs - rhs).is_zero()
+
     # (i) D is a derivation of the bracket
-    bad = None
-    count = 0
-    for tup in monomial_tuples(table, 2, budget):
-        a = Element.monomial(table, tup[0])
-        b = Element.monomial(table, tup[1])
-        count += 1
-        lhs = D.apply(bracket(a, b))
-        sign = -1 if table.monomial_parity(tup[0]) else 1
-        rhs = bracket(D.apply(a), b) - sign * bracket(a, D.apply(b))
-        if not (lhs - rhs).is_zero():
-            bad = (a, b)
-            break
-    report.add(
+    report.tally(
         "D is a bracket derivation",
-        "fail" if bad else "pass",
-        "" if bad else f"{count} pairs",
-        witness=_pair_str(*bad) if bad else None,
+        *first_witness(pairs(), lambda p: not_bracket_derivation(D, *p)),
+        "pairs",
     )
 
     # (ii) product-Leibniz failure witness whenever D has an order >= 2 part
-    higher = any(sum(d) >= 2 for (_, d) in D.terms)
-    if not higher:
+    if not any(sum(d) >= 2 for (_, d) in D.terms):
         report.add("product-Leibniz failure of D", "pass", "vacuous: no order >= 2 part")
     else:
-        found = None
-        for tup in monomial_tuples(table, 2, budget):
-            a = Element.monomial(table, tup[0])
-            b = Element.monomial(table, tup[1])
-            if not akman_bracket(D, (a, b)).is_zero():
-                found = (a, b)
-                break
-        if found:
-            report.add(
-                "product-Leibniz failure of D",
-                "pass",
-                "failure witness exhibited",
-                witness=_pair_str(*found),
-            )
-        else:
-            report.add(
-                "product-Leibniz failure of D", "untested", "no witness within budget"
-            )
+        report.exhibit(
+            "product-Leibniz failure of D",
+            first_witness(pairs(), lambda p: not akman_bracket(D, p).is_zero())[1],
+            "no witness within budget",
+        )
 
     # (iii) the degree +1 component is a product derivation
     d1 = D.degree_components().get(1)
     if d1 is None:
         report.add("D1 product Leibniz", "pass", "vacuous: no degree +1 part")
-    else:
-        bad = None
-        count = 0
-        for tup in monomial_tuples(table, 2, budget):
-            a = Element.monomial(table, tup[0])
-            b = Element.monomial(table, tup[1])
-            count += 1
-            if not akman_bracket(d1, (a, b)).is_zero():
-                bad = (a, b)
-                break
-        report.add(
-            "D1 product Leibniz",
-            "fail" if bad else "pass",
-            "" if bad else f"{count} pairs",
-            witness=_pair_str(*bad) if bad else None,
-        )
+        return report
+    report.tally(
+        "D1 product Leibniz",
+        *first_witness(pairs(), lambda p: not akman_bracket(d1, p).is_zero()),
+        "pairs",
+    )
 
-        # (iv) bracket-derivation failure witness for D1, if one exists
-        found = None
-        for tup in monomial_tuples(table, 2, budget):
-            a = Element.monomial(table, tup[0])
-            b = Element.monomial(table, tup[1])
-            lhs = d1.apply(bracket(a, b))
-            sign = -1 if table.monomial_parity(tup[0]) else 1
-            rhs = bracket(d1.apply(a), b) - sign * bracket(a, d1.apply(b))
-            if not (lhs - rhs).is_zero():
-                found = (a, b)
-                break
-        if found:
-            report.add(
-                "D1 bracket-derivation failure",
-                "pass",
-                "failure witness exhibited",
-                witness=_pair_str(*found),
-            )
-        else:
-            report.add(
-                "D1 bracket-derivation failure",
-                "untested",
-                "no witness within budget (may hold on this model)",
-            )
+    # (iv) bracket-derivation failure witness for D1, if one exists
+    report.exhibit(
+        "D1 bracket-derivation failure",
+        first_witness(pairs(), lambda p: not_bracket_derivation(d1, *p))[1],
+        "no witness within budget (may hold on this model)",
+    )
     return report
 
 
@@ -584,29 +526,12 @@ def induced_bv(
     def induced_product(a: Element, b: Element) -> Element:
         return H.reduce(a * b)
 
-    # square zero on classes
-    bad = None
-    for r in reps:
-        if not induced(induced(r)).is_zero():
-            bad = r
-            break
-    report.add(
-        "induced operator squares to zero on classes",
-        "fail" if bad else "pass",
-        witness=str(bad) if bad else None,
-    )
-
-    # order <= 2 w.r.t. the induced product: arity-3 brackets vanish
     def hom_parts(e: Element):
         return list(e.grade_decompose().values())
 
-    bad = None
-    tested = 0
     p_D2 = 1  # degree -1 component is odd
-    for trip in iter_product(reps, repeat=3):
-        if tested >= budget.max_tuples:
-            break
-        tested += 1
+
+    def order_exceeds_two(trip) -> bool:
         total = Element.zero(table)
         for a in hom_parts(trip[0]):
             for b in hom_parts(trip[1]):
@@ -615,14 +540,17 @@ def induced_bv(
                     total = total + akman_recursion(
                         induced, induced_product, p_D2, (a, b, c), pars
                     )
-        if not total.is_zero():
-            bad = trip
-            break
-    report.add(
+        return not total.is_zero()
+
+    report.tally(
+        "induced operator squares to zero on classes",
+        *first_witness(reps, lambda r: not induced(induced(r)).is_zero()),
+    )
+    # order <= 2 w.r.t. the induced product: arity-3 brackets vanish
+    report.tally(
         "induced operator has order <= 2 on representatives",
-        "fail" if bad else "pass",
-        "" if bad else f"{tested} triples",
-        witness=f"({bad[0]}, {bad[1]}, {bad[2]})" if bad else None,
+        *first_witness(_first_tuples(reps, 3, budget), order_exceeds_two),
+        "triples",
     )
 
     # induced bracket satisfies the Gerstenhaber axioms on the window

@@ -9,6 +9,7 @@ from bvcheck.brackets import (
     akman_bracket,
     akman_order_check,
     bv_bracket,
+    first_witness,
     koszul_bracket,
     monomial_tuples,
 )
@@ -183,3 +184,25 @@ def test_monomial_tuples_deterministic():
     second = monomial_tuples(TABLE, 3, budget)
     assert first == second
     assert len(first) == 17
+
+
+def _stops_after(cases, n):
+    """Yield ``cases``; fail the test if asked for an item past the n-th."""
+    for i, case in enumerate(cases):
+        if i >= n:
+            raise AssertionError(f"consumed case {i + 1} after the witness")
+        yield case
+
+
+def test_first_witness_counts_the_witness_and_stops_there():
+    cases = _stops_after(range(10, 20), 4)
+    assert first_witness(cases, lambda c: c == 13) == (4, 13)
+    assert first_witness(_stops_after("abc", 1), lambda c: True) == (1, "a")
+
+
+def test_first_witness_without_a_witness():
+    assert first_witness([], lambda c: True) == (0, None)
+    assert first_witness(iter(()), lambda c: True) == (0, None)
+    assert first_witness(range(7), lambda c: c > 100) == (7, None)
+    # a falsy case is still a witness
+    assert first_witness([3, 0, 5], lambda c: c == 0) == (2, 0)

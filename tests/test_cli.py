@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from bvcheck.algebra import parse_element
-from bvcheck.cli import main
+from bvcheck.cli import SUITE_NAMES, main
+from bvcheck.models import BUILTIN_MODELS
 from bvcheck.specfile import parse_spec
 
 LAPLACIAN_SPEC = """\
@@ -187,3 +189,110 @@ def test_explain_subcommand(capsys):
 def test_missing_spec_and_model(capsys):
     assert main(["check"]) == 2
     assert "--spec or --model" in capsys.readouterr().err
+
+
+# Golden reports: the exit code and the SHA-256 of the JSON report of every
+# suite on every built-in model and on two specs whose checks fail, so that
+# the fail branches and their witness strings are pinned byte for byte too.
+GOLDEN_SPECS = {
+    # the polyvector2 Laplacian plus multiplication by xi1: odd, not square zero
+    "laplacian-plus-xi1": LAPLACIAN_SPEC.split("SUITE")[0].rstrip("\n")
+    + "\n1 | 0 0 1 0 | 0 0 0 0\n",
+    # d/dx d/dy with y odd of degree -1: square zero, degree +1, order 2
+    "second-order-degree-one": "GENERATORS\nx 0\ny -1\n\nOPERATOR D\n1 | 0 0 | 1 1\n",
+}
+GOLDEN_BUDGET = ["--format", "json", "--budget-degree", "2", "--budget-tuples", "40"]
+GOLDEN = {
+    ("model:exterior-cube", "bv-core"): (0, "267bcbc644edc682c8fafc78b8c33dbe9841d43fb7c4786f36f4aefed92c6e42"),
+    ("model:exterior-cube", "brackets"): (0, "ae0ab98d5993aaef2e57a4e10850c07ae48ac0d7a486ee7f5a9ec731ea33dee5"),
+    ("model:exterior-cube", "linfty"): (0, "712aca4c0946a93dae088f7faae37e74f9f72bed1ef88a97965dd088479dd797"),
+    ("model:exterior-cube", "split"): (0, "229d3a0e851646fa12a13704e317a0081a9a1667b7c82e41ce6930ca929f1e6c"),
+    ("model:exterior-cube", "derivation"): (0, "7e393c0efd390ef856e05744a372aa9f820a95e0503f51ca48ecb1e597abb3d7"),
+    ("model:exterior-cube", "bvinfty"): (0, "25ab726c9a25c32779eeae98aa8762c288ae5e369b271e73559358368e43d21e"),
+    ("model:exterior-cube", "gerstenhaber"): (0, "7d3b3c04167fb0c501fd7c3cba81d517dae64493f79c40635c51a200663a7483"),
+    ("model:exterior-cube", "cohomology"): (0, "3a508838bf3aadfceabae281e284a9926d8527f70b724e54c71d7a44d1c45060"),
+    ("model:koszul1", "bv-core"): (0, "5dc251b6ede1cfaebf5bd6853eb0c2a78aec2567dec0f0c6f6044bf39fbd05e0"),
+    ("model:koszul1", "brackets"): (0, "b9c33e54e781b93e84e8557239e2572b8b21d9e51bc707eeb8ee1e66b21007c0"),
+    ("model:koszul1", "linfty"): (0, "78cbb10ffa7909fdd2df8731f1abe723f8487fc698943c9dcc102391142a4a3b"),
+    ("model:koszul1", "split"): (0, "f8edb0b040b238a017ab31b1efcf8e5efc54cdd46453edefe96259d05dde1b93"),
+    ("model:koszul1", "derivation"): (3, "d435af2099e01ef6c1a0a72b6513700b6e7921764ffa646db039ae361eabcf35"),
+    ("model:koszul1", "bvinfty"): (0, "5b2ac9828a3479d47b6b57899e478a72c08b1d3418459db672b547f0e1ceaf88"),
+    ("model:koszul1", "gerstenhaber"): (0, "070129d83e3eea2aea9edae608e460e2d387b97936893ad8b43d294c2cb73a2a"),
+    ("model:koszul1", "cohomology"): (3, "595f1c54985726c28f3198d0e9cc5ea1e6902f3dccce1b09ea8d7dcbe0ff95ed"),
+    ("model:koszul2", "bv-core"): (0, "4d2932ae8727bf0502869238ae639567d1350305a05f430077c09dab87890ad3"),
+    ("model:koszul2", "brackets"): (0, "c2f6ffedd26ecdabad6260b357f815f7a29bbca02c17d95db1740bf4e8dbd930"),
+    ("model:koszul2", "linfty"): (0, "1d2f2d03f3d03d6ef37406425471f751f6c885a14ae8556fdc963a6f75bebf3d"),
+    ("model:koszul2", "split"): (0, "48870eee443319eeb92b5c833879f0868d28b416dfadfacf29d49155825ca935"),
+    ("model:koszul2", "derivation"): (3, "64a2425759f418dbc960110fd23011a0eb23368805b529593744d629da8de4cf"),
+    ("model:koszul2", "bvinfty"): (0, "939da20e11d4bcff4aa54b46fcd3c8e221b00240519d54ba2a0f680d23f1331d"),
+    ("model:koszul2", "gerstenhaber"): (0, "e2e9db4e5491b408080a65e03f71276606b35884c36f38896b94f00c57eeae80"),
+    ("model:koszul2", "cohomology"): (0, "72a28365dbe31892bd9a89073833f397e0ac5971faa9b3df7a5e427048adc610"),
+    ("model:mixed-order", "bv-core"): (0, "702909c9093aaf5d213fc2a8616caad8520d7736109ccbb905d83ab9ae002ef3"),
+    ("model:mixed-order", "brackets"): (0, "43893365a514a1d9e8f2016efaeeb1d9d65198f06ab3f653b16ae36dd1d81e8c"),
+    ("model:mixed-order", "linfty"): (0, "95580c3bdeaa53a11c785eb766b2a64c2fd8a34b1615325058c687f4115742e6"),
+    ("model:mixed-order", "split"): (0, "786224bf816559b1f7825875dc2979cb9d7f54098e3ba5b2b8c63a6678e49d68"),
+    ("model:mixed-order", "derivation"): (3, "0809e2649dda4d1051e41b8543f3440d265d766b2a89f87549af2752b532b25d"),
+    ("model:mixed-order", "bvinfty"): (0, "f4a263814b029f5474a8139b4e4abc03f59556077c74de3dfb32c7aab5a7732a"),
+    ("model:mixed-order", "gerstenhaber"): (0, "cc623baa834b82db441582a80ee5a7b3048fbd27b44127a10141aabcd9a380d0"),
+    ("model:mixed-order", "cohomology"): (3, "e38ec7c710cdcc246ab60e2b885439b1eb600a9a2bde6c4858cb772882bfb892"),
+    ("model:polyvector2", "bv-core"): (0, "1e3d0e7a1459c795bd9e724d10ea742c6a050158e985bd6b05ab29943cc67170"),
+    ("model:polyvector2", "brackets"): (0, "fa0aaf3fefb498f965fa81d7122b07f9441f9ee420a01892ea2db679db3cc349"),
+    ("model:polyvector2", "linfty"): (0, "b54f088b2208620185d884f948dcab0ec3bf0ada282ba1aca0aeddf52f7e5ca3"),
+    ("model:polyvector2", "split"): (0, "11b218ffd91a98b6081733112ab8149b8c0aeda504a765235b3bb38a95a6f2d3"),
+    ("model:polyvector2", "derivation"): (0, "e4938fb41c37500bd5a48305372fefc27bff7657871e28b74322b05ebb545370"),
+    ("model:polyvector2", "bvinfty"): (0, "0c43790467d3841e5b1cfd9f1bd310ea62a9c5da918dbdf5f3c621ab0405b8da"),
+    ("model:polyvector2", "gerstenhaber"): (0, "84b4e08c4e715e0ffc7a744b1ce0e20fa6feb2bf03a4a8112dfa604dac23d7b2"),
+    ("model:polyvector2", "cohomology"): (0, "73c0b807fd379be382c65782adcae560e2b686bee4ec212f133c636ace9406c1"),
+    ("model:polyvector3", "bv-core"): (0, "1bd1d710739dc80039466c98a089af4d9f209eda880c9686e9530bcb645ae648"),
+    ("model:polyvector3", "brackets"): (0, "e6d6f99af158b4bb1acc9e68db9dfaabc19f54ebfa20f4c30fa1e3ce3616c1e9"),
+    ("model:polyvector3", "linfty"): (0, "65969249244edabf5027a0e136e4753908ef34e8c8a3a67c77b87335afc1c2c4"),
+    ("model:polyvector3", "split"): (0, "4c4f811ec27d2b65f80eb1a6a926eeab7061bc1d1784d9ba8bf8acf2916dbdf0"),
+    ("model:polyvector3", "derivation"): (0, "bbd050c68bf8559ae25a0932822b21f7d9ac567a5d09bbd3964ae88a8cb9224b"),
+    ("model:polyvector3", "bvinfty"): (0, "c5c51af637c025ac9e463f514bc18b8e3c339bb7275c23ebc13dabb34e635643"),
+    ("model:polyvector3", "gerstenhaber"): (0, "518cad9b170ddbcb142d1d1e00a55ea86a49ae2f09af6599eb1c3d63e466112a"),
+    ("model:polyvector3", "cohomology"): (0, "9a295b95df00b01e3495a93dc194f54d03ef0fe25641ccde9f98ee3c04359ed7"),
+    ("laplacian-plus-xi1", "bv-core"): (1, "8d6c285d2a0aaa9684dca816cdd43a0788a2e972224da8055816e4bcb145cc8e"),
+    ("laplacian-plus-xi1", "brackets"): (0, "21c6335fd41db07e6042f4c6fdc797543ceecd916f8505fd79c10e4585d1212d"),
+    ("laplacian-plus-xi1", "linfty"): (1, "5e878cb29d6ce9e57cf25ad3ad7691e287e1335b7718f92c439e9a41f5a1fe54"),
+    ("laplacian-plus-xi1", "split"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("laplacian-plus-xi1", "derivation"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("laplacian-plus-xi1", "bvinfty"): (1, "575a6613ff18f957a00ecb4318d3e16decdceecd33812b4ef7021ac461dd3b0f"),
+    ("laplacian-plus-xi1", "gerstenhaber"): (1, "c377f3f31d1b89ce6869f6cf1e76be343b38ca870329a7d3c55133502b1fcc15"),
+    ("laplacian-plus-xi1", "cohomology"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("second-order-degree-one", "bv-core"): (0, "ae6e0ef03ebbd911c2d40b81c6c35cf54f5cf781a0b638e9e30333dc5ecb32a4"),
+    ("second-order-degree-one", "brackets"): (0, "536249ee178ebfec6e848baa39ba017a05366c5832afff74ceb1c12723fbd35d"),
+    ("second-order-degree-one", "linfty"): (0, "e5dd99b3fbeb9020e09064bc62efd41f6e568ad86253c35532ac40a67a009426"),
+    ("second-order-degree-one", "split"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("second-order-degree-one", "derivation"): (1, "9b654439c511f2e02c6ed42dd86a7f3e0e8b0c88e018ca618628261c46563110"),
+    ("second-order-degree-one", "bvinfty"): (1, "4a64bcd1df5c0a02a43a46372bf51d0f869b1ee2c9f6fc71157d9616fec394e9"),
+    ("second-order-degree-one", "gerstenhaber"): (0, "0eeb926f0dd4faccecb8b6859f1ab6c8b5ae046a5299a3846f960cd75b886c05"),
+    ("second-order-degree-one", "cohomology"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def _report_digest(capsys, argv):
+    code = main(argv + GOLDEN_BUDGET)
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_golden_table_covers_every_suite_and_source():
+    sources = [f"model:{m}" for m in BUILTIN_MODELS] + list(GOLDEN_SPECS)
+    assert set(GOLDEN) == {(src, s) for src in sources for s in SUITE_NAMES}
+
+
+@pytest.mark.parametrize("source,suite", sorted(GOLDEN))
+def test_golden_check_reports(source, suite, tmp_path, monkeypatch, capsys):
+    if source.startswith("model:"):
+        where = ["--model", source[len("model:"):]]
+    else:
+        # the report names the spec path, so keep it relative and fixed
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, source + ".spec", GOLDEN_SPECS[source])
+        where = ["--spec", source + ".spec"]
+    got = _report_digest(capsys, ["check", *where, "--suite", suite])
+    assert got == GOLDEN[source, suite]
+
+
+def test_golden_brackets_command(capsys):
+    got = _report_digest(capsys, ["brackets", "--model", "polyvector2", "--arity", "2"])
+    assert got == (0, "f2470a4e4dd49378e6cc561af9d725e2f5ff58eda74e5f8500efb63b396d17eb")

@@ -64,6 +64,9 @@ def test_koszul_sign_odd_swap():
     # swapping two odd elements costs a sign
     assert koszul_sign([1, 1], (1, 0)) == -1
     assert koszul_sign([1, 0], (1, 0)) == 1
+    # plain ints: the bracket kernels only compare the sign with 0
+    assert type(koszul_sign([1, 1], (1, 0))) is int
+    assert type(koszul_sign([1, 0], (1, 0))) is int
 
 
 def test_graded_sign_even_swap_costs_sign():
