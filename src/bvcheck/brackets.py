@@ -130,6 +130,10 @@ class Budget:
     max_tuples: int = 200
     seed: int = 0
 
+    def __post_init__(self):
+        if self.max_degree < 0 or self.max_tuples < 0:
+            raise AlgebraError("budget degree and tuple count must be >= 0")
+
 
 def monomial_tuples(table, arity: int, budget: Budget, nonunit: bool = False):
     """Deterministic tuple stream: full product if small, else seeded sample."""

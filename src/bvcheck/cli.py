@@ -268,50 +268,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    budget = Budget(
-        max_degree=args.budget_degree,
-        max_tuples=args.budget_tuples,
-        seed=args.seed,
-    )
     try:
+        budget = Budget(
+            max_degree=args.budget_degree,
+            max_tuples=args.budget_tuples,
+            seed=args.seed,
+        )
         spec = _load_spec(args)
         spec_name = args.spec or f"model:{args.model}"
 
         if args.command == "check":
             suites = [(s, {}) for s in args.suite] or spec.suites or [("bv-core", {})]
             reports = [run_suite(n, spec, budget, p) for n, p in suites]
-            code = _exit_code(reports)
-            _emit(reports, args, spec_name, code)
-            return code
 
-        if args.command == "brackets":
+        elif args.command == "brackets":
             D = spec.main_operator()
             report = run_suite("brackets", spec, budget, {"arity": args.arity})
             table = spec.table
             values = StructReport(f"arity-{args.arity} bracket values")
-            shown = 0
             for tup in monomial_tuples(table, args.arity, budget):
-                if shown >= 12:
-                    break
                 elems = [Element.monomial(table, m) for m in tup]
                 val = akman_bracket(D, elems)
-                if val.is_zero():
-                    continue
-                shown += 1
-                label = ", ".join(format_element(e) for e in elems)
-                values.add(f"F({label})", "pass", format_element(val))
+                if not val.is_zero():
+                    label = ", ".join(format_element(e) for e in elems)
+                    values.add(f"F({label})", "pass", format_element(val))
+                if len(values.items) == 12:
+                    break
             reports = [report, values]
-            code = _exit_code([report])
-            _emit(reports, args, spec_name, code)
-            return code
 
-        if args.command == "split":
-            report = run_suite("split", spec, budget, {})
-            code = _exit_code([report])
-            _emit([report], args, spec_name, code)
-            return code
+        elif args.command == "split":
+            reports = [run_suite("split", spec, budget, {})]
 
-        if args.command == "cohomology":
+        elif args.command == "cohomology":
             report = run_suite("cohomology", spec, budget, {"window": args.window})
             H = cohomology(spec.table, spec.differential(), args.window)
             reps = StructReport("representatives")
@@ -320,11 +308,9 @@ def main(argv=None) -> int:
                     f"degree {g}", "pass",
                     "; ".join(format_element(r) for r in rs),
                 )
-            code = _exit_code([report])
-            _emit([report, reps], args, spec_name, code)
-            return code
+            reports = [report, reps]
 
-        if args.command == "explain":
+        else:  # explain
             report = StructReport("parsed spec")
             t = spec.table
             report.add(
@@ -348,10 +334,11 @@ def main(argv=None) -> int:
                     "suites", "pass",
                     "; ".join(n + (f" {p}" if p else "") for n, p in spec.suites),
                 )
-            _emit([report], args, spec_name, 0)
-            return 0
+            reports = [report]
 
-        raise AssertionError(args.command)
+        code = _exit_code(reports)
+        _emit(reports, args, spec_name, code)
+        return code
     except SpecError as exc:
         sys.stderr.write(f"spec error: {exc}\n")
         return 2

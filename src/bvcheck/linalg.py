@@ -66,9 +66,8 @@ def kernel_and_image(labels: list, vectors: list[dict]):
     Returns (kernel, image): kernel is a list of {label: coeff} combinations
     with ``sum coeff * vector(label) = 0``, image the RowSpace of the vectors.
     Augmented labels sort vector entries before tags so pivots always sit in
-    the vector part.
+    the vector part, whose fully reduced rows are then the image's basis.
     """
-    image = RowSpace()
     tracked = RowSpace()
     kernel: list[dict] = []
     for label, vec in zip(labels, vectors):
@@ -79,5 +78,7 @@ def kernel_and_image(labels: list, vectors: list[dict]):
             kernel.append({k[1]: v for k, v in residual.items()})
         else:
             tracked.add(residual)
-            image.add(vec)
+    image = RowSpace()
+    for (_, pivot), row in tracked.rows.items():
+        image.rows[pivot] = {k[1]: v for k, v in row.items() if k[0] == 0}
     return kernel, image

@@ -84,8 +84,8 @@ def _show(witness) -> str:
 
 
 def _first_tuples(elems, arity: int, budget: Budget):
-    """The first ``budget.max_tuples`` arity-tuples of ``elems`` (none if negative)."""
-    return islice(iter_product(elems, repeat=arity), max(budget.max_tuples, 0))
+    """The first ``budget.max_tuples`` arity-tuples of ``elems``."""
+    return islice(iter_product(elems, repeat=arity), budget.max_tuples)
 
 
 def _hom_bilinear(fn, a: Element, b: Element) -> Element:
@@ -340,10 +340,11 @@ def check_bvinfty(
         degs = sorted({d.term_degree(k) for k in d.terms})
         report.add("d homogeneous of degree +1", "fail", f"degrees {degs}")
 
+    dd = d.compose(d)
     report.add(
         "d squares to zero",
-        "pass" if d.compose(d).is_zero() else "fail",
-        witness=None if d.compose(d).is_zero() else str(d.compose(d)),
+        "pass" if dd.is_zero() else "fail",
+        witness=None if dd.is_zero() else str(dd),
     )
 
     cert = akman_order_check(d, 1, budget) if not d.is_zero() else None
@@ -383,9 +384,7 @@ class CohomologyBasis:
     """Per-degree representatives of ker d / im d on a finite monomial window."""
 
     table: GeneratorTable
-    window_degree: int
     representatives: dict[int, list[Element]]
-    cycle_dims: dict[int, int]
     boundary_space: RowSpace  # all boundaries from window monomials, one space
     warnings: list[str]
 
@@ -409,7 +408,6 @@ def cohomology(
     if not d.is_zero() and not d.is_degree_homogeneous():
         raise AlgebraError("cohomology requires a degree-homogeneous d")
 
-    monos = enumerate_monomials(table, window_degree)
     warnings: list[str] = []
     # growth of total exponent along d; negative growth can pull boundaries
     # in from outside the window
@@ -417,30 +415,25 @@ def cohomology(
     truncation_risk = bool(growths) and min(growths) <= 0
 
     by_degree: dict[int, list] = {}
-    for m in monos:
+    for m in enumerate_monomials(table, window_degree):
         by_degree.setdefault(table.monomial_degree(m), []).append(m)
 
+    # d is homogeneous, so the slices' images span disjoint parts of the boundaries;
+    # a negative-degree d maps later slices into earlier ones, so eliminate all first
     boundary_space = RowSpace()
-    images: dict[tuple, dict] = {}
-    for m in monos:
-        img = d.apply(Element.monomial(table, m))
-        images[m] = dict(img.coeffs)
-        if images[m]:
-            boundary_space.add(images[m])
+    kernels: dict[int, list[dict]] = {}
+    for g, slice_monos in sorted(by_degree.items()):
+        images = [d.apply(Element.monomial(table, m)).coeffs for m in slice_monos]
+        kernels[g], image = kernel_and_image(slice_monos, images)
+        boundary_space.rows.update(image.rows)
 
     representatives: dict[int, list[Element]] = {}
-    cycle_dims: dict[int, int] = {}
     for g, slice_monos in sorted(by_degree.items()):
-        kernel, _ = kernel_and_image(slice_monos, [images[m] for m in slice_monos])
-        cycle_dims[g] = len(kernel)
         reps: list[Element] = []
         rep_space = RowSpace()
-        for combo in kernel:
-            cycle = {m: c for m, c in combo.items()}
-            reduced = boundary_space.reduce(cycle)
-            if not reduced:
-                continue
-            if rep_space.add(reduced):
+        for combo in kernels[g]:
+            reduced = boundary_space.reduce(combo)
+            if rep_space.add(reduced):  # nothing for a boundary
                 reps.append(Element(table, reduced))
         if reps:
             representatives[g] = reps
@@ -450,9 +443,7 @@ def cohomology(
             warnings.append(
                 f"degree {g}: boundaries from outside the window may be missed"
             )
-    return CohomologyBasis(
-        table, window_degree, representatives, cycle_dims, boundary_space, warnings
-    )
+    return CohomologyBasis(table, representatives, boundary_space, warnings)
 
 
 # --------------------------------------------------------------------------
@@ -494,19 +485,15 @@ def induced_bv(
 
     # well-definedness: D2 maps window boundaries to boundaries
     bad = None
-    boundary_rows = list(H.boundary_space.rows.values())
     untested_boundary = False
-    for row in boundary_rows:
-        img2 = D2.apply(Element(table, row))
-        if not H.boundary_space.contains(dict(img2.coeffs)):
-            # distinguish a genuine failure from window truncation: the
-            # residual may involve monomials outside the window
-            residual = H.boundary_space.reduce(dict(img2.coeffs))
-            if any(sum(m) > window_degree for m in residual):
-                untested_boundary = True
-            else:
-                bad = Element(table, row)
-                break
+    for row in H.boundary_space.rows.values():
+        residual = H.boundary_space.reduce(D2.apply(Element(table, row)).coeffs)
+        # a residual outside the window is truncation, not a genuine failure
+        if any(sum(m) > window_degree for m in residual):
+            untested_boundary = True
+        elif residual:
+            bad = Element(table, row)
+            break
     if bad is not None:
         report.add("induced map well defined on classes", "fail", witness=str(bad))
     elif untested_boundary:
@@ -517,7 +504,7 @@ def induced_bv(
         )
     else:
         report.add(
-            "induced map well defined on classes", "pass", f"{len(boundary_rows)} boundaries"
+            "induced map well defined on classes", "pass", f"{H.boundary_space.dim} boundaries"
         )
 
     def induced(a: Element) -> Element:

@@ -178,6 +178,13 @@ def test_laplacian_fails_order_one():
     assert not akman_bracket(DELTA, elems).is_zero()
 
 
+@pytest.mark.parametrize("field", ["max_degree", "max_tuples"])
+def test_negative_budget_is_a_domain_error(field):
+    with pytest.raises(AlgebraError):
+        Budget(**{field: -1})
+    assert getattr(Budget(**{field: 0}), field) == 0  # zero stays legal
+
+
 def test_monomial_tuples_deterministic():
     budget = Budget(max_degree=2, max_tuples=17, seed=5)
     first = monomial_tuples(TABLE, 3, budget)

@@ -186,6 +186,15 @@ def test_explain_subcommand(capsys):
     assert "order 3" in out
 
 
+@pytest.mark.parametrize("flag", ["--budget-tuples", "--budget-degree"])
+def test_negative_budget_exits_two(flag, capsys):
+    code = main(["check", "--model", "polyvector2", "--suite", "linfty", flag, "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "budget" in captured.err
+
+
 def test_missing_spec_and_model(capsys):
     assert main(["check"]) == 2
     assert "--spec or --model" in capsys.readouterr().err
@@ -296,3 +305,29 @@ def test_golden_check_reports(source, suite, tmp_path, monkeypatch, capsys):
 def test_golden_brackets_command(capsys):
     got = _report_digest(capsys, ["brackets", "--model", "polyvector2", "--arity", "2"])
     assert got == (0, "f2470a4e4dd49378e6cc561af9d725e2f5ff58eda74e5f8500efb63b396d17eb")
+
+
+# The cohomology command on a weighted Koszul complex, on a model whose d is
+# one of three components of D, and on the polyvector2 Laplacian (degree -1)
+# used as d, so that every boundary lands in an earlier degree slice.
+GOLDEN_COHOMOLOGY_SPECS = {
+    "laplacian-as-d": "MODEL polyvector2\n\nOPERATOR d\n"
+    + "1 | 0 0 0 0 | 1 0 1 0\n1 | 0 0 0 0 | 0 1 0 1\n",
+}
+GOLDEN_COHOMOLOGY = {
+    ("model:koszul2", "6"): (0, "377f71a9f289eb990459be6a339a63bede9227f2699deac45567469fc8ce11d0"),
+    ("model:mixed-order", "4"): (3, "d7924ff506baa403092e18407eb7766b0abb88f2f1eab1d79cc8472328f1cd71"),
+    ("laplacian-as-d", "3"): (3, "ee466c784bb4105a3d518235a4ffa963a330e3f63373a53ec53d1e64c7df31f0"),
+}
+
+
+@pytest.mark.parametrize("source,window", sorted(GOLDEN_COHOMOLOGY))
+def test_golden_cohomology_command(source, window, tmp_path, monkeypatch, capsys):
+    if source.startswith("model:"):
+        where = ["--model", source[len("model:"):]]
+    else:
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, source + ".spec", GOLDEN_COHOMOLOGY_SPECS[source])
+        where = ["--spec", source + ".spec"]
+    got = _report_digest(capsys, ["cohomology", *where, "--window", window])
+    assert got == GOLDEN_COHOMOLOGY[source, window]

@@ -83,6 +83,10 @@ def test_rank_nullity(rows):
     ]
     kernel, image = kernel_and_image(labels, vectors)
     assert len(kernel) + image.dim == len(rows)
+    oracle = RowSpace()
+    for v in vectors:
+        oracle.add(v)
+    assert list(image.rows.items()) == list(oracle.rows.items())
     for combo in kernel:
         total = {}
         for lab, c in combo.items():

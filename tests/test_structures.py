@@ -7,6 +7,7 @@ from bvcheck.algebra import (
     enumerate_monomials,
 )
 from bvcheck.brackets import Budget, bv_bracket
+from bvcheck.linalg import RowSpace
 from bvcheck.models import (
     koszul_complex_model,
     mixed_order_model,
@@ -161,6 +162,27 @@ def test_bvinfty_detects_wrong_differential_degree():
     assert names["d homogeneous of degree +1"] == "fail"
 
 
+@pytest.mark.parametrize("square_zero", [True, False])
+def test_bvinfty_builds_d_squared_once(square_zero, monkeypatch):
+    model = koszul_complex_model([2])
+    xi = Operator.multiplication(Element.generator(model.table, "xi1"))
+    d = model.d if square_zero else model.d + xi  # (d + xi)^2 = mult by d(xi)
+    expected = d.compose(d)
+    pairs = []
+    compose = Operator.compose
+
+    def counting(self, other):
+        pairs.append((self, other))
+        return compose(self, other)
+
+    monkeypatch.setattr(Operator, "compose", counting)
+    report = check_bvinfty(model.table, d, model.D, BUDGET)
+    assert sum(a is d and b is d for a, b in pairs) == 1
+    item = next(i for i in report.items if i.name == "d squares to zero")
+    assert item.status == ("pass" if square_zero else "fail")
+    assert item.witness == (None if square_zero else str(expected))
+
+
 def test_bvinfty_detects_positive_tail():
     model = polyvector_model(1)
     table = model.table
@@ -213,6 +235,29 @@ def test_cohomology_reduce_is_canonical():
     # x^2 = d(xi) is a boundary
     assert H.reduce(x * x).is_zero()
     assert H.reduce(x) == x
+
+
+@pytest.mark.parametrize("name", ["koszul1", "koszul2", "koszul13", "mixed-order", "laplacian"])
+@pytest.mark.parametrize("window", range(6))
+def test_boundary_space_is_the_span_of_every_window_image(name, window):
+    # the fully reduced basis is unique, so the rows must equal, as a dict,
+    # those of one space filled with d(m) for every window monomial
+    if name == "laplacian":
+        model = polyvector_model(2)
+        table, d = model.table, model.D  # degree -1, order 2
+    else:
+        model = {
+            "koszul1": lambda: koszul_complex_model([1]),
+            "koszul2": lambda: koszul_complex_model([2]),
+            "koszul13": lambda: koszul_complex_model([1, 3]),
+            "mixed-order": mixed_order_model,
+        }[name]()
+        table, d = model.table, model.d
+    oracle = RowSpace()
+    for m in enumerate_monomials(table, window):
+        oracle.add(dict(d.apply(Element.monomial(table, m)).coeffs))
+    H = cohomology(table, d, window)
+    assert dict(H.boundary_space.rows) == oracle.rows
 
 
 # --- induced structure ------------------------------------------------------
