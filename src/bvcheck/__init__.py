@@ -16,15 +16,14 @@ from .brackets import (
     bv_bracket,
     koszul_bracket,
 )
-from .graded import GradedError, graded_sign, koszul_sign, unshuffles
-from .linfty import Word, WordSum, extend_coderivation, linfty_relation, verify_linfty
+from .graded import GradedError, koszul_sign, unshuffles
+from .linfty import linfty_relation, verify_linfty
 from .models import (
     Model,
     exterior_cube_model,
     koszul_complex_model,
     mixed_order_model,
     polyvector_model,
-    schouten_oracle,
 )
 from .operators import Operator, format_operator
 from .specfile import ModelSpec, SpecError, parse_spec

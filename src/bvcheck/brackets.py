@@ -135,11 +135,9 @@ class Budget:
             raise AlgebraError("budget degree and tuple count must be >= 0")
 
 
-def monomial_tuples(table, arity: int, budget: Budget, nonunit: bool = False):
+def monomial_tuples(table, arity: int, budget: Budget):
     """Deterministic tuple stream: full product if small, else seeded sample."""
     monos = enumerate_monomials(table, budget.max_degree)
-    if nonunit:
-        monos = [m for m in monos if any(m)]
     if not monos:
         return []
     total = len(monos) ** arity

@@ -45,139 +45,147 @@ from .structures import (
 
 SCHEMA = "bvcheck-report/1"
 
-SUITE_NAMES = (
-    "bv-core",
-    "brackets",
-    "linfty",
-    "split",
-    "derivation",
-    "bvinfty",
-    "gerstenhaber",
-    "cohomology",
-)
 
-
-def _hom_monomials(spec: ModelSpec, budget: Budget) -> list[Element]:
+def _bv_core(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     table = spec.table
-    return [
-        Element.monomial(table, m)
-        for m in enumerate_monomials(table, budget.max_degree)
-    ]
+    D = spec.main_operator()
+    report = StructReport("core operator facts")
+    report.add("operator is odd", "pass" if D.is_odd() else "fail")
+    ok, witness = D.is_square_zero()
+    report.add(
+        "operator squares to zero",
+        "pass" if ok else "fail",
+        witness=None
+        if ok
+        else format_element(Element.monomial(table, witness)),
+    )
+    k = params.get("order", D.structural_order())
+    cert = akman_order_check(D, k, budget)
+    report.add(
+        f"bracket order <= {k}",
+        "pass" if cert.passed else "fail",
+        cert.verdict(),
+        witness="; ".join(
+            format_element(Element.monomial(table, m))
+            for m in cert.failure_witness
+        )
+        if cert.failure_witness
+        else None,
+    )
+    return report
 
 
-def run_suite(name: str, spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
+def _brackets(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
+    table = spec.table
+    D = spec.main_operator()
+    report = StructReport("bracket route agreement")
+    arity = params.get("arity", 3)
+
+    def routes_differ(tup):
+        elems = [Element.monomial(table, m) for m in tup]
+        return not (akman_bracket(D, elems) - koszul_bracket(D, elems)).is_zero()
+
+    for n in range(1, arity + 1):
+        tested, bad = first_witness(monomial_tuples(table, n, budget), routes_differ)
+        report.tally(
+            f"recursion vs unshuffle expansion, arity {n}",
+            tested,
+            None if bad is None else str(bad),  # str of the monomial tuple
+            "tuples",
+        )
+    return report
+
+
+def _linfty(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
+    D = spec.main_operator()
+    n_max = params.get("n", 3)
+    report = StructReport("square-zero relation family")
+    for rr in verify_linfty(D, n_max, budget):
+        report.add(
+            f"relation n={rr.index}",
+            "pass" if rr.passed else "fail",
+            f"{rr.tuples_tested} tuples",
+            witness=str(rr.failing_tuple) if rr.failing_tuple else None,
+        )
+    return report
+
+
+def _split(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
+    D = spec.main_operator()
+    report = StructReport("order/degree decomposition")
+    result = degree_split(D, budget)
+    for n, comp in result.components:
+        cert = result.certificates[n]
+        report.add(
+            f"component n={n} (degree {3 - 2 * n:+d}) has order <= {n}",
+            "pass" if cert.passed else "fail",
+            cert.verdict(),
+            witness=str(cert.failure_witness) if cert.failure_witness else None,
+        )
+    report.add(
+        "no off-pattern degree components",
+        "fail" if result.residual_flag else "pass",
+        f"residual degrees {result.residual_degrees}" if result.residual_flag else "",
+    )
+    for item in square_expansion_identities(D).items:
+        report.add(item.name, item.status, item.details, item.witness)
+    return report
+
+
+def _gerstenhaber(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
+    table = spec.table
+    D = spec.main_operator()
+    monos = enumerate_monomials(table, budget.max_degree)
+    elems = [Element.monomial(table, m) for m in monos]
+    deg = D.degree() if D.is_degree_homogeneous() and not D.is_zero() else None
+    return check_gerstenhaber(
+        lambda a, b: bv_bracket(D, a, b),
+        lambda a, b: a * b,
+        elems,
+        budget,
+        bracket_degree=deg,
+        product_degree=0,
+        title="bracket of the main operator",
+    )
+
+
+def _cohomology(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     table = spec.table
     D = spec.main_operator()
     d = spec.differential()
-
-    if name == "bv-core":
-        report = StructReport("core operator facts")
-        report.add("operator is odd", "pass" if D.is_odd() else "fail")
-        ok, witness = D.is_square_zero()
-        report.add(
-            "operator squares to zero",
-            "pass" if ok else "fail",
-            witness=None
-            if ok
-            else format_element(Element.monomial(table, witness)),
-        )
-        k = params.get("order", D.structural_order())
-        cert = akman_order_check(D, k, budget)
-        report.add(
-            f"bracket order <= {k}",
-            "pass" if cert.passed else "fail",
-            cert.verdict(),
-            witness="; ".join(
-                format_element(Element.monomial(table, m))
-                for m in cert.failure_witness
-            )
-            if cert.failure_witness
-            else None,
-        )
-        return report
-
-    if name == "brackets":
-        report = StructReport("bracket route agreement")
-        arity = params.get("arity", 3)
-
-        def routes_differ(tup):
-            elems = [Element.monomial(table, m) for m in tup]
-            return not (akman_bracket(D, elems) - koszul_bracket(D, elems)).is_zero()
-
-        for n in range(1, arity + 1):
-            tested, bad = first_witness(monomial_tuples(table, n, budget), routes_differ)
-            report.tally(
-                f"recursion vs unshuffle expansion, arity {n}",
-                tested,
-                None if bad is None else str(bad),  # str of the monomial tuple
-                "tuples",
-            )
-        return report
-
-    if name == "linfty":
-        n_max = params.get("n", 3)
-        report = StructReport("square-zero relation family")
-        for rr in verify_linfty(D, n_max, budget):
-            report.add(
-                f"relation n={rr.index}",
-                "pass" if rr.passed else "fail",
-                f"{rr.tuples_tested} tuples",
-                witness=str(rr.failing_tuple) if rr.failing_tuple else None,
-            )
-        return report
-
-    if name == "split":
-        report = StructReport("order/degree decomposition")
-        result = degree_split(D, budget)
-        for n, comp in result.components:
-            cert = result.certificates[n]
-            report.add(
-                f"component n={n} (degree {3 - 2 * n:+d}) has order <= {n}",
-                "pass" if cert.passed else "fail",
-                cert.verdict(),
-                witness=str(cert.failure_witness) if cert.failure_witness else None,
-            )
-        report.add(
-            "no off-pattern degree components",
-            "fail" if result.residual_flag else "pass",
-            f"residual degrees {result.residual_degrees}" if result.residual_flag else "",
-        )
-        for item in square_expansion_identities(D).items:
+    window = params.get("window", budget.max_degree + 1)
+    report = StructReport("cohomology of the differential")
+    H = cohomology(table, d, window)
+    report.add("slice dimensions", "pass", str(H.dims()))
+    for w in H.warnings:
+        report.add("window truncation", "untested", w)
+    if not D.is_zero() and not (D - d).is_zero():
+        for item in induced_bv(table, d, D, window, budget).items:
             report.add(item.name, item.status, item.details, item.witness)
-        return report
+    return report
 
-    if name == "derivation":
-        return check_derivation_lemma(D, budget)
 
-    if name == "bvinfty":
-        return check_bvinfty(table, d, D, budget)
+# suite name -> report from (spec, budget, params); key order is the listing order
+SUITES = {
+    "bv-core": _bv_core,
+    "brackets": _brackets,
+    "linfty": _linfty,
+    "split": _split,
+    "derivation": lambda spec, budget, params: check_derivation_lemma(
+        spec.main_operator(), budget
+    ),
+    "bvinfty": lambda spec, budget, params: check_bvinfty(
+        spec.table, spec.differential(), spec.main_operator(), budget
+    ),
+    "gerstenhaber": _gerstenhaber,
+    "cohomology": _cohomology,
+}
 
-    if name == "gerstenhaber":
-        elems = _hom_monomials(spec, budget)
-        deg = D.degree() if D.is_degree_homogeneous() and not D.is_zero() else None
-        return check_gerstenhaber(
-            lambda a, b: bv_bracket(D, a, b),
-            lambda a, b: a * b,
-            elems,
-            budget,
-            bracket_degree=deg,
-            product_degree=0,
-            title="bracket of the main operator",
-        )
 
-    if name == "cohomology":
-        window = params.get("window", budget.max_degree + 1)
-        report = StructReport("cohomology of the differential")
-        H = cohomology(table, d, window)
-        report.add("slice dimensions", "pass", str(H.dims()))
-        for w in H.warnings:
-            report.add("window truncation", "untested", w)
-        if not D.is_zero() and not (D - d).is_zero():
-            for item in induced_bv(table, d, D, window, budget).items:
-                report.add(item.name, item.status, item.details, item.witness)
-        return report
-
-    raise SpecError(f"unknown suite {name!r} (known: {', '.join(SUITE_NAMES)})", 0)
+def run_suite(name: str, spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
+    if name not in SUITES:
+        raise SpecError(f"unknown suite {name!r} (known: {', '.join(SUITES)})", 0)
+    return SUITES[name](spec, budget, params)
 
 
 def _exit_code(reports: list[StructReport]) -> int:

@@ -2,15 +2,12 @@
 
 Everything here works with plain integers: a degree is an int, a permutation
 is a tuple ``sigma`` with the convention that the permuted sequence is
-``(v[sigma[0]], v[sigma[1]], ...)`` (0-based).  ``graded_sign`` returns
-``Fraction(1)`` or ``Fraction(-1)`` so it slots directly into coefficient
-arithmetic; ``koszul_sign``, which the bracket kernels only compare with 0,
-returns the int 1 or -1.
+``(v[sigma[0]], v[sigma[1]], ...)`` (0-based).  ``koszul_sign``, which the
+bracket kernels only compare with 0, returns the int 1 or -1.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 
@@ -36,34 +33,11 @@ def unshuffles(k: int, n: int) -> list[tuple[int, ...]]:
     return result
 
 
-def graded_sign(degrees, sigma) -> Fraction:
-    """Combined permutation/Koszul sign for reordering graded wedge factors.
-
-    Returns the sign s defined by
-        v_1 ^ ... ^ v_n  =  s * v_{sigma(1)} ^ ... ^ v_{sigma(n)},
-    where swapping adjacent homogeneous factors v, w costs -(-1)^{|v||w|}.
-    Computed over inversions of sigma.
-    """
-    if len(degrees) != len(sigma):
-        raise GradedError(
-            f"graded_sign: {len(degrees)} degrees for a permutation of {len(sigma)}"
-        )
-    sign = 1
-    n = len(sigma)
-    for t in range(n):
-        for u in range(t + 1, n):
-            if sigma[t] > sigma[u]:
-                # one inversion: factors sigma[u], sigma[t] crossed each other
-                sign *= -1 if (degrees[sigma[t]] * degrees[sigma[u]]) % 2 == 0 else 1
-    return Fraction(sign)
-
-
 def koszul_sign(degrees, sigma) -> int:
     """Pure Koszul sign epsilon(sigma): (-1)^{|v_i||v_j|} per inversion.
 
-    This is graded_sign with the plain permutation sign divided out; it is the
-    sign with which homogeneous factors of a graded-commutative product are
-    reordered:  a_1 ... a_n = epsilon(sigma) * a_{sigma(1)} ... a_{sigma(n)}.
+    It is the sign with which homogeneous factors of a graded-commutative
+    product are reordered:  a_1 ... a_n = epsilon(sigma) * a_{sigma(1)} ... a_{sigma(n)}.
     """
     if len(degrees) != len(sigma):
         raise GradedError(

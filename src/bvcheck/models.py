@@ -1,17 +1,12 @@
 """Concrete models: polyvector fields with the odd Laplacian, and weighted
 Koszul-type complexes with a negative-degree second-order perturbation.
-
-The polyvector model ships with an independently coded bidifferential oracle
-for the odd Poisson bracket so the bracket extracted from the Laplacian can
-be cross-checked against a formula that never touches the operator engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import AlgebraError, Element, GeneratorTable
+from .algebra import AlgebraError, GeneratorTable
 from .operators import Operator
 
 
@@ -49,66 +44,6 @@ def polyvector_model(n: int) -> Model:
         )
         delta = delta + Operator.term(table, 1, z, deriv)
     return Model(table, delta, Operator.zero(table))
-
-
-# --------------------------------------------------------------------------
-# Independent Schouten-type oracle on the polyvector model
-# --------------------------------------------------------------------------
-
-def _oracle_partial(table: GeneratorTable, i: int, a: Element, side: str) -> Element:
-    """Left or right partial derivative, coded from scratch for the oracle path.
-
-    For an odd generator the left derivative picks up one sign per odd factor
-    standing in front of it, the right derivative one per odd factor behind.
-    """
-    n = len(table)
-    out: dict = {}
-    for mono, c in a.coeffs.items():
-        if mono[i] == 0:
-            continue
-        if table.parity(i):
-            if side == "left":
-                span = range(i)
-            else:
-                span = range(i + 1, n)
-            cross = 0
-            for j in span:
-                if table.parity(j) and mono[j]:
-                    cross += mono[j]
-            factor = c if cross % 2 == 0 else -c
-        else:
-            factor = c * mono[i]
-        new = tuple(e - 1 if j == i else e for j, e in enumerate(mono))
-        out[new] = out.get(new, Fraction(0)) + factor
-    return Element(table, out)
-
-
-def schouten_oracle(a: Element, b: Element) -> Element:
-    """Odd Poisson bracket of polyvector fields by the antibracket pairing
-
-        (a, b) = sum_i  d^r a/dx_i  d^l b/dxi_i  -  d^r a/dxi_i  d^l b/dx_i
-
-    with right derivatives on the first slot and left on the second, on a
-    table laid out as x_1..x_n, xi_1..xi_n.  Inputs must be homogeneous.
-    """
-    table = a.table
-    if table != b.table or len(table) % 2:
-        raise AlgebraError("oracle expects both arguments on a polyvector table")
-    n = len(table) // 2
-    out = Element.zero(table)
-    for i in range(n):
-        out = out + _oracle_partial(table, i, a, "right") * _oracle_partial(
-            table, n + i, b, "left"
-        )
-        out = out - _oracle_partial(table, n + i, a, "right") * _oracle_partial(
-            table, i, b, "left"
-        )
-    return out
-
-
-# The odd bracket generated by the Laplacian reproduces the antibracket
-# pairing on the nose; the constant records the convention and is tested.
-SCHOUTEN_CALIBRATION = 1
 
 
 # --------------------------------------------------------------------------

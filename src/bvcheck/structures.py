@@ -403,6 +403,8 @@ def cohomology(
     """Kernel-mod-image of a square-zero degree-homogeneous d, per degree,
     over the window of monomials with total exponent <= window_degree.
     """
+    if window_degree < 0:
+        raise AlgebraError(f"cohomology window must be >= 0, got {window_degree}")
     if not d.compose(d).is_zero():
         raise AlgebraError("cohomology requires d^2 = 0 (exact normal form)")
     if not d.is_zero() and not d.is_degree_homogeneous():
@@ -476,6 +478,8 @@ def induced_bv(
     )
 
     H = cohomology(table, d, window_degree)
+    # each is reduced from one degree slice's kernel, and only boundaries of
+    # that degree touch it, so every representative is homogeneous
     reps = [r for rs in H.representatives.values() for r in rs]
     report.add(
         "cohomology slice dimensions",
@@ -513,21 +517,11 @@ def induced_bv(
     def induced_product(a: Element, b: Element) -> Element:
         return H.reduce(a * b)
 
-    def hom_parts(e: Element):
-        return list(e.grade_decompose().values())
-
     p_D2 = 1  # degree -1 component is odd
 
     def order_exceeds_two(trip) -> bool:
-        total = Element.zero(table)
-        for a in hom_parts(trip[0]):
-            for b in hom_parts(trip[1]):
-                for c in hom_parts(trip[2]):
-                    pars = (a.parity(), b.parity(), c.parity())
-                    total = total + akman_recursion(
-                        induced, induced_product, p_D2, (a, b, c), pars
-                    )
-        return not total.is_zero()
+        pars = tuple(a.parity() for a in trip)
+        return not akman_recursion(induced, induced_product, p_D2, trip, pars).is_zero()
 
     report.tally(
         "induced operator squares to zero on classes",
@@ -546,11 +540,10 @@ def induced_bv(
         val = akman_recursion(induced, induced_product, p_D2, (a, b), pars)
         return -val if a.parity() else val
 
-    hom_reps = [p for r in reps for p in hom_parts(r)]
     g_report = check_gerstenhaber(
         induced_bracket,
         induced_product,
-        hom_reps,
+        reps,
         budget,
         title="induced bracket axioms",
     )

@@ -23,12 +23,10 @@ from bvcheck.brackets import (
 from bvcheck.cli import main
 from bvcheck.linfty import linfty_relation, verify_linfty
 from bvcheck.models import (
-    SCHOUTEN_CALIBRATION,
     exterior_cube_model,
     koszul_complex_model,
     mixed_order_model,
     polyvector_model,
-    schouten_oracle,
 )
 from bvcheck.operators import Operator
 from bvcheck.structures import (
@@ -38,6 +36,7 @@ from bvcheck.structures import (
     degree_split,
     induced_bv,
 )
+from oracles import SCHOUTEN_CALIBRATION, schouten_oracle
 
 
 ANNOUNCED: list[str] = []

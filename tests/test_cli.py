@@ -4,7 +4,7 @@ import json
 import pytest
 
 from bvcheck.algebra import parse_element
-from bvcheck.cli import SUITE_NAMES, main
+from bvcheck.cli import SUITES, main
 from bvcheck.models import BUILTIN_MODELS
 from bvcheck.specfile import parse_spec
 
@@ -195,6 +195,14 @@ def test_negative_budget_exits_two(flag, capsys):
     assert "budget" in captured.err
 
 
+def test_negative_cohomology_window_exits_two(capsys):
+    code = main(["cohomology", "--model", "koszul2", "--window", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "window" in captured.err
+
+
 def test_missing_spec_and_model(capsys):
     assert main(["check"]) == 2
     assert "--spec or --model" in capsys.readouterr().err
@@ -286,7 +294,7 @@ def _report_digest(capsys, argv):
 
 def test_golden_table_covers_every_suite_and_source():
     sources = [f"model:{m}" for m in BUILTIN_MODELS] + list(GOLDEN_SPECS)
-    assert set(GOLDEN) == {(src, s) for src in sources for s in SUITE_NAMES}
+    assert set(GOLDEN) == {(src, s) for src in sources for s in SUITES}
 
 
 @pytest.mark.parametrize("source,suite", sorted(GOLDEN))

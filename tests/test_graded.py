@@ -4,8 +4,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from bvcheck.graded import GradedError, graded_sign, koszul_sign, unshuffles
-from oracles import graded_sign_bubble, is_unshuffle, perm_sign
+from bvcheck.graded import GradedError, koszul_sign, unshuffles
+from oracles import is_unshuffle, perm_sign
 
 
 def test_unshuffle_count_is_binomial():
@@ -36,20 +36,9 @@ def test_is_unshuffle_rejects_non_monotone():
     assert is_unshuffle((0, 2, 1), 2)
 
 
-@given(
-    st.lists(st.integers(min_value=-3, max_value=4), min_size=1, max_size=6).flatmap(
-        lambda degs: st.permutations(range(len(degs))).map(lambda p: (degs, tuple(p)))
-    )
-)
-def test_graded_sign_matches_bubble_oracle(data):
-    degrees, sigma = data
-    assert graded_sign(degrees, sigma) == graded_sign_bubble(degrees, sigma)
-
-
 def test_identity_permutation_signs():
     degrees = [0, 1, 2, 3]
     ident = (0, 1, 2, 3)
-    assert graded_sign(degrees, ident) == 1
     assert koszul_sign(degrees, ident) == 1
     assert perm_sign(ident) == 1
 
@@ -67,13 +56,6 @@ def test_koszul_sign_odd_swap():
     # plain ints: the bracket kernels only compare the sign with 0
     assert type(koszul_sign([1, 1], (1, 0))) is int
     assert type(koszul_sign([1, 0], (1, 0))) is int
-
-
-def test_graded_sign_even_swap_costs_sign():
-    # combined sign: permutation sign survives on even degrees
-    assert graded_sign([0, 0], (1, 0)) == -1
-    # moving two odds past each other: permutation and Koszul signs cancel
-    assert graded_sign([1, 1], (1, 0)) == 1
 
 
 @given(st.permutations(range(5)))

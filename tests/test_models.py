@@ -6,13 +6,12 @@ from bvcheck.algebra import AlgebraError, Element, enumerate_monomials
 from bvcheck.brackets import Budget, akman_order_check, bv_bracket
 from bvcheck.models import (
     BUILTIN_MODELS,
-    SCHOUTEN_CALIBRATION,
     exterior_cube_model,
     koszul_complex_model,
     mixed_order_model,
     polyvector_model,
-    schouten_oracle,
 )
+from oracles import SCHOUTEN_CALIBRATION, schouten_oracle
 
 
 def test_polyvector_degrees():

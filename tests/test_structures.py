@@ -227,6 +227,12 @@ def test_cohomology_requires_square_zero():
         cohomology(model.table, d, 3)
 
 
+def test_cohomology_rejects_a_negative_window():
+    model = koszul_complex_model([2])
+    with pytest.raises(AlgebraError, match="window"):
+        cohomology(model.table, model.d, -1)
+
+
 def test_cohomology_reduce_is_canonical():
     model = koszul_complex_model([2])
     H = cohomology(model.table, model.d, 6)
@@ -258,6 +264,9 @@ def test_boundary_space_is_the_span_of_every_window_image(name, window):
         oracle.add(dict(d.apply(Element.monomial(table, m)).coeffs))
     H = cohomology(table, d, window)
     assert dict(H.boundary_space.rows) == oracle.rows
+    # each representative lies in its own degree slice
+    for g, reps in H.representatives.items():
+        assert all(r.is_homogeneous() and r.degree() == g for r in reps)
 
 
 # --- induced structure ------------------------------------------------------
