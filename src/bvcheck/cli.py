@@ -80,6 +80,8 @@ def _brackets(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     D = spec.main_operator()
     report = StructReport("bracket route agreement")
     arity = params.get("arity", 3)
+    if arity < 1:
+        raise AlgebraError(f"bracket arity must be >= 1, got {arity}")
 
     def routes_differ(tup):
         elems = [Element.monomial(table, m) for m in tup]
@@ -101,11 +103,12 @@ def _linfty(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     n_max = params.get("n", 3)
     report = StructReport("square-zero relation family")
     for rr in verify_linfty(D, n_max, budget):
-        report.add(
+        report.tally(
             f"relation n={rr.index}",
-            "pass" if rr.passed else "fail",
-            f"{rr.tuples_tested} tuples",
-            witness=str(rr.failing_tuple) if rr.failing_tuple else None,
+            rr.tuples_tested,
+            None if rr.passed else str(rr.failing_tuple),  # str of the monomial tuple
+            "tuples",
+            count_failures=True,
         )
     return report
 

@@ -205,17 +205,24 @@ class Operator:
         images = self._images
         out: dict[Monomial, Fraction] = {}
         for mono, c in a.coeffs.items():
-            image = images.get(mono)
+            image = images.get(mono)  # the hit path, inline: apply is the hottest call
             if image is None:
-                image = images[mono] = self._image(mono)
+                image = self.image(mono)
             for m, ci in image.items():
                 v = c * ci
                 prev = out.get(m)
                 out[m] = v if prev is None else prev + v
         return Element(self.table, out)
 
-    def _image(self, mono: Monomial) -> dict[Monomial, Fraction]:
-        """Image of one normal-form monomial, as {monomial: nonzero coeff}."""
+    def image(self, mono: Monomial) -> dict[Monomial, Fraction]:
+        """Image of one normal-form monomial, as {monomial: nonzero coeff}.
+
+        The dict is the operator's cached copy, shared by every caller: read
+        it, never mutate it.
+        """
+        image = self._images.get(mono)
+        if image is not None:
+            return image
         table = self.table
         out: dict[Monomial, Fraction] = {}
         for (mult, deriv), c in self.terms.items():
@@ -228,7 +235,8 @@ class Operator:
                 continue
             sign, prod = sm
             out[prod] = out.get(prod, 0) + c * (sign * dc)
-        return {m: v for m, v in out.items() if v}
+        image = self._images[mono] = {m: v for m, v in out.items() if v}
+        return image
 
     def __call__(self, a: Element) -> Element:
         return self.apply(a)

@@ -9,6 +9,7 @@ errors (violated preconditions) do raise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice, product as iter_product
 
 from .algebra import AlgebraError, Element, GeneratorTable, enumerate_monomials
@@ -50,12 +51,16 @@ class StructReport:
     def add(self, name, status, details="", witness=None):
         self.items.append(CheckItem(name, status, details, witness))
 
-    def tally(self, name, tried, witness, unit=""):
-        """Fail at ``witness``, or pass with ``tried`` counted in ``unit`` (if any)."""
+    def tally(self, name, tried, witness, unit="", *, count_failures=False):
+        """Fail at ``witness``, or pass with ``tried`` counted in ``unit`` (if
+        any); untested when no case was tried.  With ``count_failures`` a
+        failure keeps the count too, as the relation-family lines always have.
+        """
+        count = f"{tried} {unit}" if unit else ""
         if witness is not None:
-            self.add(name, "fail", witness=_show(witness))
+            self.add(name, "fail", count if count_failures else "", _show(witness))
         else:
-            self.add(name, "pass", f"{tried} {unit}" if unit else "")
+            self.add(name, "pass" if tried else "untested", count)
 
     def exhibit(self, name, witness, untested):
         """A failure expected to exist: pass once ``witness`` exhibits it."""
@@ -405,6 +410,8 @@ def cohomology(
     """
     if window_degree < 0:
         raise AlgebraError(f"cohomology window must be >= 0, got {window_degree}")
+    if d.table is not table and d.table != table:
+        raise AlgebraError("differential and window over different tables")
     if not d.compose(d).is_zero():
         raise AlgebraError("cohomology requires d^2 = 0 (exact normal form)")
     if not d.is_zero() and not d.is_degree_homogeneous():
@@ -425,7 +432,7 @@ def cohomology(
     boundary_space = RowSpace()
     kernels: dict[int, list[dict]] = {}
     for g, slice_monos in sorted(by_degree.items()):
-        images = [d.apply(Element.monomial(table, m)).coeffs for m in slice_monos]
+        images = [d.image(m) for m in slice_monos]
         kernels[g], image = kernel_and_image(slice_monos, images)
         boundary_space.rows.update(image.rows)
 
@@ -511,9 +518,13 @@ def induced_bv(
             "induced map well defined on classes", "pass", f"{H.boundary_space.dim} boundaries"
         )
 
+    # memoised for this call only: the checks below revisit the same few
+    # classes and pairs many times, and Element hashes by its normal form
+    @cache
     def induced(a: Element) -> Element:
         return H.reduce(D2.apply(a))
 
+    @cache
     def induced_product(a: Element, b: Element) -> Element:
         return H.reduce(a * b)
 
@@ -535,6 +546,7 @@ def induced_bv(
     )
 
     # induced bracket satisfies the Gerstenhaber axioms on the window
+    @cache
     def induced_bracket(a: Element, b: Element) -> Element:
         pars = (a.parity(), b.parity())
         val = akman_recursion(induced, induced_product, p_D2, (a, b), pars)

@@ -203,6 +203,27 @@ def test_negative_cohomology_window_exits_two(capsys):
     assert "window" in captured.err
 
 
+@pytest.mark.parametrize("arity", [-1, 0])
+def test_bracket_arity_below_one_exits_two(arity, tmp_path, capsys):
+    spec = write(tmp_path, "s.spec", f"MODEL polyvector2\nSUITE brackets arity={arity}\n")
+    for argv in (
+        ["brackets", "--model", "polyvector2", "--arity", str(arity)],
+        ["check", "--spec", spec],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "arity" in captured.err
+
+
+def test_zero_budget_is_untested(capsys):
+    argv = ["check", "--model", "polyvector2", "--suite", "linfty", "--budget-tuples", "0"]
+    assert main(argv + ["--format", "json"]) == 3
+    (suite,) = json.loads(capsys.readouterr().out)["suites"]
+    assert [(i["status"], i["details"]) for i in suite["items"]] == [("untested", "0 tuples")] * 3
+
+
 def test_missing_spec_and_model(capsys):
     assert main(["check"]) == 2
     assert "--spec or --model" in capsys.readouterr().err

@@ -243,6 +243,23 @@ def test_apply_after_apply_is_apply_of_compose(model_a, data):
     assert D.apply(E.apply(a)) == D.compose(E).apply(a)
 
 
+@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+def test_image_is_apply_of_the_monomial_cold_and_warm(name):
+    model = BUILTIN_MODELS[name]()
+    monos = enumerate_monomials(model.table, 4)
+    for D in (model.D, model.d):
+        cold, warm = cold_copy(D), cold_copy(D)
+        for mono in monos:
+            warm.apply(Element.monomial(model.table, mono))
+        for mono in monos:
+            expected = cold_copy(D).apply(Element.monomial(model.table, mono)).coeffs
+            for op in (cold, warm):
+                image = op.image(mono)
+                # same entries in the same order: the rows that elimination sees
+                assert list(image.items()) == list(expected.items())
+                assert op.image(mono) is image
+
+
 def test_filling_the_cache_keeps_equality_hash_and_results():
     for build in BUILTIN_MODELS.values():
         model = build()

@@ -1,5 +1,6 @@
 import pytest
 
+from bvcheck import structures
 from bvcheck.algebra import (
     AlgebraError,
     Element,
@@ -233,6 +234,12 @@ def test_cohomology_rejects_a_negative_window():
         cohomology(model.table, model.d, -1)
 
 
+def test_cohomology_rejects_a_differential_over_another_table():
+    model, other = koszul_complex_model([2]), koszul_complex_model([1])
+    with pytest.raises(AlgebraError, match="different tables"):
+        cohomology(model.table, other.d, 3)
+
+
 def test_cohomology_reduce_is_canonical():
     model = koszul_complex_model([2])
     H = cohomology(model.table, model.d, 6)
@@ -284,3 +291,48 @@ def test_induced_bv_polyvector_zero_differential():
     names = {i.name: i.status for i in report.items}
     assert names["induced operator squares to zero on classes"] == "pass"
     assert names["induced operator has order <= 2 on representatives"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "model,window",
+    [(koszul_complex_model([2]), 6), (polyvector_model(2), 3)],
+    ids=["koszul2", "polyvector2"],
+)
+def test_induced_maps_are_computed_once_per_argument(model, window, monkeypatch):
+    # after the cohomology is built, the induced operator is the only caller
+    # of Operator.apply (besides the boundary scan, whose rows are distinct),
+    # the induced product the only one of Element * Element, and the induced
+    # bracket the only caller of akman_recursion on pairs
+    recording = []
+    applied, multiplied, bracketed = [], [], []
+    real_cohomology, real_apply, real_mul = cohomology, Operator.apply, Element.__mul__
+    real_recursion = structures.akman_recursion
+
+    def cohomology_then_record(*args):
+        H = real_cohomology(*args)
+        recording.append(True)
+        return H
+
+    def apply(self, a):
+        if recording:
+            applied.append((self, a))
+        return real_apply(self, a)
+
+    def mul(self, other):
+        if recording and isinstance(other, Element):
+            multiplied.append((self, other))
+        return real_mul(self, other)
+
+    def recursion(apply_fn, mul_fn, p_D, args, parities):
+        if len(args) == 2:
+            bracketed.append(tuple(args))
+        return real_recursion(apply_fn, mul_fn, p_D, args, parities)
+
+    monkeypatch.setattr(structures, "cohomology", cohomology_then_record)
+    monkeypatch.setattr(structures, "akman_recursion", recursion)
+    monkeypatch.setattr(Operator, "apply", apply)
+    monkeypatch.setattr(Element, "__mul__", mul)
+    report = induced_bv(model.table, model.d, model.D, window, BUDGET)
+    assert report.passed
+    for calls in (applied, multiplied, bracketed):
+        assert calls and len(set(calls)) == len(calls)
