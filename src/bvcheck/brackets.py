@@ -34,8 +34,6 @@ def _check_args(D: Operator, args) -> tuple[int, list[int]]:
     """
     if not args:
         raise AlgebraError("bracket needs at least one argument")
-    if D.is_zero():
-        return 1, [a.parity() if a else 0 for a in args]
     if not D.is_parity_homogeneous():
         raise AlgebraError(
             "bracket of a mixed-parity operator; apply degree_components first"
@@ -48,7 +46,7 @@ def _check_args(D: Operator, args) -> tuple[int, list[int]]:
         if a.table is not D.table and a.table != D.table:
             raise AlgebraError("bracket argument over a different table")
         parities.append(a.parity())  # raises on mixed parity
-    return D.parity(), parities
+    return (D.parity() if D else 1), parities
 
 
 def akman_recursion(apply_fn, mul_fn, p_D: int, args, parities):
@@ -98,6 +96,8 @@ def koszul_bracket(D: Operator, args) -> Element:
     """
     args = tuple(args)
     _, parities = _check_args(D, args)
+    if not D:
+        return Element.zero(args[0].table)
     n = len(args)
     products = {(i,): a for i, a in enumerate(args)}
     for size in range(2, n + 1):
@@ -178,12 +178,19 @@ class OrderCertificate:
     def sharp(self) -> bool:
         return self.sharp_witness is not None
 
+    @property
+    def status(self) -> str:
+        """``fail``, or ``pass``; ``untested`` when no tuple was tried, unless
+        the operator is zero and has order 0 by convention."""
+        if not self.passed:
+            return "fail"
+        return "pass" if self.tuples_tested or self.degenerate_zero else "untested"
+
     def verdict(self) -> str:
         if self.degenerate_zero:
             return "pass (zero operator, order 0 by convention)"
-        status = "pass" if self.passed else "fail"
         sharp = "sharp" if self.sharp else "not shown sharp"
-        return f"{status} ({sharp}, {self.tuples_tested} tuples)"
+        return f"{self.status} ({sharp}, {self.tuples_tested} tuples)"
 
 
 def akman_order_check(D: Operator, k: int, budget: Budget | None = None) -> OrderCertificate:

@@ -63,7 +63,7 @@ def _bv_core(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     cert = akman_order_check(D, k, budget)
     report.add(
         f"bracket order <= {k}",
-        "pass" if cert.passed else "fail",
+        cert.status,
         cert.verdict(),
         witness="; ".join(
             format_element(Element.monomial(table, m))
@@ -121,7 +121,7 @@ def _split(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
         cert = result.certificates[n]
         report.add(
             f"component n={n} (degree {3 - 2 * n:+d}) has order <= {n}",
-            "pass" if cert.passed else "fail",
+            cert.status,
             cert.verdict(),
             witness=str(cert.failure_witness) if cert.failure_witness else None,
         )

@@ -68,11 +68,12 @@ class Operator:
     """Normal-form finite sum of (multiplier x derivative) terms.
 
     ``terms`` is never changed after construction, so each operator keeps the
-    set of its term degrees, built once, and the images of the monomials it
-    has been applied to, filled as it goes and living as long as the operator.
+    set of its term degrees, built once, the images of the monomials it has
+    been applied to, filled as it goes, and its square once asked for; all
+    live as long as the operator.
     """
 
-    __slots__ = ("table", "terms", "_degrees", "_images")
+    __slots__ = ("table", "terms", "_degrees", "_images", "_square")
 
     def __init__(self, table: GeneratorTable, terms: Mapping[TermKey, Fraction] | None = None):
         self.table = table
@@ -96,6 +97,7 @@ class Operator:
         self.terms = clean
         self._degrees = frozenset(degrees)
         self._images: dict[Monomial, dict[Monomial, Fraction]] = {}
+        self._square: Operator | None = None
 
     # --- constructors -----------------------------------------------------
 
@@ -295,6 +297,12 @@ class Operator:
                     add((mono, gamma), c1 * c2 * sign * c)
         return Operator(table, result)
 
+    def square(self) -> "Operator":
+        """Normal form of self o self, built on the first call and kept."""
+        if self._square is None:
+            self._square = self.compose(self)
+        return self._square
+
     # --- structural queries ------------------------------------------------
 
     def degree_components(self) -> dict[int, "Operator"]:
@@ -319,7 +327,7 @@ class Operator:
         Returns (True, None) or (False, witness_monomial) where the witness is
         a monomial m with D(D(m)) != 0, found by scanning small monomials.
         """
-        square = self.compose(self)
+        square = self.square()
         if square.is_zero():
             return True, None
         # scan the window, then widen it while the nonzero normal form still

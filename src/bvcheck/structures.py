@@ -345,7 +345,7 @@ def check_bvinfty(
         degs = sorted({d.term_degree(k) for k in d.terms})
         report.add("d homogeneous of degree +1", "fail", f"degrees {degs}")
 
-    dd = d.compose(d)
+    dd = d.square()
     report.add(
         "d squares to zero",
         "pass" if dd.is_zero() else "fail",
@@ -358,7 +358,7 @@ def check_bvinfty(
     else:
         report.add(
             "d is a product derivation",
-            "pass" if cert.passed else "fail",
+            cert.status,
             cert.verdict(),
             witness=str(cert.failure_witness) if cert.failure_witness else None,
         )
@@ -412,7 +412,7 @@ def cohomology(
         raise AlgebraError(f"cohomology window must be >= 0, got {window_degree}")
     if d.table is not table and d.table != table:
         raise AlgebraError("differential and window over different tables")
-    if not d.compose(d).is_zero():
+    if not d.square().is_zero():
         raise AlgebraError("cohomology requires d^2 = 0 (exact normal form)")
     if not d.is_zero() and not d.is_degree_homogeneous():
         raise AlgebraError("cohomology requires a degree-homogeneous d")

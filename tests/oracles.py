@@ -56,6 +56,24 @@ def koszul_bracket_by_unshuffles(D, args) -> Element:
     return out
 
 
+def relation_by_expansion(D, n, args) -> Element:
+    """The n-th square-zero relation by its definition, brackets of brackets:
+
+    R_n(a_1..a_n) = sum_l sum_{sigma in Sh(l,n-l)} eps(sigma)
+        F^{n-l+1}(F^l(a_{sigma(1)}..a_{sigma(l)}), a_{sigma(l+1)}..a_{sigma(n)}),
+    each bracket by ``koszul_bracket_by_unshuffles``.
+    """
+    parities = [a.parity() if a else 0 for a in args]
+    out = Element.zero(args[0].table)
+    for l in range(1, n + 1):
+        for sigma in unshuffles(l, n):
+            inner = koszul_bracket_by_unshuffles(D, [args[i] for i in sigma[:l]])
+            outer = [inner] + [args[i] for i in sigma[l:]]
+            term = koszul_bracket_by_unshuffles(D, outer)
+            out = out + term.scale(koszul_sign(parities, sigma))
+    return out
+
+
 # --------------------------------------------------------------------------
 # Antibracket oracle on the polyvector model, coded without the operator engine
 # --------------------------------------------------------------------------

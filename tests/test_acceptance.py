@@ -36,7 +36,7 @@ from bvcheck.structures import (
     degree_split,
     induced_bv,
 )
-from oracles import SCHOUTEN_CALIBRATION, schouten_oracle
+from oracles import SCHOUTEN_CALIBRATION, relation_by_expansion, schouten_oracle
 
 
 ANNOUNCED: list[str] = []
@@ -105,7 +105,9 @@ def test_criterion_4_relation_family_forward_and_converse():
     poly_ok = all(r.passed for r in poly_reports)
 
     # order-3 operator on the 8-dimensional exterior algebra, exhaustively;
-    # the relation is graded symmetric, so sorted tuples span all of them
+    # the relation is graded symmetric, so sorted tuples span all of them.
+    # Each value is the definitional sum of brackets of brackets, and the
+    # library's bracket of the square must equal it.
     ext = exterior_cube_model()
     basis = enumerate_monomials(ext.table, 3)
     assert len(basis) == 8
@@ -115,7 +117,9 @@ def test_criterion_4_relation_family_forward_and_converse():
         for combo in combinations_with_replacement(basis, n):
             elems = [Element.monomial(ext.table, m) for m in combo]
             checked += 1
-            if not linfty_relation(ext.D, n, elems).is_zero():
+            value = relation_by_expansion(ext.D, n, elems)
+            assert value == linfty_relation(ext.D, n, elems)
+            if not value.is_zero():
                 ext_ok = False
     # converse: an odd perturbation with a nonzero square must fail, with a
     # concrete witness tuple

@@ -170,6 +170,27 @@ def test_order_check_zero_operator_is_degenerate():
     assert "order 0" in cert.verdict()
 
 
+def test_order_check_on_no_tuples_is_untested():
+    cert = akman_order_check(DELTA, 2, Budget(max_tuples=0))
+    assert cert.passed and cert.tuples_tested == 0
+    assert cert.status == "untested"
+    assert cert.verdict() == "untested (not shown sharp, 0 tuples)"
+    zero = akman_order_check(Operator.zero(TABLE), 2, Budget(max_tuples=0))
+    assert zero.status == "pass"
+    assert akman_order_check(DELTA, 2, Budget(max_degree=2, max_tuples=40)).status == "pass"
+    assert akman_order_check(DELTA, 1, Budget(max_degree=2, max_tuples=40)).status == "fail"
+
+
+def test_zero_operator_bracket_is_zero_and_checks_its_arguments():
+    zero = Operator.zero(TABLE)
+    args = [gen("x1"), gen("xi2"), gen("x2") * gen("xi1")]
+    assert koszul_bracket(zero, args) == Element.zero(TABLE)
+    with pytest.raises(AlgebraError):
+        koszul_bracket(zero, [gen("x1"), gen("x1") + gen("xi1")])
+    with pytest.raises(AlgebraError):
+        koszul_bracket(zero, [])
+
+
 def test_laplacian_fails_order_one():
     cert = akman_order_check(DELTA, 1, Budget(max_degree=2, max_tuples=120))
     assert not cert.passed

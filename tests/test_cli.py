@@ -224,6 +224,29 @@ def test_zero_budget_is_untested(capsys):
     assert [(i["status"], i["details"]) for i in suite["items"]] == [("untested", "0 tuples")] * 3
 
 
+@pytest.mark.parametrize("argv, item", [
+    (["check", "--model", "polyvector2", "--suite", "bv-core"], "bracket order <= 2"),
+    (["split", "--model", "polyvector2"], "component n=2 (degree -1) has order <= 2"),
+    (["check", "--model", "koszul2", "--suite", "bvinfty"], "d is a product derivation"),
+])
+def test_zero_budget_order_certificate_is_untested(argv, item, capsys):
+    assert main(argv + ["--budget-tuples", "0", "--format", "json"]) == 3
+    (suite,) = json.loads(capsys.readouterr().out)["suites"]
+    statuses = {i["name"]: (i["status"], i["details"]) for i in suite["items"]}
+    assert statuses[item] == ("untested", "untested (not shown sharp, 0 tuples)")
+    assert all(s in ("pass", "untested") for s, _ in statuses.values())
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_empty_relation_family_exits_two(n, tmp_path, capsys):
+    spec = write(tmp_path, "s.spec", f"MODEL polyvector2\nSUITE linfty n={n}\n")
+    code = main(["check", "--spec", spec])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "n >= 1" in captured.err
+
+
 def test_missing_spec_and_model(capsys):
     assert main(["check"]) == 2
     assert "--spec or --model" in capsys.readouterr().err

@@ -1,10 +1,11 @@
 import pytest
 
 from bvcheck.algebra import AlgebraError, Element, enumerate_monomials
-from bvcheck.brackets import Budget, koszul_bracket, monomial_tuples
+from bvcheck.brackets import Budget, monomial_tuples
 from bvcheck.linfty import linfty_relation, verify_linfty
 from bvcheck.models import BUILTIN_MODELS, exterior_cube_model, polyvector_model
 from bvcheck.operators import Operator
+from oracles import relation_by_expansion
 
 MODEL = polyvector_model(2)
 TABLE = MODEL.table
@@ -23,20 +24,20 @@ def test_relation_one_is_the_square():
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
 def test_relation_is_the_bracket_of_the_square(name):
-    # Koszul-Akman: R_n(a_1..a_n) = F^n_{D o D}(a_1..a_n), square zero or not
+    # Koszul-Akman: the definitional sum of brackets of brackets equals the
+    # bracket of D o D that linfty_relation evaluates, square zero or not
     model = BUILTIN_MODELS[name]()
     table = model.table
     bent = model.D + Operator.multiplication(Element.generator(table, "xi1"))
     assert bent.is_odd() and not bent.is_square_zero()[0]
     budget = Budget(max_degree=2, max_tuples=100)
     for D in (model.D, bent):
-        square = D.compose(D)
         nonzero = 0
         for n in (1, 2, 3):
             for tup in monomial_tuples(table, n, budget):
                 args = [Element.monomial(table, m) for m in tup]
                 value = linfty_relation(D, n, args)
-                assert value == koszul_bracket(square, args)
+                assert value == relation_by_expansion(D, n, args)
                 nonzero += not value.is_zero()
         assert bool(nonzero) == (D is bent)
 
@@ -75,3 +76,25 @@ def test_relations_fail_for_non_square_zero_perturbation():
 def test_verify_linfty_requires_odd_operator():
     with pytest.raises(AlgebraError):
         verify_linfty(Operator.derivative(TABLE, "x1"), 2)
+
+
+def test_relation_requires_an_odd_operator():
+    even = Operator.derivative(TABLE, "x1")
+    with pytest.raises(AlgebraError, match="odd operator"):
+        linfty_relation(even, 1, [gen("x1")])
+
+
+def test_relation_of_a_square_zero_operator_checks_its_arguments():
+    # the square is zero, but a foreign or mixed-parity argument is still
+    # a domain error, as it was when the relation expanded over D itself
+    other = exterior_cube_model().table
+    with pytest.raises(AlgebraError, match="different table"):
+        linfty_relation(DELTA, 2, [gen("x1"), Element.generator(other, "xi1")])
+    with pytest.raises(AlgebraError):
+        linfty_relation(DELTA, 1, [gen("x1") + gen("xi1")])
+
+
+@pytest.mark.parametrize("n_max", [0, -2])
+def test_empty_relation_family_is_a_domain_error(n_max):
+    with pytest.raises(AlgebraError, match="n >= 1"):
+        verify_linfty(DELTA, n_max)

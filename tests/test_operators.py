@@ -271,3 +271,12 @@ def test_filling_the_cache_keeps_equality_hash_and_results():
             assert D.apply(a) == cold.apply(a)
         assert D == cold and cold == D
         assert hash(D) == before == hash(cold)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+def test_square_is_built_once_and_is_the_composite(name):
+    D = BUILTIN_MODELS[name]().D
+    square = D.square()
+    assert square is D.square()
+    assert square == D.compose(D)
+    assert square.is_zero() == D.is_square_zero()[0]

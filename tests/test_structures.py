@@ -9,6 +9,7 @@ from bvcheck.algebra import (
 )
 from bvcheck.brackets import Budget, bv_bracket
 from bvcheck.linalg import RowSpace
+from bvcheck.linfty import verify_linfty
 from bvcheck.models import (
     koszul_complex_model,
     mixed_order_model,
@@ -182,6 +183,24 @@ def test_bvinfty_builds_d_squared_once(square_zero, monkeypatch):
     item = next(i for i in report.items if i.name == "d squares to zero")
     assert item.status == ("pass" if square_zero else "fail")
     assert item.witness == (None if square_zero else str(expected))
+
+
+def test_one_operator_is_squared_once(monkeypatch):
+    # the square-zero check, the relation family and the cohomology all
+    # read the same d o d
+    d = koszul_complex_model([2]).d
+    calls = []
+    compose = Operator.compose
+
+    def counting(self, other):
+        calls.append((self, other))
+        return compose(self, other)
+
+    monkeypatch.setattr(Operator, "compose", counting)
+    assert d.is_square_zero() == (True, None)
+    assert all(r.passed for r in verify_linfty(d, 3, BUDGET))
+    assert cohomology(d.table, d, 3).dims()
+    assert len(calls) == 1 and calls[0][0] is d and calls[0][1] is d
 
 
 def test_bvinfty_detects_positive_tail():
