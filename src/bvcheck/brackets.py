@@ -27,6 +27,13 @@ from .graded import koszul_sign, unshuffles
 from .operators import Operator
 
 
+def _check_parity(D: Operator) -> None:
+    if not D.is_parity_homogeneous():
+        raise AlgebraError(
+            "bracket of a mixed-parity operator; apply degree_components first"
+        )
+
+
 def _check_args(D: Operator, args) -> tuple[int, list[int]]:
     """Validate a bracket request; return (|D| parity, argument parities).
 
@@ -34,10 +41,7 @@ def _check_args(D: Operator, args) -> tuple[int, list[int]]:
     """
     if not args:
         raise AlgebraError("bracket needs at least one argument")
-    if not D.is_parity_homogeneous():
-        raise AlgebraError(
-            "bracket of a mixed-parity operator; apply degree_components first"
-        )
+    _check_parity(D)
     parities = []
     for a in args:
         if a.is_zero():
@@ -193,12 +197,22 @@ class OrderCertificate:
         return f"{self.status} ({sharp}, {self.tuples_tested} tuples)"
 
 
+def bracket_vanishes(P: Operator, n: int) -> bool:
+    """Exactly whether ``F^n_P`` is zero on the whole algebra: no term of ``P``
+    multiplies without differentiating, and every term has fewer than n
+    derivatives (the empty subset is left out of the bracket, so a
+    multiplication term shows in every arity)."""
+    return all(0 < sum(deriv) < n for _, deriv in P.terms)
+
+
 def akman_order_check(D: Operator, k: int, budget: Budget | None = None) -> OrderCertificate:
     """Certify order <= k: every enumerated arity-(k+1) bracket vanishes.
 
     Also records a nonzero arity-k bracket witness when one exists within
     budget (sharpness).  Tuples are monomial tuples; multilinearity makes
-    them a spanning test set for the budgeted degree window.
+    them a spanning test set for the budgeted degree window.  A bracket that
+    ``bracket_vanishes`` is not searched: its tuples all pass, and no
+    sharpness witness exists.  Brackets are evaluated only to find a witness.
     """
     if k < 0:
         raise AlgebraError("order must be >= 0")
@@ -206,13 +220,18 @@ def akman_order_check(D: Operator, k: int, budget: Budget | None = None) -> Orde
     table = D.table
     if D.is_zero():
         return OrderCertificate(k, 0, 0, True, degenerate_zero=True)
+    _check_parity(D)
     structural = D.structural_order()
 
     def nonzero(tup):
         return not akman_bracket(D, [Element.monomial(table, m) for m in tup]).is_zero()
 
-    tested, failure = first_witness(monomial_tuples(table, k + 1, budget), nonzero)
+    tuples = monomial_tuples(table, k + 1, budget)
+    if bracket_vanishes(D, k + 1):
+        tested, failure = len(tuples), None
+    else:
+        tested, failure = first_witness(tuples, nonzero)
     sharp_witness = None
-    if failure is None and k >= 1:
+    if failure is None and k >= 1 and not bracket_vanishes(D, k):
         _, sharp_witness = first_witness(monomial_tuples(table, k, budget), nonzero)
     return OrderCertificate(k, structural, tested, failure is None, failure, sharp_witness)

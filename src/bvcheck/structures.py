@@ -123,8 +123,13 @@ def check_gerstenhaber(
         [a,b] = -(-1)^{(|a|+1)(|b|+1)} [b,a]
         [a,[b,c]] = [[a,b],c] + (-1)^{(|a|+1)(|b|+1)} [b,[a,c]]
         [a, b c] = [a,b] c + (-1)^{|b||c|} [a,c] b
+
+    The axioms revisit the same pairs many times, so ``bracket`` and
+    ``product`` are memoised for this call (an Element hashes by its normal
+    form): each is evaluated once per distinct pair.
     """
     budget = budget or Budget()
+    bracket, product = cache(bracket), cache(product)
     report = StructReport(title)
     elems = [e for e in elements if not e.is_zero()]
 
@@ -546,7 +551,6 @@ def induced_bv(
     )
 
     # induced bracket satisfies the Gerstenhaber axioms on the window
-    @cache
     def induced_bracket(a: Element, b: Element) -> Element:
         pars = (a.parity(), b.parity())
         val = akman_recursion(induced, induced_product, p_D2, (a, b), pars)

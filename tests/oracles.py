@@ -6,6 +6,13 @@ Each one is written the slow, obvious way and is used only by tests.
 from fractions import Fraction
 
 from bvcheck.algebra import AlgebraError, Element, GeneratorTable
+from bvcheck.brackets import (
+    Budget,
+    OrderCertificate,
+    akman_bracket,
+    first_witness,
+    monomial_tuples,
+)
 from bvcheck.graded import koszul_sign, unshuffles
 
 
@@ -72,6 +79,27 @@ def relation_by_expansion(D, n, args) -> Element:
             term = koszul_bracket_by_unshuffles(D, outer)
             out = out + term.scale(koszul_sign(parities, sigma))
     return out
+
+
+def order_check_by_evaluation(D, k: int, budget: Budget | None = None) -> OrderCertificate:
+    """``akman_order_check`` without the normal-form rule: evaluate the
+    arity-(k+1) bracket on every budgeted tuple up to the first nonzero one,
+    and after a pass search the arity-k tuples for a sharpness witness."""
+    budget = budget or Budget()
+    table = D.table
+    if D.is_zero():
+        return OrderCertificate(k, 0, 0, True, degenerate_zero=True)
+
+    def nonzero(tup):
+        return not akman_bracket(D, [Element.monomial(table, m) for m in tup]).is_zero()
+
+    tested, failure = first_witness(monomial_tuples(table, k + 1, budget), nonzero)
+    sharp_witness = None
+    if failure is None and k >= 1:
+        _, sharp_witness = first_witness(monomial_tuples(table, k, budget), nonzero)
+    return OrderCertificate(
+        k, D.structural_order(), tested, failure is None, failure, sharp_witness
+    )
 
 
 # --------------------------------------------------------------------------

@@ -1,22 +1,30 @@
-from itertools import product as iter_product
+from fractions import Fraction
+from itertools import combinations_with_replacement, product as iter_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvcheck import brackets
 from bvcheck.algebra import AlgebraError, Element, GeneratorTable, enumerate_monomials
 from bvcheck.brackets import (
     Budget,
     akman_bracket,
     akman_order_check,
+    bracket_vanishes,
     bv_bracket,
     first_witness,
     koszul_bracket,
     monomial_tuples,
 )
 from bvcheck.graded import koszul_sign
-from bvcheck.models import BUILTIN_MODELS, polyvector_model
+from bvcheck.models import (
+    BUILTIN_MODELS,
+    koszul_complex_model,
+    mixed_order_model,
+    polyvector_model,
+)
 from bvcheck.operators import Operator
-from oracles import koszul_bracket_by_unshuffles
+from oracles import koszul_bracket_by_unshuffles, order_check_by_evaluation
 
 MODEL = polyvector_model(2)
 TABLE = MODEL.table
@@ -189,6 +197,114 @@ def test_zero_operator_bracket_is_zero_and_checks_its_arguments():
         koszul_bracket(zero, [gen("x1"), gen("x1") + gen("xi1")])
     with pytest.raises(AlgebraError):
         koszul_bracket(zero, [])
+
+
+@pytest.mark.parametrize("budget", [Budget(max_tuples=0), Budget()], ids=["zero", "default"])
+def test_order_check_of_a_mixed_parity_operator_is_a_domain_error(budget):
+    # every bracket of D vanishes at arity 4, yet D has no parity to sign them by
+    D = DELTA + Operator.derivative(TABLE, "x1")
+    with pytest.raises(AlgebraError, match="mixed-parity"):
+        akman_order_check(D, 3, budget)
+
+
+def test_passing_order_check_evaluates_no_bracket(monkeypatch):
+    calls = []
+    real = brackets.akman_bracket
+
+    def counting(D, args):
+        calls.append(args)
+        return real(D, args)
+
+    monkeypatch.setattr(brackets, "akman_bracket", counting)
+    # order 2 <= 3 and no arity-3 bracket is nonzero either: nothing to search
+    cert = akman_order_check(DELTA, 3, Budget(max_degree=2, max_tuples=120))
+    assert (cert.status, cert.tuples_tested, cert.sharp) == ("pass", 120, False)
+    assert calls == []
+    # order <= 2 is decided too; only the sharpness witness is searched for
+    cert = akman_order_check(DELTA, 2, Budget(max_degree=2, max_tuples=120))
+    assert cert.passed and cert.sharp
+    assert calls and all(len(args) == 2 for args in calls)
+
+
+def _order_check_cases():
+    """Every built-in model's D, plus ``koszul([1, 2])``, each with and
+    without multiplication by xi1, and the squares of both."""
+    models = {name: build() for name, build in BUILTIN_MODELS.items()}
+    models["koszul12"] = koszul_complex_model([1, 2])
+    for name, model in sorted(models.items()):
+        xi1 = Operator.multiplication(Element.generator(model.table, "xi1"))
+        for label, D in (("D", model.D), ("D + xi1", model.D + xi1)):
+            yield f"{name}: {label}", D
+            yield f"{name}: ({label})^2", D.square()
+
+
+@pytest.mark.parametrize("budget", [
+    Budget(max_degree=1, max_tuples=30),
+    Budget(max_degree=2, max_tuples=60, seed=3),
+    Budget(max_degree=3, max_tuples=20, seed=1),
+], ids=["degree1", "degree2", "degree3-sampled"])
+def test_order_check_matches_evaluating_every_tuple(budget):
+    seen = set()
+    for label, D in _order_check_cases():
+        for k in range(4):
+            cert = akman_order_check(D, k, budget)
+            # counts, verdicts and both witnesses
+            assert cert == order_check_by_evaluation(D, k, budget), (label, k)
+            seen.add((cert.status, cert.sharp))
+    # passes, sharp passes and failures all occur
+    assert {("pass", True), ("pass", False), ("fail", False)} <= seen
+
+
+@pytest.mark.parametrize("model", [koszul_complex_model([1, 2]), mixed_order_model()],
+                         ids=["koszul12", "mixed-order"])
+def test_a_multiplication_term_shows_in_every_arity(model):
+    # (D + xi1)^2 is d/dx1 + x1 on koszul([1, 2]) and 1 on mixed-order: its
+    # structural order is 1 or 0, yet no bracket of it vanishes, at n copies of 1
+    D = model.D + Operator.multiplication(Element.generator(model.table, "xi1"))
+    square = D.square()
+    assert square.structural_order() <= 1
+    one = Element.one(model.table)
+    for n in range(1, 5):
+        assert not bracket_vanishes(square, n)
+        assert not akman_bracket(square, [one] * n).is_zero()
+
+
+# tables small enough to evaluate every bracket on the window, each with the
+# largest derivative order drawn for it
+SMALL_TABLES = (
+    (GeneratorTable(("x", "xi"), (0, 1)), 3),
+    (GeneratorTable(("x", "xi", "eta"), (2, -1, 1)), 2),
+)
+
+
+@st.composite
+def small_operators(draw):
+    """A parity-homogeneous operator of up to four terms on a small table,
+    multiplication terms included."""
+    table, max_order = draw(st.sampled_from(SMALL_TABLES))
+    key = st.tuples(
+        st.sampled_from(enumerate_monomials(table, 2)),
+        st.sampled_from(enumerate_monomials(table, max_order)),
+    )
+    coeff = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2)])
+    P = Operator(table, draw(st.dictionaries(key, coeff, max_size=4)))
+    parity = draw(st.sampled_from((0, 1)))
+    return Operator(table, {t: c for t, c in P.terms.items() if P.term_degree(t) % 2 == parity})
+
+
+@given(small_operators())
+@settings(max_examples=60, deadline=None)
+def test_bracket_vanishes_iff_every_bracket_on_the_window_vanishes(P):
+    # a witness, when there is one, is made of monomials of degree at most the
+    # structural order; brackets are graded symmetric, so one ordering of each
+    # multiset of monomials is enough
+    table = P.table
+    monos = [Element.monomial(table, m) for m in enumerate_monomials(table, P.structural_order())]
+    for n in range(1, 5):
+        evaluated = all(
+            akman_bracket(P, tup).is_zero() for tup in combinations_with_replacement(monos, n)
+        )
+        assert bracket_vanishes(P, n) == evaluated, n
 
 
 def test_laplacian_fails_order_one():

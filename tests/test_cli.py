@@ -247,6 +247,23 @@ def test_empty_relation_family_exits_two(n, tmp_path, capsys):
     assert "n >= 1" in captured.err
 
 
+# the polyvector2 Laplacian plus d/dx1: degrees -1 and 0, so no parity
+MIXED_PARITY_SPEC = (
+    LAPLACIAN_SPEC.split("SUITE")[0].rstrip("\n")
+    + "\n1 | 0 0 0 0 | 1 0 0 0\n\nSUITE bv-core order=3\n"
+)
+
+
+@pytest.mark.parametrize("budget", ["0", "200"])
+def test_mixed_parity_order_check_exits_two(budget, tmp_path, capsys):
+    spec = write(tmp_path, "mixed.spec", MIXED_PARITY_SPEC)
+    code = main(["check", "--spec", spec, "--budget-tuples", budget])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "mixed-parity" in captured.err
+
+
 def test_missing_spec_and_model(capsys):
     assert main(["check"]) == 2
     assert "--spec or --model" in capsys.readouterr().err

@@ -49,6 +49,27 @@ def test_laplacian_bracket_passes_axioms():
     assert report.passed and report.fully_tested
 
 
+def test_gerstenhaber_evaluates_each_pair_once():
+    model = polyvector_model(2)
+    elems = monomial_elements(model.table, 2)
+    brackets, products = [], []
+
+    def bracket(a, b):
+        brackets.append((a, b))
+        return bv_bracket(model.D, a, b)
+
+    def product(a, b):
+        products.append((a, b))
+        return a * b
+
+    report = check_gerstenhaber(
+        bracket, product, elems, BUDGET, bracket_degree=-1, product_degree=0
+    )
+    assert report.passed and report.fully_tested
+    for calls in (brackets, products):
+        assert calls and len(set(calls)) == len(calls)
+
+
 def test_broken_bracket_fails_axioms():
     model = polyvector_model(2)
     elems = monomial_elements(model.table, 2)
