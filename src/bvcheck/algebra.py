@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Iterator, Mapping
 
 Monomial = tuple[int, ...]
@@ -139,7 +138,8 @@ class Element:
         )
 
     def __hash__(self):
-        return hash((self.table, frozenset(self.coeffs.items())))
+        # equal elements have equal supports; __eq__ compares the coefficients
+        return hash(frozenset(self.coeffs))
 
     def items(self) -> Iterator[tuple[Monomial, Coeff]]:
         return iter(sorted(self.coeffs.items()))
@@ -233,15 +233,18 @@ def enumerate_monomials(table: GeneratorTable, max_degree: int) -> list[Monomial
     """All normal-form monomials with total exponent sum <= max_degree.
 
     Deterministic order: by total exponent, then by exponent tuple.  Odd
-    generators contribute exponent 0 or 1.
+    generators contribute exponent 0 or 1.  Exponent prefixes are extended one
+    generator at a time within what is left of the budget.
     """
-    ranges = []
+    prefixes = [((), 0)] if max_degree >= 0 else []
     for i in range(len(table)):
         cap = 1 if table.parity(i) else max_degree
-        ranges.append(range(min(cap, max_degree) + 1))
-    monos = [
-        m for m in iter_product(*ranges) if sum(m) <= max_degree
-    ]
+        prefixes = [
+            (m + (e,), s + e)
+            for m, s in prefixes
+            for e in range(min(cap, max_degree - s) + 1)
+        ]
+    monos = [m for m, _ in prefixes]
     monos.sort(key=lambda m: (sum(m), m))
     return monos
 

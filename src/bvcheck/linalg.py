@@ -3,6 +3,9 @@
 Vectors are dicts label -> Fraction with no zero entries; labels (monomials)
 must sort deterministically.  Pivots are always the smallest label and bases
 are kept fully reduced, so every reduction is canonical and reproducible.
+Each vector is reduced once, in place in one copy of it: pivot rows are
+subtracted into that copy, and ``kernel_and_image`` inserts the residual it
+has already reduced instead of reducing it again.
 """
 
 from __future__ import annotations
@@ -10,14 +13,24 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def vec_add(a: dict, b: dict, scale: Fraction = Fraction(1)) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, Fraction(0)) + scale * v
-        if nv:
-            out[k] = nv
+def _subtract(vec: dict, scale: Fraction, row: dict) -> None:
+    """``vec -= scale * row`` in place, dropping entries that cancel."""
+    for k, v in row.items():
+        prev = vec.get(k)
+        if prev is None:
+            vec[k] = -scale * v
         else:
-            out.pop(k, None)
+            nv = prev - scale * v
+            if nv:
+                vec[k] = nv
+            else:
+                del vec[k]
+
+
+def vec_add(a: dict, b: dict, scale: Fraction = Fraction(1)) -> dict:
+    """``a + scale * b`` in a new dict."""
+    out = dict(a)
+    _subtract(out, -scale, b)
     return out
 
 
@@ -28,28 +41,37 @@ class RowSpace:
         self.rows: dict = {}  # pivot label -> row dict, pivot coefficient 1
 
     def reduce(self, vec: dict) -> dict:
-        """Residual of ``vec`` after reduction modulo the space.
+        """Residual of ``vec`` after reduction modulo the space, in a new dict.
 
         Full reduction of the basis means no row contains another row's
         pivot, so one sweep over the original labels suffices.
         """
-        vec = dict(vec)
+        out = dict(vec)
+        rows = self.rows
         for k in sorted(vec):
-            if k in vec and k in self.rows:
-                vec = vec_add(vec, self.rows[k], -vec[k])
-        return vec
+            c = out.get(k)
+            if c is not None and k in rows:
+                _subtract(out, c, rows[k])
+        return out
+
+    def insert(self, residual: dict) -> None:
+        """Insert a nonzero vector already reduced modulo the space; the space
+        keeps ``residual`` itself as a row when its pivot coefficient is 1."""
+        pivot = min(residual)
+        c = residual[pivot]
+        row = residual if c == 1 else {k: v / c for k, v in residual.items()}
+        for r in self.rows.values():
+            s = r.get(pivot)
+            if s is not None:
+                _subtract(r, s, row)
+        self.rows[pivot] = row
 
     def add(self, vec: dict) -> dict:
-        """Insert ``vec``; returns the residual (empty if already in span)."""
+        """Insert ``vec``; returns the residual (empty if already in span),
+        a dict of the caller's own that the space does not keep."""
         residual = self.reduce(vec)
         if residual:
-            pivot = min(residual)
-            inv = Fraction(1) / residual[pivot]
-            row = {k: v * inv for k, v in residual.items()}
-            for p, r in list(self.rows.items()):
-                if pivot in r:
-                    self.rows[p] = vec_add(r, row, -r[pivot])
-            self.rows[pivot] = row
+            self.insert(dict(residual))
         return residual
 
     def contains(self, vec: dict) -> bool:
@@ -77,7 +99,7 @@ def kernel_and_image(labels: list, vectors: list[dict]):
         if all(k[0] == 1 for k in residual):
             kernel.append({k[1]: v for k, v in residual.items()})
         else:
-            tracked.add(residual)
+            tracked.insert(residual)
     image = RowSpace()
     for (_, pivot), row in tracked.rows.items():
         image.rows[pivot] = {k[1]: v for k, v in row.items() if k[0] == 0}

@@ -125,8 +125,8 @@ def check_gerstenhaber(
         [a, b c] = [a,b] c + (-1)^{|b||c|} [a,c] b
 
     The axioms revisit the same pairs many times, so ``bracket`` and
-    ``product`` are memoised for this call (an Element hashes by its normal
-    form): each is evaluated once per distinct pair.
+    ``product`` are memoised for this call (an Element hashes by its support
+    and compares by its normal form): each is evaluated once per distinct pair.
     """
     budget = budget or Budget()
     bracket, product = cache(bracket), cache(product)
@@ -403,7 +403,7 @@ class CohomologyBasis:
 
     def reduce(self, a: Element) -> Element:
         """Canonical representative of ``a`` modulo window boundaries."""
-        residual = self.boundary_space.reduce(dict(a.coeffs))
+        residual = self.boundary_space.reduce(a.coeffs)
         return Element(self.table, residual)
 
 
@@ -524,7 +524,8 @@ def induced_bv(
         )
 
     # memoised for this call only: the checks below revisit the same few
-    # classes and pairs many times, and Element hashes by its normal form
+    # classes and pairs many times; Element hashes by its support and
+    # compares by its normal form, so same-support classes stay apart
     @cache
     def induced(a: Element) -> Element:
         return H.reduce(D2.apply(a))

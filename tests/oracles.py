@@ -4,6 +4,7 @@ Each one is written the slow, obvious way and is used only by tests.
 """
 
 from fractions import Fraction
+from itertools import product as iter_product
 
 from bvcheck.algebra import AlgebraError, Element, GeneratorTable
 from bvcheck.brackets import (
@@ -14,6 +15,75 @@ from bvcheck.brackets import (
     monomial_tuples,
 )
 from bvcheck.graded import koszul_sign, unshuffles
+
+
+def enumerate_monomials_by_box(table: GeneratorTable, max_degree: int) -> list:
+    """``enumerate_monomials`` by filtering the whole exponent box."""
+    ranges = []
+    for i in range(len(table)):
+        cap = 1 if table.parity(i) else max_degree
+        ranges.append(range(min(cap, max_degree) + 1))
+    monos = [m for m in iter_product(*ranges) if sum(m) <= max_degree]
+    monos.sort(key=lambda m: (sum(m), m))
+    return monos
+
+
+def vec_add(a: dict, b: dict, scale: Fraction = Fraction(1)) -> dict:
+    """``a + scale * b`` in a new dict, with a ``Fraction(0)`` per entry."""
+    out = dict(a)
+    for k, v in b.items():
+        nv = out.get(k, Fraction(0)) + scale * v
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
+    return out
+
+
+class RowSpaceByCopies:
+    """``RowSpace`` with a fresh dict for every pivot a reduction meets, and
+    every inserted vector reduced again."""
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def reduce(self, vec: dict) -> dict:
+        vec = dict(vec)
+        for k in sorted(vec):
+            if k in vec and k in self.rows:
+                vec = vec_add(vec, self.rows[k], -vec[k])
+        return vec
+
+    def add(self, vec: dict) -> dict:
+        residual = self.reduce(vec)
+        if residual:
+            pivot = min(residual)
+            inv = Fraction(1) / residual[pivot]
+            row = {k: v * inv for k, v in residual.items()}
+            for p, r in list(self.rows.items()):
+                if pivot in r:
+                    self.rows[p] = vec_add(r, row, -r[pivot])
+            self.rows[pivot] = row
+        return residual
+
+
+def kernel_and_image_by_copies(labels: list, vectors: list[dict]):
+    """``kernel_and_image`` on ``RowSpaceByCopies``, reducing each augmented
+    vector twice."""
+    tracked = RowSpaceByCopies()
+    kernel: list[dict] = []
+    for label, vec in zip(labels, vectors):
+        aug = {(0, k): v for k, v in vec.items()}
+        aug[(1, label)] = Fraction(1)
+        residual = tracked.reduce(aug)
+        if all(k[0] == 1 for k in residual):
+            kernel.append({k[1]: v for k, v in residual.items()})
+        else:
+            tracked.add(residual)
+    image = RowSpaceByCopies()
+    for (_, pivot), row in tracked.rows.items():
+        image.rows[pivot] = {k[1]: v for k, v in row.items() if k[0] == 0}
+    return kernel, image
 
 
 def is_unshuffle(sigma: tuple[int, ...], k: int) -> bool:

@@ -12,7 +12,8 @@ from bvcheck.algebra import (
     monomial_mul,
     parse_element,
 )
-from bvcheck.models import mixed_order_model
+from bvcheck.models import koszul_complex_model, mixed_order_model
+from oracles import enumerate_monomials_by_box
 
 TABLE = GeneratorTable(("x", "y", "xi", "eta"), (0, 2, 1, 3))
 # odd and even generators interleaved, odd ones of negative degree included
@@ -148,6 +149,36 @@ def test_enumerate_monomials_window():
     assert (0, 0, 1, 1) in monos
     assert (0, 0, 2, 0) not in monos
     assert monos == sorted(monos, key=lambda m: (sum(m), m))
+
+
+@given(st.lists(st.integers(-3, 3), max_size=4), st.integers(-1, 6))
+@settings(max_examples=120, deadline=None)
+def test_enumerate_monomials_matches_the_box_oracle(degrees, max_degree):
+    # zero- and negative-degree generators, and the empty table, included
+    table = GeneratorTable(tuple(f"g{i}" for i in range(len(degrees))), tuple(degrees))
+    assert enumerate_monomials(table, max_degree) == enumerate_monomials_by_box(
+        table, max_degree
+    )
+
+
+def test_enumerate_monomials_on_a_four_pair_window():
+    # 7^4 * 2^4 = 38,416 exponent tuples in the box, 1,289 within the budget
+    table = koszul_complex_model([1, 2, 3, 4]).table
+    monos = enumerate_monomials(table, 6)
+    assert len(monos) == 1289
+    assert monos == enumerate_monomials_by_box(table, 6)
+
+
+def test_equal_elements_hash_equal_over_equal_tables():
+    other = GeneratorTable(TABLE.names, TABLE.degrees)
+    assert other is not TABLE
+    a = parse_element(TABLE, "2*x*xi - 1/3*y^2 + 1")
+    b = parse_element(other, "1 - 1/3*y^2 + 2*x*xi")
+    assert a == b and hash(a) == hash(b)
+    # the hash reads the support only; __eq__ tells the coefficients apart
+    x = Element.generator(TABLE, "x")
+    assert hash(x) == hash(2 * x) and x != 2 * x
+    assert len({x, 2 * x, -x, x + x}) == 3
 
 
 @given(elem_st)

@@ -95,6 +95,39 @@ def test_exit_code_three_when_only_untested(tmp_path, capsys):
     assert "result: PASS" in out
 
 
+# mixed-order plus multiplication by xi1: D∘D = d/dxi1∘xi1 + xi1∘d/dxi1 = 1
+MIXED_ORDER_PLUS_XI1_SPEC = """\
+MODEL mixed-order
+
+OPERATOR D
+1 | 0 0 0 0 0 0 | 1 0 0 0 0 0
+1 | 0 0 0 0 0 0 | 0 1 1 0 0 0
+1 | 0 0 0 0 0 0 | 0 0 0 1 1 1
+1 | 1 0 0 0 0 0 | 0 0 0 0 0 0
+
+SUITE linfty
+"""
+
+
+def test_relation_family_on_the_unit_alone_is_untested(capsys):
+    # at window degree 0 every tuple is (1, ..., 1): a pass there says only
+    # that (D∘D)(1) = 0
+    code = main(["check", "--model", "polyvector2", "--suite", "linfty",
+                 "--budget-degree", "0"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out.count("[UNTESTED] relation n=") == 3
+    assert "[PASS" not in out
+
+
+def test_relation_family_failing_on_the_unit_alone_still_fails(tmp_path, capsys):
+    spec = write(tmp_path, "unit.spec", MIXED_ORDER_PLUS_XI1_SPEC)
+    code = main(["check", "--spec", spec, "--budget-degree", "0"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.count("[FAIL    ] relation n=") == 3
+
+
 def test_json_reports_are_byte_identical(tmp_path):
     spec = write(tmp_path, "good.spec", LAPLACIAN_SPEC)
     outs = []

@@ -3,6 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from bvcheck.linalg import RowSpace, kernel_and_image, vec_add
+from oracles import RowSpaceByCopies, kernel_and_image_by_copies
 
 
 def vec(*pairs):
@@ -45,6 +46,19 @@ def test_rowspace_fully_reduced_invariant():
         for other in space.rows:
             if other != pivot:
                 assert other not in row
+
+
+def test_mutating_the_residual_of_add_leaves_the_space_alone():
+    space = RowSpace()
+    first = space.add(vec((0, 1), (1, 2)))  # unit pivot: kept as it is
+    second = space.add(vec((1, 3), (2, 1)))  # pivot 3: divided through
+    rows = {p: dict(r) for p, r in space.rows.items()}
+    for residual in (first, second):
+        residual[1] = Fraction(7)
+        residual[9] = Fraction(1)
+        residual.pop(2, None)
+    assert space.rows == rows
+    assert space.reduce(vec((0, 1), (1, 2))) == {}
 
 
 def test_kernel_and_image_hand_example():
@@ -92,3 +106,61 @@ def test_rank_nullity(rows):
         for lab, c in combo.items():
             total = vec_add(total, vectors[lab], c)
         assert total == {}
+
+
+COEFF = st.one_of(
+    st.just(Fraction(1)),
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+)
+
+
+def _label(kind, k):
+    # monomial-like ints, or the (0, k) / (1, label) tags kernel_and_image uses
+    return k if kind == "int" else ((0, k) if k < 3 else (1, "abcdef"[k]))
+
+
+@st.composite
+def sparse_vectors(draw):
+    """Sparse rational vectors: fresh ones, zero ones, and combinations of
+    earlier ones, so that dependent vectors and unit pivots both occur."""
+    kind = draw(st.sampled_from(["int", "tuple"]))
+
+    def fresh():
+        entries = draw(st.dictionaries(st.integers(0, 5), COEFF, max_size=4))
+        return {_label(kind, k): v for k, v in entries.items()}
+
+    vectors = []
+    for _ in range(draw(st.integers(0, 8))):
+        how = draw(st.sampled_from(["fresh", "fresh", "combination", "zero"]))
+        if how == "zero":
+            vectors.append({})
+        elif how == "combination" and vectors:
+            a, b = (draw(st.sampled_from(vectors)) for _ in range(2))
+            vectors.append(vec_add(vec_add({}, a, draw(COEFF)), b, draw(COEFF)))
+        else:
+            vectors.append(fresh())
+    probes = [fresh() for _ in range(draw(st.integers(0, 3)))]
+    return vectors, probes
+
+
+def ordered(space):
+    """Rows with the order of the pivots and of every row's entries."""
+    return [(p, list(r.items())) for p, r in space.rows.items()]
+
+
+@given(sparse_vectors(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_elimination_matches_the_copying_oracle(case, rng):
+    vectors, probes = case
+    labels = list(range(len(vectors)))
+    rng.shuffle(labels)  # tags need not sort in insertion order
+    kernel, image = kernel_and_image(labels, vectors)
+    kernel_oracle, image_oracle = kernel_and_image_by_copies(labels, vectors)
+    assert [list(c.items()) for c in kernel] == [list(c.items()) for c in kernel_oracle]
+    assert ordered(image) == ordered(image_oracle)
+    space, oracle = RowSpace(), RowSpaceByCopies()
+    for v in vectors:
+        assert list(space.add(v).items()) == list(oracle.add(v).items())
+        assert ordered(space) == ordered(oracle)
+    for p in probes + vectors:
+        assert list(space.reduce(p).items()) == list(oracle.reduce(p).items())

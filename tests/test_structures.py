@@ -70,6 +70,31 @@ def test_gerstenhaber_evaluates_each_pair_once():
         assert calls and len(set(calls)) == len(calls)
 
 
+def test_gerstenhaber_memo_tells_same_support_elements_apart():
+    # [xi1, x1 * 2x1] = [xi1, x1] 2x1 + [xi1, 2x1] x1 needs [xi1, 2x1] to be
+    # twice [xi1, x1], though x1 and 2x1 hash alike
+    model = polyvector_model(1)
+    x1, xi1 = (Element.generator(model.table, n) for n in ("x1", "xi1"))
+    elems = [xi1, x1, 2 * x1, -xi1]
+    budget = Budget(max_degree=1, max_tuples=64)
+
+    def bracket(a, b):
+        return bv_bracket(model.D, a, b)
+
+    report = check_gerstenhaber(bracket, lambda a, b: a * b, elems, budget)
+    assert report.passed and report.fully_tested
+
+    memo = {}  # keyed by the supports alone: the collision the memo must avoid
+
+    def by_support(a, b):
+        key = (frozenset(a.coeffs), frozenset(b.coeffs))
+        return memo.setdefault(key, bracket(a, b))
+
+    report = check_gerstenhaber(by_support, lambda a, b: a * b, elems, budget)
+    names = {i.name: i.status for i in report.items}
+    assert names["Leibniz rule"] == "fail"
+
+
 def test_broken_bracket_fails_axioms():
     model = polyvector_model(2)
     elems = monomial_elements(model.table, 2)
@@ -331,6 +356,26 @@ def test_induced_bv_polyvector_zero_differential():
     names = {i.name: i.status for i in report.items}
     assert names["induced operator squares to zero on classes"] == "pass"
     assert names["induced operator has order <= 2 on representatives"] == "pass"
+
+
+def test_induced_memo_tells_same_support_classes_apart(monkeypatch):
+    # with d = 0 every element is a class and the induced operator is the
+    # Laplacian; keep four classes, two by two of the same support, so that
+    # [xi1, x1 * 2x1] = [xi1, x1] 2x1 + [xi1, 2x1] x1 and the induced
+    # product x1 * 2x1 are right only if the memos tell them apart
+    model = polyvector_model(1)
+    x1, xi1 = (Element.generator(model.table, n) for n in ("x1", "xi1"))
+    real_cohomology = cohomology
+
+    def scaled_classes(*args):
+        H = real_cohomology(*args)
+        H.representatives = {0: [x1, 2 * x1], 1: [xi1, -xi1]}
+        return H
+
+    monkeypatch.setattr(structures, "cohomology", scaled_classes)
+    budget = Budget(max_degree=2, max_tuples=64)
+    report = induced_bv(model.table, model.d, model.D, 3, budget)
+    assert report.passed and report.fully_tested
 
 
 @pytest.mark.parametrize(
