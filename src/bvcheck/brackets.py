@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product as iter_product
 
 from .algebra import AlgebraError, Element, enumerate_monomials
@@ -58,24 +59,24 @@ def akman_recursion(apply_fn, mul_fn, p_D: int, args, parities):
 
     ``apply_fn``/``mul_fn`` operate on whatever value type the caller uses
     (Elements here, cohomology classes in the induced-structure checks);
-    values must support + and -.
+    values must support + and -.  It recurses through itself, not through a
+    local closure: a closure that calls itself is a reference cycle, and would
+    keep the operator behind ``apply_fn``, with its caches, alive until the
+    cyclic garbage collector runs.
     """
-
-    def rec(tup, pars):
-        n = len(tup)
-        if n == 1:
-            return apply_fn(tup[0])
-        a_n, a_np1 = tup[-2], tup[-1]
-        p_n = pars[-2]
-        head, head_p = tup[:-2], pars[:-2]
-        t1 = rec(head + (mul_fn(a_n, a_np1),), head_p + ((p_n + pars[-1]) % 2,))
-        t2 = mul_fn(rec(head + (a_n,), head_p + (p_n,)), a_np1)
-        t3 = mul_fn(a_n, rec(head + (a_np1,), head_p + (pars[-1],)))
-        if p_n * ((sum(head_p) + p_D) % 2) % 2:
-            return t1 - t2 + t3
-        return t1 - t2 - t3
-
-    return rec(tuple(args), tuple(parities))
+    tup, pars = tuple(args), tuple(parities)
+    if len(tup) == 1:
+        return apply_fn(tup[0])
+    a_n, a_np1 = tup[-2], tup[-1]
+    p_n = pars[-2]
+    head, head_p = tup[:-2], pars[:-2]
+    rec = partial(akman_recursion, apply_fn, mul_fn, p_D)
+    t1 = rec(head + (mul_fn(a_n, a_np1),), head_p + ((p_n + pars[-1]) % 2,))
+    t2 = mul_fn(rec(head + (a_n,), head_p + (p_n,)), a_np1)
+    t3 = mul_fn(a_n, rec(head + (a_np1,), head_p + (pars[-1],)))
+    if p_n * ((sum(head_p) + p_D) % 2) % 2:
+        return t1 - t2 + t3
+    return t1 - t2 - t3
 
 
 def akman_bracket(D: Operator, args) -> Element:

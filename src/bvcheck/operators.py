@@ -69,11 +69,12 @@ class Operator:
 
     ``terms`` is never changed after construction, so each operator keeps the
     set of its term degrees, built once, the images of the monomials it has
-    been applied to, filled as it goes, and its square once asked for; all
-    live as long as the operator.
+    been applied to, filled as it goes, its square once asked for, and, by
+    window, the cohomology ``structures.cohomology`` builds of it; all live as
+    long as the operator.
     """
 
-    __slots__ = ("table", "terms", "_degrees", "_images", "_square")
+    __slots__ = ("table", "terms", "_degrees", "_images", "_square", "_cohomology")
 
     def __init__(self, table: GeneratorTable, terms: Mapping[TermKey, Fraction] | None = None):
         self.table = table
@@ -98,6 +99,7 @@ class Operator:
         self._degrees = frozenset(degrees)
         self._images: dict[Monomial, dict[Monomial, Fraction]] = {}
         self._square: Operator | None = None
+        self._cohomology: dict = {}
 
     # --- constructors -----------------------------------------------------
 

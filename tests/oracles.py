@@ -4,17 +4,19 @@ Each one is written the slow, obvious way and is used only by tests.
 """
 
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 
 from bvcheck.algebra import AlgebraError, Element, GeneratorTable
 from bvcheck.brackets import (
     Budget,
     OrderCertificate,
     akman_bracket,
+    akman_recursion,
     first_witness,
     monomial_tuples,
 )
 from bvcheck.graded import koszul_sign, unshuffles
+from bvcheck.structures import StructReport, check_gerstenhaber
 
 
 def enumerate_monomials_by_box(table: GeneratorTable, max_degree: int) -> list:
@@ -230,3 +232,57 @@ def schouten_oracle(a: Element, b: Element) -> Element:
 # The odd bracket generated by the Laplacian reproduces the antibracket
 # pairing on the nose; the constant records the convention and is tested.
 SCHOUTEN_CALIBRATION = 1
+
+
+def induced_items_by_evaluation(H, D2, window_degree: int, budget: Budget) -> StructReport:
+    """``induced_bv``'s items after the slice dimensions, every one evaluated
+    on the classes of ``H`` with the degree -1 part ``D2``, even when it is 0."""
+    table = H.table
+    report = StructReport("induced items by evaluation")
+    reps = [r for rs in H.representatives.values() for r in rs]
+    bad, untested_boundary = None, False
+    for row in H.boundary_space.rows.values():
+        residual = H.boundary_space.reduce(D2.apply(Element(table, row)).coeffs)
+        if any(sum(m) > window_degree for m in residual):
+            untested_boundary = True
+        elif residual:
+            bad = Element(table, row)
+            break
+    name = "induced map well defined on classes"
+    if bad is not None:
+        report.add(name, "fail", witness=str(bad))
+    elif untested_boundary:
+        report.add(name, "untested", "untested at boundary: image leaves the window")
+    else:
+        report.add(name, "pass", f"{H.boundary_space.dim} boundaries")
+
+    def induced(a):
+        return H.reduce(D2.apply(a))
+
+    def induced_product(a, b):
+        return H.reduce(a * b)
+
+    def bracket(args):
+        return akman_recursion(induced, induced_product, 1, args, tuple(a.parity() for a in args))
+
+    report.tally(
+        "induced operator squares to zero on classes",
+        *first_witness(reps, lambda r: not induced(induced(r)).is_zero()),
+    )
+    report.tally(
+        "induced operator has order <= 2 on representatives",
+        *first_witness(
+            islice(iter_product(reps, repeat=3), budget.max_tuples),
+            lambda trip: not bracket(trip).is_zero(),
+        ),
+        "triples",
+    )
+    g_report = check_gerstenhaber(
+        lambda a, b: -bracket((a, b)) if a.parity() else bracket((a, b)),
+        induced_product,
+        reps,
+        budget,
+    )
+    for item in g_report.items:
+        report.add("induced bracket: " + item.name, item.status, item.details, item.witness)
+    return report

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from itertools import combinations_with_replacement, product as iter_product
 
@@ -59,6 +60,20 @@ def test_recursion_matches_unshuffle_expansion():
         for tup in monomial_tuples(TABLE, arity, budget):
             elems = [elem(m) for m in tup]
             assert akman_bracket(DELTA, elems) == koszul_bracket(DELTA, elems)
+
+
+def test_a_bracket_leaves_no_reference_cycle():
+    # a cycle would keep the operator, with its images and its cohomology
+    # bases, alive until the cyclic collector runs
+    x1, xi1, xi2 = gen("x1"), gen("xi1"), gen("xi2")
+    D = Operator(TABLE, DELTA.terms)
+    gc.collect()
+    gc.disable()
+    try:
+        akman_bracket(D, (x1 * xi2, xi1, x1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_routes_agree_even_with_nonvanishing_on_units():

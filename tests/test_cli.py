@@ -128,6 +128,27 @@ def test_relation_family_failing_on_the_unit_alone_still_fails(tmp_path, capsys)
     assert out.count("[FAIL    ] relation n=") == 3
 
 
+def test_gerstenhaber_on_the_unit_alone_is_untested(capsys):
+    # at window degree 0 the only element is 1, whose bracket with anything
+    # vanishes, so the five passes exercise nothing
+    code = main(["check", "--model", "polyvector2", "--suite", "gerstenhaber",
+                 "--budget-degree", "0"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out.count("[UNTESTED]") == 5
+    assert out.count(", the unit monomial alone") == 3
+    assert "[PASS" not in out
+
+
+def test_gerstenhaber_failing_on_the_unit_alone_still_fails(tmp_path, capsys):
+    spec = write(tmp_path, "unit.spec", MIXED_ORDER_PLUS_XI1_SPEC)
+    code = main(["check", "--spec", spec, "--suite", "gerstenhaber", "--budget-degree", "0"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "[FAIL    ] Leibniz rule (witness: (1, 1, 1))" in out
+    assert "[PASS" not in out
+
+
 def test_json_reports_are_byte_identical(tmp_path):
     spec = write(tmp_path, "good.spec", LAPLACIAN_SPEC)
     outs = []

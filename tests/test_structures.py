@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from bvcheck import structures
@@ -25,6 +27,8 @@ from bvcheck.structures import (
     induced_bv,
     square_expansion_identities,
 )
+
+from oracles import induced_items_by_evaluation
 
 BUDGET = Budget(max_degree=2, max_tuples=60)
 
@@ -341,6 +345,64 @@ def test_boundary_space_is_the_span_of_every_window_image(name, window):
         assert all(r.is_homogeneous() and r.degree() == g for r in reps)
 
 
+def test_cohomology_is_built_once_per_differential_and_window(monkeypatch):
+    model = koszul_complex_model([2])
+    slices, real = [], structures.kernel_and_image
+
+    def counting(labels, vectors):
+        slices.append(tuple(labels))
+        return real(labels, vectors)
+
+    monkeypatch.setattr(structures, "kernel_and_image", counting)
+    H = cohomology(model.table, model.d, 5)
+    degrees = {model.table.monomial_degree(m) for m in enumerate_monomials(model.table, 5)}
+    assert len(slices) == len(set(slices)) == len(degrees)
+    assert cohomology(model.table, model.d, 5) is H
+    assert len(slices) == len(degrees)
+    # another window is another elimination and another basis
+    H4 = cohomology(model.table, model.d, 4)
+    assert H4 is not H and len(slices) > len(degrees)
+    assert dict(H4.boundary_space.rows) != dict(H.boundary_space.rows)
+    assert cohomology(model.table, model.d, 4) is H4
+
+
+def test_cohomology_domain_errors_follow_a_cached_call():
+    model, other = koszul_complex_model([2]), koszul_complex_model([1])
+    table, d = model.table, model.d
+    xi1 = Operator.multiplication(Element.generator(table, "xi1"))
+    mixed = koszul_complex_model([1, 2])
+    # d/dxi1 (degree -1) and d/dxi2 (degree -3) anticommute and square to 0
+    inhomogeneous = (Operator.derivative(mixed.table, "xi1")
+                     + Operator.derivative(mixed.table, "xi2"))
+    H = cohomology(table, d, 3)
+    for _ in range(2):
+        with pytest.raises(AlgebraError, match="window"):
+            cohomology(table, d, -1)
+        with pytest.raises(AlgebraError, match="different tables"):
+            cohomology(other.table, d, 3)
+        with pytest.raises(AlgebraError, match="d\\^2 = 0"):
+            cohomology(table, d + xi1, 3)  # (d + xi1)^2 = mult by x1^2
+        with pytest.raises(AlgebraError, match="degree-homogeneous"):
+            cohomology(mixed.table, inhomogeneous, 3)
+    assert cohomology(table, d, 3) is H
+
+
+@pytest.mark.parametrize(
+    "model,window",
+    [(koszul_complex_model([1, 2]), 5), (mixed_order_model(), 3), (polyvector_model(2), 2)],
+    ids=["koszul12", "mixed-order", "polyvector2"],
+)
+def test_shared_cohomology_equals_a_fresh_build(model, window):
+    shared = cohomology(model.table, model.d, window)
+    assert cohomology(model.table, model.d, window) is shared
+    fresh = cohomology(model.table, Operator(model.table, model.d.terms), window)
+    assert fresh is not shared
+    assert fresh.dims() == shared.dims()
+    assert fresh.representatives == shared.representatives
+    assert list(fresh.boundary_space.rows.items()) == list(shared.boundary_space.rows.items())
+    assert fresh.warnings == shared.warnings
+
+
 # --- induced structure ------------------------------------------------------
 
 def test_induced_bv_koszul():
@@ -368,9 +430,9 @@ def test_induced_memo_tells_same_support_classes_apart(monkeypatch):
     real_cohomology = cohomology
 
     def scaled_classes(*args):
+        # a new basis: the one cohomology returns is shared, never mutated
         H = real_cohomology(*args)
-        H.representatives = {0: [x1, 2 * x1], 1: [xi1, -xi1]}
-        return H
+        return dataclasses.replace(H, representatives={0: [x1, 2 * x1], 1: [xi1, -xi1]})
 
     monkeypatch.setattr(structures, "cohomology", scaled_classes)
     budget = Budget(max_degree=2, max_tuples=64)
@@ -387,9 +449,10 @@ def test_induced_maps_are_computed_once_per_argument(model, window, monkeypatch)
     # after the cohomology is built, the induced operator is the only caller
     # of Operator.apply (besides the boundary scan, whose rows are distinct),
     # the induced product the only one of Element * Element, and the induced
-    # bracket the only caller of akman_recursion on pairs
+    # bracket the only caller of akman_recursion on pairs; when the induced
+    # operator is 0 (koszul2: D has no degree -1 part) none of them is called
     recording = []
-    applied, multiplied, bracketed = [], [], []
+    applied, multiplied, bracketed, recursed = [], [], [], []
     real_cohomology, real_apply, real_mul = cohomology, Operator.apply, Element.__mul__
     real_recursion = structures.akman_recursion
 
@@ -409,6 +472,8 @@ def test_induced_maps_are_computed_once_per_argument(model, window, monkeypatch)
         return real_mul(self, other)
 
     def recursion(apply_fn, mul_fn, p_D, args, parities):
+        if recording:
+            recursed.append(tuple(args))
         if len(args) == 2:
             bracketed.append(tuple(args))
         return real_recursion(apply_fn, mul_fn, p_D, args, parities)
@@ -419,5 +484,34 @@ def test_induced_maps_are_computed_once_per_argument(model, window, monkeypatch)
     monkeypatch.setattr(Element, "__mul__", mul)
     report = induced_bv(model.table, model.d, model.D, window, BUDGET)
     assert report.passed
+    if -1 not in model.D.degree_components():
+        assert recording and not (applied or multiplied or recursed)
+        return
     for calls in (applied, multiplied, bracketed):
         assert calls and len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("max_tuples", [0, 5, 200])
+@pytest.mark.parametrize(
+    "model,window",
+    [(koszul_complex_model([1]), 4), (koszul_complex_model([2]), 6)]
+    + [(koszul_complex_model(w), k) for w in ([1, 2, 3], [2, 2, 3]) for k in range(4, 8)]
+    + [(polyvector_model(2), 3)],
+    ids=["koszul1", "koszul2"]
+    + [f"{w}-window{k}" for w in ("123", "223") for k in range(4, 8)]
+    + ["polyvector2"],
+)
+def test_induced_items_equal_evaluating_every_case(model, window, max_tuples):
+    # on a zero induced operator (every Koszul model) the items are decided
+    # without evaluation; the lines must be those of evaluating every
+    # boundary, class and tuple, as they are on polyvector2's nonzero one
+    budget = Budget(max_degree=2, max_tuples=max_tuples)
+    report = induced_bv(model.table, model.d, model.D, window, budget)
+    assert [i.name for i in report.items[:2]] == [
+        "d D2 + D2 d = 0 (exact operator identity)",
+        "cohomology slice dimensions",
+    ]
+    D2 = model.D.degree_components().get(-1, Operator.zero(model.table))
+    H = cohomology(model.table, model.d, window)
+    oracle = induced_items_by_evaluation(H, D2, window, budget)
+    assert [i.line() for i in report.items[2:]] == [i.line() for i in oracle.items]
