@@ -141,18 +141,22 @@ class Budget:
 
 
 def monomial_tuples(table, arity: int, budget: Budget):
-    """Deterministic tuple stream: full product if small, else seeded sample."""
+    """Deterministic tuple stream: full product if small, else seeded sample.
+
+    Lazy and single-pass: a sampled tuple is drawn only when it is consumed.
+    ``tuple_count`` gives its length without drawing anything."""
     monos = enumerate_monomials(table, budget.max_degree)
-    if not monos:
-        return []
-    total = len(monos) ** arity
-    if total <= budget.max_tuples:
-        return list(iter_product(monos, repeat=arity))
+    if len(monos) ** arity <= budget.max_tuples:
+        yield from iter_product(monos, repeat=arity)
+        return
     rng = random.Random(budget.seed)
-    return [
-        tuple(monos[rng.randrange(len(monos))] for _ in range(arity))
-        for _ in range(budget.max_tuples)
-    ]
+    for _ in range(budget.max_tuples):
+        yield tuple(monos[rng.randrange(len(monos))] for _ in range(arity))
+
+
+def tuple_count(table, arity: int, budget: Budget) -> int:
+    """How many tuples ``monomial_tuples`` yields."""
+    return min(len(enumerate_monomials(table, budget.max_degree)) ** arity, budget.max_tuples)
 
 
 def first_witness(cases, holds):
@@ -227,11 +231,10 @@ def akman_order_check(D: Operator, k: int, budget: Budget | None = None) -> Orde
     def nonzero(tup):
         return not akman_bracket(D, [Element.monomial(table, m) for m in tup]).is_zero()
 
-    tuples = monomial_tuples(table, k + 1, budget)
     if bracket_vanishes(D, k + 1):
-        tested, failure = len(tuples), None
+        tested, failure = tuple_count(table, k + 1, budget), None
     else:
-        tested, failure = first_witness(tuples, nonzero)
+        tested, failure = first_witness(monomial_tuples(table, k + 1, budget), nonzero)
     sharp_witness = None
     if failure is None and k >= 1 and not bracket_vanishes(D, k):
         _, sharp_witness = first_witness(monomial_tuples(table, k, budget), nonzero)

@@ -44,6 +44,9 @@ class ModelSpec:
     model_name: str | None = None
     model: Model | None = None
     suites: list[tuple[str, dict]] = field(default_factory=list)
+    # the zero differential of a spec with neither MODEL nor ``d``, made once
+    # so that every call returns the same operator and shares its caches
+    _zero_d: Operator | None = field(default=None, init=False, repr=False, compare=False)
 
     def main_operator(self) -> Operator:
         if "D" in self.operators:
@@ -59,7 +62,9 @@ class ModelSpec:
             return self.operators["d"]
         if self.model is not None:
             return self.model.d
-        return Operator.zero(self.table)
+        if self._zero_d is None:
+            self._zero_d = Operator.zero(self.table)
+        return self._zero_d
 
 
 def _strip_comment(raw: str) -> str:

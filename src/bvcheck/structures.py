@@ -33,6 +33,7 @@ class CheckItem:
     status: str  # "pass" | "fail" | "untested"
     details: str = ""
     witness: str | None = None
+    tallied: bool = field(default=False, repr=False, compare=False)  # a count of cases
 
     def line(self) -> str:
         out = f"[{self.status.upper():8}] {self.name}"
@@ -60,7 +61,7 @@ class StructReport:
         if witness is not None:
             self.add(name, "fail", count if count_failures else "", _show(witness))
         else:
-            self.add(name, "pass" if tried else "untested", count)
+            self.items.append(CheckItem(name, "pass" if tried else "untested", count, tallied=True))
 
     def exhibit(self, name, witness, untested):
         """A failure expected to exist: pass once ``witness`` exhibits it."""

@@ -3,10 +3,11 @@
 Each one is written the slow, obvious way and is used only by tests.
 """
 
+import random
 from fractions import Fraction
 from itertools import islice, product as iter_product
 
-from bvcheck.algebra import AlgebraError, Element, GeneratorTable
+from bvcheck.algebra import AlgebraError, Element, GeneratorTable, enumerate_monomials
 from bvcheck.brackets import (
     Budget,
     OrderCertificate,
@@ -151,6 +152,21 @@ def relation_by_expansion(D, n, args) -> Element:
             term = koszul_bracket_by_unshuffles(D, outer)
             out = out + term.scale(koszul_sign(parities, sigma))
     return out
+
+
+def monomial_tuples_eager(table, arity: int, budget: Budget) -> list:
+    """``monomial_tuples`` as one list, every sampled tuple drawn up front."""
+    monos = enumerate_monomials(table, budget.max_degree)
+    if not monos:
+        return []
+    total = len(monos) ** arity
+    if total <= budget.max_tuples:
+        return list(iter_product(monos, repeat=arity))
+    rng = random.Random(budget.seed)
+    return [
+        tuple(monos[rng.randrange(len(monos))] for _ in range(arity))
+        for _ in range(budget.max_tuples)
+    ]
 
 
 def order_check_by_evaluation(D, k: int, budget: Budget | None = None) -> OrderCertificate:

@@ -1,4 +1,5 @@
 import gc
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product as iter_product
 
@@ -16,6 +17,7 @@ from bvcheck.brackets import (
     first_witness,
     koszul_bracket,
     monomial_tuples,
+    tuple_count,
 )
 from bvcheck.graded import koszul_sign
 from bvcheck.models import (
@@ -25,7 +27,11 @@ from bvcheck.models import (
     polyvector_model,
 )
 from bvcheck.operators import Operator
-from oracles import koszul_bracket_by_unshuffles, order_check_by_evaluation
+from oracles import (
+    koszul_bracket_by_unshuffles,
+    monomial_tuples_eager,
+    order_check_by_evaluation,
+)
 
 MODEL = polyvector_model(2)
 TABLE = MODEL.table
@@ -339,10 +345,58 @@ def test_negative_budget_is_a_domain_error(field):
 
 def test_monomial_tuples_deterministic():
     budget = Budget(max_degree=2, max_tuples=17, seed=5)
-    first = monomial_tuples(TABLE, 3, budget)
-    second = monomial_tuples(TABLE, 3, budget)
+    first = list(monomial_tuples(TABLE, 3, budget))
+    second = list(monomial_tuples(TABLE, 3, budget))
     assert first == second
     assert len(first) == 17
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    arity=st.integers(1, 4),
+    max_degree=st.integers(0, 3),
+    max_tuples=st.integers(0, 300),
+    seed=st.integers(0, 2**32),
+)
+def test_lazy_tuples_are_the_eager_list(arity, max_degree, max_tuples, seed):
+    # the same product order, and the same seeded draws in the same order
+    budget = Budget(max_degree=max_degree, max_tuples=max_tuples, seed=seed)
+    eager = monomial_tuples_eager(TABLE, arity, budget)
+    assert list(monomial_tuples(TABLE, arity, budget)) == eager
+    assert tuple_count(TABLE, arity, budget) == len(eager)
+
+
+def _counting_draws(monkeypatch) -> list:
+    """Record every ``Random.randrange`` call while the test runs."""
+    draws, real = [], random.Random.randrange
+
+    def counting(self, *args):
+        draws.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(random.Random, "randrange", counting)
+    return draws
+
+
+@pytest.mark.parametrize("extra", [
+    Operator.multiplication(Fraction(3, 2) * gen("xi1")),
+    Fraction(-2) * Operator(TABLE, {((0, 0, 0, 0), (1, 1, 1, 0)): Fraction(1)}),
+], ids=["xi1", "dx1dx2dxi1"])
+def test_failing_order_check_draws_only_the_tuples_it_tries(extra, monkeypatch):
+    # the two perturbations of the Laplacian that refute order <= 2
+    D, budget = DELTA + extra, Budget()
+    assert len(enumerate_monomials(TABLE, budget.max_degree)) ** 3 > budget.max_tuples
+    draws = _counting_draws(monkeypatch)
+    cert = akman_order_check(D, 2, budget)
+    assert not cert.passed and cert.tuples_tested >= 1
+    assert len(draws) == 3 * cert.tuples_tested
+
+
+def test_exact_order_pass_draws_no_tuple(monkeypatch):
+    draws = _counting_draws(monkeypatch)
+    cert = akman_order_check(DELTA, 3, Budget())
+    assert (cert.status, cert.tuples_tested) == ("pass", Budget().max_tuples)
+    assert draws == []
 
 
 def _stops_after(cases, n):

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from bvcheck import structures
 from bvcheck.algebra import parse_element
-from bvcheck.cli import SUITES, main
+from bvcheck.cli import SUITES, build_parser, main
 from bvcheck.models import BUILTIN_MODELS
 from bvcheck.specfile import parse_spec
 
@@ -149,6 +150,30 @@ def test_gerstenhaber_failing_on_the_unit_alone_still_fails(tmp_path, capsys):
     assert "[PASS" not in out
 
 
+@pytest.mark.parametrize("suite, items", [
+    ("brackets", [f"recursion vs unshuffle expansion, arity {n} - 1 tuples" for n in (1, 2, 3)]),
+    # koszul1's D has a degree +1 part, so both derivation tallies are made
+    ("derivation", ["D is a bracket derivation - 1 pairs", "D1 product Leibniz - 1 pairs"]),
+])
+def test_tallied_passes_on_the_unit_alone_are_untested(suite, items, capsys):
+    code = main(["check", "--model", "koszul1", "--suite", suite, "--budget-degree", "0"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "[PASS" not in out
+    for item in items:
+        assert f"[UNTESTED] {item}, the unit monomial alone" in out
+
+
+def test_exact_and_vacuous_passes_on_the_unit_alone_stay_passes(capsys):
+    code = main(["check", "--model", "polyvector2", "--suite", "bv-core",
+                 "--suite", "derivation", "--budget-degree", "0"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "[PASS    ] bracket order <= 2 - pass (not shown sharp, 1 tuples)" in out
+    assert "[PASS    ] D1 product Leibniz - vacuous: no degree +1 part" in out
+    assert "[UNTESTED] D is a bracket derivation - 1 pairs, the unit monomial alone" in out
+
+
 def test_json_reports_are_byte_identical(tmp_path):
     spec = write(tmp_path, "good.spec", LAPLACIAN_SPEC)
     outs = []
@@ -198,6 +223,57 @@ def test_suite_flag_overrides_spec(tmp_path, capsys):
     assert code == 0
     assert "relation n=1" in out
     assert "bracket order" not in out
+
+
+def test_parser_is_built_once_and_shared():
+    assert build_parser() is build_parser()
+
+
+def test_suite_flag_does_not_leak_into_the_next_call(tmp_path, capsys):
+    spec = write(tmp_path, "good.spec", LAPLACIAN_SPEC)
+    argv = ["check", "--spec", spec, "--budget-degree", "2", "--budget-tuples", "30"]
+    assert main(argv) == 0
+    alone = capsys.readouterr().out
+    assert main(argv + ["--suite", "linfty"]) == 0
+    assert "bracket order" not in capsys.readouterr().out
+    # a bare check runs the spec's own suites again, not the last --suite
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == alone
+    assert "bracket order" in out and "relation n=1" not in out
+
+
+def test_argument_error_between_calls_changes_nothing(tmp_path, capsys):
+    spec = write(tmp_path, "good.spec", LAPLACIAN_SPEC)
+    argv = ["check", "--spec", spec, "--budget-degree", "2", "--budget-tuples", "30"]
+    assert main(argv) == 0
+    before = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--spec", spec, "--suite", "linfty", "--budget-degree", "two"])
+    assert exc.value.code == 2
+    assert "--budget-degree" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == before
+
+
+def test_spec_without_differential_builds_its_cohomology_once(tmp_path, monkeypatch):
+    spec = parse_spec(LAPLACIAN_SPEC)
+    assert spec.differential() is spec.differential()
+    assert spec.differential().is_zero()
+    slices, real = [], structures.kernel_and_image
+
+    def counting(labels, vectors):
+        slices.append(tuple(labels))
+        return real(labels, vectors)
+
+    monkeypatch.setattr(structures, "kernel_and_image", counting)
+    # one build of three slices, as for the model whose d is also zero
+    assert main(["cohomology", "--model", "polyvector2", "--window", "3"]) == 0
+    assert len(slices) == 3
+    path = write(tmp_path, "good.spec", LAPLACIAN_SPEC)
+    slices.clear()
+    assert main(["cohomology", "--spec", path, "--window", "3"]) == 0
+    assert len(slices) == 3
 
 
 def test_unknown_suite_is_a_spec_error(tmp_path, capsys):
