@@ -176,7 +176,6 @@ class OrderCertificate:
     """Machine-checkable evidence that an operator has a given bracket order."""
 
     claimed_order: int
-    structural_bound: int
     tuples_tested: int
     passed: bool
     failure_witness: tuple | None = None
@@ -224,9 +223,8 @@ def akman_order_check(D: Operator, k: int, budget: Budget | None = None) -> Orde
     budget = budget or Budget()
     table = D.table
     if D.is_zero():
-        return OrderCertificate(k, 0, 0, True, degenerate_zero=True)
+        return OrderCertificate(k, 0, True, degenerate_zero=True)
     _check_parity(D)
-    structural = D.structural_order()
 
     def nonzero(tup):
         return not akman_bracket(D, [Element.monomial(table, m) for m in tup]).is_zero()
@@ -238,4 +236,4 @@ def akman_order_check(D: Operator, k: int, budget: Budget | None = None) -> Orde
     sharp_witness = None
     if failure is None and k >= 1 and not bracket_vanishes(D, k):
         _, sharp_witness = first_witness(monomial_tuples(table, k, budget), nonzero)
-    return OrderCertificate(k, structural, tested, failure is None, failure, sharp_witness)
+    return OrderCertificate(k, tested, failure is None, failure, sharp_witness)

@@ -13,10 +13,12 @@ from bvcheck.brackets import (
     OrderCertificate,
     akman_bracket,
     akman_recursion,
+    bv_bracket,
     first_witness,
     monomial_tuples,
 )
 from bvcheck.graded import koszul_sign, unshuffles
+from bvcheck.operators import Operator
 from bvcheck.structures import StructReport, check_gerstenhaber
 
 
@@ -176,7 +178,7 @@ def order_check_by_evaluation(D, k: int, budget: Budget | None = None) -> OrderC
     budget = budget or Budget()
     table = D.table
     if D.is_zero():
-        return OrderCertificate(k, 0, 0, True, degenerate_zero=True)
+        return OrderCertificate(k, 0, True, degenerate_zero=True)
 
     def nonzero(tup):
         return not akman_bracket(D, [Element.monomial(table, m) for m in tup]).is_zero()
@@ -185,9 +187,36 @@ def order_check_by_evaluation(D, k: int, budget: Budget | None = None) -> OrderC
     sharp_witness = None
     if failure is None and k >= 1:
         _, sharp_witness = first_witness(monomial_tuples(table, k, budget), nonzero)
-    return OrderCertificate(
-        k, D.structural_order(), tested, failure is None, failure, sharp_witness
-    )
+    return OrderCertificate(k, tested, failure is None, failure, sharp_witness)
+
+
+def square_by_degree_pairs(D) -> dict:
+    """``D o D`` by degree the long way: for each total degree s, the sum of
+    ``D_(g) o D_(h)`` over the pairs of degree components with g + h = s.
+    Degrees whose sum is zero are left out."""
+    comps = D.degree_components()
+    by_total: dict = {}
+    for g, A in comps.items():
+        for h, B in comps.items():
+            by_total[g + h] = by_total.get(g + h, Operator.zero(D.table)) + A.compose(B)
+    return {s: op for s, op in by_total.items() if not op.is_zero()}
+
+
+def bracket_derivation_defect(D, X, a, b) -> Element:
+    """``X[a,b] - [Xa, b] + (-1)^{|a|} [a, Xb]`` for the bracket
+    ``[u,v] = (-1)^{|u|} F^2_D(u,v)`` of ``D``, extended bilinearly over the
+    homogeneous parts of its arguments; ``a`` is homogeneous.  It is zero
+    exactly where ``X`` is a derivation of ``D``'s bracket at ``(a, b)``."""
+
+    def bracket(u, v):
+        out = Element.zero(u.table)
+        for cu in u.grade_decompose().values():
+            for cv in v.grade_decompose().values():
+                out = out + bv_bracket(D, cu, cv)
+        return out
+
+    sign = -1 if a.parity() else 1
+    return X.apply(bracket(a, b)) - bracket(X.apply(a), b) + sign * bracket(a, X.apply(b))
 
 
 # --------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def test_order_certificates():
     budget = Budget(max_degree=2, max_tuples=120)
     cert = akman_order_check(DELTA, 2, budget)
     assert cert.passed and cert.sharp
-    assert cert.structural_bound == 2
+    assert DELTA.structural_order() == 2
     assert cert.failure_witness is None and cert.sharp_witness is not None
 
     # a first-order operator is not order 0 but is order 1

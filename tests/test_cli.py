@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bvcheck import structures
+from bvcheck import cli, structures
 from bvcheck.algebra import parse_element
 from bvcheck.cli import SUITES, build_parser, main
 from bvcheck.models import BUILTIN_MODELS
@@ -291,6 +291,16 @@ def test_brackets_subcommand_tabulates_values(capsys):
     assert "F(" in out
 
 
+def test_brackets_value_table_is_skipped_when_the_arity_vanishes(monkeypatch, capsys):
+    # F^3 of the Laplacian vanishes: the 425 calls are the route suite's
+    # (25 + 200 + 200 tuples), none is spent on the empty value table
+    calls, real = [], cli.akman_bracket
+    monkeypatch.setattr(cli, "akman_bracket", lambda D, args: calls.append(1) or real(D, args))
+    assert main(["brackets", "--model", "polyvector2", "--arity", "3"]) == 0
+    assert len(calls) == 425
+    assert capsys.readouterr().out.split("arity-3 bracket values\n")[1] == "result: PASS\n"
+
+
 def test_split_subcommand(capsys):
     code = main(["split", "--model", "mixed-order", "--budget-tuples", "60"])
     out = capsys.readouterr().out
@@ -392,6 +402,27 @@ def test_mixed_parity_order_check_exits_two(budget, tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "mixed-parity" in captured.err
+
+
+# square-zero but not odd: the derivation suite is a domain error at any budget
+NOT_ODD_DERIVATION_SPECS = {
+    "even": "GENERATORS\nxi1 1\nxi2 1\nOPERATOR D\n1 | 0 0 | 1 1\nSUITE derivation\n",
+    "mixed-parity-xi1xi2": "GENERATORS\nxi1 1\nxi2 1\nxi3 1\nOPERATOR D\n"
+    "1 | 1 1 0 | 0 0 0\n1 | 1 1 1 | 0 0 0\nSUITE derivation\n",
+    "mixed-parity-xi1": "GENERATORS\nxi1 1\nxi2 1\nOPERATOR D\n"
+    "1 | 1 0 | 0 0\n1 | 1 1 | 0 0\nSUITE derivation\n",
+}
+
+
+@pytest.mark.parametrize("budget", ["0", "200"])
+@pytest.mark.parametrize("name", sorted(NOT_ODD_DERIVATION_SPECS))
+def test_derivation_of_a_non_odd_operator_exits_two(name, budget, tmp_path, capsys):
+    spec = write(tmp_path, "not-odd.spec", NOT_ODD_DERIVATION_SPECS[name])
+    code = main(["check", "--spec", spec, "--budget-tuples", budget])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "requires an odd operator" in captured.err
 
 
 def test_missing_spec_and_model(capsys):

@@ -1,6 +1,9 @@
 import dataclasses
+from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvcheck import structures
 from bvcheck.algebra import (
@@ -8,11 +11,13 @@ from bvcheck.algebra import (
     Element,
     GeneratorTable,
     enumerate_monomials,
+    parse_element,
 )
-from bvcheck.brackets import Budget, bv_bracket
+from bvcheck.brackets import Budget, akman_bracket, bracket_vanishes, bv_bracket
 from bvcheck.linalg import RowSpace
 from bvcheck.linfty import verify_linfty
 from bvcheck.models import (
+    BUILTIN_MODELS,
     koszul_complex_model,
     mixed_order_model,
     polyvector_model,
@@ -25,10 +30,13 @@ from bvcheck.structures import (
     cohomology,
     degree_split,
     induced_bv,
-    square_expansion_identities,
 )
 
-from oracles import induced_items_by_evaluation
+from oracles import (
+    bracket_derivation_defect,
+    induced_items_by_evaluation,
+    square_by_degree_pairs,
+)
 
 BUDGET = Budget(max_degree=2, max_tuples=60)
 
@@ -167,15 +175,95 @@ def test_degree_split_requires_square_zero():
         degree_split(bad, BUDGET)
 
 
-def test_square_expansion_identities():
-    model = mixed_order_model()
-    report = square_expansion_identities(model.D)
-    assert report.passed
-    bad = Operator.derivative(model.table, "u") + Operator.multiplication(
-        Element.generator(model.table, "u")
+def _laplacian_plus(n: int, mult: str, deriv: tuple = ()) -> Operator:
+    """The polyvector Laplacian plus 3/2 times one term: multiplication by the
+    element ``mult`` after differentiating by each generator in ``deriv``."""
+    model = polyvector_model(n)
+    term = Operator.multiplication(parse_element(model.table, mult))
+    for name in deriv:
+        term = term.compose(Operator.derivative(model.table, name))
+    return model.D + Fraction(3, 2) * term
+
+
+# the built-in models, and perturbations of the Laplacian: + c*xi_i squares to
+# c*d/dx_i, + c*x1*xi1 to an operator with a multiplication term, and
+# + c*d/dx_i d/dx_j d/dxi_k is square zero of order 3
+SQUARES = {
+    **{name: make().D for name, make in sorted(BUILTIN_MODELS.items())},
+    "laplacian2+xi1": _laplacian_plus(2, "xi1"),
+    "laplacian3+xi2": _laplacian_plus(3, "xi2"),
+    "laplacian2+x1*xi1": _laplacian_plus(2, "x1*xi1"),
+    "laplacian2+dx1dx2dxi1": _laplacian_plus(2, "1", ("x1", "x2", "xi1")),
+    "laplacian3+dx1dx1dxi3": _laplacian_plus(3, "1", ("x1", "x1", "xi3")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQUARES))
+def test_square_by_degree_pairs_is_the_square_by_degree(name):
+    # compose is bilinear and degrees add: the per-degree sums of products of
+    # components are the degree parts of D o D, so split's expansion line is
+    # decided by degree_split's square-zero precondition
+    D = SQUARES[name]
+    assert square_by_degree_pairs(D) == D.square().degree_components()
+
+
+@st.composite
+def odd_operators(draw):
+    """An odd operator of up to five terms, inhomogeneous in degree, on a
+    table with generators of four different degrees."""
+    table = GeneratorTable(("x", "xi", "eta", "u"), (0, -1, 1, 2))
+    key = st.tuples(
+        st.sampled_from(enumerate_monomials(table, 2)),
+        st.sampled_from(enumerate_monomials(table, 3)),
     )
-    report = square_expansion_identities(bad)
-    assert not report.passed
+    coeff = st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 2)])
+    P = Operator(table, draw(st.dictionaries(key, coeff, max_size=5)))
+    return Operator(table, {t: c for t, c in P.terms.items() if P.term_degree(t) % 2})
+
+
+@given(odd_operators())
+@settings(max_examples=40, deadline=None)
+def test_square_by_degree_pairs_on_drawn_odd_operators(D):
+    assert square_by_degree_pairs(D) == D.square().degree_components()
+
+
+@pytest.mark.parametrize("name", sorted(SQUARES))
+def test_bracket_derivation_defect_is_the_bracket_of_the_square(name):
+    # for odd D, D[a,b] - [Da,b] + (-1)^{|a|}[a,Db] = (-1)^{|a|} F^2_{D o D}(a,b),
+    # so derivation clause (i) is decided by the lemma's D^2 = 0 precondition
+    D = SQUARES[name]
+    elems = monomial_elements(D.table, 2)
+    nonzero = 0
+    for a, b in iter_product(elems, repeat=2):
+        defect = bracket_derivation_defect(D, D, a, b)
+        square = akman_bracket(D.square(), (a, b))
+        assert defect == (-square if a.parity() else square), (a, b)
+        nonzero += not defect.is_zero()
+    # nonzero somewhere exactly when F^2 of the square is: + c*x1*xi1
+    assert (nonzero > 0) == (not bracket_vanishes(D.square(), 2))
+    assert (nonzero > 0) == (name == "laplacian2+x1*xi1")
+
+
+def _koszul1_with_degree_minus_one_part():
+    # c*xi1 d/dx1 has degree -1, and d = x1 d/dxi1 does not anticommute with it
+    model = koszul_complex_model([1])
+    return model.d, model.D + Fraction(5, 3) * Operator.term(model.table, 1, (0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("make,anticommutes", [
+    (lambda: (koszul_complex_model([1]).d, koszul_complex_model([1]).D), True),
+    (lambda: (koszul_complex_model([2]).d, koszul_complex_model([2]).D), True),
+    (lambda: (mixed_order_model().d, mixed_order_model().D), True),
+    (_koszul1_with_degree_minus_one_part, False),
+], ids=["koszul1", "koszul2", "mixed-order", "koszul1-perturbed"])
+def test_induced_anticommutator_is_the_degree_zero_part_of_the_square(make, anticommutes):
+    # with d of degree +1 and D - d of negative degrees, d D2 + D2 d is the
+    # degree 0 part of D o D, so induced_bv's line is decided by check_bvinfty
+    d, D = make()
+    D2 = D.degree_components().get(-1, Operator.zero(D.table))
+    anti = d.compose(D2) + D2.compose(d)
+    assert anti == D.square().degree_components().get(0, Operator.zero(D.table))
+    assert anti.is_zero() == anticommutes
 
 
 # --- derivation lemma -------------------------------------------------------
@@ -198,18 +286,49 @@ def test_derivation_lemma_rejects_non_square_zero():
         check_derivation_lemma(bad, BUDGET)
 
 
+EXTERIOR2 = GeneratorTable(("xi1", "xi2"), (1, 1))
+EXTERIOR3 = GeneratorTable(("xi1", "xi2", "xi3"), (1, 1, 1))
+
+
+@pytest.mark.parametrize("D", [
+    Operator.term(EXTERIOR2, 1, (0, 0), (1, 1)),  # d/dxi1 d/dxi2: even
+    Operator.multiplication(parse_element(EXTERIOR3, "xi1*xi2 + xi1*xi2*xi3")),
+    Operator.multiplication(parse_element(EXTERIOR2, "xi1 + xi1*xi2")),
+], ids=["even", "mixed-parity-xi1xi2", "mixed-parity-xi1"])
+def test_derivation_lemma_requires_an_odd_operator(D):
+    # each squares to zero, but clause (i) is decided from D^2 = 0 only for
+    # odd D: the even one is no derivation of its own bracket
+    assert D.square().is_zero()
+    with pytest.raises(AlgebraError, match="odd"):
+        check_derivation_lemma(D, BUDGET)
+
+
+def test_even_square_zero_operator_is_no_bracket_derivation():
+    D = Operator.term(EXTERIOR2, 1, (0, 0), (1, 1))
+    elems = monomial_elements(EXTERIOR2, 2)
+    assert any(
+        not bracket_derivation_defect(D, D, a, b).is_zero()
+        for a, b in iter_product(elems, repeat=2)
+    )
+
+
+def test_derivation_lemma_accepts_the_zero_operator():
+    report = check_derivation_lemma(Operator.zero(EXTERIOR2), BUDGET)
+    assert report.passed
+
+
 # --- homotopy-BV triple -----------------------------------------------------
 
 def test_bvinfty_koszul_model_passes():
     model = koszul_complex_model([1])
-    report = check_bvinfty(model.table, model.d, model.D, BUDGET)
+    report = check_bvinfty(model.d, model.D, BUDGET)
     assert report.passed and report.fully_tested
 
 
 def test_bvinfty_detects_wrong_differential_degree():
     model = koszul_complex_model([1])
     wrong_d = model.D.degree_components()[-3]  # degree -3, not +1
-    report = check_bvinfty(model.table, wrong_d, model.D, BUDGET)
+    report = check_bvinfty(wrong_d, model.D, BUDGET)
     names = {i.name: i.status for i in report.items}
     assert names["d homogeneous of degree +1"] == "fail"
 
@@ -228,7 +347,7 @@ def test_bvinfty_builds_d_squared_once(square_zero, monkeypatch):
         return compose(self, other)
 
     monkeypatch.setattr(Operator, "compose", counting)
-    report = check_bvinfty(model.table, d, model.D, BUDGET)
+    report = check_bvinfty(d, model.D, BUDGET)
     assert sum(a is d and b is d for a, b in pairs) == 1
     item = next(i for i in report.items if i.name == "d squares to zero")
     assert item.status == ("pass" if square_zero else "fail")
@@ -259,7 +378,7 @@ def test_bvinfty_detects_positive_tail():
     d = Operator.zero(table)
     # D - d has a degree +1 piece: xi1 * d/dx1
     D = model.D + Operator.term(table, 1, (0, 1), (1, 0))
-    report = check_bvinfty(table, d, D, BUDGET)
+    report = check_bvinfty(d, D, BUDGET)
     names = {i.name: i.status for i in report.items}
     assert names["degree of D - d is negative"] == "fail"
 
