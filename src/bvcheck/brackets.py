@@ -181,6 +181,7 @@ class OrderCertificate:
     failure_witness: tuple | None = None
     sharp_witness: tuple | None = None
     degenerate_zero: bool = False
+    missed: bool = False  # the normal form has a nonzero bracket no tuple reached
 
     @property
     def sharp(self) -> bool:
@@ -189,10 +190,12 @@ class OrderCertificate:
     @property
     def status(self) -> str:
         """``fail``, or ``pass``; ``untested`` when no tuple was tried, unless
-        the operator is zero and has order 0 by convention."""
+        the operator is zero and has order 0 by convention, or when the search
+        missed a nonzero bracket that the normal form shows."""
         if not self.passed:
             return "fail"
-        return "pass" if self.tuples_tested or self.degenerate_zero else "untested"
+        decided = self.degenerate_zero or (self.tuples_tested and not self.missed)
+        return "pass" if decided else "untested"
 
     def verdict(self) -> str:
         if self.degenerate_zero:
@@ -216,7 +219,8 @@ def akman_order_check(D: Operator, k: int, budget: Budget | None = None) -> Orde
     budget (sharpness).  Tuples are monomial tuples; multilinearity makes
     them a spanning test set for the budgeted degree window.  A bracket that
     ``bracket_vanishes`` is not searched: its tuples all pass, and no
-    sharpness witness exists.  Brackets are evaluated only to find a witness.
+    sharpness witness exists.  Brackets are evaluated only to find a witness;
+    missing one that the normal form shows exists leaves the claim untested.
     """
     if k < 0:
         raise AlgebraError("order must be >= 0")
@@ -230,10 +234,11 @@ def akman_order_check(D: Operator, k: int, budget: Budget | None = None) -> Orde
         return not akman_bracket(D, [Element.monomial(table, m) for m in tup]).is_zero()
 
     if bracket_vanishes(D, k + 1):
-        tested, failure = tuple_count(table, k + 1, budget), None
+        tested, failure, missed = tuple_count(table, k + 1, budget), None, False
     else:
         tested, failure = first_witness(monomial_tuples(table, k + 1, budget), nonzero)
+        missed = failure is None
     sharp_witness = None
     if failure is None and k >= 1 and not bracket_vanishes(D, k):
         _, sharp_witness = first_witness(monomial_tuples(table, k, budget), nonzero)
-    return OrderCertificate(k, tested, failure is None, failure, sharp_witness)
+    return OrderCertificate(k, tested, failure is None, failure, sharp_witness, missed=missed)

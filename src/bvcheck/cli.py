@@ -29,6 +29,7 @@ from .brackets import (
     first_witness,
     koszul_bracket,
     monomial_tuples,
+    tuple_count,
 )
 from .linfty import verify_linfty
 from .models import BUILTIN_MODELS
@@ -36,6 +37,7 @@ from .operators import format_operator
 from .specfile import ModelSpec, SpecError, parse_spec
 from .structures import (
     StructReport,
+    as_elements,
     check_bvinfty,
     check_derivation_lemma,
     check_gerstenhaber,
@@ -134,8 +136,8 @@ def _split(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
         report.certify(f"component n={n} (degree {3 - 2 * n:+d}) has order <= {n}", cert)
     report.add(
         "no off-pattern degree components",
-        "fail" if result.residual_flag else "pass",
-        f"residual degrees {result.residual_degrees}" if result.residual_flag else "",
+        "fail" if result.residual_degrees else "pass",
+        f"residual degrees {result.residual_degrees}" if result.residual_degrees else "",
     )
     # compose is bilinear and degrees add, so the per-degree sums of products
     # of components are the degree parts of D o D, which degree_split found 0
@@ -147,18 +149,24 @@ def _split(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
 def _gerstenhaber(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     table = spec.table
     D = spec.main_operator()
-    monos = enumerate_monomials(table, budget.max_degree)
-    elems = [Element.monomial(table, m) for m in monos]
-    deg = D.degree() if D.is_degree_homogeneous() and not D.is_zero() else None
-    return check_gerstenhaber(
+    elems = [Element.monomial(table, m) for m in enumerate_monomials(table, budget.max_degree)]
+    # the Leibniz defect is F^3: exact on a pass, a witness search on a fail
+    cert = akman_order_check(D, 2, budget)
+    tried = tuple_count(table, 3, budget) if cert.degenerate_zero else cert.tuples_tested
+    report = check_gerstenhaber(
         lambda a, b: bv_bracket(D, a, b),
-        lambda a, b: a * b,
         elems,
+        (tried, as_elements(table, cert.failure_witness)),
         budget,
-        bracket_degree=deg,
-        product_degree=0,
         title="bracket of the main operator",
     )
+    if cert.missed:
+        report.items[-1].status = "untested"
+    # a degree-homogeneous D and monomial arguments fix both degrees
+    if D.is_degree_homogeneous() and not D.is_zero():
+        report.tally(f"bracket degree offset {D.degree():+d}", len(elems) ** 2, None)
+    report.tally("product degree offset +0", len(elems) ** 2, None)
+    return report
 
 
 def _cohomology(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:

@@ -27,13 +27,6 @@ def _subtract(vec: dict, scale: Fraction, row: dict) -> None:
                 del vec[k]
 
 
-def vec_add(a: dict, b: dict, scale: Fraction = Fraction(1)) -> dict:
-    """``a + scale * b`` in a new dict."""
-    out = dict(a)
-    _subtract(out, -scale, b)
-    return out
-
-
 class RowSpace:
     """Incrementally built, fully reduced row space."""
 

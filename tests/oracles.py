@@ -5,6 +5,7 @@ Each one is written the slow, obvious way and is used only by tests.
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import islice, product as iter_product
 
 from bvcheck.algebra import AlgebraError, Element, GeneratorTable, enumerate_monomials
@@ -19,7 +20,7 @@ from bvcheck.brackets import (
 )
 from bvcheck.graded import koszul_sign, unshuffles
 from bvcheck.operators import Operator
-from bvcheck.structures import StructReport, check_gerstenhaber
+from bvcheck.structures import StructReport, _first_tuples, _hom_bilinear
 
 
 def enumerate_monomials_by_box(table: GeneratorTable, max_degree: int) -> list:
@@ -219,6 +220,81 @@ def bracket_derivation_defect(D, X, a, b) -> Element:
     return X.apply(bracket(a, b)) - bracket(X.apply(a), b) + sign * bracket(a, X.apply(b))
 
 
+def gerstenhaber_by_evaluation(
+    bracket,
+    product,
+    elements: list[Element],
+    budget: Budget | None = None,
+    bracket_degree: int | None = None,
+    product_degree: int | None = None,
+    title: str = "gerstenhaber axioms",
+) -> StructReport:
+    """``check_gerstenhaber`` evaluating every axiom: graded antisymmetry,
+    Jacobi, Leibniz and degree offsets, the offsets on a head of the elements.
+
+    ``bracket`` takes two homogeneous elements.  Conventions (with unshifted
+    element degrees, bracket of odd degree):
+
+        [a,b] = -(-1)^{(|a|+1)(|b|+1)} [b,a]
+        [a,[b,c]] = [[a,b],c] + (-1)^{(|a|+1)(|b|+1)} [b,[a,c]]
+        [a, b c] = [a,b] c + (-1)^{|b||c|} [a,c] b
+
+    The axioms revisit the same pairs many times, so ``bracket`` and
+    ``product`` are memoised for this call (an Element hashes by its support
+    and compares by its normal form): each is evaluated once per distinct pair.
+    """
+    budget = budget or Budget()
+    bracket, product = cache(bracket), cache(product)
+    report = StructReport(title)
+    elems = [e for e in elements if not e.is_zero()]
+
+    def antisymmetry_fails(pair):
+        a, b = pair
+        # [a,b] = -(-1)^{(|a|+1)(|b|+1)} [b,a]
+        sign = -1 if ((a.degree() + 1) * (b.degree() + 1)) % 2 == 0 else 1
+        return not (bracket(a, b) - sign * bracket(b, a)).is_zero()
+
+    def jacobi_fails(triple):
+        a, b, c = triple
+        sign = -1 if ((a.degree() + 1) * (b.degree() + 1)) % 2 else 1
+        lhs = _hom_bilinear(bracket, a, bracket(b, c))
+        rhs = _hom_bilinear(bracket, bracket(a, b), c)
+        rhs = rhs + sign * _hom_bilinear(bracket, b, bracket(a, c))
+        return not (lhs - rhs).is_zero()
+
+    def leibniz_fails(triple):
+        a, b, c = triple
+        sign = -1 if (b.degree() * c.degree()) % 2 else 1
+        lhs = _hom_bilinear(bracket, a, product(b, c))
+        rhs = product(bracket(a, b), c) + sign * product(bracket(a, c), b)
+        return not (lhs - rhs).is_zero()
+
+    for name, arity, fails, unit in (
+        ("graded antisymmetry", 2, antisymmetry_fails, "pairs"),
+        ("graded Jacobi", 3, jacobi_fails, "triples"),
+        ("Leibniz rule", 3, leibniz_fails, "triples"),
+    ):
+        report.tally(name, *first_witness(_first_tuples(elems, arity, budget), fails), unit)
+
+    head = elems[: max(4, len(elems) // 2)]
+    for label, op, offset in (
+        ("bracket", bracket, bracket_degree),
+        ("product", product, product_degree),
+    ):
+        if offset is None:
+            continue
+
+        def off_degree(pair):
+            v = op(*pair)
+            return bool(v) and v.degree() != pair[0].degree() + pair[1].degree() + offset
+
+        report.tally(
+            f"{label} degree offset {offset:+d}",
+            *first_witness(iter_product(head, repeat=2), off_degree),
+        )
+    return report
+
+
 # --------------------------------------------------------------------------
 # Antibracket oracle on the polyvector model, coded without the operator engine
 # --------------------------------------------------------------------------
@@ -322,7 +398,7 @@ def induced_items_by_evaluation(H, D2, window_degree: int, budget: Budget) -> St
         ),
         "triples",
     )
-    g_report = check_gerstenhaber(
+    g_report = gerstenhaber_by_evaluation(
         lambda a, b: -bracket((a, b)) if a.parity() else bracket((a, b)),
         induced_product,
         reps,

@@ -31,12 +31,16 @@ from bvcheck.models import (
 from bvcheck.operators import Operator
 from bvcheck.structures import (
     check_derivation_lemma,
-    check_gerstenhaber,
     cohomology,
     degree_split,
     induced_bv,
 )
-from oracles import SCHOUTEN_CALIBRATION, relation_by_expansion, schouten_oracle
+from oracles import (
+    SCHOUTEN_CALIBRATION,
+    gerstenhaber_by_evaluation,
+    relation_by_expansion,
+    schouten_oracle,
+)
 
 
 ANNOUNCED: list[str] = []
@@ -147,7 +151,7 @@ def test_criterion_5_degree_split_and_square_expansion():
     split_ok = (
         [n for n, _ in result.components] == [1, 2, 3]
         and degrees == [1, -1, -3]
-        and not result.residual_flag
+        and not result.residual_degrees
         and all(c.passed for c in result.certificates.values())
     )
     comps = model.D.degree_components()
@@ -215,7 +219,7 @@ def test_criterion_8_oracle_bracket_axioms():
         for m in enumerate_monomials(model.table, 2)
     ]
     budget = Budget(max_degree=2, max_tuples=len(elems) ** 3)
-    report = check_gerstenhaber(
+    report = gerstenhaber_by_evaluation(
         lambda a, b: SCHOUTEN_CALIBRATION * schouten_oracle(a, b),
         lambda a, b: a * b,
         elems,

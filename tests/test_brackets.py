@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 from fractions import Fraction
@@ -269,11 +270,34 @@ def test_order_check_matches_evaluating_every_tuple(budget):
     for label, D in _order_check_cases():
         for k in range(4):
             cert = akman_order_check(D, k, budget)
-            # counts, verdicts and both witnesses
-            assert cert == order_check_by_evaluation(D, k, budget), (label, k)
+            oracle = order_check_by_evaluation(D, k, budget)
             seen.add((cert.status, cert.sharp))
-    # passes, sharp passes and failures all occur
+            if cert.missed:
+                # the window holds no witness of a bracket the normal form
+                # shows nonzero: the oracle passes, the certificate is untested
+                assert not bracket_vanishes(D, k + 1), (label, k)
+                assert (cert.status, oracle.status) == ("untested", "pass"), (label, k)
+                cert = dataclasses.replace(cert, missed=False)
+            # counts, verdicts and both witnesses
+            assert cert == oracle, (label, k)
+    # passes, sharp passes, failures and missed brackets all occur
     assert {("pass", True), ("pass", False), ("fail", False)} <= seen
+    assert any(status == "untested" for status, _ in seen)
+
+
+@pytest.mark.parametrize("budget, status", [
+    (Budget(max_degree=0), "untested"),
+    (Budget(max_degree=1, max_tuples=3), "untested"),
+    (Budget(max_degree=1, max_tuples=64), "fail"),
+], ids=["unit-window", "three-tuples", "exhaustive"])
+def test_order_check_never_passes_what_the_normal_form_refutes(budget, status):
+    # F^3 of d/dxi1 d/dxi2 d/dxi3 is nonzero only at permutations of
+    # (xi1, xi2, xi3): a window that misses them leaves order <= 2 untested
+    D = BUILTIN_MODELS["exterior-cube"]().D
+    assert not bracket_vanishes(D, 3)
+    cert = akman_order_check(D, 2, budget)
+    assert cert.status == status
+    assert cert.missed == (status == "untested") and cert.tuples_tested > 0
 
 
 @pytest.mark.parametrize("model", [koszul_complex_model([1, 2]), mixed_order_model()],

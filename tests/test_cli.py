@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from bvcheck import cli, structures
-from bvcheck.algebra import parse_element
+from bvcheck import brackets, cli, structures
+from bvcheck.algebra import AlgebraError, parse_element
+from bvcheck.brackets import Budget
 from bvcheck.cli import SUITES, build_parser, main
 from bvcheck.models import BUILTIN_MODELS
 from bvcheck.specfile import parse_spec
@@ -404,6 +405,63 @@ def test_mixed_parity_order_check_exits_two(budget, tmp_path, capsys):
     assert "mixed-parity" in captured.err
 
 
+# multiplication by xi1 + xi1*xi2: degrees 1 and 2, so no parity
+MIXED_PARITY_GERSTENHABER_SPEC = (
+    "GENERATORS\nxi1 1\nxi2 1\nOPERATOR D\n1 | 1 0 | 0 0\n1 | 1 1 | 0 0\nSUITE gerstenhaber\n"
+)
+
+
+@pytest.mark.parametrize("budget", ["0", "200"])
+def test_mixed_parity_gerstenhaber_exits_two(budget, tmp_path, capsys):
+    # the Leibniz rule reads the order certificate, which checks the parity
+    # before it searches, so a zero budget does not make it untested
+    spec = write(tmp_path, "mixed.spec", MIXED_PARITY_GERSTENHABER_SPEC)
+    with pytest.raises(AlgebraError, match="mixed-parity"):
+        cli.run_suite("gerstenhaber", parse_spec(MIXED_PARITY_GERSTENHABER_SPEC),
+                      Budget(max_tuples=int(budget)), {})
+    code = main(["check", "--spec", spec, "--budget-tuples", budget])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "mixed-parity" in captured.err
+
+
+EXTERIOR_CUBE_ORDER_2_SPEC = "MODEL exterior-cube\nSUITE bv-core order=2\n"
+
+
+@pytest.mark.parametrize("budget", [
+    ["--budget-degree", "0"],
+    ["--budget-degree", "1", "--budget-tuples", "3"],
+], ids=["unit-window", "three-tuples"])
+def test_order_claim_the_normal_form_refutes_is_untested(budget, tmp_path, capsys):
+    # d/dxi1 d/dxi2 d/dxi3 has order 3; the window's tuples miss its nonzero
+    # bracket (xi1, xi2, xi3), so the order <= 2 claim is untested, not passed
+    spec = write(tmp_path, "cube.spec", EXTERIOR_CUBE_ORDER_2_SPEC)
+    code = main(["check", "--spec", spec, *budget])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "[UNTESTED] bracket order <= 2 - untested (not shown sharp," in out
+    # the Leibniz rule reads the same certificate
+    code = main(["check", "--model", "exterior-cube", "--suite", "gerstenhaber", *budget])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "[UNTESTED] Leibniz rule - " in out
+
+
+def test_gerstenhaber_evaluates_no_arity_three_bracket(monkeypatch, capsys):
+    # F^3 of the Laplacian vanishes by its normal form: the Leibniz rule is
+    # read off the order certificate, and only Jacobi evaluates brackets, of
+    # arity 2 (every caller reaches akman_bracket through one of these names)
+    arities = []
+    for module in (brackets, cli):
+        real = module.akman_bracket
+        monkeypatch.setattr(module, "akman_bracket",
+                            lambda D, args, real=real: arities.append(len(args)) or real(D, args))
+    assert main(["check", "--model", "polyvector2", "--suite", "gerstenhaber"]) == 0
+    assert "[PASS    ] Leibniz rule - 200 triples" in capsys.readouterr().out
+    assert arities and set(arities) == {2}
+
+
 # square-zero but not odd: the derivation suite is a domain error at any budget
 NOT_ODD_DERIVATION_SPECS = {
     "even": "GENERATORS\nxi1 1\nxi2 1\nOPERATOR D\n1 | 0 0 | 1 1\nSUITE derivation\n",
@@ -448,7 +506,7 @@ GOLDEN = {
     ("model:exterior-cube", "split"): (0, "229d3a0e851646fa12a13704e317a0081a9a1667b7c82e41ce6930ca929f1e6c"),
     ("model:exterior-cube", "derivation"): (0, "7e393c0efd390ef856e05744a372aa9f820a95e0503f51ca48ecb1e597abb3d7"),
     ("model:exterior-cube", "bvinfty"): (0, "25ab726c9a25c32779eeae98aa8762c288ae5e369b271e73559358368e43d21e"),
-    ("model:exterior-cube", "gerstenhaber"): (0, "7d3b3c04167fb0c501fd7c3cba81d517dae64493f79c40635c51a200663a7483"),
+    ("model:exterior-cube", "gerstenhaber"): (1, "4b1422587be7e8ceadc19edd813495e588de77742492ebe43469bd563844ad0d"),
     ("model:exterior-cube", "cohomology"): (0, "3a508838bf3aadfceabae281e284a9926d8527f70b724e54c71d7a44d1c45060"),
     ("model:koszul1", "bv-core"): (0, "5dc251b6ede1cfaebf5bd6853eb0c2a78aec2567dec0f0c6f6044bf39fbd05e0"),
     ("model:koszul1", "brackets"): (0, "b9c33e54e781b93e84e8557239e2572b8b21d9e51bc707eeb8ee1e66b21007c0"),
@@ -472,7 +530,7 @@ GOLDEN = {
     ("model:mixed-order", "split"): (0, "786224bf816559b1f7825875dc2979cb9d7f54098e3ba5b2b8c63a6678e49d68"),
     ("model:mixed-order", "derivation"): (3, "0809e2649dda4d1051e41b8543f3440d265d766b2a89f87549af2752b532b25d"),
     ("model:mixed-order", "bvinfty"): (0, "f4a263814b029f5474a8139b4e4abc03f59556077c74de3dfb32c7aab5a7732a"),
-    ("model:mixed-order", "gerstenhaber"): (0, "cc623baa834b82db441582a80ee5a7b3048fbd27b44127a10141aabcd9a380d0"),
+    ("model:mixed-order", "gerstenhaber"): (1, "84f96cd701128d7f00bf4cd27285bba2a014a6837c50aad175163f533b422c07"),
     ("model:mixed-order", "cohomology"): (3, "e38ec7c710cdcc246ab60e2b885439b1eb600a9a2bde6c4858cb772882bfb892"),
     ("model:polyvector2", "bv-core"): (0, "1e3d0e7a1459c795bd9e724d10ea742c6a050158e985bd6b05ab29943cc67170"),
     ("model:polyvector2", "brackets"): (0, "fa0aaf3fefb498f965fa81d7122b07f9441f9ee420a01892ea2db679db3cc349"),
@@ -496,7 +554,7 @@ GOLDEN = {
     ("laplacian-plus-xi1", "split"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("laplacian-plus-xi1", "derivation"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("laplacian-plus-xi1", "bvinfty"): (1, "575a6613ff18f957a00ecb4318d3e16decdceecd33812b4ef7021ac461dd3b0f"),
-    ("laplacian-plus-xi1", "gerstenhaber"): (1, "c377f3f31d1b89ce6869f6cf1e76be343b38ca870329a7d3c55133502b1fcc15"),
+    ("laplacian-plus-xi1", "gerstenhaber"): (1, "d9dbf4e6fbf1bd72dfac80b412c97a0312133445b0ae9ebadec9190b12767301"),
     ("laplacian-plus-xi1", "cohomology"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("second-order-degree-one", "bv-core"): (0, "ae6e0ef03ebbd911c2d40b81c6c35cf54f5cf781a0b638e9e30333dc5ecb32a4"),
     ("second-order-degree-one", "brackets"): (0, "536249ee178ebfec6e848baa39ba017a05366c5832afff74ceb1c12723fbd35d"),

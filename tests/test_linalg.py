@@ -2,8 +2,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from bvcheck.linalg import RowSpace, kernel_and_image, vec_add
-from oracles import RowSpaceByCopies, kernel_and_image_by_copies
+from bvcheck.linalg import RowSpace, kernel_and_image
+from oracles import RowSpaceByCopies, kernel_and_image_by_copies, vec_add
 
 
 def vec(*pairs):

@@ -1,6 +1,8 @@
 import dataclasses
+import random
 from fractions import Fraction
-from itertools import product as iter_product
+from functools import partial
+from itertools import islice, product as iter_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,14 @@ from bvcheck.algebra import (
     enumerate_monomials,
     parse_element,
 )
-from bvcheck.brackets import Budget, akman_bracket, bracket_vanishes, bv_bracket
+from bvcheck.brackets import (
+    Budget,
+    akman_bracket,
+    akman_order_check,
+    bracket_vanishes,
+    bv_bracket,
+    first_witness,
+)
 from bvcheck.linalg import RowSpace
 from bvcheck.linfty import verify_linfty
 from bvcheck.models import (
@@ -34,6 +43,7 @@ from bvcheck.structures import (
 
 from oracles import (
     bracket_derivation_defect,
+    gerstenhaber_by_evaluation,
     induced_items_by_evaluation,
     square_by_degree_pairs,
 )
@@ -50,18 +60,33 @@ def monomial_elements(table, max_degree):
 def test_laplacian_bracket_passes_axioms():
     model = polyvector_model(2)
     elems = monomial_elements(model.table, 2)
+    cert = akman_order_check(model.D, 2, BUDGET)
     report = check_gerstenhaber(
         lambda a, b: bv_bracket(model.D, a, b),
-        lambda a, b: a * b,
         elems,
+        (cert.tuples_tested, cert.failure_witness),
         BUDGET,
-        bracket_degree=-1,
-        product_degree=0,
     )
     assert report.passed and report.fully_tested
+    assert [i.name for i in report.items] == ["graded antisymmetry", "graded Jacobi", "Leibniz rule"]
 
 
 def test_gerstenhaber_evaluates_each_pair_once():
+    model = polyvector_model(2)
+    elems = monomial_elements(model.table, 2)
+    brackets = []
+
+    def bracket(a, b):
+        brackets.append((a, b))
+        return bv_bracket(model.D, a, b)
+
+    # Leibniz is the caller's outcome: only Jacobi calls the bracket
+    report = check_gerstenhaber(bracket, elems, (60, None), BUDGET)
+    assert report.passed and report.fully_tested
+    assert brackets and len(set(brackets)) == len(brackets)
+
+
+def test_gerstenhaber_by_evaluation_evaluates_each_pair_once():
     model = polyvector_model(2)
     elems = monomial_elements(model.table, 2)
     brackets, products = [], []
@@ -74,7 +99,7 @@ def test_gerstenhaber_evaluates_each_pair_once():
         products.append((a, b))
         return a * b
 
-    report = check_gerstenhaber(
+    report = gerstenhaber_by_evaluation(
         bracket, product, elems, BUDGET, bracket_degree=-1, product_degree=0
     )
     assert report.passed and report.fully_tested
@@ -93,7 +118,7 @@ def test_gerstenhaber_memo_tells_same_support_elements_apart():
     def bracket(a, b):
         return bv_bracket(model.D, a, b)
 
-    report = check_gerstenhaber(bracket, lambda a, b: a * b, elems, budget)
+    report = gerstenhaber_by_evaluation(bracket, lambda a, b: a * b, elems, budget)
     assert report.passed and report.fully_tested
 
     memo = {}  # keyed by the supports alone: the collision the memo must avoid
@@ -102,7 +127,7 @@ def test_gerstenhaber_memo_tells_same_support_elements_apart():
         key = (frozenset(a.coeffs), frozenset(b.coeffs))
         return memo.setdefault(key, bracket(a, b))
 
-    report = check_gerstenhaber(by_support, lambda a, b: a * b, elems, budget)
+    report = gerstenhaber_by_evaluation(by_support, lambda a, b: a * b, elems, budget)
     names = {i.name: i.status for i in report.items}
     assert names["Leibniz rule"] == "fail"
 
@@ -112,11 +137,9 @@ def test_broken_bracket_fails_axioms():
     elems = monomial_elements(model.table, 2)
 
     def broken(a, b):  # drops the sign decoration: antisymmetry breaks
-        from bvcheck.brackets import akman_bracket
-
         return akman_bracket(model.D, (a, b))
 
-    report = check_gerstenhaber(broken, lambda a, b: a * b, elems, BUDGET)
+    report = gerstenhaber_by_evaluation(broken, lambda a, b: a * b, elems, BUDGET)
     names = {i.name: i.status for i in report.items}
     assert names["graded antisymmetry"] == "fail"
     failed = [i for i in report.items if i.status == "fail"]
@@ -129,7 +152,7 @@ def test_degree_split_mixed_order():
     model = mixed_order_model()
     result = degree_split(model.D, BUDGET)
     assert [n for n, _ in result.components] == [1, 2, 3]
-    assert not result.residual_flag
+    assert not result.residual_degrees
     recombined = Operator.zero(model.table)
     for n, comp in result.components:
         assert comp.degree() == 3 - 2 * n
@@ -144,8 +167,8 @@ def test_degree_split_assigns_by_degree_not_order():
     table = GeneratorTable(("xi", "u"), (-1, 1))
     D = Operator.derivative(table, "u")  # degree -1, so indexed n = 2
     result = degree_split(D, BUDGET)
-    assert result.component(2) == D
-    assert not result.residual_flag
+    assert result.components == [(2, D)]
+    assert not result.residual_degrees
 
 
 def test_degree_split_flags_off_pattern_degrees():
@@ -153,7 +176,6 @@ def test_degree_split_flags_off_pattern_degrees():
     off = Operator.term(table, 1, (1, 0), (0, 1))  # a d/db, degree 0
     assert off.compose(off).is_zero()
     result = degree_split(off, BUDGET)
-    assert result.residual_flag
     assert result.residual_degrees == [0]
     assert result.components == []
 
@@ -244,6 +266,87 @@ def test_bracket_derivation_defect_is_the_bracket_of_the_square(name):
     assert (nonzero > 0) == (name == "laplacian2+x1*xi1")
 
 
+def _gerstenhaber_items(D, elems, budget):
+    """``gerstenhaber_by_evaluation``'s items and ``check_gerstenhaber``'s, with
+    the Leibniz outcome of the latter the order <= 2 search on the same
+    triples, by name."""
+    triples = list(islice(iter_product(elems, repeat=3), budget.max_tuples))
+    leibniz = first_witness(triples, lambda t: not akman_bracket(D, t).is_zero())
+    bracket = partial(bv_bracket, D)
+    evaluated = gerstenhaber_by_evaluation(bracket, lambda a, b: a * b, elems, budget)
+    read_off = check_gerstenhaber(bracket, elems, leibniz, budget)
+    return ({i.name: i for i in evaluated.items}, {i.name: i for i in read_off.items})
+
+
+def test_leibniz_is_order_two_and_antisymmetry_holds_on_every_square():
+    # the Leibniz defect is (-1)^{|a|} F^3(a,b,c), so the evaluated rule
+    # fails first at the first triple with a nonzero F^3; F^2 is graded
+    # symmetric, so antisymmetry never fails; the elements are shuffled so
+    # that the triples do not all start with the unit
+    budget = Budget(max_degree=2, max_tuples=400)
+    statuses = set()
+    for name, D in sorted(SQUARES.items()):
+        elems = monomial_elements(D.table, 2)
+        random.Random(name).shuffle(elems)
+        evaluated, read_off = _gerstenhaber_items(D, elems, budget)
+        assert read_off["Leibniz rule"] == evaluated["Leibniz rule"], name
+        assert evaluated["graded antisymmetry"].status == "pass", name
+        assert read_off["graded antisymmetry"] == evaluated["graded antisymmetry"], name
+        assert read_off["graded Jacobi"] == evaluated["graded Jacobi"], name
+        statuses.add(evaluated["Leibniz rule"].status)
+    assert statuses == {"pass", "fail"}
+
+
+@st.composite
+def parity_homogeneous_operators(draw):
+    """An odd or even operator of up to five terms, inhomogeneous in degree,
+    with a window of its table's monomials in a drawn order."""
+    table = GeneratorTable(("x", "xi", "eta", "u"), (0, -1, 1, 2))
+    key = st.tuples(
+        st.sampled_from(enumerate_monomials(table, 2)),
+        st.sampled_from(enumerate_monomials(table, 3)),
+    )
+    coeff = st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 2)])
+    P = Operator(table, draw(st.dictionaries(key, coeff, max_size=5)))
+    parity = draw(st.sampled_from((0, 1)))
+    D = Operator(table, {t: c for t, c in P.terms.items() if P.term_degree(t) % 2 == parity})
+    return D, draw(st.permutations(monomial_elements(table, 2)))
+
+
+@given(parity_homogeneous_operators())
+@settings(max_examples=30, deadline=None)
+def test_leibniz_is_order_two_and_antisymmetry_holds_on_drawn_operators(case):
+    D, elems = case
+    evaluated, read_off = _gerstenhaber_items(D, elems, Budget(max_degree=2, max_tuples=150))
+    assert read_off["Leibniz rule"] == evaluated["Leibniz rule"]
+    assert evaluated["graded antisymmetry"].status == "pass"
+    assert read_off["graded Jacobi"] == evaluated["graded Jacobi"]
+
+
+@pytest.mark.parametrize("mult, deriv, nonzero", [
+    ("xi1*xi2", "xi2", 46),
+    ("x1*xi1", "x2", 55),
+])
+def test_bracket_derivation_defect_of_a_product_derivation(mult, deriv, nonzero):
+    # for an odd product derivation X, X[a,b] - [Xa,b] + (-1)^{|a|}[a,Xb] is
+    # (-1)^{|a|} F^2_{X o D + D o X}(a,b), so derivation clause (iv) is an
+    # order certificate of the anticommutator [X, D]
+    model = polyvector_model(2)
+    D, table = model.D, model.table
+    X = Operator.multiplication(parse_element(table, mult)).compose(
+        Operator.derivative(table, deriv)
+    )
+    assert X.is_odd() and bracket_vanishes(X, 2)
+    anticommutator = X.compose(D) + D.compose(X)
+    found = 0
+    for a, b in iter_product(monomial_elements(table, 2), repeat=2):
+        defect = bracket_derivation_defect(D, X, a, b)
+        value = akman_bracket(anticommutator, (a, b))
+        assert defect == (-value if a.parity() else value), (a, b)
+        found += not defect.is_zero()
+    assert found == nonzero
+
+
 def _koszul1_with_degree_minus_one_part():
     # c*xi1 d/dx1 has degree -1, and d = x1 d/dxi1 does not anticommute with it
     model = koszul_complex_model([1])
@@ -301,6 +404,28 @@ def test_derivation_lemma_requires_an_odd_operator(D):
     assert D.square().is_zero()
     with pytest.raises(AlgebraError, match="odd"):
         check_derivation_lemma(D, BUDGET)
+
+
+def test_derivation_clauses_iii_and_iv_follow_the_product_derivation_certificate(monkeypatch):
+    # d/dx d/dy with y odd of degree -1: square zero, degree +1 and of order 2,
+    # so D1 = D is no product derivation, and the identity that reads (iv)
+    # off the anticommutator [D1, D] does not apply
+    D = Operator.term(GeneratorTable(("x", "y"), (0, -1)), 1, (0, 0), (1, 1))
+    certified, real = [], structures.akman_order_check
+    monkeypatch.setattr(structures, "akman_order_check",
+                        lambda P, k, budget: certified.append(P) or real(P, k, budget))
+    iv = "no witness within budget (may hold on this model)"
+    # two pairs miss its nonzero bracket (x, y): (iii) is untested, not passed
+    items = {i.name: i for i in check_derivation_lemma(D, Budget(max_degree=1, max_tuples=2)).items}
+    assert (items["D1 product Leibniz"].status, items["D1 product Leibniz"].details) == (
+        "untested", "2 pairs")
+    assert (items["D1 bracket-derivation failure"].status,
+            items["D1 bracket-derivation failure"].details) == ("untested", iv)
+    items = {i.name: i for i in check_derivation_lemma(D, Budget(max_degree=1, max_tuples=3)).items}
+    assert (items["D1 product Leibniz"].status, items["D1 product Leibniz"].witness) == (
+        "fail", "(x, y)")
+    assert items["D1 bracket-derivation failure"].details == iv
+    assert certified and all(P == D for P in certified)  # D or D1, never [D1, D]
 
 
 def test_even_square_zero_operator_is_no_bracket_derivation():
