@@ -14,6 +14,7 @@ check exact and decidable.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping
 
 from .algebra import (
@@ -50,17 +51,21 @@ def _diff_monomial(table: GeneratorTable, i: int, mono: Monomial):
     return sign, reduced
 
 
-def _diff_word(table: GeneratorTable, deriv: Monomial, mono: Monomial):
-    """d^deriv of a normal-form monomial: (int coeff, monomial) or None."""
+def _word(deriv: Monomial) -> tuple[int, ...]:
+    """The derivatives of a multi-index as generator indices, innermost (the
+    highest index) first."""
+    return tuple(i for i in reversed(range(len(deriv))) for _ in range(deriv[i]))
+
+
+def _diff_word(table: GeneratorTable, word: tuple[int, ...], mono: Monomial):
+    """d^word of a normal-form monomial: (int coeff, monomial) or None."""
     coeff = 1
-    # innermost derivative is the highest generator index
-    for i in reversed(range(len(table))):
-        for _ in range(deriv[i]):
-            d = _diff_monomial(table, i, mono)
-            if d is None:
-                return None
-            dc, mono = d
-            coeff *= dc
+    for i in word:
+        d = _diff_monomial(table, i, mono)
+        if d is None:
+            return None
+        dc, mono = d
+        coeff *= dc
     return coeff, mono
 
 
@@ -69,12 +74,16 @@ class Operator:
 
     ``terms`` is never changed after construction, so each operator keeps the
     set of its term degrees, built once, the images of the monomials it has
-    been applied to, filled as it goes, its square once asked for, and, by
-    window, the cohomology ``structures.cohomology`` builds of it; all live as
-    long as the operator.
+    been applied to, filled as it goes, the integer form of its terms that
+    ``image`` builds on its first call (the lcm ``den`` of the coefficient
+    denominators and, per term, the multiplier, the derivative word and
+    ``den`` times the coefficient as an int), its square once asked for, and,
+    by window, the cohomology ``structures.cohomology`` builds of it; all live
+    as long as the operator.
     """
 
-    __slots__ = ("table", "terms", "_degrees", "_images", "_square", "_cohomology")
+    __slots__ = ("table", "terms", "_degrees", "_images", "_int_terms", "_square",
+                 "_cohomology")
 
     def __init__(self, table: GeneratorTable, terms: Mapping[TermKey, Fraction] | None = None):
         self.table = table
@@ -98,6 +107,7 @@ class Operator:
         self.terms = clean
         self._degrees = frozenset(degrees)
         self._images: dict[Monomial, dict[Monomial, Fraction]] = {}
+        self._int_terms: tuple[int, list] | None = None
         self._square: Operator | None = None
         self._cohomology: dict = {}
 
@@ -221,16 +231,25 @@ class Operator:
     def image(self, mono: Monomial) -> dict[Monomial, Fraction]:
         """Image of one normal-form monomial, as {monomial: nonzero coeff}.
 
-        The dict is the operator's cached copy, shared by every caller: read
-        it, never mutate it.
+        The sum runs over integer numerators over the common denominator of
+        the terms, with one ``Fraction`` per nonzero entry.  The dict is the
+        operator's cached copy, shared by every caller: read it, never
+        mutate it.
         """
         image = self._images.get(mono)
         if image is not None:
             return image
+        if self._int_terms is None:
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            self._int_terms = den, [
+                (mult, _word(deriv), c.numerator * (den // c.denominator))
+                for (mult, deriv), c in self.terms.items()
+            ]
+        den, int_terms = self._int_terms
         table = self.table
-        out: dict[Monomial, Fraction] = {}
-        for (mult, deriv), c in self.terms.items():
-            d = _diff_word(table, deriv, mono)
+        out: dict[Monomial, int] = {}
+        for mult, word, n in int_terms:
+            d = _diff_word(table, word, mono)
             if d is None:
                 continue
             dc, m = d
@@ -238,8 +257,8 @@ class Operator:
             if sm is None:
                 continue
             sign, prod = sm
-            out[prod] = out.get(prod, 0) + c * (sign * dc)
-        image = self._images[mono] = {m: v for m, v in out.items() if v}
+            out[prod] = out.get(prod, 0) + n * (sign * dc)
+        image = self._images[mono] = {m: Fraction(v, den) for m, v in out.items() if v}
         return image
 
     def __call__(self, a: Element) -> Element:

@@ -8,7 +8,13 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice, product as iter_product
 
-from bvcheck.algebra import AlgebraError, Element, GeneratorTable, enumerate_monomials
+from bvcheck.algebra import (
+    AlgebraError,
+    Element,
+    GeneratorTable,
+    enumerate_monomials,
+    monomial_mul,
+)
 from bvcheck.brackets import (
     Budget,
     OrderCertificate,
@@ -19,7 +25,7 @@ from bvcheck.brackets import (
     monomial_tuples,
 )
 from bvcheck.graded import koszul_sign, unshuffles
-from bvcheck.operators import Operator
+from bvcheck.operators import Operator, _diff_monomial
 from bvcheck.structures import StructReport, _first_tuples, _hom_bilinear
 
 
@@ -90,6 +96,38 @@ def kernel_and_image_by_copies(labels: list, vectors: list[dict]):
     for (_, pivot), row in tracked.rows.items():
         image.rows[pivot] = {k[1]: v for k, v in row.items() if k[0] == 0}
     return kernel, image
+
+
+def _diff_by_generators(table: GeneratorTable, deriv, mono):
+    """d^deriv of a monomial, walking every generator from the highest index
+    down: (int coeff, monomial) or None."""
+    coeff = 1
+    # innermost derivative is the highest generator index
+    for i in reversed(range(len(table))):
+        for _ in range(deriv[i]):
+            d = _diff_monomial(table, i, mono)
+            if d is None:
+                return None
+            dc, mono = d
+            coeff *= dc
+    return coeff, mono
+
+
+def image_by_fractions(D: Operator, mono) -> dict:
+    """``Operator.image`` summed in ``Fraction`` coefficients, uncached."""
+    table = D.table
+    out = {}
+    for (mult, deriv), c in D.terms.items():
+        d = _diff_by_generators(table, deriv, mono)
+        if d is None:
+            continue
+        dc, m = d
+        sm = monomial_mul(table, mult, m)
+        if sm is None:
+            continue
+        sign, prod = sm
+        out[prod] = out.get(prod, 0) + c * (sign * dc)
+    return {m: v for m, v in out.items() if v}
 
 
 def is_unshuffle(sigma: tuple[int, ...], k: int) -> bool:

@@ -596,16 +596,41 @@ def test_golden_brackets_command(capsys):
 
 
 # The cohomology command on a weighted Koszul complex, on a model whose d is
-# one of three components of D, and on the polyvector2 Laplacian (degree -1)
-# used as d, so that every boundary lands in an earlier degree slice.
+# one of three components of D, on the polyvector2 Laplacian (degree -1)
+# used as d, so that every boundary lands in an earlier degree slice, and on
+# a 3-pair weighted Koszul complex (weights 2, 3, 2) whose d and whose
+# d/dx d/dxi part have denominators 2-9, so the images are not integral.
+KOSZUL_FRACTIONAL = """GENERATORS
+x1 2
+xi1 3
+x2 2
+xi2 5
+x3 2
+xi3 3
+
+OPERATOR d
+3/2 | 2 0 0 0 0 0 | 0 1 0 0 0 0
+-5/7 | 0 0 3 0 0 0 | 0 0 0 1 0 0
+4/9 | 0 0 0 0 2 0 | 0 0 0 0 0 1
+
+OPERATOR D
+3/2 | 2 0 0 0 0 0 | 0 1 0 0 0 0
+-5/7 | 0 0 3 0 0 0 | 0 0 0 1 0 0
+4/9 | 0 0 0 0 2 0 | 0 0 0 0 0 1
+2/3 | 0 0 0 0 0 0 | 1 1 0 0 0 0
+-7/4 | 0 0 0 0 0 0 | 0 0 1 1 0 0
+6/5 | 0 0 0 0 0 0 | 0 0 0 0 1 1
+"""
 GOLDEN_COHOMOLOGY_SPECS = {
     "laplacian-as-d": "MODEL polyvector2\n\nOPERATOR d\n"
     + "1 | 0 0 0 0 | 1 0 1 0\n1 | 0 0 0 0 | 0 1 0 1\n",
+    "koszul-fractional": KOSZUL_FRACTIONAL,
 }
 GOLDEN_COHOMOLOGY = {
     ("model:koszul2", "6"): (0, "377f71a9f289eb990459be6a339a63bede9227f2699deac45567469fc8ce11d0"),
     ("model:mixed-order", "4"): (3, "d7924ff506baa403092e18407eb7766b0abb88f2f1eab1d79cc8472328f1cd71"),
     ("laplacian-as-d", "3"): (3, "ee466c784bb4105a3d518235a4ffa963a330e3f63373a53ec53d1e64c7df31f0"),
+    ("koszul-fractional", "7"): (0, "d7e9c3d717f72e43c4ed71185d71ef59bf69ec186a5cf0dbc91717b8b04f6213"),
 }
 
 

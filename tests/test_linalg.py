@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvcheck.linalg import RowSpace, kernel_and_image
@@ -120,23 +121,23 @@ def _label(kind, k):
 
 
 @st.composite
-def sparse_vectors(draw):
+def sparse_vectors(draw, coeff=COEFF, max_vectors=8):
     """Sparse rational vectors: fresh ones, zero ones, and combinations of
     earlier ones, so that dependent vectors and unit pivots both occur."""
     kind = draw(st.sampled_from(["int", "tuple"]))
 
     def fresh():
-        entries = draw(st.dictionaries(st.integers(0, 5), COEFF, max_size=4))
+        entries = draw(st.dictionaries(st.integers(0, 5), coeff, max_size=4))
         return {_label(kind, k): v for k, v in entries.items()}
 
     vectors = []
-    for _ in range(draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(0, max_vectors))):
         how = draw(st.sampled_from(["fresh", "fresh", "combination", "zero"]))
         if how == "zero":
             vectors.append({})
         elif how == "combination" and vectors:
             a, b = (draw(st.sampled_from(vectors)) for _ in range(2))
-            vectors.append(vec_add(vec_add({}, a, draw(COEFF)), b, draw(COEFF)))
+            vectors.append(vec_add(vec_add({}, a, draw(coeff)), b, draw(coeff)))
         else:
             vectors.append(fresh())
     probes = [fresh() for _ in range(draw(st.integers(0, 3)))]
@@ -164,3 +165,53 @@ def test_elimination_matches_the_copying_oracle(case, rng):
         assert ordered(space) == ordered(oracle)
     for p in probes + vectors:
         assert list(space.reduce(p).items()) == list(oracle.reduce(p).items())
+
+
+# Numerators up to 10^6 and denominators up to 97: integer rows grow, carry a
+# gcd content, and meet negative pivots.
+WIDE_COEFF = st.builds(
+    Fraction,
+    st.integers(-10**6, 10**6).filter(bool),
+    st.integers(1, 97),
+)
+
+
+def assert_same_kernel_and_image(labels, vectors):
+    """Entries in the same order and every value a ``Fraction``, as the
+    copying oracle gives them."""
+    kernel, image = kernel_and_image(labels, vectors)
+    kernel_oracle, image_oracle = kernel_and_image_by_copies(labels, vectors)
+    assert [list(c.items()) for c in kernel] == [list(c.items()) for c in kernel_oracle]
+    assert ordered(image) == ordered(image_oracle)
+    values = [v for c in kernel for v in c.values()]
+    values += [v for r in image.rows.values() for v in r.values()]
+    assert all(type(v) is Fraction for v in values)
+
+
+@given(sparse_vectors(WIDE_COEFF, max_vectors=12), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_elimination_with_wide_coefficients_matches_the_copying_oracle(case, rng):
+    vectors, _ = case
+    labels = list(range(len(vectors)))
+    rng.shuffle(labels)
+    assert_same_kernel_and_image(labels, vectors)
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        [],
+        [{}, {}, {}],
+        [vec((2, Fraction(-3, 7)), (0, Fraction(10**6, 97)))],
+        [{}],
+    ],
+    ids=["no-labels", "all-zero", "single", "single-zero"],
+)
+def test_elimination_edge_inputs_match_the_copying_oracle(vectors):
+    assert_same_kernel_and_image(list(range(len(vectors))), vectors)
+
+
+@pytest.mark.parametrize("n_labels,n_vectors", [(3, 2), (2, 3), (0, 1), (1, 0)])
+def test_kernel_and_image_rejects_mismatched_lengths(n_labels, n_vectors):
+    with pytest.raises(ValueError):
+        kernel_and_image(list(range(n_labels)), [vec((0, 1))] * n_vectors)

@@ -9,8 +9,9 @@ from bvcheck.algebra import (
     GeneratorTable,
     enumerate_monomials,
 )
-from bvcheck.models import BUILTIN_MODELS, mixed_order_model
+from bvcheck.models import BUILTIN_MODELS, mixed_order_model, polyvector_model
 from bvcheck.operators import Operator, _diff_monomial, format_operator
+from oracles import image_by_fractions
 
 TABLE = GeneratorTable(("x", "y", "xi", "eta"), (0, 2, 1, 3))
 # odd and even generators interleaved, odd ones of negative degree included
@@ -280,3 +281,52 @@ def test_square_is_built_once_and_is_the_composite(name):
     assert square is D.square()
     assert square == D.compose(D)
     assert square.is_zero() == D.is_square_zero()[0]
+
+
+# --- integer-numerator images against the Fraction oracle --------------------
+
+def _image_shapes() -> dict:
+    """Operators whose terms the image test rescales: every built-in model's
+    D and d, the perturbed Laplacians that refutations are made of, and the
+    zero operator, the identity and a lone multiplication."""
+    shapes = {}
+    for name, build in BUILTIN_MODELS.items():
+        model = build()
+        shapes[f"{name} D"], shapes[f"{name} d"] = model.D, model.d
+    for n in (2, 3):
+        model = polyvector_model(n)
+        z = (0,) * 2 * n
+        for i in range(n):
+            xi = Element.generator(model.table, f"xi{i + 1}")
+            shapes[f"laplacian{n} + xi{i + 1}"] = model.D + Operator.multiplication(xi)
+            j, k = (i + 1) % n, n - 1 - i
+            for a, b in ((i, i), (i, j)):
+                deriv = tuple((m == a) + (m == b) + (m == n + k) for m in range(2 * n))
+                term = Operator.term(model.table, 1, z, deriv)
+                shapes[f"laplacian{n} + dx{a + 1}dx{b + 1}dxi{k + 1}"] = model.D + term
+    table = polyvector_model(2).table
+    shapes["zero"] = Operator.zero(table)
+    shapes["identity"] = Operator.identity(table)
+    shapes["multiplication"] = Operator.term(table, 1, (1, 0, 0, 1), (0, 0, 0, 0))
+    return shapes
+
+
+IMAGE_SHAPES = _image_shapes()
+WIDE_TERM_COEFF = st.builds(
+    Fraction, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 9)
+)
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_SHAPES))
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_image_matches_the_fraction_oracle(name, data):
+    base = IMAGE_SHAPES[name]
+    n = len(base.terms)
+    coeffs = data.draw(st.lists(WIDE_TERM_COEFF, min_size=n, max_size=n))
+    D = Operator(base.table, dict(zip(base.terms, coeffs)))
+    for mono in enumerate_monomials(D.table, 3):
+        image = D.image(mono)
+        # same entries in the same order, each value a Fraction
+        assert list(image.items()) == list(image_by_fractions(D, mono).items())
+        assert all(type(v) is Fraction for v in image.values())
