@@ -12,6 +12,10 @@
 (tested, not assumed).  On a graded-commutative algebra the brackets are
 graded symmetric:  F(..., b, a, ...) = (-1)^{|a||b|} F(..., a, b, ...).
 
+Both routes sum over integers with ``D.int_image`` and ``monomial_mul`` and
+divide once at the output: ``akman_bracket`` runs the recursion on monomial
+tuples, ``koszul_bracket`` on products of its argument ``Element``s.
+
 Signs read only parities, so arguments and D are required parity-homogeneous;
 degree-homogeneous inputs are the common case.
 """
@@ -20,10 +24,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from itertools import combinations, product as iter_product
+from math import lcm, prod
 
-from .algebra import AlgebraError, Element, enumerate_monomials
+from .algebra import AlgebraError, Element, Monomial, enumerate_monomials, monomial_mul
 from .graded import koszul_sign, unshuffles
 from .operators import Operator
 
@@ -51,18 +57,18 @@ def _check_args(D: Operator, args) -> tuple[int, list[int]]:
         if a.table is not D.table and a.table != D.table:
             raise AlgebraError("bracket argument over a different table")
         parities.append(a.parity())  # raises on mixed parity
-    return (D.parity() if D else 1), parities
+    return (D.parity() if D else 1), tuple(parities)
 
 
 def akman_recursion(apply_fn, mul_fn, p_D: int, args, parities):
     """Core recursion, abstract in the operator action and the product.
 
     ``apply_fn``/``mul_fn`` operate on whatever value type the caller uses
-    (Elements here, cohomology classes in the induced-structure checks);
-    values must support + and -.  It recurses through itself, not through a
-    local closure: a closure that calls itself is a reference cycle, and would
-    keep the operator behind ``apply_fn``, with its caches, alive until the
-    cyclic garbage collector runs.
+    (cohomology classes in the induced checks, ``Element``s in the tests'
+    oracle); values must support + and -.  It recurses through itself, not
+    through a local closure: a closure that calls itself is a reference cycle,
+    and would keep the operator behind ``apply_fn``, with its caches, alive
+    until the cyclic garbage collector runs.
     """
     tup, pars = tuple(args), tuple(parities)
     if len(tup) == 1:
@@ -79,11 +85,59 @@ def akman_recursion(apply_fn, mul_fn, p_D: int, args, parities):
     return t1 - t2 - t3
 
 
+def _integral(a: Element, scale: int) -> dict[Monomial, int]:
+    """``scale * a`` as {monomial: int}, for a ``scale`` that clears every
+    denominator of ``a``."""
+    return {m: c.numerator * (scale // c.denominator) for m, c in a.coeffs.items()}
+
+
+def _akman_on_monomials(D: Operator, p_D: int, monos: tuple, parities: tuple):
+    """``akman_recursion`` on monomials, as {monomial: int} over ``D.den()``;
+    the product a_n a_{n+1} is a signed monomial, whose sign scales the first
+    term.  The result may be ``D``'s cached image: read it, never mutate it."""
+    if len(monos) == 1:
+        return D.int_image(monos[0])
+    table = D.table
+    a_n, a_np1 = monos[-2], monos[-1]
+    p_n, p_np1 = parities[-2], parities[-1]
+    head, head_p = monos[:-2], parities[:-2]
+    out: dict[Monomial, int] = {}
+    sm = monomial_mul(table, a_n, a_np1)
+    if sm is not None:
+        t1 = _akman_on_monomials(D, p_D, head + (sm[1],), head_p + ((p_n + p_np1) % 2,))
+        out = {k: sm[0] * v for k, v in t1.items()}
+    for k, v in _akman_on_monomials(D, p_D, head + (a_n,), head_p + (p_n,)).items():
+        sm = monomial_mul(table, k, a_np1)
+        if sm is not None:
+            out[sm[1]] = out.get(sm[1], 0) - sm[0] * v
+    sign = 1 if p_n * ((sum(head_p) + p_D) % 2) else -1
+    for k, v in _akman_on_monomials(D, p_D, head + (a_np1,), head_p + (p_np1,)).items():
+        sm = monomial_mul(table, a_n, k)
+        if sm is not None:
+            out[sm[1]] = out.get(sm[1], 0) + sign * sm[0] * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _scales(args) -> list[int]:
+    """The lcm of each argument's coefficient denominators."""
+    return [lcm(*(c.denominator for c in a.coeffs.values())) for a in args]
+
+
 def akman_bracket(D: Operator, args) -> Element:
-    """The arity-len(args) obstruction bracket, by the recursion."""
+    """The arity-len(args) obstruction bracket, by the recursion on every
+    tuple of the arguments' monomials, each weighted by the product of its
+    coefficients scaled to integers by ``_scales``."""
     args = tuple(args)
     p_D, parities = _check_args(D, args)
-    return akman_recursion(D.apply, lambda a, b: a * b, p_D, args, parities)
+    scales = _scales(args)
+    out: dict[Monomial, int] = {}
+    for choice in iter_product(*(_integral(a, s).items() for a, s in zip(args, scales))):
+        c = prod(n for _, n in choice)
+        monos = tuple(m for m, _ in choice)
+        for k, v in _akman_on_monomials(D, p_D, monos, parities).items():
+            out[k] = out.get(k, 0) + c * v
+    den = D.den() * prod(scales)
+    return Element(args[0].table, {k: Fraction(v, den) for k, v in out.items() if v})
 
 
 def koszul_bracket(D: Operator, args) -> Element:
@@ -97,28 +151,36 @@ def koszul_bracket(D: Operator, args) -> Element:
 
     Each index-ordered subset product is built once, from the product of the
     subset without its last index; ((a b) c) = (a (b c)) keeps the result
-    exactly that of multiplying left to right per unshuffle.
+    exactly that of multiplying left to right per unshuffle, and is scaled to
+    integers by the product of its arguments' ``_scales``.
     """
     args = tuple(args)
     _, parities = _check_args(D, args)
+    table = args[0].table
     if not D:
-        return Element.zero(args[0].table)
+        return Element.zero(table)
     n = len(args)
+    scales = _scales(args)
     products = {(i,): a for i, a in enumerate(args)}
     for size in range(2, n + 1):
         for subset in combinations(range(n), size):
             products[subset] = products[subset[:-1]] * args[subset[-1]]
-    out = Element.zero(args[0].table)
+    ints = {s: _integral(p, prod(scales[i] for i in s)) for s, p in products.items()}
+    out: dict[Monomial, int] = {}
     for k in range(1, n + 1):
         for sigma in unshuffles(k, n):
             negative = ((n - k) % 2 == 1) != (koszul_sign(parities, sigma) < 0)
-            term = D.apply(products[sigma[:k]])
-            if not term:
-                continue
-            if k < n:
-                term = term * products[sigma[k:]]
-            out = out - term if negative else out + term
-    return out
+            right = ints[sigma[k:]] if k < n else {(0,) * len(table): 1}
+            for m, c in ints[sigma[:k]].items():
+                if negative:
+                    c = -c
+                for p, v in D.int_image(m).items():
+                    for r, cr in right.items():
+                        sm = monomial_mul(table, p, r)
+                        if sm is not None:
+                            out[sm[1]] = out.get(sm[1], 0) + sm[0] * c * v * cr
+    den = D.den() * prod(scales)
+    return Element(table, {m: Fraction(v, den) for m, v in out.items() if v})
 
 
 def bv_bracket(delta: Operator, a: Element, b: Element) -> Element:

@@ -245,7 +245,8 @@ def _emit(reports, args, spec_name: str, exit_code: int) -> None:
         lines = []
         for r in reports:
             lines.extend(r.lines())
-        lines.append(f"result: {'PASS' if exit_code in (0, 3) else 'FAIL'}")
+        result = {0: "PASS", 3: "UNTESTED"}.get(exit_code, "FAIL")
+        lines.append(f"result: {result}")
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

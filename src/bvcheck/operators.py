@@ -73,17 +73,18 @@ class Operator:
     """Normal-form finite sum of (multiplier x derivative) terms.
 
     ``terms`` is never changed after construction, so each operator keeps the
-    set of its term degrees, built once, the images of the monomials it has
-    been applied to, filled as it goes, the integer form of its terms that
-    ``image`` builds on its first call (the lcm ``den`` of the coefficient
-    denominators and, per term, the multiplier, the derivative word and
-    ``den`` times the coefficient as an int), its square once asked for, and,
-    by window, the cohomology ``structures.cohomology`` builds of it; all live
-    as long as the operator.
+    set of its term degrees, built once; the integer form of its terms, built
+    on the first ``den`` or ``int_image`` call (the lcm ``den()`` of the
+    coefficient denominators and, per term, the multiplier, the derivative
+    word and ``den()`` times the coefficient as an int); the integer images
+    ``int_image`` computes over ``den()``, each monomial differentiated once;
+    the ``Fraction`` images ``image`` derives from those for ``apply``; its
+    square once asked for; and, by window, the cohomology
+    ``structures.cohomology`` builds of it.  All live as long as the operator.
     """
 
-    __slots__ = ("table", "terms", "_degrees", "_images", "_int_terms", "_square",
-                 "_cohomology")
+    __slots__ = ("table", "terms", "_degrees", "_images", "_int_images", "_int_terms",
+                 "_square", "_cohomology")
 
     def __init__(self, table: GeneratorTable, terms: Mapping[TermKey, Fraction] | None = None):
         self.table = table
@@ -107,6 +108,7 @@ class Operator:
         self.terms = clean
         self._degrees = frozenset(degrees)
         self._images: dict[Monomial, dict[Monomial, Fraction]] = {}
+        self._int_images: dict[Monomial, dict[Monomial, int]] = {}
         self._int_terms: tuple[int, list] | None = None
         self._square: Operator | None = None
         self._cohomology: dict = {}
@@ -228,27 +230,27 @@ class Operator:
                 out[m] = v if prev is None else prev + v
         return Element(self.table, out)
 
-    def image(self, mono: Monomial) -> dict[Monomial, Fraction]:
-        """Image of one normal-form monomial, as {monomial: nonzero coeff}.
-
-        The sum runs over integer numerators over the common denominator of
-        the terms, with one ``Fraction`` per nonzero entry.  The dict is the
-        operator's cached copy, shared by every caller: read it, never
-        mutate it.
-        """
-        image = self._images.get(mono)
-        if image is not None:
-            return image
+    def den(self) -> int:
+        """The lcm of the coefficient denominators: ``int_image`` is over it."""
         if self._int_terms is None:
             den = lcm(*(c.denominator for c in self.terms.values()))
             self._int_terms = den, [
                 (mult, _word(deriv), c.numerator * (den // c.denominator))
                 for (mult, deriv), c in self.terms.items()
             ]
-        den, int_terms = self._int_terms
+        return self._int_terms[0]
+
+    def int_image(self, mono: Monomial) -> dict[Monomial, int]:
+        """``den()`` times the image of one normal-form monomial, as
+        {monomial: nonzero int}.  The dict is the operator's cached copy,
+        shared by every caller: read it, never mutate it."""
+        image = self._int_images.get(mono)
+        if image is not None:
+            return image
+        self.den()  # builds the integer terms
         table = self.table
         out: dict[Monomial, int] = {}
-        for mult, word, n in int_terms:
+        for mult, word, n in self._int_terms[1]:
             d = _diff_word(table, word, mono)
             if d is None:
                 continue
@@ -258,7 +260,20 @@ class Operator:
                 continue
             sign, prod = sm
             out[prod] = out.get(prod, 0) + n * (sign * dc)
-        image = self._images[mono] = {m: Fraction(v, den) for m, v in out.items() if v}
+        image = self._int_images[mono] = {m: v for m, v in out.items() if v}
+        return image
+
+    def image(self, mono: Monomial) -> dict[Monomial, Fraction]:
+        """Image of one normal-form monomial, as {monomial: nonzero coeff}:
+        ``int_image`` over ``den()``, one ``Fraction`` per entry.  The dict is
+        the operator's cached copy, shared by every caller: read it, never
+        mutate it."""
+        image = self._images.get(mono)
+        if image is None:
+            den = self.den()
+            image = self._images[mono] = {
+                m: Fraction(v, den) for m, v in self.int_image(mono).items()
+            }
         return image
 
     def __call__(self, a: Element) -> Element:

@@ -375,7 +375,7 @@ def cohomology(
     boundary_space = RowSpace()
     kernels: dict[int, list[dict]] = {}
     for g, slice_monos in sorted(by_degree.items()):
-        images = [d.image(m) for m in slice_monos]
+        images = [d.int_image(m) for m in slice_monos]
         kernels[g], image = kernel_and_image(slice_monos, images)
         boundary_space.rows.update(image.rows)
 

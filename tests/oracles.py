@@ -18,6 +18,7 @@ from bvcheck.algebra import (
 from bvcheck.brackets import (
     Budget,
     OrderCertificate,
+    _check_args,
     akman_bracket,
     akman_recursion,
     bv_bracket,
@@ -152,6 +153,14 @@ def perm_sign(sigma) -> int:
             if sigma[t] > sigma[u]:
                 sign = -sign
     return sign
+
+
+def akman_bracket_by_elements(D, args) -> Element:
+    """``akman_bracket`` by the recursion on ``Element`` values: ``D.apply``
+    at every leaf and ``Element`` products at every node."""
+    args = tuple(args)
+    p_D, parities = _check_args(D, args)
+    return akman_recursion(D.apply, lambda a, b: a * b, p_D, args, parities)
 
 
 def koszul_bracket_by_unshuffles(D, args) -> Element:

@@ -29,6 +29,7 @@ from bvcheck.models import (
 )
 from bvcheck.operators import Operator
 from oracles import (
+    akman_bracket_by_elements,
     koszul_bracket_by_unshuffles,
     monomial_tuples_eager,
     order_check_by_evaluation,
@@ -138,6 +139,50 @@ def test_shared_subset_products_match_both_oracles(D_args):
     got = koszul_bracket(D, args)
     assert got == koszul_bracket_by_unshuffles(D, args)
     assert got == akman_bracket(D, args)
+
+
+# Term shapes (multiplier, derivatives) on polyvector2, with parity-homogeneous
+# degrees; the coefficients are drawn.
+BRACKET_SHAPES = {
+    "odd": [((0, 0, 0, 0), (1, 0, 1, 0)), ((0, 0, 0, 0), (0, 1, 0, 1)),
+            ((1, 0, 0, 0), (0, 1, 1, 0)), ((0, 0, 0, 0), (1, 1, 0, 1))],
+    "even": [((0, 0, 0, 0), (0, 0, 1, 1)), ((1, 0, 0, 0), (0, 1, 0, 0)),
+             ((0, 0, 1, 1), (1, 0, 0, 0))],
+    "multiplication": [((0, 0, 0, 0), (1, 0, 1, 0)), ((0, 0, 0, 0), (0, 1, 0, 1)),
+                       ((0, 0, 1, 0), (0, 0, 0, 0)), ((1, 0, 0, 1), (0, 0, 0, 0))],
+    "zero": [],
+}
+FRACTION = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
+
+
+@st.composite
+def fractional_argument(draw):
+    """A parity-homogeneous combination of one to three monomials of MONOS
+    with fractional coefficients."""
+    parity = draw(st.sampled_from((0, 1)))
+    monos = [m for m in MONOS if TABLE.monomial_parity(m) == parity]
+    return Element(TABLE, draw(st.dictionaries(st.sampled_from(monos), FRACTION,
+                                               min_size=1, max_size=3)))
+
+
+@pytest.mark.parametrize("with_zero", [False, True], ids=["nonzero", "zero-argument"])
+@pytest.mark.parametrize("shape", sorted(BRACKET_SHAPES))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_integer_routes_match_the_element_oracles(shape, with_zero, data):
+    terms = BRACKET_SHAPES[shape]
+    coeffs = data.draw(st.lists(FRACTION, min_size=len(terms), max_size=len(terms)))
+    D = Operator(TABLE, dict(zip(terms, coeffs)))
+    n = data.draw(st.integers(1, 4))
+    args = [data.draw(fractional_argument()) for _ in range(n - with_zero)]
+    if with_zero:
+        args.insert(data.draw(st.integers(0, n - 1)), Element.zero(TABLE))
+    expected = akman_bracket_by_elements(D, args)
+    assert koszul_bracket_by_unshuffles(D, args) == expected
+    assert akman_bracket(D, args) == expected
+    assert koszul_bracket(D, args) == expected
+    if with_zero or shape == "zero":
+        assert expected.is_zero()
 
 
 def test_equal_tables_interoperate_and_different_tables_raise():

@@ -94,7 +94,7 @@ def test_exit_code_three_when_only_untested(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "UNTESTED" in out
-    assert "result: PASS" in out
+    assert out.endswith("result: UNTESTED\n")
 
 
 # mixed-order plus multiplication by xi1: D∘D = d/dxi1∘xi1 + xi1∘d/dxi1 = 1

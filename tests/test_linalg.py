@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,6 +196,25 @@ def test_elimination_with_wide_coefficients_matches_the_copying_oracle(case, rng
     labels = list(range(len(vectors)))
     rng.shuffle(labels)
     assert_same_kernel_and_image(labels, vectors)
+
+
+@given(sparse_vectors(WIDE_COEFF, max_vectors=12), st.integers(1, 10**6),
+       st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_a_common_scalar_changes_neither_kernel_nor_image(case, s, rng):
+    # cohomology hands kernel_and_image D's integer images, den() times the
+    # rational ones
+    vectors, _ = case
+    labels = list(range(len(vectors)))
+    rng.shuffle(labels)
+    kernel, image = kernel_and_image(labels, vectors)
+    den = lcm(*(v.denominator for vec in vectors for v in vec.values()))
+    as_fractions = [{k: s * v for k, v in vec.items()} for vec in vectors]
+    as_ints = [{k: (s * den * v).numerator for k, v in vec.items()} for vec in vectors]
+    for scaled in (as_fractions, as_ints):
+        scaled_kernel, scaled_image = kernel_and_image(labels, scaled)
+        assert [list(c.items()) for c in scaled_kernel] == [list(c.items()) for c in kernel]
+        assert ordered(scaled_image) == ordered(image)
 
 
 @pytest.mark.parametrize(

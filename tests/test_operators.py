@@ -330,3 +330,19 @@ def test_image_matches_the_fraction_oracle(name, data):
         # same entries in the same order, each value a Fraction
         assert list(image.items()) == list(image_by_fractions(D, mono).items())
         assert all(type(v) is Fraction for v in image.values())
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_SHAPES))
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_int_image_is_den_times_the_fraction_oracle(name, data):
+    base = IMAGE_SHAPES[name]
+    n = len(base.terms)
+    coeffs = data.draw(st.lists(WIDE_TERM_COEFF, min_size=n, max_size=n))
+    D = Operator(base.table, dict(zip(base.terms, coeffs)))
+    den = D.den()
+    for mono in enumerate_monomials(D.table, 3):
+        image = D.int_image(mono)
+        oracle = {m: den * v for m, v in image_by_fractions(D, mono).items()}
+        assert list(image.items()) == list(oracle.items())
+        assert all(type(v) is int for v in image.values())
