@@ -241,23 +241,16 @@ class OrderCertificate:
     tuples_tested: int
     passed: bool
     failure_witness: tuple | None = None
-    sharp_witness: tuple | None = None
+    sharp: bool = False  # a passing order k >= 1 with F^k nonzero
     degenerate_zero: bool = False
-    missed: bool = False  # the normal form has a nonzero bracket no tuple reached
-
-    @property
-    def sharp(self) -> bool:
-        return self.sharp_witness is not None
 
     @property
     def status(self) -> str:
-        """``fail``, or ``pass``; ``untested`` when no tuple was tried, unless
-        the operator is zero and has order 0 by convention, or when the search
-        missed a nonzero bracket that the normal form shows."""
+        """``fail``, or ``pass``; ``untested`` when the window has no tuple,
+        unless the operator is zero and has order 0 by convention."""
         if not self.passed:
             return "fail"
-        decided = self.degenerate_zero or (self.tuples_tested and not self.missed)
-        return "pass" if decided else "untested"
+        return "pass" if self.degenerate_zero or self.tuples_tested else "untested"
 
     def verdict(self) -> str:
         if self.degenerate_zero:
@@ -274,33 +267,43 @@ def bracket_vanishes(P: Operator, n: int) -> bool:
     return all(0 < sum(deriv) < n for _, deriv in P.terms)
 
 
-def akman_order_check(D: Operator, k: int, budget: Budget | None = None) -> OrderCertificate:
-    """Certify order <= k: every enumerated arity-(k+1) bracket vanishes.
+def bracket_witness(P: Operator, n: int) -> tuple:
+    """Monomials at which ``F^n_P`` is nonzero, for ``P`` with
+    ``not bracket_vanishes(P, n)``: n units if ``P`` has a multiplication
+    term (``F^n_P(1, ..., 1) = ±P(1)``), else the derivatives of a
+    multi-index α with |α| >= n, of least |α| (the lexicographically greatest
+    of those), split into n nonempty groups.  A term contributes there only
+    if its α' <= α, so by minimality only the terms with derivative α do,
+    each wholly differentiating every argument, and their distinct
+    multipliers cannot cancel.  (A split of a top term can cancel a lower one.)
+    """
+    width = len(P.table)
+    if any(not sum(deriv) for _, deriv in P.terms):
+        return ((0,) * width,) * n
+    alpha = max((d for _, d in P.terms if sum(d) >= n), key=lambda d: (-sum(d), d))
+    word = [i for i, e in enumerate(alpha) for _ in range(e)]
+    groups = [[i] for i in word[: n - 1]] + [word[n - 1 :]]
+    return tuple(tuple(g.count(i) for i in range(width)) for g in groups)
 
-    Also records a nonzero arity-k bracket witness when one exists within
-    budget (sharpness).  Tuples are monomial tuples; multilinearity makes
-    them a spanning test set for the budgeted degree window.  A bracket that
-    ``bracket_vanishes`` is not searched: its tuples all pass, and no
-    sharpness witness exists.  Brackets are evaluated only to find a witness;
-    missing one that the normal form shows exists leaves the claim untested.
+
+def akman_order_check(D: Operator, k: int, budget: Budget | None = None) -> OrderCertificate:
+    """Decide order <= k exactly from the normal form: every arity-(k+1)
+    bracket vanishes iff ``bracket_vanishes(D, k + 1)``.
+
+    A pass reports the window's tuple count and is sharp when the arity-k
+    bracket does not vanish.  A failure carries ``bracket_witness``, confirmed
+    by one bracket evaluation, and reports that one tuple.
     """
     if k < 0:
         raise AlgebraError("order must be >= 0")
     budget = budget or Budget()
-    table = D.table
     if D.is_zero():
         return OrderCertificate(k, 0, True, degenerate_zero=True)
     _check_parity(D)
-
-    def nonzero(tup):
-        return not akman_bracket(D, [Element.monomial(table, m) for m in tup]).is_zero()
-
     if bracket_vanishes(D, k + 1):
-        tested, failure, missed = tuple_count(table, k + 1, budget), None, False
-    else:
-        tested, failure = first_witness(monomial_tuples(table, k + 1, budget), nonzero)
-        missed = failure is None
-    sharp_witness = None
-    if failure is None and k >= 1 and not bracket_vanishes(D, k):
-        _, sharp_witness = first_witness(monomial_tuples(table, k, budget), nonzero)
-    return OrderCertificate(k, tested, failure is None, failure, sharp_witness, missed=missed)
+        sharp = k >= 1 and not bracket_vanishes(D, k)
+        return OrderCertificate(k, tuple_count(D.table, k + 1, budget), True, sharp=sharp)
+    witness = bracket_witness(D, k + 1)
+    if akman_bracket(D, [Element.monomial(D.table, m) for m in witness]).is_zero():
+        raise AssertionError("constructed bracket witness evaluates to zero")
+    return OrderCertificate(k, 1, False, witness)

@@ -72,19 +72,10 @@ def _bv_core(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     report = StructReport("core operator facts")
     report.add("operator is odd", "pass" if D.is_odd() else "fail")
     ok, witness = D.is_square_zero()
-    report.add(
-        "operator squares to zero",
-        "pass" if ok else "fail",
-        witness=None
-        if ok
-        else format_element(Element.monomial(table, witness)),
-    )
+    witness = None if ok else format_element(Element.monomial(table, witness))
+    report.add("operator squares to zero", "pass" if ok else "fail", witness=witness)
     k = params.get("order", D.structural_order())
-    report.certify(
-        f"bracket order <= {k}",
-        akman_order_check(D, k, budget),
-        lambda w: "; ".join(format_element(Element.monomial(table, m)) for m in w),
-    )
+    report.certify(f"bracket order <= {k}", akman_order_check(D, k, budget), table)
     return report
 
 
@@ -133,7 +124,8 @@ def _split(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     report = StructReport("order/degree decomposition")
     result = degree_split(D, budget)
     for n, cert in sorted(result.certificates.items()):
-        report.certify(f"component n={n} (degree {3 - 2 * n:+d}) has order <= {n}", cert)
+        name = f"component n={n} (degree {3 - 2 * n:+d}) has order <= {n}"
+        report.certify(name, cert, D.table)
     report.add(
         "no off-pattern degree components",
         "fail" if result.residual_degrees else "pass",
@@ -149,23 +141,24 @@ def _split(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
 def _gerstenhaber(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     table = spec.table
     D = spec.main_operator()
-    elems = [Element.monomial(table, m) for m in enumerate_monomials(table, budget.max_degree)]
-    # the Leibniz defect is F^3: exact on a pass, a witness search on a fail
+    # the Leibniz defect is F^3 and, for odd D with F^3 = 0, the Jacobiator
+    # is F^3 of D o D: both exact; else Jacobi is evaluated on window triples
     cert = akman_order_check(D, 2, budget)
     tried = tuple_count(table, 3, budget) if cert.degenerate_zero else cert.tuples_tested
+    exact = cert.passed and (D.is_zero() or D.is_odd())
     report = check_gerstenhaber(
         lambda a, b: bv_bracket(D, a, b),
-        elems,
+        tuple_count(table, 2, budget),
+        () if exact else (as_elements(table, t) for t in monomial_tuples(table, 3, budget)),
         (tried, as_elements(table, cert.failure_witness)),
-        budget,
-        title="bracket of the main operator",
+        "bracket of the main operator",
+        square=D.square() if exact else None,
     )
-    if cert.missed:
-        report.items[-1].status = "untested"
     # a degree-homogeneous D and monomial arguments fix both degrees
+    pairs = len(enumerate_monomials(table, budget.max_degree)) ** 2
     if D.is_degree_homogeneous() and not D.is_zero():
-        report.tally(f"bracket degree offset {D.degree():+d}", len(elems) ** 2, None)
-    report.tally("product degree offset +0", len(elems) ** 2, None)
+        report.tally(f"bracket degree offset {D.degree():+d}", pairs, None)
+    report.tally("product degree offset +0", pairs, None)
     return report
 
 

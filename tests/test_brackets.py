@@ -14,6 +14,7 @@ from bvcheck.brackets import (
     akman_bracket,
     akman_order_check,
     bracket_vanishes,
+    bracket_witness,
     bv_bracket,
     first_witness,
     koszul_bracket,
@@ -225,7 +226,7 @@ def test_order_certificates():
     cert = akman_order_check(DELTA, 2, budget)
     assert cert.passed and cert.sharp
     assert DELTA.structural_order() == 2
-    assert cert.failure_witness is None and cert.sharp_witness is not None
+    assert cert.failure_witness is None
 
     # a first-order operator is not order 0 but is order 1
     d = Operator.derivative(TABLE, "xi1")
@@ -249,7 +250,7 @@ def test_order_check_on_no_tuples_is_untested():
     cert = akman_order_check(DELTA, 2, Budget(max_tuples=0))
     assert cert.passed and cert.tuples_tested == 0
     assert cert.status == "untested"
-    assert cert.verdict() == "untested (not shown sharp, 0 tuples)"
+    assert cert.verdict() == "untested (sharp, 0 tuples)"
     zero = akman_order_check(Operator.zero(TABLE), 2, Budget(max_tuples=0))
     assert zero.status == "pass"
     assert akman_order_check(DELTA, 2, Budget(max_degree=2, max_tuples=40)).status == "pass"
@@ -283,14 +284,13 @@ def test_passing_order_check_evaluates_no_bracket(monkeypatch):
         return real(D, args)
 
     monkeypatch.setattr(brackets, "akman_bracket", counting)
-    # order 2 <= 3 and no arity-3 bracket is nonzero either: nothing to search
+    # order 2 <= 3 and no arity-3 bracket is nonzero either
     cert = akman_order_check(DELTA, 3, Budget(max_degree=2, max_tuples=120))
     assert (cert.status, cert.tuples_tested, cert.sharp) == ("pass", 120, False)
-    assert calls == []
-    # order <= 2 is decided too; only the sharpness witness is searched for
+    # order <= 2 is decided too, and so is its sharpness
     cert = akman_order_check(DELTA, 2, Budget(max_degree=2, max_tuples=120))
-    assert cert.passed and cert.sharp
-    assert calls and all(len(args) == 2 for args in calls)
+    assert (cert.status, cert.tuples_tested, cert.sharp) == ("pass", 120, True)
+    assert calls == []
 
 
 def _order_check_cases():
@@ -311,38 +311,43 @@ def _order_check_cases():
     Budget(max_degree=3, max_tuples=20, seed=1),
 ], ids=["degree1", "degree2", "degree3-sampled"])
 def test_order_check_matches_evaluating_every_tuple(budget):
+    # the certificate fails exactly where the normal form shows a nonzero
+    # bracket, at a witness of one tuple; wherever evaluating the window finds
+    # a failure or a sharpness witness, the certificate has it too
     seen = set()
     for label, D in _order_check_cases():
         for k in range(4):
             cert = akman_order_check(D, k, budget)
             oracle = order_check_by_evaluation(D, k, budget)
-            seen.add((cert.status, cert.sharp))
-            if cert.missed:
-                # the window holds no witness of a bracket the normal form
-                # shows nonzero: the oracle passes, the certificate is untested
-                assert not bracket_vanishes(D, k + 1), (label, k)
-                assert (cert.status, oracle.status) == ("untested", "pass"), (label, k)
-                cert = dataclasses.replace(cert, missed=False)
-            # counts, verdicts and both witnesses
-            assert cert == oracle, (label, k)
-    # passes, sharp passes, failures and missed brackets all occur
-    assert {("pass", True), ("pass", False), ("fail", False)} <= seen
-    assert any(status == "untested" for status, _ in seen)
+            assert cert.passed == bracket_vanishes(D, k + 1), (label, k)
+            seen.add((cert.status, oracle.status))
+            if not cert.passed:
+                assert cert.tuples_tested == 1 and not cert.sharp, (label, k)
+                args = [Element.monomial(D.table, m) for m in cert.failure_witness]
+                assert not akman_bracket(D, args).is_zero(), (label, k)
+                continue
+            assert cert.sharp == (k >= 1 and not bracket_vanishes(D, k)), (label, k)
+            assert oracle.sharp <= cert.sharp, (label, k)
+            # a pass is the oracle's, sharpness aside: no tuple of the window fails
+            assert cert == dataclasses.replace(oracle, sharp=cert.sharp), (label, k)
+    # passes, failures both found and missed by the window all occur
+    assert {("pass", "pass"), ("fail", "fail"), ("fail", "pass")} <= seen
 
 
-@pytest.mark.parametrize("budget, status", [
-    (Budget(max_degree=0), "untested"),
-    (Budget(max_degree=1, max_tuples=3), "untested"),
-    (Budget(max_degree=1, max_tuples=64), "fail"),
-], ids=["unit-window", "three-tuples", "exhaustive"])
-def test_order_check_never_passes_what_the_normal_form_refutes(budget, status):
+@pytest.mark.parametrize("budget", [
+    Budget(max_degree=0),
+    Budget(max_degree=1, max_tuples=3),
+    Budget(max_degree=1, max_tuples=64),
+    Budget(max_tuples=0),
+], ids=["unit-window", "three-tuples", "exhaustive", "zero-budget"])
+def test_order_check_never_passes_what_the_normal_form_refutes(budget):
     # F^3 of d/dxi1 d/dxi2 d/dxi3 is nonzero only at permutations of
-    # (xi1, xi2, xi3): a window that misses them leaves order <= 2 untested
+    # (xi1, xi2, xi3): the certificate fails there whatever the window holds
     D = BUILTIN_MODELS["exterior-cube"]().D
     assert not bracket_vanishes(D, 3)
     cert = akman_order_check(D, 2, budget)
-    assert cert.status == status
-    assert cert.missed == (status == "untested") and cert.tuples_tested > 0
+    assert (cert.status, cert.tuples_tested) == ("fail", 1)
+    assert cert.failure_witness == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @pytest.mark.parametrize("model", [koszul_complex_model([1, 2]), mixed_order_model()],
@@ -395,6 +400,50 @@ def test_bracket_vanishes_iff_every_bracket_on_the_window_vanishes(P):
             akman_bracket(P, tup).is_zero() for tup in combinations_with_replacement(monos, n)
         )
         assert bracket_vanishes(P, n) == evaluated, n
+
+
+@st.composite
+def polyvector_operators(draw):
+    """A parity-homogeneous operator of up to four terms on polyvector2, of
+    derivative order up to 4, multiplication terms included."""
+    key = st.tuples(
+        st.sampled_from(enumerate_monomials(TABLE, 2)),
+        st.sampled_from(enumerate_monomials(TABLE, 4)),
+    )
+    coeff = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)])
+    P = Operator(TABLE, draw(st.dictionaries(key, coeff, max_size=4)))
+    parity = draw(st.sampled_from((0, 1)))
+    return Operator(TABLE, {t: c for t, c in P.terms.items() if P.term_degree(t) % 2 == parity})
+
+
+@given(st.one_of(small_operators(), polyvector_operators()), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_bracket_witness_gives_a_nonzero_bracket(P, n):
+    if bracket_vanishes(P, n):
+        return
+    witness = bracket_witness(P, n)
+    assert len(witness) == n and all(P.table.check_monomial(m) is None for m in witness)
+    assert not akman_bracket(P, [Element.monomial(P.table, m) for m in witness]).is_zero()
+
+
+def test_bracket_witness_splits_a_minimal_term_not_a_top_one():
+    # P = d/dx1^2 d/dxi1 - 1/3 x1 d/dx1^3 d/dxi1: splitting the top term's
+    # derivatives at (x1, x1, x1 xi1) meets the lower term's 2 x1 and cancels
+    # to 0; the minimal term's split (x1, x1, xi1) leaves only it, at 2
+    P = Operator(TABLE, {
+        ((0, 0, 0, 0), (2, 0, 1, 0)): Fraction(1),
+        ((1, 0, 0, 0), (3, 0, 1, 0)): Fraction(-1, 3),
+    })
+    x1, xi1 = gen("x1"), gen("xi1")
+    assert akman_bracket(P, (x1, x1, x1 * xi1)).is_zero()
+    assert bracket_witness(P, 3) == ((1, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0))
+    assert akman_bracket(P, (x1, x1, xi1)) == 2 * Element.one(TABLE)
+
+
+def test_bracket_witness_of_a_multiplication_term_is_the_unit():
+    P = DELTA + Operator.multiplication(gen("xi1"))
+    for n in range(1, 5):
+        assert bracket_witness(P, n) == ((0, 0, 0, 0),) * n
 
 
 def test_laplacian_fails_order_one():
@@ -451,14 +500,26 @@ def _counting_draws(monkeypatch) -> list:
     Operator.multiplication(Fraction(3, 2) * gen("xi1")),
     Fraction(-2) * Operator(TABLE, {((0, 0, 0, 0), (1, 1, 1, 0)): Fraction(1)}),
 ], ids=["xi1", "dx1dx2dxi1"])
-def test_failing_order_check_draws_only_the_tuples_it_tries(extra, monkeypatch):
-    # the two perturbations of the Laplacian that refute order <= 2
+def test_failing_order_check_draws_no_tuple_and_evaluates_one_bracket(extra, monkeypatch):
+    # the two perturbations of the Laplacian that refute order <= 2, on a
+    # window the tuple stream would sample
     D, budget = DELTA + extra, Budget()
     assert len(enumerate_monomials(TABLE, budget.max_degree)) ** 3 > budget.max_tuples
     draws = _counting_draws(monkeypatch)
+    calls, real = [], brackets.akman_bracket
+    monkeypatch.setattr(brackets, "akman_bracket",
+                        lambda P, args: calls.append((P, tuple(args))) or real(P, args))
     cert = akman_order_check(D, 2, budget)
-    assert not cert.passed and cert.tuples_tested >= 1
-    assert len(draws) == 3 * cert.tuples_tested
+    assert (cert.status, cert.tuples_tested) == ("fail", 1)
+    witness = tuple(elem(m) for m in cert.failure_witness)
+    assert calls == [(D, witness)] and draws == []
+
+
+def test_a_zero_constructed_witness_is_an_assertion_error(monkeypatch):
+    # the witness rule is a theorem; a zero bracket at its witness is a bug
+    monkeypatch.setattr(brackets, "bracket_witness", lambda P, n: ((0, 0, 0, 0),) * n)
+    with pytest.raises(AssertionError, match="witness"):
+        akman_order_check(DELTA, 1, Budget())
 
 
 def test_exact_order_pass_draws_no_tuple(monkeypatch):

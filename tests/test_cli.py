@@ -87,8 +87,8 @@ def test_exit_code_two_on_unknown_model(capsys):
 
 
 def test_exit_code_three_when_only_untested(tmp_path, capsys):
-    # with an empty enumeration window the Leibniz-failure witness search
-    # cannot find anything: nothing fails, one item stays untested
+    # on the unit window the Leibniz failure is still exhibited, but the
+    # bracket-derivation tally exercises nothing: nothing fails, it is untested
     code = main(["check", "--model", "polyvector2", "--suite", "derivation",
                  "--budget-degree", "0"])
     out = capsys.readouterr().out
@@ -160,7 +160,11 @@ def test_tallied_passes_on_the_unit_alone_are_untested(suite, items, capsys):
     code = main(["check", "--model", "koszul1", "--suite", suite, "--budget-degree", "0"])
     out = capsys.readouterr().out
     assert code == 3
-    assert "[PASS" not in out
+    # the one pass is exact: the product-Leibniz failure of D is constructed
+    passes = [line for line in out.splitlines() if "[PASS" in line]
+    assert passes == ([] if suite == "brackets" else [
+        "  [PASS    ] product-Leibniz failure of D - failure witness exhibited"
+        " (witness: (x1, xi1))"])
     for item in items:
         assert f"[UNTESTED] {item}, the unit monomial alone" in out
 
@@ -170,7 +174,7 @@ def test_exact_and_vacuous_passes_on_the_unit_alone_stay_passes(capsys):
                  "--suite", "derivation", "--budget-degree", "0"])
     out = capsys.readouterr().out
     assert code == 3
-    assert "[PASS    ] bracket order <= 2 - pass (not shown sharp, 1 tuples)" in out
+    assert "[PASS    ] bracket order <= 2 - pass (sharp, 1 tuples)" in out
     assert "[PASS    ] D1 product Leibniz - vacuous: no degree +1 part" in out
     assert "[UNTESTED] D is a bracket derivation - 1 pairs, the unit monomial alone" in out
 
@@ -268,12 +272,13 @@ def test_spec_without_differential_builds_its_cohomology_once(tmp_path, monkeypa
         return real(labels, vectors)
 
     monkeypatch.setattr(structures, "kernel_and_image", counting)
-    # one build of three slices, as for the model whose d is also zero
-    assert main(["cohomology", "--model", "polyvector2", "--window", "3"]) == 0
+    # one build of three slices, as for the model whose d is also zero; the
+    # induced tallies read a prefix of the 25 classes' triples, so exit 3
+    assert main(["cohomology", "--model", "polyvector2", "--window", "3"]) == 3
     assert len(slices) == 3
     path = write(tmp_path, "good.spec", LAPLACIAN_SPEC)
     slices.clear()
-    assert main(["cohomology", "--spec", path, "--window", "3"]) == 0
+    assert main(["cohomology", "--spec", path, "--window", "3"]) == 3
     assert len(slices) == 3
 
 
@@ -374,7 +379,7 @@ def test_zero_budget_order_certificate_is_untested(argv, item, capsys):
     assert main(argv + ["--budget-tuples", "0", "--format", "json"]) == 3
     (suite,) = json.loads(capsys.readouterr().out)["suites"]
     statuses = {i["name"]: (i["status"], i["details"]) for i in suite["items"]}
-    assert statuses[item] == ("untested", "untested (not shown sharp, 0 tuples)")
+    assert statuses[item] == ("untested", "untested (sharp, 0 tuples)")
     assert all(s in ("pass", "untested") for s, _ in statuses.values())
 
 
@@ -433,33 +438,59 @@ EXTERIOR_CUBE_ORDER_2_SPEC = "MODEL exterior-cube\nSUITE bv-core order=2\n"
     ["--budget-degree", "0"],
     ["--budget-degree", "1", "--budget-tuples", "3"],
 ], ids=["unit-window", "three-tuples"])
-def test_order_claim_the_normal_form_refutes_is_untested(budget, tmp_path, capsys):
+def test_order_claim_the_normal_form_refutes_fails(budget, tmp_path, capsys):
     # d/dxi1 d/dxi2 d/dxi3 has order 3; the window's tuples miss its nonzero
-    # bracket (xi1, xi2, xi3), so the order <= 2 claim is untested, not passed
+    # bracket (xi1, xi2, xi3), which the certificate constructs instead
     spec = write(tmp_path, "cube.spec", EXTERIOR_CUBE_ORDER_2_SPEC)
     code = main(["check", "--spec", spec, *budget])
     out = capsys.readouterr().out
-    assert code == 3
-    assert "[UNTESTED] bracket order <= 2 - untested (not shown sharp," in out
+    assert code == 1
+    assert ("[FAIL    ] bracket order <= 2 - fail (not shown sharp, 1 tuples)"
+            " (witness: xi1; xi2; xi3)") in out
     # the Leibniz rule reads the same certificate
     code = main(["check", "--model", "exterior-cube", "--suite", "gerstenhaber", *budget])
     out = capsys.readouterr().out
-    assert code == 3
-    assert "[UNTESTED] Leibniz rule - " in out
+    assert code == 1
+    assert "[FAIL    ] Leibniz rule (witness: (xi1, xi2, xi3))" in out
 
 
 def test_gerstenhaber_evaluates_no_arity_three_bracket(monkeypatch, capsys):
-    # F^3 of the Laplacian vanishes by its normal form: the Leibniz rule is
-    # read off the order certificate, and only Jacobi evaluates brackets, of
-    # arity 2 (every caller reaches akman_bracket through one of these names)
+    # F^3 of the Laplacian vanishes by its normal form, and so does F^3 of its
+    # square, 0: the Leibniz rule and Jacobi are both read off the normal
+    # form, and no bracket is evaluated at all (every caller reaches
+    # akman_bracket through one of these names)
     arities = []
-    for module in (brackets, cli):
+    for module in (brackets, cli, structures):
         real = module.akman_bracket
         monkeypatch.setattr(module, "akman_bracket",
                             lambda D, args, real=real: arities.append(len(args)) or real(D, args))
     assert main(["check", "--model", "polyvector2", "--suite", "gerstenhaber"]) == 0
-    assert "[PASS    ] Leibniz rule - 200 triples" in capsys.readouterr().out
-    assert arities and set(arities) == {2}
+    out = capsys.readouterr().out
+    assert "[PASS    ] graded Jacobi - 200 triples" in out
+    assert "[PASS    ] Leibniz rule - 200 triples" in out
+    assert arities == []
+
+
+# odd and of order 2 on polyvector2, but its bracket breaks Jacobi: the
+# square d/dx2 d/dxi1 d/dxi2 has a nonzero arity-3 bracket
+NON_JACOBI_SPEC = """MODEL polyvector2
+
+OPERATOR D
+1 | 0 0 0 0 | 1 0 1 0
+1 | 1 0 0 0 | 0 1 0 1
+
+SUITE gerstenhaber
+"""
+
+
+def test_gerstenhaber_fails_jacobi_of_an_order_two_operator(tmp_path, capsys):
+    # every default-budget prefix triple starts with the unit, whose bracket
+    # vanishes; the constructed witness does not depend on the window
+    spec = write(tmp_path, "non-jacobi.spec", NON_JACOBI_SPEC)
+    assert main(["check", "--spec", spec]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL    ] graded Jacobi (witness: (x2, xi1, xi2))" in out
+    assert "[PASS    ] Leibniz rule - 200 triples" in out
 
 
 # square-zero but not odd: the derivation suite is a domain error at any budget
@@ -504,15 +535,15 @@ GOLDEN = {
     ("model:exterior-cube", "brackets"): (0, "ae0ab98d5993aaef2e57a4e10850c07ae48ac0d7a486ee7f5a9ec731ea33dee5"),
     ("model:exterior-cube", "linfty"): (0, "712aca4c0946a93dae088f7faae37e74f9f72bed1ef88a97965dd088479dd797"),
     ("model:exterior-cube", "split"): (0, "229d3a0e851646fa12a13704e317a0081a9a1667b7c82e41ce6930ca929f1e6c"),
-    ("model:exterior-cube", "derivation"): (0, "7e393c0efd390ef856e05744a372aa9f820a95e0503f51ca48ecb1e597abb3d7"),
+    ("model:exterior-cube", "derivation"): (0, "f60467e966fe3a54f7b0af99d589eaa7a7e6cea57effea086f2dc38021ce3a08"),
     ("model:exterior-cube", "bvinfty"): (0, "25ab726c9a25c32779eeae98aa8762c288ae5e369b271e73559358368e43d21e"),
-    ("model:exterior-cube", "gerstenhaber"): (1, "4b1422587be7e8ceadc19edd813495e588de77742492ebe43469bd563844ad0d"),
+    ("model:exterior-cube", "gerstenhaber"): (1, "5315144f496fdefce4582dc764822a6c49df9b3e3ebbf8dcca45c01e0f08766b"),
     ("model:exterior-cube", "cohomology"): (0, "3a508838bf3aadfceabae281e284a9926d8527f70b724e54c71d7a44d1c45060"),
     ("model:koszul1", "bv-core"): (0, "5dc251b6ede1cfaebf5bd6853eb0c2a78aec2567dec0f0c6f6044bf39fbd05e0"),
     ("model:koszul1", "brackets"): (0, "b9c33e54e781b93e84e8557239e2572b8b21d9e51bc707eeb8ee1e66b21007c0"),
     ("model:koszul1", "linfty"): (0, "78cbb10ffa7909fdd2df8731f1abe723f8487fc698943c9dcc102391142a4a3b"),
     ("model:koszul1", "split"): (0, "f8edb0b040b238a017ab31b1efcf8e5efc54cdd46453edefe96259d05dde1b93"),
-    ("model:koszul1", "derivation"): (3, "d435af2099e01ef6c1a0a72b6513700b6e7921764ffa646db039ae361eabcf35"),
+    ("model:koszul1", "derivation"): (3, "f3406b492fbd549648c8b856b1574b2e216127078226b8f47987aa77507144cd"),
     ("model:koszul1", "bvinfty"): (0, "5b2ac9828a3479d47b6b57899e478a72c08b1d3418459db672b547f0e1ceaf88"),
     ("model:koszul1", "gerstenhaber"): (0, "070129d83e3eea2aea9edae608e460e2d387b97936893ad8b43d294c2cb73a2a"),
     ("model:koszul1", "cohomology"): (3, "595f1c54985726c28f3198d0e9cc5ea1e6902f3dccce1b09ea8d7dcbe0ff95ed"),
@@ -520,7 +551,7 @@ GOLDEN = {
     ("model:koszul2", "brackets"): (0, "c2f6ffedd26ecdabad6260b357f815f7a29bbca02c17d95db1740bf4e8dbd930"),
     ("model:koszul2", "linfty"): (0, "1d2f2d03f3d03d6ef37406425471f751f6c885a14ae8556fdc963a6f75bebf3d"),
     ("model:koszul2", "split"): (0, "48870eee443319eeb92b5c833879f0868d28b416dfadfacf29d49155825ca935"),
-    ("model:koszul2", "derivation"): (3, "64a2425759f418dbc960110fd23011a0eb23368805b529593744d629da8de4cf"),
+    ("model:koszul2", "derivation"): (3, "6e22ea8c254dcc8a4edc54053dbd680efa60b7d67dd87a06d1c0cf42c624073a"),
     ("model:koszul2", "bvinfty"): (0, "939da20e11d4bcff4aa54b46fcd3c8e221b00240519d54ba2a0f680d23f1331d"),
     ("model:koszul2", "gerstenhaber"): (0, "e2e9db4e5491b408080a65e03f71276606b35884c36f38896b94f00c57eeae80"),
     ("model:koszul2", "cohomology"): (0, "72a28365dbe31892bd9a89073833f397e0ac5971faa9b3df7a5e427048adc610"),
@@ -528,39 +559,39 @@ GOLDEN = {
     ("model:mixed-order", "brackets"): (0, "43893365a514a1d9e8f2016efaeeb1d9d65198f06ab3f653b16ae36dd1d81e8c"),
     ("model:mixed-order", "linfty"): (0, "95580c3bdeaa53a11c785eb766b2a64c2fd8a34b1615325058c687f4115742e6"),
     ("model:mixed-order", "split"): (0, "786224bf816559b1f7825875dc2979cb9d7f54098e3ba5b2b8c63a6678e49d68"),
-    ("model:mixed-order", "derivation"): (3, "0809e2649dda4d1051e41b8543f3440d265d766b2a89f87549af2752b532b25d"),
+    ("model:mixed-order", "derivation"): (3, "2a64c616a8da739b4a6075391a1dc13e040d6ded4d639a92cdd60fa006b1dc89"),
     ("model:mixed-order", "bvinfty"): (0, "f4a263814b029f5474a8139b4e4abc03f59556077c74de3dfb32c7aab5a7732a"),
-    ("model:mixed-order", "gerstenhaber"): (1, "84f96cd701128d7f00bf4cd27285bba2a014a6837c50aad175163f533b422c07"),
-    ("model:mixed-order", "cohomology"): (3, "e38ec7c710cdcc246ab60e2b885439b1eb600a9a2bde6c4858cb772882bfb892"),
+    ("model:mixed-order", "gerstenhaber"): (1, "be336ce502a94b01c66c140912b8ed7abc9b23411235ccd32e1810cc470b4f8a"),
+    ("model:mixed-order", "cohomology"): (3, "c1838bca7a8a0e229605b1a765c4833c6d4170311a7fbc2ac551b5d2fa3f7082"),
     ("model:polyvector2", "bv-core"): (0, "1e3d0e7a1459c795bd9e724d10ea742c6a050158e985bd6b05ab29943cc67170"),
     ("model:polyvector2", "brackets"): (0, "fa0aaf3fefb498f965fa81d7122b07f9441f9ee420a01892ea2db679db3cc349"),
     ("model:polyvector2", "linfty"): (0, "b54f088b2208620185d884f948dcab0ec3bf0ada282ba1aca0aeddf52f7e5ca3"),
     ("model:polyvector2", "split"): (0, "11b218ffd91a98b6081733112ab8149b8c0aeda504a765235b3bb38a95a6f2d3"),
-    ("model:polyvector2", "derivation"): (0, "e4938fb41c37500bd5a48305372fefc27bff7657871e28b74322b05ebb545370"),
+    ("model:polyvector2", "derivation"): (0, "f42674ed63a703e95294e8c28b6cb28f263bc617f97cb25e7aed4b3ac9820002"),
     ("model:polyvector2", "bvinfty"): (0, "0c43790467d3841e5b1cfd9f1bd310ea62a9c5da918dbdf5f3c621ab0405b8da"),
     ("model:polyvector2", "gerstenhaber"): (0, "84b4e08c4e715e0ffc7a744b1ce0e20fa6feb2bf03a4a8112dfa604dac23d7b2"),
-    ("model:polyvector2", "cohomology"): (0, "73c0b807fd379be382c65782adcae560e2b686bee4ec212f133c636ace9406c1"),
+    ("model:polyvector2", "cohomology"): (3, "006f94f4919d35e7f7960068c4840f7979b03bb62f85b2f7518d8494b4272f39"),
     ("model:polyvector3", "bv-core"): (0, "1bd1d710739dc80039466c98a089af4d9f209eda880c9686e9530bcb645ae648"),
     ("model:polyvector3", "brackets"): (0, "e6d6f99af158b4bb1acc9e68db9dfaabc19f54ebfa20f4c30fa1e3ce3616c1e9"),
     ("model:polyvector3", "linfty"): (0, "65969249244edabf5027a0e136e4753908ef34e8c8a3a67c77b87335afc1c2c4"),
     ("model:polyvector3", "split"): (0, "4c4f811ec27d2b65f80eb1a6a926eeab7061bc1d1784d9ba8bf8acf2916dbdf0"),
-    ("model:polyvector3", "derivation"): (0, "bbd050c68bf8559ae25a0932822b21f7d9ac567a5d09bbd3964ae88a8cb9224b"),
+    ("model:polyvector3", "derivation"): (0, "f1d4495dd220ede7a341b435bff0fdcd9641adde2a92f58a66abb81fb0ed7afb"),
     ("model:polyvector3", "bvinfty"): (0, "c5c51af637c025ac9e463f514bc18b8e3c339bb7275c23ebc13dabb34e635643"),
     ("model:polyvector3", "gerstenhaber"): (0, "518cad9b170ddbcb142d1d1e00a55ea86a49ae2f09af6599eb1c3d63e466112a"),
-    ("model:polyvector3", "cohomology"): (0, "9a295b95df00b01e3495a93dc194f54d03ef0fe25641ccde9f98ee3c04359ed7"),
-    ("laplacian-plus-xi1", "bv-core"): (1, "8d6c285d2a0aaa9684dca816cdd43a0788a2e972224da8055816e4bcb145cc8e"),
+    ("model:polyvector3", "cohomology"): (3, "d2b8d44e52f088e2bf34839d96fd90268f123886d2dec3dee67ba9d802293b5c"),
+    ("laplacian-plus-xi1", "bv-core"): (1, "37f46d032d6d7bb7245e1c349ef54c65e5f1c272ca7bc9cf6924ae70dc3a2b54"),
     ("laplacian-plus-xi1", "brackets"): (0, "21c6335fd41db07e6042f4c6fdc797543ceecd916f8505fd79c10e4585d1212d"),
     ("laplacian-plus-xi1", "linfty"): (1, "5e878cb29d6ce9e57cf25ad3ad7691e287e1335b7718f92c439e9a41f5a1fe54"),
     ("laplacian-plus-xi1", "split"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("laplacian-plus-xi1", "derivation"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("laplacian-plus-xi1", "bvinfty"): (1, "575a6613ff18f957a00ecb4318d3e16decdceecd33812b4ef7021ac461dd3b0f"),
-    ("laplacian-plus-xi1", "gerstenhaber"): (1, "d9dbf4e6fbf1bd72dfac80b412c97a0312133445b0ae9ebadec9190b12767301"),
+    ("laplacian-plus-xi1", "gerstenhaber"): (1, "46a240413ea70b4a75c5470d371b3daf2112f5200ce0ab04616b61391d5c6560"),
     ("laplacian-plus-xi1", "cohomology"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("second-order-degree-one", "bv-core"): (0, "ae6e0ef03ebbd911c2d40b81c6c35cf54f5cf781a0b638e9e30333dc5ecb32a4"),
     ("second-order-degree-one", "brackets"): (0, "536249ee178ebfec6e848baa39ba017a05366c5832afff74ceb1c12723fbd35d"),
     ("second-order-degree-one", "linfty"): (0, "e5dd99b3fbeb9020e09064bc62efd41f6e568ad86253c35532ac40a67a009426"),
     ("second-order-degree-one", "split"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("second-order-degree-one", "derivation"): (1, "9b654439c511f2e02c6ed42dd86a7f3e0e8b0c88e018ca618628261c46563110"),
+    ("second-order-degree-one", "derivation"): (1, "e362f37bb6d90d8a91124c5f14d7fe98f841bfade3d33745117f82e741510c63"),
     ("second-order-degree-one", "bvinfty"): (1, "4a64bcd1df5c0a02a43a46372bf51d0f869b1ee2c9f6fc71157d9616fec394e9"),
     ("second-order-degree-one", "gerstenhaber"): (0, "0eeb926f0dd4faccecb8b6859f1ab6c8b5ae046a5299a3846f960cd75b886c05"),
     ("second-order-degree-one", "cohomology"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -628,7 +659,7 @@ GOLDEN_COHOMOLOGY_SPECS = {
 }
 GOLDEN_COHOMOLOGY = {
     ("model:koszul2", "6"): (0, "377f71a9f289eb990459be6a339a63bede9227f2699deac45567469fc8ce11d0"),
-    ("model:mixed-order", "4"): (3, "d7924ff506baa403092e18407eb7766b0abb88f2f1eab1d79cc8472328f1cd71"),
+    ("model:mixed-order", "4"): (3, "01b2787f056b4b5da87b5c1de27f5bca42d0f01ca7626d33d8d7889c491019d9"),
     ("laplacian-as-d", "3"): (3, "ee466c784bb4105a3d518235a4ffa963a330e3f63373a53ec53d1e64c7df31f0"),
     ("koszul-fractional", "7"): (0, "d7e9c3d717f72e43c4ed71185d71ef59bf69ec186a5cf0dbc91717b8b04f6213"),
 }

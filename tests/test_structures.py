@@ -58,17 +58,23 @@ def monomial_elements(table, max_degree):
 # --- Gerstenhaber axioms ----------------------------------------------------
 
 def test_laplacian_bracket_passes_axioms():
+    # Jacobi decided from the square, and evaluated on a prefix of triples
     model = polyvector_model(2)
     elems = monomial_elements(model.table, 2)
     cert = akman_order_check(model.D, 2, BUDGET)
-    report = check_gerstenhaber(
-        lambda a, b: bv_bracket(model.D, a, b),
-        elems,
-        (cert.tuples_tested, cert.failure_witness),
-        BUDGET,
-    )
-    assert report.passed and report.fully_tested
-    assert [i.name for i in report.items] == ["graded antisymmetry", "graded Jacobi", "Leibniz rule"]
+    for triples, square in (((), model.D.square()),
+                            (islice(iter_product(elems, repeat=3), 60), None)):
+        report = check_gerstenhaber(
+            lambda a, b: bv_bracket(model.D, a, b),
+            BUDGET.max_tuples,
+            triples,
+            (cert.tuples_tested, cert.failure_witness),
+            square=square,
+        )
+        assert report.passed and report.fully_tested
+        names = [i.name for i in report.items]
+        assert names == ["graded antisymmetry", "graded Jacobi", "Leibniz rule"]
+        assert report.items[1].details == "60 triples"
 
 
 def test_gerstenhaber_evaluates_each_pair_once():
@@ -81,9 +87,14 @@ def test_gerstenhaber_evaluates_each_pair_once():
         return bv_bracket(model.D, a, b)
 
     # Leibniz is the caller's outcome: only Jacobi calls the bracket
-    report = check_gerstenhaber(bracket, elems, (60, None), BUDGET)
+    triples = islice(iter_product(elems, repeat=3), 60)
+    report = check_gerstenhaber(bracket, 60, triples, (60, None))
     assert report.passed and report.fully_tested
     assert brackets and len(set(brackets)) == len(brackets)
+    # decided from the square, Jacobi calls it not at all
+    brackets.clear()
+    report = check_gerstenhaber(bracket, 60, (), (60, None), square=model.D.square())
+    assert report.passed and report.fully_tested and brackets == []
 
 
 def test_gerstenhaber_by_evaluation_evaluates_each_pair_once():
@@ -274,7 +285,7 @@ def _gerstenhaber_items(D, elems, budget):
     leibniz = first_witness(triples, lambda t: not akman_bracket(D, t).is_zero())
     bracket = partial(bv_bracket, D)
     evaluated = gerstenhaber_by_evaluation(bracket, lambda a, b: a * b, elems, budget)
-    read_off = check_gerstenhaber(bracket, elems, leibniz, budget)
+    read_off = check_gerstenhaber(bracket, min(len(elems) ** 2, budget.max_tuples), triples, leibniz)
     return ({i.name: i for i in evaluated.items}, {i.name: i for i in read_off.items})
 
 
@@ -321,6 +332,67 @@ def test_leibniz_is_order_two_and_antisymmetry_holds_on_drawn_operators(case):
     assert read_off["Leibniz rule"] == evaluated["Leibniz rule"]
     assert evaluated["graded antisymmetry"].status == "pass"
     assert read_off["graded Jacobi"] == evaluated["graded Jacobi"]
+
+
+POLYVECTOR2 = polyvector_model(2)
+# odd, of order 2 and without a multiplication term on polyvector2, and not
+# Jacobi: d/dx1 d/dxi1 + x1 d/dx2 d/dxi2 and the Laplacian + x1^2 d/dx1 d/dxi2
+NON_JACOBI = {
+    "dx1dxi1+x1dx2dxi2": Operator(POLYVECTOR2.table, {
+        ((0, 0, 0, 0), (1, 0, 1, 0)): Fraction(1),
+        ((1, 0, 0, 0), (0, 1, 0, 1)): Fraction(1),
+    }),
+    "laplacian+x1^2dx1dxi2": POLYVECTOR2.D + Operator.term(
+        POLYVECTOR2.table, 1, (2, 0, 0, 0), (1, 0, 0, 1)),
+}
+
+
+@st.composite
+def odd_order_two_operators(draw):
+    """An odd operator on polyvector2 of one to three terms, each with one or
+    two derivatives and a multiplier of degree at most 1."""
+    table = POLYVECTOR2.table
+    key = st.tuples(
+        st.sampled_from(enumerate_monomials(table, 1)),
+        st.sampled_from([d for d in enumerate_monomials(table, 2) if sum(d)]),
+    )
+    coeff = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2)])
+    P = Operator(table, draw(st.dictionaries(key, coeff, min_size=1, max_size=3)))
+    return Operator(table, {t: c for t, c in P.terms.items() if P.term_degree(t) % 2})
+
+
+def _exact_and_evaluated_jacobi(D):
+    """Jacobi decided from ``D o D`` and evaluated on every triple of the
+    degree-2 window, which holds every witness of ``bracket_witness(D o D, 3)``."""
+    elems = monomial_elements(D.table, 2)
+    budget = Budget(max_degree=2, max_tuples=len(elems) ** 3)
+    cert = akman_order_check(D, 2, budget)
+    assert cert.passed and D.is_odd()
+    bracket = partial(bv_bracket, D)
+    exact = check_gerstenhaber(bracket, len(elems) ** 2, (), (cert.tuples_tested, None),
+                               square=D.square())
+    evaluated = gerstenhaber_by_evaluation(bracket, lambda a, b: a * b, elems, budget)
+    return exact.items[1], {i.name: i for i in evaluated.items}["graded Jacobi"]
+
+
+@pytest.mark.parametrize("name", sorted(NON_JACOBI))
+def test_jacobi_from_the_square_refutes_what_evaluation_refutes(name):
+    exact, evaluated = _exact_and_evaluated_jacobi(NON_JACOBI[name])
+    assert exact.status == evaluated.status == "fail"
+    assert exact.witness is not None
+
+
+@given(odd_order_two_operators())
+@settings(max_examples=15, deadline=None)
+def test_jacobi_from_the_square_equals_evaluating_every_triple(D):
+    # the Jacobiator of an odd D with F^3_D = 0 is F^3 of D o D, up to sign
+    if not D:
+        return
+    exact, evaluated = _exact_and_evaluated_jacobi(D)
+    assert exact.status == evaluated.status
+    assert (exact.status == "fail") == (not bracket_vanishes(D.square(), 3))
+    if exact.status == "pass":
+        assert exact == evaluated
 
 
 @pytest.mark.parametrize("mult, deriv, nonzero", [
@@ -415,16 +487,14 @@ def test_derivation_clauses_iii_and_iv_follow_the_product_derivation_certificate
     monkeypatch.setattr(structures, "akman_order_check",
                         lambda P, k, budget: certified.append(P) or real(P, k, budget))
     iv = "no witness within budget (may hold on this model)"
-    # two pairs miss its nonzero bracket (x, y): (iii) is untested, not passed
-    items = {i.name: i for i in check_derivation_lemma(D, Budget(max_degree=1, max_tuples=2)).items}
-    assert (items["D1 product Leibniz"].status, items["D1 product Leibniz"].details) == (
-        "untested", "2 pairs")
-    assert (items["D1 bracket-derivation failure"].status,
-            items["D1 bracket-derivation failure"].details) == ("untested", iv)
-    items = {i.name: i for i in check_derivation_lemma(D, Budget(max_degree=1, max_tuples=3)).items}
-    assert (items["D1 product Leibniz"].status, items["D1 product Leibniz"].witness) == (
-        "fail", "(x, y)")
-    assert items["D1 bracket-derivation failure"].details == iv
+    # (iii) fails at the constructed (x, y), even where two pairs of the
+    # window miss it, and (iv) is then not read
+    for budget in (Budget(max_degree=1, max_tuples=2), Budget(max_degree=1, max_tuples=3)):
+        items = {i.name: i for i in check_derivation_lemma(D, budget).items}
+        assert (items["D1 product Leibniz"].status, items["D1 product Leibniz"].witness) == (
+            "fail", "(x, y)")
+        assert (items["D1 bracket-derivation failure"].status,
+                items["D1 bracket-derivation failure"].details) == ("untested", iv)
     assert certified and all(P == D for P in certified)  # D or D1, never [D1, D]
 
 
@@ -656,12 +726,22 @@ def test_induced_bv_koszul():
 
 
 def test_induced_bv_polyvector_zero_differential():
+    # the five classes 1, x1, xi1, x1^2, x1 xi1: 125 triples
     model = polyvector_model(1)
-    report = induced_bv(model.table, model.d, model.D, 2, BUDGET)
-    assert report.passed
+    report = induced_bv(model.table, model.d, model.D, 2, Budget(max_degree=2, max_tuples=125))
+    assert report.passed and report.fully_tested
     names = {i.name: i.status for i in report.items}
     assert names["induced operator squares to zero on classes"] == "pass"
     assert names["induced operator has order <= 2 on representatives"] == "pass"
+    # on a prefix of the triples the order, Jacobi and Leibniz passes are untested
+    report = induced_bv(model.table, model.d, model.D, 2, BUDGET)
+    assert report.passed
+    untested = [(i.name, i.details) for i in report.items if i.status == "untested"]
+    assert untested == [
+        ("induced operator has order <= 2 on representatives", "60 triples, truncated prefix"),
+        ("induced bracket: graded Jacobi", "60 triples, truncated prefix"),
+        ("induced bracket: Leibniz rule", "60 triples, truncated prefix"),
+    ]
 
 
 def test_induced_memo_tells_same_support_classes_apart(monkeypatch):
