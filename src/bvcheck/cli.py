@@ -71,9 +71,7 @@ def _bv_core(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     D = spec.main_operator()
     report = StructReport("core operator facts")
     report.add("operator is odd", "pass" if D.is_odd() else "fail")
-    ok, witness = D.is_square_zero()
-    witness = None if ok else format_element(Element.monomial(table, witness))
-    report.add("operator squares to zero", "pass" if ok else "fail", witness=witness)
+    report.square_zero("operator squares to zero", D)
     k = params.get("order", D.structural_order())
     report.certify(f"bracket order <= {k}", akman_order_check(D, k, budget), table)
     return report

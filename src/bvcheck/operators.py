@@ -22,7 +22,6 @@ from .algebra import (
     Element,
     GeneratorTable,
     Monomial,
-    enumerate_monomials,
     format_monomial,
     monomial_mul,
 )
@@ -77,14 +76,14 @@ class Operator:
     on the first ``den`` or ``int_image`` call (the lcm ``den()`` of the
     coefficient denominators and, per term, the multiplier, the derivative
     word and ``den()`` times the coefficient as an int); the integer images
-    ``int_image`` computes over ``den()``, each monomial differentiated once;
-    the ``Fraction`` images ``image`` derives from those for ``apply``; its
-    square once asked for; and, by window, the cohomology
-    ``structures.cohomology`` builds of it.  All live as long as the operator.
+    ``int_image`` computes over ``den()``, each monomial differentiated once,
+    which ``apply`` sums and divides by ``den()`` once; its square once asked
+    for; and, by window, the cohomology ``structures.cohomology`` builds of
+    it.  All live as long as the operator.
     """
 
-    __slots__ = ("table", "terms", "_degrees", "_images", "_int_images", "_int_terms",
-                 "_square", "_cohomology")
+    __slots__ = ("table", "terms", "_degrees", "_int_images", "_int_terms", "_square",
+                 "_cohomology")
 
     def __init__(self, table: GeneratorTable, terms: Mapping[TermKey, Fraction] | None = None):
         self.table = table
@@ -107,7 +106,6 @@ class Operator:
                 degrees.add(table.monomial_degree(mult) - table.monomial_degree(deriv))
         self.terms = clean
         self._degrees = frozenset(degrees)
-        self._images: dict[Monomial, dict[Monomial, Fraction]] = {}
         self._int_images: dict[Monomial, dict[Monomial, int]] = {}
         self._int_terms: tuple[int, list] | None = None
         self._square: Operator | None = None
@@ -218,17 +216,14 @@ class Operator:
     def apply(self, a: Element) -> Element:
         if self.table is not a.table and self.table != a.table:
             raise AlgebraError("operator and element over different tables")
-        images = self._images
+        den = self.den()
         out: dict[Monomial, Fraction] = {}
         for mono, c in a.coeffs.items():
-            image = images.get(mono)  # the hit path, inline: apply is the hottest call
-            if image is None:
-                image = self.image(mono)
-            for m, ci in image.items():
-                v = c * ci
+            for m, n in self.int_image(mono).items():
+                v = c * n
                 prev = out.get(m)
                 out[m] = v if prev is None else prev + v
-        return Element(self.table, out)
+        return Element(self.table, {m: v / den for m, v in out.items()})
 
     def den(self) -> int:
         """The lcm of the coefficient denominators: ``int_image`` is over it."""
@@ -262,22 +257,6 @@ class Operator:
             out[prod] = out.get(prod, 0) + n * (sign * dc)
         image = self._int_images[mono] = {m: v for m, v in out.items() if v}
         return image
-
-    def image(self, mono: Monomial) -> dict[Monomial, Fraction]:
-        """Image of one normal-form monomial, as {monomial: nonzero coeff}:
-        ``int_image`` over ``den()``, one ``Fraction`` per entry.  The dict is
-        the operator's cached copy, shared by every caller: read it, never
-        mutate it."""
-        image = self._images.get(mono)
-        if image is None:
-            den = self.den()
-            image = self._images[mono] = {
-                m: Fraction(v, den) for m, v in self.int_image(mono).items()
-            }
-        return image
-
-    def __call__(self, a: Element) -> Element:
-        return self.apply(a)
 
     # --- composition ------------------------------------------------------
 
@@ -357,24 +336,24 @@ class Operator:
         """True iff every term has odd degree."""
         return bool(self._degrees) and all(d % 2 for d in self._degrees)
 
-    def is_square_zero(self, witness_degree: int = 4):
+    def is_square_zero(self):
         """Exact check of D o D == 0 on normal forms.
 
-        Returns (True, None) or (False, witness_monomial) where the witness is
-        a monomial m with D(D(m)) != 0, found by scanning small monomials.
+        Returns (True, None) or (False, witness), the witness the least
+        monomial m, by total exponent and then exponent tuple, with
+        D(D(m)) != 0: the least derivative index alpha of the square.  A
+        smaller monomial is killed by every derivative of the square, and at
+        alpha only the terms with derivative alpha act, each as its
+        coefficient times the nonzero scalar d^alpha(x^alpha) times its own
+        multiplier, so they cannot cancel.  One evaluation confirms it.
         """
         square = self.square()
         if square.is_zero():
             return True, None
-        # scan the window, then widen it while the nonzero normal form still
-        # acts as zero (faithfulness on the free algebra guarantees a witness)
-        max_deriv = max(sum(d) for (_, d) in square.terms)
-        for bound in range(witness_degree, witness_degree + max_deriv + 2):
-            for mono in enumerate_monomials(self.table, bound):
-                m = Element.monomial(self.table, mono)
-                if not square.apply(m).is_zero():
-                    return False, mono
-        raise AssertionError("nonzero normal form with no action witness")
+        witness = min((d for _, d in square.terms), key=lambda d: (sum(d), d))
+        if square.apply(Element.monomial(self.table, witness)).is_zero():
+            raise AssertionError("constructed square witness is killed by D o D")
+        return False, witness
 
     # --- display ----------------------------------------------------------
 

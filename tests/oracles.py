@@ -115,7 +115,7 @@ def _diff_by_generators(table: GeneratorTable, deriv, mono):
 
 
 def image_by_fractions(D: Operator, mono) -> dict:
-    """``Operator.image`` summed in ``Fraction`` coefficients, uncached."""
+    """``D.apply`` of one monomial, summed in ``Fraction`` coefficients."""
     table = D.table
     out = {}
     for (mult, deriv), c in D.terms.items():
@@ -129,6 +129,26 @@ def image_by_fractions(D: Operator, mono) -> dict:
         sign, prod = sm
         out[prod] = out.get(prod, 0) + c * (sign * dc)
     return {m: v for m, v in out.items() if v}
+
+
+def _apply_by_fractions(D: Operator, coeffs: dict) -> dict:
+    out = {}
+    for mono, c in coeffs.items():
+        for m, v in image_by_fractions(D, mono).items():
+            out[m] = out.get(m, 0) + c * v
+    return {m: v for m, v in out.items() if v}
+
+
+def square_zero_witness_by_scan(D: Operator):
+    """``D.is_square_zero()`` by applying D twice, uncached, to each monomial
+    in ``enumerate_monomials`` order up to total exponent 2 * order(D), the
+    longest derivative D o D can have: a nonzero normal form moves a monomial
+    no longer than its derivatives, so the scan returns the first one moved."""
+    table = D.table
+    for mono in enumerate_monomials(table, 2 * D.structural_order()):
+        if _apply_by_fractions(D, _apply_by_fractions(D, {mono: 1})):
+            return False, mono
+    return True, None
 
 
 def is_unshuffle(sigma: tuple[int, ...], k: int) -> bool:

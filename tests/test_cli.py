@@ -73,6 +73,48 @@ def test_check_fails_with_witness(tmp_path, capsys):
     assert "result: FAIL" in out
 
 
+@pytest.mark.parametrize("suite, message", [
+    ("split", "error: degree_split requires a square-zero operator; D^2 != 0 at x1\n"),
+    ("derivation", "error: derivation lemma requires D^2 = 0; witness x1\n"),
+])
+def test_domain_errors_show_the_square_witness_as_a_monomial(suite, message, tmp_path, capsys):
+    spec = write(tmp_path, "lap.spec", GOLDEN_SPECS["laplacian-plus-xi1"])
+    assert main(["check", "--spec", spec, "--suite", suite]) == 2
+    assert capsys.readouterr().err == message
+
+
+# d = d/dxi1 + xi1 d/dx1, of degree +1: d o d = d/dx1, first nonzero at x1
+NOT_SQUARE_ZERO_DIFFERENTIAL_SPEC = """\
+GENERATORS
+x1 -2
+xi1 -1
+
+OPERATOR d
+1 | 0 0 | 0 1
+1 | 0 1 | 1 0
+
+OPERATOR D
+1 | 0 0 | 0 1
+1 | 0 1 | 1 0
+
+SUITE bvinfty
+"""
+
+
+@pytest.mark.parametrize("text, failing", [
+    (NOT_SQUARE_ZERO_DIFFERENTIAL_SPEC, ["d", "D"]),
+    ("laplacian-plus-xi1", ["D"]),
+], ids=["d-and-D", "laplacian-plus-xi1"])
+def test_bvinfty_shows_square_witnesses_as_monomials(text, failing, tmp_path, capsys):
+    spec = write(tmp_path, "bvinfty.spec", GOLDEN_SPECS.get(text, text))
+    code = main(["check", "--spec", spec, "--suite", "bvinfty"])
+    out = capsys.readouterr().out
+    assert code == 1
+    for name in failing:
+        assert f"[FAIL    ] {name} squares to zero (witness: x1)" in out
+    assert out.count("squares to zero (witness:") == len(failing)
+
+
 def test_exit_code_two_on_malformed_spec(tmp_path, capsys):
     spec = write(tmp_path, "broken.spec", "GENERATORS\nx zero\n")
     code = main(["check", "--spec", spec])
@@ -160,11 +202,13 @@ def test_tallied_passes_on_the_unit_alone_are_untested(suite, items, capsys):
     code = main(["check", "--model", "koszul1", "--suite", suite, "--budget-degree", "0"])
     out = capsys.readouterr().out
     assert code == 3
-    # the one pass is exact: the product-Leibniz failure of D is constructed
+    # the passes are exact: the product-Leibniz failure of D is constructed,
+    # and D1 is a bracket derivation because D1 o D + D o D1 has order <= 1
     passes = [line for line in out.splitlines() if "[PASS" in line]
     assert passes == ([] if suite == "brackets" else [
         "  [PASS    ] product-Leibniz failure of D - failure witness exhibited"
-        " (witness: (x1, xi1))"])
+        " (witness: (x1, xi1))",
+        "  [PASS    ] D1 bracket-derivation failure - none: D1 is a derivation of the bracket"])
     for item in items:
         assert f"[UNTESTED] {item}, the unit monomial alone" in out
 
@@ -543,7 +587,7 @@ GOLDEN = {
     ("model:koszul1", "brackets"): (0, "b9c33e54e781b93e84e8557239e2572b8b21d9e51bc707eeb8ee1e66b21007c0"),
     ("model:koszul1", "linfty"): (0, "78cbb10ffa7909fdd2df8731f1abe723f8487fc698943c9dcc102391142a4a3b"),
     ("model:koszul1", "split"): (0, "f8edb0b040b238a017ab31b1efcf8e5efc54cdd46453edefe96259d05dde1b93"),
-    ("model:koszul1", "derivation"): (3, "f3406b492fbd549648c8b856b1574b2e216127078226b8f47987aa77507144cd"),
+    ("model:koszul1", "derivation"): (0, "b273764b08c936c3f01e9eb38142a9093153ee1d8e17ce612e837fa9cbee8674"),
     ("model:koszul1", "bvinfty"): (0, "5b2ac9828a3479d47b6b57899e478a72c08b1d3418459db672b547f0e1ceaf88"),
     ("model:koszul1", "gerstenhaber"): (0, "070129d83e3eea2aea9edae608e460e2d387b97936893ad8b43d294c2cb73a2a"),
     ("model:koszul1", "cohomology"): (3, "595f1c54985726c28f3198d0e9cc5ea1e6902f3dccce1b09ea8d7dcbe0ff95ed"),
@@ -551,7 +595,7 @@ GOLDEN = {
     ("model:koszul2", "brackets"): (0, "c2f6ffedd26ecdabad6260b357f815f7a29bbca02c17d95db1740bf4e8dbd930"),
     ("model:koszul2", "linfty"): (0, "1d2f2d03f3d03d6ef37406425471f751f6c885a14ae8556fdc963a6f75bebf3d"),
     ("model:koszul2", "split"): (0, "48870eee443319eeb92b5c833879f0868d28b416dfadfacf29d49155825ca935"),
-    ("model:koszul2", "derivation"): (3, "6e22ea8c254dcc8a4edc54053dbd680efa60b7d67dd87a06d1c0cf42c624073a"),
+    ("model:koszul2", "derivation"): (0, "d12f61801b7104592f22c3a0d9ae19abca460cac448469e86137bf662897d8cf"),
     ("model:koszul2", "bvinfty"): (0, "939da20e11d4bcff4aa54b46fcd3c8e221b00240519d54ba2a0f680d23f1331d"),
     ("model:koszul2", "gerstenhaber"): (0, "e2e9db4e5491b408080a65e03f71276606b35884c36f38896b94f00c57eeae80"),
     ("model:koszul2", "cohomology"): (0, "72a28365dbe31892bd9a89073833f397e0ac5971faa9b3df7a5e427048adc610"),
@@ -559,7 +603,7 @@ GOLDEN = {
     ("model:mixed-order", "brackets"): (0, "43893365a514a1d9e8f2016efaeeb1d9d65198f06ab3f653b16ae36dd1d81e8c"),
     ("model:mixed-order", "linfty"): (0, "95580c3bdeaa53a11c785eb766b2a64c2fd8a34b1615325058c687f4115742e6"),
     ("model:mixed-order", "split"): (0, "786224bf816559b1f7825875dc2979cb9d7f54098e3ba5b2b8c63a6678e49d68"),
-    ("model:mixed-order", "derivation"): (3, "2a64c616a8da739b4a6075391a1dc13e040d6ded4d639a92cdd60fa006b1dc89"),
+    ("model:mixed-order", "derivation"): (0, "d4a7df1d3d608c04139fb26435052d1d1d029a32ea88fa8e605fdbc4ee86c4cc"),
     ("model:mixed-order", "bvinfty"): (0, "f4a263814b029f5474a8139b4e4abc03f59556077c74de3dfb32c7aab5a7732a"),
     ("model:mixed-order", "gerstenhaber"): (1, "be336ce502a94b01c66c140912b8ed7abc9b23411235ccd32e1810cc470b4f8a"),
     ("model:mixed-order", "cohomology"): (3, "c1838bca7a8a0e229605b1a765c4833c6d4170311a7fbc2ac551b5d2fa3f7082"),
@@ -584,14 +628,14 @@ GOLDEN = {
     ("laplacian-plus-xi1", "linfty"): (1, "5e878cb29d6ce9e57cf25ad3ad7691e287e1335b7718f92c439e9a41f5a1fe54"),
     ("laplacian-plus-xi1", "split"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("laplacian-plus-xi1", "derivation"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("laplacian-plus-xi1", "bvinfty"): (1, "575a6613ff18f957a00ecb4318d3e16decdceecd33812b4ef7021ac461dd3b0f"),
+    ("laplacian-plus-xi1", "bvinfty"): (1, "012f760b090f37fd62aa2184fb6c2a216f370014bc81f51fedee97fee62d6032"),
     ("laplacian-plus-xi1", "gerstenhaber"): (1, "46a240413ea70b4a75c5470d371b3daf2112f5200ce0ab04616b61391d5c6560"),
     ("laplacian-plus-xi1", "cohomology"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("second-order-degree-one", "bv-core"): (0, "ae6e0ef03ebbd911c2d40b81c6c35cf54f5cf781a0b638e9e30333dc5ecb32a4"),
     ("second-order-degree-one", "brackets"): (0, "536249ee178ebfec6e848baa39ba017a05366c5832afff74ceb1c12723fbd35d"),
     ("second-order-degree-one", "linfty"): (0, "e5dd99b3fbeb9020e09064bc62efd41f6e568ad86253c35532ac40a67a009426"),
     ("second-order-degree-one", "split"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("second-order-degree-one", "derivation"): (1, "e362f37bb6d90d8a91124c5f14d7fe98f841bfade3d33745117f82e741510c63"),
+    ("second-order-degree-one", "derivation"): (1, "d004ed8524a474f8a222b122567eb9c49d65417d3ce38244f9c6698f6a44dc43"),
     ("second-order-degree-one", "bvinfty"): (1, "4a64bcd1df5c0a02a43a46372bf51d0f869b1ee2c9f6fc71157d9616fec394e9"),
     ("second-order-degree-one", "gerstenhaber"): (0, "0eeb926f0dd4faccecb8b6859f1ab6c8b5ae046a5299a3846f960cd75b886c05"),
     ("second-order-degree-one", "cohomology"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

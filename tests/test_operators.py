@@ -11,7 +11,7 @@ from bvcheck.algebra import (
 )
 from bvcheck.models import BUILTIN_MODELS, mixed_order_model, polyvector_model
 from bvcheck.operators import Operator, _diff_monomial, format_operator
-from oracles import image_by_fractions
+from oracles import image_by_fractions, square_zero_witness_by_scan
 
 TABLE = GeneratorTable(("x", "y", "xi", "eta"), (0, 2, 1, 3))
 # odd and even generators interleaved, odd ones of negative degree included
@@ -169,6 +169,52 @@ def test_square_zero_check_and_witness():
     m = Element.monomial(TABLE, witness)
     assert not bad.apply(bad.apply(m)).is_zero()
 
+    # (d/dx + d/dy)^2 has three derivatives of length 2: y^2 is the least
+    tied = Operator.derivative(TABLE, "x") + Operator.derivative(TABLE, "y")
+    assert tied.is_square_zero() == (False, (0, 2, 0, 0)) == square_zero_witness_by_scan(tied)
+
+
+@st.composite
+def random_operators(draw):
+    """Operators whose squares have multiplication terms, odd derivatives and
+    ties among their least derivatives: any multiplier and derivative of
+    total exponent <= 2, on tables mixing odd and even generators."""
+    table = draw(st.sampled_from([TABLE, MIXED_TABLE]))
+    monos = enumerate_monomials(table, 2)
+    keys = st.tuples(st.sampled_from(monos), st.sampled_from(monos))
+    return Operator(table, draw(st.dictionaries(keys, st.integers(-3, 3), max_size=4)))
+
+
+@given(st.one_of(random_operators(), st.sampled_from(sorted(BUILTIN_MODELS))))
+@settings(max_examples=200, deadline=None)
+def test_square_zero_witness_is_the_scan_s_first_hit(D):
+    if isinstance(D, str):
+        D = BUILTIN_MODELS[D]().D
+    assert D.is_square_zero() == square_zero_witness_by_scan(D)
+
+
+@pytest.mark.parametrize("square_zero", [True, False])
+def test_square_zero_check_applies_the_square_once_when_it_fails(square_zero, monkeypatch):
+    model = polyvector_model(2)
+    D = model.D
+    if not square_zero:
+        D = D + Operator.multiplication(Element.generator(model.table, "xi1"))
+    calls, apply = [], Operator.apply
+    monkeypatch.setattr(Operator, "apply", lambda op, a: calls.append((op, a)) or apply(op, a))
+    ok, witness = D.is_square_zero()
+    assert ok == square_zero
+    if square_zero:
+        assert calls == []
+    else:
+        assert calls == [(D.square(), Element.monomial(model.table, witness))]
+
+
+def test_a_square_killing_its_constructed_witness_is_an_assertion_error(monkeypatch):
+    D = Operator.derivative(TABLE, "x") + Operator.multiplication(gen("x"))
+    monkeypatch.setattr(Operator, "apply", lambda op, a: Element.zero(op.table))
+    with pytest.raises(AssertionError):
+        D.is_square_zero()
+
 
 def test_format_operator_term_lines():
     op = Operator.term(TABLE, Fraction(-3, 2), (1, 0, 0, 0), (0, 0, 1, 0))
@@ -255,10 +301,10 @@ def test_image_is_apply_of_the_monomial_cold_and_warm(name):
         for mono in monos:
             expected = cold_copy(D).apply(Element.monomial(model.table, mono)).coeffs
             for op in (cold, warm):
-                image = op.image(mono)
-                # same entries in the same order: the rows that elimination sees
+                image = op.apply(Element.monomial(model.table, mono)).coeffs
+                # same entries in the same order, each value a Fraction
                 assert list(image.items()) == list(expected.items())
-                assert op.image(mono) is image
+                assert all(type(v) is Fraction for v in image.values())
 
 
 def test_filling_the_cache_keeps_equality_hash_and_results():
@@ -326,7 +372,7 @@ def test_image_matches_the_fraction_oracle(name, data):
     coeffs = data.draw(st.lists(WIDE_TERM_COEFF, min_size=n, max_size=n))
     D = Operator(base.table, dict(zip(base.terms, coeffs)))
     for mono in enumerate_monomials(D.table, 3):
-        image = D.image(mono)
+        image = D.apply(Element.monomial(D.table, mono)).coeffs
         # same entries in the same order, each value a Fraction
         assert list(image.items()) == list(image_by_fractions(D, mono).items())
         assert all(type(v) is Fraction for v in image.values())

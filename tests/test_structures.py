@@ -454,6 +454,24 @@ def test_derivation_lemma_koszul_model():
     assert names["D1 product Leibniz"].status == "pass"
 
 
+@pytest.mark.parametrize("model", [
+    koszul_complex_model([1]), koszul_complex_model([2]), mixed_order_model(),
+], ids=["koszul1", "koszul2", "mixed-order"])
+def test_d1_is_a_bracket_derivation_where_its_anticommutator_has_order_one(model):
+    # D1 is a product derivation and D1 o D + D o D1 has order <= 1, so (iv)
+    # passes, and D1's evaluated bracket-derivation defect is 0 on the window
+    budget = Budget(max_degree=2, max_tuples=400)
+    items = {i.name: i for i in check_derivation_lemma(model.D, budget).items}
+    assert items["D1 product Leibniz"].status == "pass"
+    iv = items["D1 bracket-derivation failure"]
+    assert (iv.status, iv.details, iv.witness) == (
+        "pass", "none: D1 is a derivation of the bracket", None)
+    D1 = model.D.degree_components()[1]
+    elems = monomial_elements(model.table, 2)
+    assert all(bracket_derivation_defect(model.D, D1, a, b).is_zero()
+               for a, b in iter_product(elems, repeat=2))
+
+
 def test_derivation_lemma_rejects_non_square_zero():
     model = polyvector_model(1)
     bad = model.D + Operator.multiplication(Element.generator(model.table, "xi1"))
@@ -486,7 +504,7 @@ def test_derivation_clauses_iii_and_iv_follow_the_product_derivation_certificate
     certified, real = [], structures.akman_order_check
     monkeypatch.setattr(structures, "akman_order_check",
                         lambda P, k, budget: certified.append(P) or real(P, k, budget))
-    iv = "no witness within budget (may hold on this model)"
+    iv = "undecided: D1 is not a product derivation"
     # (iii) fails at the constructed (x, y), even where two pairs of the
     # window miss it, and (iv) is then not read
     for budget in (Budget(max_degree=1, max_tuples=2), Budget(max_degree=1, max_tuples=3)):
@@ -546,7 +564,9 @@ def test_bvinfty_builds_d_squared_once(square_zero, monkeypatch):
     assert sum(a is d and b is d for a, b in pairs) == 1
     item = next(i for i in report.items if i.name == "d squares to zero")
     assert item.status == ("pass" if square_zero else "fail")
-    assert item.witness == (None if square_zero else str(expected))
+    # D o D of a failing d multiplies by x1^2: the unit is its least witness
+    assert expected.structural_order() == 0
+    assert item.witness == (None if square_zero else "1")
 
 
 def test_one_operator_is_squared_once(monkeypatch):
