@@ -14,7 +14,9 @@ graded symmetric:  F(..., b, a, ...) = (-1)^{|a||b|} F(..., a, b, ...).
 
 Both routes sum over integers with ``D.int_image`` and ``monomial_mul`` and
 divide once at the output: ``akman_bracket`` runs the recursion on monomial
-tuples, ``koszul_bracket`` on products of its argument ``Element``s.
+tuples, ``koszul_bracket`` on products of its argument ``Element``s.  The
+recursion on ``Element`` values, or on cohomology classes, is evaluated only
+by the test oracles (tests/oracles.py).
 
 Signs read only parities, so arguments and D are required parity-homogeneous;
 degree-homogeneous inputs are the common case.
@@ -25,7 +27,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations, product as iter_product
 from math import lcm, prod
 
@@ -60,31 +61,6 @@ def _check_args(D: Operator, args) -> tuple[int, list[int]]:
     return (D.parity() if D else 1), tuple(parities)
 
 
-def akman_recursion(apply_fn, mul_fn, p_D: int, args, parities):
-    """Core recursion, abstract in the operator action and the product.
-
-    ``apply_fn``/``mul_fn`` operate on whatever value type the caller uses
-    (cohomology classes in the induced checks, ``Element``s in the tests'
-    oracle); values must support + and -.  It recurses through itself, not
-    through a local closure: a closure that calls itself is a reference cycle,
-    and would keep the operator behind ``apply_fn``, with its caches, alive
-    until the cyclic garbage collector runs.
-    """
-    tup, pars = tuple(args), tuple(parities)
-    if len(tup) == 1:
-        return apply_fn(tup[0])
-    a_n, a_np1 = tup[-2], tup[-1]
-    p_n = pars[-2]
-    head, head_p = tup[:-2], pars[:-2]
-    rec = partial(akman_recursion, apply_fn, mul_fn, p_D)
-    t1 = rec(head + (mul_fn(a_n, a_np1),), head_p + ((p_n + pars[-1]) % 2,))
-    t2 = mul_fn(rec(head + (a_n,), head_p + (p_n,)), a_np1)
-    t3 = mul_fn(a_n, rec(head + (a_np1,), head_p + (pars[-1],)))
-    if p_n * ((sum(head_p) + p_D) % 2) % 2:
-        return t1 - t2 + t3
-    return t1 - t2 - t3
-
-
 def _integral(a: Element, scale: int) -> dict[Monomial, int]:
     """``scale * a`` as {monomial: int}, for a ``scale`` that clears every
     denominator of ``a``."""
@@ -92,9 +68,10 @@ def _integral(a: Element, scale: int) -> dict[Monomial, int]:
 
 
 def _akman_on_monomials(D: Operator, p_D: int, monos: tuple, parities: tuple):
-    """``akman_recursion`` on monomials, as {monomial: int} over ``D.den()``;
-    the product a_n a_{n+1} is a signed monomial, whose sign scales the first
-    term.  The result may be ``D``'s cached image: read it, never mutate it."""
+    """The module docstring's recursion on monomials, as {monomial: int} over
+    ``D.den()``, with ``D.int_image`` at the leaves; the product a_n a_{n+1}
+    is a signed monomial, whose sign scales the first term.  The result may
+    be ``D``'s cached image: read it, never mutate it."""
     if len(monos) == 1:
         return D.int_image(monos[0])
     table = D.table

@@ -5,7 +5,7 @@ Each one is written the slow, obvious way and is used only by tests.
 
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import islice, product as iter_product
 
 from bvcheck.algebra import (
@@ -20,14 +20,13 @@ from bvcheck.brackets import (
     OrderCertificate,
     _check_args,
     akman_bracket,
-    akman_recursion,
     bv_bracket,
     first_witness,
     monomial_tuples,
 )
 from bvcheck.graded import koszul_sign, unshuffles
 from bvcheck.operators import Operator, _diff_monomial
-from bvcheck.structures import StructReport, _first_tuples, _hom_bilinear
+from bvcheck.structures import StructReport, _hom_bilinear
 
 
 def enumerate_monomials_by_box(table: GeneratorTable, max_degree: int) -> list:
@@ -173,6 +172,37 @@ def perm_sign(sigma) -> int:
             if sigma[t] > sigma[u]:
                 sign = -sign
     return sign
+
+
+def akman_recursion(apply_fn, mul_fn, p_D: int, args, parities):
+    """The recursion of ``akman_bracket``, abstract in the operator action
+    and the product.
+
+    ``apply_fn``/``mul_fn`` operate on whatever value type the caller uses
+    (``Element``s, or cohomology classes in ``induced_items_by_evaluation``);
+    values must support + and -.  It recurses through itself, not through a
+    local closure: a closure that calls itself is a reference cycle, and
+    would keep the operator behind ``apply_fn``, with its caches, alive until
+    the cyclic garbage collector runs.
+    """
+    tup, pars = tuple(args), tuple(parities)
+    if len(tup) == 1:
+        return apply_fn(tup[0])
+    a_n, a_np1 = tup[-2], tup[-1]
+    p_n = pars[-2]
+    head, head_p = tup[:-2], pars[:-2]
+    rec = partial(akman_recursion, apply_fn, mul_fn, p_D)
+    t1 = rec(head + (mul_fn(a_n, a_np1),), head_p + ((p_n + pars[-1]) % 2,))
+    t2 = mul_fn(rec(head + (a_n,), head_p + (p_n,)), a_np1)
+    t3 = mul_fn(a_n, rec(head + (a_np1,), head_p + (pars[-1],)))
+    if p_n * ((sum(head_p) + p_D) % 2) % 2:
+        return t1 - t2 + t3
+    return t1 - t2 - t3
+
+
+def _first_tuples(elems, arity: int, budget: Budget):
+    """The first ``budget.max_tuples`` arity-tuples of ``elems``."""
+    return islice(iter_product(elems, repeat=arity), budget.max_tuples)
 
 
 def akman_bracket_by_elements(D, args) -> Element:

@@ -192,7 +192,7 @@ def test_criterion_7_cohomology_and_induced_structure():
     reps_ok = reps == {0: ["1"], 2: ["x1"]}
 
     poly = polyvector_model(2)
-    # every triple of the 13 classes: a pass on a prefix of them is untested
+    # a budget that counts every triple of the 13 classes
     budget = Budget(max_degree=2, max_tuples=13**3)
     # with a zero differential the induced operator is the original one
     induced_is_delta = poly.D.degree_components().get(-1) == poly.D

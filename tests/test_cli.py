@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import product
 
 import pytest
 
@@ -317,12 +318,12 @@ def test_spec_without_differential_builds_its_cohomology_once(tmp_path, monkeypa
 
     monkeypatch.setattr(structures, "kernel_and_image", counting)
     # one build of three slices, as for the model whose d is also zero; the
-    # induced tallies read a prefix of the 25 classes' triples, so exit 3
-    assert main(["cohomology", "--model", "polyvector2", "--window", "3"]) == 3
+    # Laplacian has order 2, so every induced item passes
+    assert main(["cohomology", "--model", "polyvector2", "--window", "3"]) == 0
     assert len(slices) == 3
     path = write(tmp_path, "good.spec", LAPLACIAN_SPEC)
     slices.clear()
-    assert main(["cohomology", "--spec", path, "--window", "3"]) == 3
+    assert main(["cohomology", "--spec", path, "--window", "3"]) == 0
     assert len(slices) == 3
 
 
@@ -606,7 +607,7 @@ GOLDEN = {
     ("model:mixed-order", "derivation"): (0, "d4a7df1d3d608c04139fb26435052d1d1d029a32ea88fa8e605fdbc4ee86c4cc"),
     ("model:mixed-order", "bvinfty"): (0, "f4a263814b029f5474a8139b4e4abc03f59556077c74de3dfb32c7aab5a7732a"),
     ("model:mixed-order", "gerstenhaber"): (1, "be336ce502a94b01c66c140912b8ed7abc9b23411235ccd32e1810cc470b4f8a"),
-    ("model:mixed-order", "cohomology"): (3, "c1838bca7a8a0e229605b1a765c4833c6d4170311a7fbc2ac551b5d2fa3f7082"),
+    ("model:mixed-order", "cohomology"): (3, "e38ec7c710cdcc246ab60e2b885439b1eb600a9a2bde6c4858cb772882bfb892"),
     ("model:polyvector2", "bv-core"): (0, "1e3d0e7a1459c795bd9e724d10ea742c6a050158e985bd6b05ab29943cc67170"),
     ("model:polyvector2", "brackets"): (0, "fa0aaf3fefb498f965fa81d7122b07f9441f9ee420a01892ea2db679db3cc349"),
     ("model:polyvector2", "linfty"): (0, "b54f088b2208620185d884f948dcab0ec3bf0ada282ba1aca0aeddf52f7e5ca3"),
@@ -614,7 +615,7 @@ GOLDEN = {
     ("model:polyvector2", "derivation"): (0, "f42674ed63a703e95294e8c28b6cb28f263bc617f97cb25e7aed4b3ac9820002"),
     ("model:polyvector2", "bvinfty"): (0, "0c43790467d3841e5b1cfd9f1bd310ea62a9c5da918dbdf5f3c621ab0405b8da"),
     ("model:polyvector2", "gerstenhaber"): (0, "84b4e08c4e715e0ffc7a744b1ce0e20fa6feb2bf03a4a8112dfa604dac23d7b2"),
-    ("model:polyvector2", "cohomology"): (3, "006f94f4919d35e7f7960068c4840f7979b03bb62f85b2f7518d8494b4272f39"),
+    ("model:polyvector2", "cohomology"): (0, "73c0b807fd379be382c65782adcae560e2b686bee4ec212f133c636ace9406c1"),
     ("model:polyvector3", "bv-core"): (0, "1bd1d710739dc80039466c98a089af4d9f209eda880c9686e9530bcb645ae648"),
     ("model:polyvector3", "brackets"): (0, "e6d6f99af158b4bb1acc9e68db9dfaabc19f54ebfa20f4c30fa1e3ce3616c1e9"),
     ("model:polyvector3", "linfty"): (0, "65969249244edabf5027a0e136e4753908ef34e8c8a3a67c77b87335afc1c2c4"),
@@ -622,7 +623,7 @@ GOLDEN = {
     ("model:polyvector3", "derivation"): (0, "f1d4495dd220ede7a341b435bff0fdcd9641adde2a92f58a66abb81fb0ed7afb"),
     ("model:polyvector3", "bvinfty"): (0, "c5c51af637c025ac9e463f514bc18b8e3c339bb7275c23ebc13dabb34e635643"),
     ("model:polyvector3", "gerstenhaber"): (0, "518cad9b170ddbcb142d1d1e00a55ea86a49ae2f09af6599eb1c3d63e466112a"),
-    ("model:polyvector3", "cohomology"): (3, "d2b8d44e52f088e2bf34839d96fd90268f123886d2dec3dee67ba9d802293b5c"),
+    ("model:polyvector3", "cohomology"): (0, "9a295b95df00b01e3495a93dc194f54d03ef0fe25641ccde9f98ee3c04359ed7"),
     ("laplacian-plus-xi1", "bv-core"): (1, "37f46d032d6d7bb7245e1c349ef54c65e5f1c272ca7bc9cf6924ae70dc3a2b54"),
     ("laplacian-plus-xi1", "brackets"): (0, "21c6335fd41db07e6042f4c6fdc797543ceecd916f8505fd79c10e4585d1212d"),
     ("laplacian-plus-xi1", "linfty"): (1, "5e878cb29d6ce9e57cf25ad3ad7691e287e1335b7718f92c439e9a41f5a1fe54"),
@@ -703,7 +704,7 @@ GOLDEN_COHOMOLOGY_SPECS = {
 }
 GOLDEN_COHOMOLOGY = {
     ("model:koszul2", "6"): (0, "377f71a9f289eb990459be6a339a63bede9227f2699deac45567469fc8ce11d0"),
-    ("model:mixed-order", "4"): (3, "01b2787f056b4b5da87b5c1de27f5bca42d0f01ca7626d33d8d7889c491019d9"),
+    ("model:mixed-order", "4"): (3, "d7924ff506baa403092e18407eb7766b0abb88f2f1eab1d79cc8472328f1cd71"),
     ("laplacian-as-d", "3"): (3, "ee466c784bb4105a3d518235a4ffa963a330e3f63373a53ec53d1e64c7df31f0"),
     ("koszul-fractional", "7"): (0, "d7e9c3d717f72e43c4ed71185d71ef59bf69ec186a5cf0dbc91717b8b04f6213"),
 }
@@ -719,3 +720,102 @@ def test_golden_cohomology_command(source, window, tmp_path, monkeypatch, capsys
         where = ["--spec", source + ".spec"]
     got = _report_digest(capsys, ["cohomology", *where, "--window", window])
     assert got == GOLDEN_COHOMOLOGY[source, window]
+
+
+# polyvector2 with d = xi1 (a multiplication) and D = d + Delta: d is no
+# product derivation, F^2_d(1, 1) = xi1, and D o D = Delta xi1 + xi1 Delta
+# = d/dx1, nonzero first at x1
+XI1_DIFFERENTIAL_SPEC = """MODEL polyvector2
+
+OPERATOR d
+1 | 0 0 1 0 | 0 0 0 0
+
+OPERATOR D
+1 | 0 0 1 0 | 0 0 0 0
+1 | 0 0 0 0 | 1 0 1 0
+1 | 0 0 0 0 | 0 1 0 1
+"""
+
+
+def test_induced_precondition_error_names_the_failed_clauses(tmp_path, capsys):
+    spec = write(tmp_path, "xi1.spec", XI1_DIFFERENTIAL_SPEC)
+    assert main(["cohomology", "--spec", spec, "--window", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: induced_bv precondition: homotopy-BV check failed: "
+        "d is a product derivation (witness: 1; 1); D squares to zero (witness: x1)\n"
+    )
+
+
+def _mixed_order_window_dims(window: int) -> dict:
+    """H(d/dxi1) on mixed-order's window, by hand: d/dxi1 is acyclic, but a
+    monomial without xi1 of total exponent ``window`` is a cycle whose
+    preimage xi1 * m leaves the window, so the classes are the monomials in
+    xi2 (degree -1), u (2) and eta1..eta3 (1) of total exponent ``window``."""
+    dims: dict = {}
+    for xi2, *etas in product((0, 1), repeat=4):
+        u = window - xi2 - sum(etas)
+        if u >= 0:
+            g = -xi2 + 2 * u + sum(etas)
+            dims[g] = dims.get(g, 0) + 1
+    return dict(sorted(dims.items()))
+
+
+@pytest.mark.parametrize("window", [2, 3, 4])
+def test_induced_items_of_mixed_order_pass_at_the_default_budget(window, capsys):
+    # D2 = d/dxi2 d/du has order 2, so order <= 2, Jacobi and Leibniz hold on
+    # H(d), although products of the window's classes leave it; d lowers the
+    # total exponent, so the window warnings make the exit 3
+    argv = ["cohomology", "--model", "mixed-order", "--window", str(window), "--format", "json"]
+    assert main(argv) == 3
+    suite, _ = json.loads(capsys.readouterr().out)["suites"]
+    dims = _mixed_order_window_dims(window)
+    triples = f"{min(sum(dims.values()) ** 3, 200)} triples"
+    items = [(i["name"], i["status"], i["details"]) for i in suite["items"]]
+    assert items[0] == ("slice dimensions", "pass", str(dims))
+    assert {s for n, s, _ in items if n != "window truncation"} == {"pass"}
+    assert items[-4:] == [
+        ("induced operator has order <= 2 on representatives", "pass", triples),
+        ("induced bracket: graded antisymmetry", "pass", f"{min(sum(dims.values()) ** 2, 200)} pairs"),
+        ("induced bracket: graded Jacobi", "pass", triples),
+        ("induced bracket: Leibniz rule", "pass", triples),
+    ]
+
+
+FRACTIONAL_BRACKETS_SPEC = """GENERATORS
+x1 0
+x2 0
+xi1 1
+xi2 1
+
+OPERATOR D
+3/2 | 0 0 0 0 | 1 0 1 0
+-5/7 | 0 0 0 0 | 0 1 0 1
+4/9 | 1 0 0 0 | 0 1 1 0
+2/3 | 0 0 1 0 | 0 0 0 0
+
+SUITE brackets arity=4
+"""
+
+
+@pytest.mark.parametrize("argv, spec, code", [
+    (["check", "--model", "polyvector2", "--suite", "bv-core"], None, 0),
+    (["cohomology", "--model", "koszul2", "--window", "4"], None, 0),
+    (["split", "--model", "mixed-order"], None, 0),
+    (["check", "--model", "koszul1", "--suite", "derivation"], None, 0),
+    (["check"], "MODEL mixed-order\nSUITE brackets arity=4\n", 0),
+    (["check"], FRACTIONAL_BRACKETS_SPEC, 0),
+    (["brackets", "--arity", "3"], FRACTIONAL_BRACKETS_SPEC, 0),
+    (["cohomology", "--window", "7"], KOSZUL_FRACTIONAL, 0),
+    (["check", "--model", "mixed-order", "--suite", "gerstenhaber"], None, 1),
+], ids=["bv-core", "koszul2-window4", "split", "derivation", "mixed-order-brackets",
+        "fractional-brackets", "fractional-value-table", "koszul-fractional",
+        "mixed-order-gerstenhaber"])
+def test_exit_code_at_the_default_budget(argv, spec, code, tmp_path, capsys):
+    # the route suite passes through arity 4 on mixed-order and on an operator
+    # with denominators 2, 7, 9 and 3 and a multiplication term; mixed-order's
+    # order-3 part breaks the Leibniz rule
+    if spec is not None:
+        argv = argv + ["--spec", write(tmp_path, "s.spec", spec)]
+    assert main(argv) == code

@@ -1,13 +1,12 @@
-import dataclasses
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import islice, product as iter_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvcheck import structures
+from bvcheck import brackets, structures
 from bvcheck.algebra import (
     AlgebraError,
     Element,
@@ -753,35 +752,16 @@ def test_induced_bv_polyvector_zero_differential():
     names = {i.name: i.status for i in report.items}
     assert names["induced operator squares to zero on classes"] == "pass"
     assert names["induced operator has order <= 2 on representatives"] == "pass"
-    # on a prefix of the triples the order, Jacobi and Leibniz passes are untested
+    # the Laplacian has order 2, so the items hold on every class and a
+    # smaller budget caps only the counts
     report = induced_bv(model.table, model.d, model.D, 2, BUDGET)
-    assert report.passed
-    untested = [(i.name, i.details) for i in report.items if i.status == "untested"]
-    assert untested == [
-        ("induced operator has order <= 2 on representatives", "60 triples, truncated prefix"),
-        ("induced bracket: graded Jacobi", "60 triples, truncated prefix"),
-        ("induced bracket: Leibniz rule", "60 triples, truncated prefix"),
-    ]
-
-
-def test_induced_memo_tells_same_support_classes_apart(monkeypatch):
-    # with d = 0 every element is a class and the induced operator is the
-    # Laplacian; keep four classes, two by two of the same support, so that
-    # [xi1, x1 * 2x1] = [xi1, x1] 2x1 + [xi1, 2x1] x1 and the induced
-    # product x1 * 2x1 are right only if the memos tell them apart
-    model = polyvector_model(1)
-    x1, xi1 = (Element.generator(model.table, n) for n in ("x1", "xi1"))
-    real_cohomology = cohomology
-
-    def scaled_classes(*args):
-        # a new basis: the one cohomology returns is shared, never mutated
-        H = real_cohomology(*args)
-        return dataclasses.replace(H, representatives={0: [x1, 2 * x1], 1: [xi1, -xi1]})
-
-    monkeypatch.setattr(structures, "cohomology", scaled_classes)
-    budget = Budget(max_degree=2, max_tuples=64)
-    report = induced_bv(model.table, model.d, model.D, 3, budget)
     assert report.passed and report.fully_tested
+    assert [(i.name, i.details) for i in report.items[-4:]] == [
+        ("induced operator has order <= 2 on representatives", "60 triples"),
+        ("induced bracket: graded antisymmetry", "25 pairs"),
+        ("induced bracket: graded Jacobi", "60 triples"),
+        ("induced bracket: Leibniz rule", "60 triples"),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -790,49 +770,44 @@ def test_induced_memo_tells_same_support_classes_apart(monkeypatch):
     ids=["koszul2", "polyvector2"],
 )
 def test_induced_maps_are_computed_once_per_argument(model, window, monkeypatch):
-    # after the cohomology is built, the induced operator is the only caller
-    # of Operator.apply (besides the boundary scan, whose rows are distinct),
-    # the induced product the only one of Element * Element, and the induced
-    # bracket the only caller of akman_recursion on pairs; when the induced
-    # operator is 0 (koszul2: D has no degree -1 part) none of them is called
-    recording = []
-    applied, multiplied, bracketed, recursed = [], [], [], []
-    real_cohomology, real_apply, real_mul = cohomology, Operator.apply, Element.__mul__
-    real_recursion = structures.akman_recursion
+    # the items are read off operator identities: once the cohomology is
+    # built, nothing is applied, multiplied or bracketed, whether the induced
+    # operator is 0 (koszul2: D has no degree -1 part) or the Laplacian
+    recording, calls = [], []
+    real_cohomology = cohomology
 
     def cohomology_then_record(*args):
         H = real_cohomology(*args)
         recording.append(True)
         return H
 
-    def apply(self, a):
-        if recording:
-            applied.append((self, a))
-        return real_apply(self, a)
-
-    def mul(self, other):
-        if recording and isinstance(other, Element):
-            multiplied.append((self, other))
-        return real_mul(self, other)
-
-    def recursion(apply_fn, mul_fn, p_D, args, parities):
-        if recording:
-            recursed.append(tuple(args))
-        if len(args) == 2:
-            bracketed.append(tuple(args))
-        return real_recursion(apply_fn, mul_fn, p_D, args, parities)
+    def recorded(name, real):
+        def call(*args):
+            if recording:
+                calls.append(name)
+            return real(*args)
+        return call
 
     monkeypatch.setattr(structures, "cohomology", cohomology_then_record)
-    monkeypatch.setattr(structures, "akman_recursion", recursion)
-    monkeypatch.setattr(Operator, "apply", apply)
-    monkeypatch.setattr(Element, "__mul__", mul)
+    monkeypatch.setattr(Operator, "apply", recorded("apply", Operator.apply))
+    monkeypatch.setattr(Element, "__mul__", recorded("*", Element.__mul__))
+    for module in (brackets, structures):
+        monkeypatch.setattr(module, "akman_bracket", recorded("bracket", module.akman_bracket))
+    for name in ("koszul_bracket", "_akman_on_monomials"):
+        monkeypatch.setattr(brackets, name, recorded("bracket", getattr(brackets, name)))
     report = induced_bv(model.table, model.d, model.D, window, BUDGET)
-    assert report.passed
-    if -1 not in model.D.degree_components():
-        assert recording and not (applied or multiplied or recursed)
-        return
-    for calls in (applied, multiplied, bracketed):
-        assert calls and len(set(calls)) == len(calls)
+    assert report.passed and report.fully_tested
+    assert recording and calls == []
+
+
+@cache
+def _exhaustive_oracle(model, window):
+    """``induced_items_by_evaluation`` on every boundary, class and triple,
+    made once per model and window."""
+    H = cohomology(model.table, model.d, window)
+    n = sum(H.dims().values())
+    D2 = model.D.degree_components().get(-1, Operator.zero(model.table))
+    return induced_items_by_evaluation(H, D2, window, Budget(max_tuples=n**3))
 
 
 @pytest.mark.parametrize("max_tuples", [0, 5, 200])
@@ -840,15 +815,17 @@ def test_induced_maps_are_computed_once_per_argument(model, window, monkeypatch)
     "model,window",
     [(koszul_complex_model([1]), 4), (koszul_complex_model([2]), 6)]
     + [(koszul_complex_model(w), k) for w in ([1, 2, 3], [2, 2, 3]) for k in range(4, 8)]
-    + [(polyvector_model(2), 3)],
+    + [(polyvector_model(1), 3), (polyvector_model(2), 3)],
     ids=["koszul1", "koszul2"]
     + [f"{w}-window{k}" for w in ("123", "223") for k in range(4, 8)]
-    + ["polyvector2"],
+    + ["polyvector1", "polyvector2"],
 )
 def test_induced_items_equal_evaluating_every_case(model, window, max_tuples):
-    # on a zero induced operator (every Koszul model) the items are decided
-    # without evaluation; the lines must be those of evaluating every
-    # boundary, class and tuple, as they are on polyvector2's nonzero one
+    # on a zero induced operator (every Koszul model) the lines are those of
+    # evaluating every boundary, class and tuple; with d = 0 (polyvector)
+    # every element is a class and no product leaves the boundaries behind,
+    # so evaluation is exact: each pass is one of evaluating every case, and
+    # the budget's prefix finds no failure
     budget = Budget(max_degree=2, max_tuples=max_tuples)
     report = induced_bv(model.table, model.d, model.D, window, budget)
     assert [i.name for i in report.items[:2]] == [
@@ -858,4 +835,87 @@ def test_induced_items_equal_evaluating_every_case(model, window, max_tuples):
     D2 = model.D.degree_components().get(-1, Operator.zero(model.table))
     H = cohomology(model.table, model.d, window)
     oracle = induced_items_by_evaluation(H, D2, window, budget)
-    assert [i.line() for i in report.items[2:]] == [i.line() for i in oracle.items]
+    if not D2:
+        assert [i.line() for i in report.items[2:]] == [i.line() for i in oracle.items]
+        return
+    assert model.d.is_zero()
+    exhaustive = _exhaustive_oracle(model, window)
+    for item, prefix, full in zip(report.items[2:], oracle.items, exhaustive.items, strict=True):
+        assert item.name == prefix.name == full.name
+        assert prefix.status != "fail"
+        assert item.status != "pass" or full.status == "pass"
+
+
+def test_induced_items_of_an_order_three_d2_are_undecided():
+    # D = d/dx1 d/dx2 d/dxi1 on polyvector2 with d = 0 squares to zero, but
+    # its degree -1 part (D itself) has order 3: F^3(x2, x1, xi1) = 1, so the
+    # three items that need F^3_{D2} = 0 read undecided, and evaluating every
+    # triple fails order <= 2 there
+    model = polyvector_model(2)
+    D = Operator.term(model.table, 1, (0, 0, 0, 0), (1, 1, 1, 0))
+    report = induced_bv(model.table, model.d, D, 1, Budget(max_degree=2, max_tuples=200))
+    assert report.passed and not report.fully_tested
+    undecided = [
+        "induced operator has order <= 2 on representatives",
+        "induced bracket: graded Jacobi",
+        "induced bracket: Leibniz rule",
+    ]
+    assert [(i.name, i.details) for i in report.items if i.status != "pass"] == [
+        (name, "undecided: D2 has order > 2") for name in undecided
+    ]
+    assert all(i.status == "untested" for i in report.items if i.name in undecided)
+    H = cohomology(model.table, model.d, 1)
+    oracle = {i.name: i for i in induced_items_by_evaluation(H, D, 1, Budget(max_tuples=125)).items}
+    assert oracle[undecided[0]].status == "fail"
+    assert oracle[undecided[0]].witness == "(x2, x1, xi1)"
+
+
+def _lie_poisson(pi_terms):
+    """``(d_pi, D)`` on polyvector3 for the bivector sum of ``c * x_k xi_i xi_j``
+    over ``(c, k, i, j)`` (generators 1-based, i < j): D = Delta + d_pi with
+    d_pi = Delta o m_pi - m_pi o Delta."""
+    model = polyvector_model(3)
+    table = model.table
+    gen = {n: Element.generator(table, n) for n in table.names}
+    pi = Element.zero(table)
+    for c, k, i, j in pi_terms:
+        pi = pi + c * gen[f"x{k}"] * gen[f"xi{i}"] * gen[f"xi{j}"]
+    m = Operator.multiplication(pi)
+    d = model.D.compose(m) - m.compose(model.D)
+    return d, model.D + d
+
+
+# sl2* and so3* as linear Poisson structures on polyvector3, as ROADMAP item 3
+# builds them: pi = x3 xi1 xi2 + x1 xi2 xi3 +- x2 xi1 xi3, whose Casimir C is
+# x1^2 -+ x2^2 + x3^2 (d_pi x_i is the left derivative of pi by xi_i)
+@pytest.mark.parametrize("sign, casimir", [(1, "x1^2 - x2^2 + x3^2"), (-1, "x1^2 + x2^2 + x3^2")],
+                         ids=["sl2", "so3"])
+def test_induced_bv_of_a_unimodular_linear_poisson_structure_passes(sign, casimir):
+    # H(d_pi) of a unimodular linear Poisson structure is a BV algebra (Xu,
+    # CMP 200, 1999).  On window 3, d_pi keeps the x-degree and raises the
+    # xi-degree: degree 0 holds the Casimirs 1 and C, degree 3 the
+    # Chevalley-Eilenberg class xi1 xi2 xi3 of a semisimple algebra, and
+    # degrees 1 and 2 nothing (H^1 = H^2 = 0 for semisimple g)
+    d, D = _lie_poisson([(1, 3, 1, 2), (1, 1, 2, 3), (sign, 2, 1, 3)])
+    table = d.table
+    assert d.apply(parse_element(table, casimir)).is_zero()
+    report = induced_bv(table, d, D, 3, Budget())
+    assert report.passed and report.fully_tested
+    assert report.items[1].details == "{0: 2, 3: 1}"
+    assert [i.details for i in report.items[-4:]] == [
+        "27 triples", "9 pairs", "27 triples", "27 triples",
+    ]
+
+
+def test_induced_bv_of_the_heisenberg_structure_passes_every_triple():
+    # pi = x3 xi1 xi2, unimodular: every induced item passes on all triples
+    # of the window's classes, among them the Casimirs 1, x3, x3^2, x3^3
+    d, D = _lie_poisson([(1, 3, 1, 2)])
+    H = cohomology(d.table, d, 3)
+    n = sum(H.dims().values())
+    assert H.dims()[0] == 4
+    report = induced_bv(d.table, d, D, 3, Budget(max_tuples=n**3))
+    assert report.passed and report.fully_tested
+    assert [i.details for i in report.items[-4:]] == [
+        f"{n**3} triples", f"{n**2} pairs", f"{n**3} triples", f"{n**3} triples",
+    ]
