@@ -214,7 +214,6 @@ def first_witness(cases, holds):
 class OrderCertificate:
     """Machine-checkable evidence that an operator has a given bracket order."""
 
-    claimed_order: int
     tuples_tested: int
     passed: bool
     failure_witness: tuple | None = None
@@ -275,12 +274,12 @@ def akman_order_check(D: Operator, k: int, budget: Budget | None = None) -> Orde
         raise AlgebraError("order must be >= 0")
     budget = budget or Budget()
     if D.is_zero():
-        return OrderCertificate(k, 0, True, degenerate_zero=True)
+        return OrderCertificate(0, True, degenerate_zero=True)
     _check_parity(D)
     if bracket_vanishes(D, k + 1):
         sharp = k >= 1 and not bracket_vanishes(D, k)
-        return OrderCertificate(k, tuple_count(D.table, k + 1, budget), True, sharp=sharp)
+        return OrderCertificate(tuple_count(D.table, k + 1, budget), True, sharp=sharp)
     witness = bracket_witness(D, k + 1)
     if akman_bracket(D, [Element.monomial(D.table, m) for m in witness]).is_zero():
         raise AssertionError("constructed bracket witness evaluates to zero")
-    return OrderCertificate(k, 1, False, witness)
+    return OrderCertificate(1, False, witness)

@@ -25,11 +25,9 @@ from .brackets import (
     akman_bracket,
     akman_order_check,
     bracket_vanishes,
-    bv_bracket,
     first_witness,
     koszul_bracket,
     monomial_tuples,
-    tuple_count,
 )
 from .linfty import verify_linfty
 from .models import BUILTIN_MODELS
@@ -37,7 +35,6 @@ from .operators import format_operator
 from .specfile import ModelSpec, SpecError, parse_spec
 from .structures import (
     StructReport,
-    as_elements,
     check_bvinfty,
     check_derivation_lemma,
     check_gerstenhaber,
@@ -135,31 +132,6 @@ def _split(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     return report
 
 
-@_unit_window
-def _gerstenhaber(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
-    table = spec.table
-    D = spec.main_operator()
-    # the Leibniz defect is F^3 and, for odd D with F^3 = 0, the Jacobiator
-    # is F^3 of D o D: both exact; else Jacobi is evaluated on window triples
-    cert = akman_order_check(D, 2, budget)
-    tried = tuple_count(table, 3, budget) if cert.degenerate_zero else cert.tuples_tested
-    exact = cert.passed and (D.is_zero() or D.is_odd())
-    report = check_gerstenhaber(
-        lambda a, b: bv_bracket(D, a, b),
-        tuple_count(table, 2, budget),
-        () if exact else (as_elements(table, t) for t in monomial_tuples(table, 3, budget)),
-        (tried, as_elements(table, cert.failure_witness)),
-        "bracket of the main operator",
-        square=D.square() if exact else None,
-    )
-    # a degree-homogeneous D and monomial arguments fix both degrees
-    pairs = len(enumerate_monomials(table, budget.max_degree)) ** 2
-    if D.is_degree_homogeneous() and not D.is_zero():
-        report.tally(f"bracket degree offset {D.degree():+d}", pairs, None)
-    report.tally("product degree offset +0", pairs, None)
-    return report
-
-
 def _cohomology(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     table = spec.table
     D = spec.main_operator()
@@ -171,8 +143,7 @@ def _cohomology(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     for w in H.warnings:
         report.add("window truncation", "untested", w)
     if not D.is_zero() and not (D - d).is_zero():
-        for item in induced_bv(table, d, D, window, budget).items:
-            report.add(item.name, item.status, item.details, item.witness)
+        report.items += induced_bv(table, d, D, window, budget).items
     return report
 
 
@@ -188,7 +159,9 @@ SUITES = {
     "bvinfty": lambda spec, budget, params: check_bvinfty(
         spec.differential(), spec.main_operator(), budget
     ),
-    "gerstenhaber": _gerstenhaber,
+    "gerstenhaber": _unit_window(lambda spec, budget, params: check_gerstenhaber(
+        spec.main_operator(), budget
+    )),
     "cohomology": _cohomology,
 }
 

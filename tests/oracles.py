@@ -26,7 +26,7 @@ from bvcheck.brackets import (
 )
 from bvcheck.graded import koszul_sign, unshuffles
 from bvcheck.operators import Operator, _diff_monomial
-from bvcheck.structures import StructReport, _hom_bilinear
+from bvcheck.structures import StructReport
 
 
 def enumerate_monomials_by_box(table: GeneratorTable, max_degree: int) -> list:
@@ -276,7 +276,7 @@ def order_check_by_evaluation(D, k: int, budget: Budget | None = None) -> OrderC
     budget = budget or Budget()
     table = D.table
     if D.is_zero():
-        return OrderCertificate(k, 0, True, degenerate_zero=True)
+        return OrderCertificate(0, True, degenerate_zero=True)
 
     def nonzero(tup):
         return not akman_bracket(D, [Element.monomial(table, m) for m in tup]).is_zero()
@@ -285,7 +285,7 @@ def order_check_by_evaluation(D, k: int, budget: Budget | None = None) -> OrderC
     sharp_witness = None
     if failure is None and k >= 1:
         _, sharp_witness = first_witness(monomial_tuples(table, k, budget), nonzero)
-    return OrderCertificate(k, tested, failure is None, failure, sharp_witness is not None)
+    return OrderCertificate(tested, failure is None, failure, sharp_witness is not None)
 
 
 def square_by_degree_pairs(D) -> dict:
@@ -315,6 +315,33 @@ def bracket_derivation_defect(D, X, a, b) -> Element:
 
     sign = -1 if a.parity() else 1
     return X.apply(bracket(a, b)) - bracket(X.apply(a), b) + sign * bracket(a, X.apply(b))
+
+
+def _hom_bilinear(fn, a: Element, b: Element) -> Element:
+    """``fn`` of two homogeneous elements, extended bilinearly over the
+    degree components of ``a`` and ``b``."""
+    out = Element.zero(a.table)
+    for ca in a.grade_decompose().values():
+        for cb in b.grade_decompose().values():
+            out = out + fn(ca, cb)
+    return out
+
+
+def jacobiator(bracket, a: Element, b: Element, c: Element) -> Element:
+    """``[a,[b,c]] - [[a,b],c] - (-1)^{(|a|+1)(|b|+1)} [b,[a,c]]`` for
+    homogeneous a, b, c, each outer bracket split over the degree components
+    of its inner one."""
+    sign = -1 if ((a.degree() + 1) * (b.degree() + 1)) % 2 else 1
+    lhs = _hom_bilinear(bracket, a, bracket(b, c))
+    rhs = _hom_bilinear(bracket, bracket(a, b), c)
+    return lhs - rhs - sign * _hom_bilinear(bracket, b, bracket(a, c))
+
+
+def leibniz_defect(bracket, product, a: Element, b: Element, c: Element) -> Element:
+    """``[a, b c] - [a,b] c - (-1)^{|b||c|} [a,c] b`` for homogeneous a, b, c."""
+    sign = -1 if (b.degree() * c.degree()) % 2 else 1
+    lhs = _hom_bilinear(bracket, a, product(b, c))
+    return lhs - product(bracket(a, b), c) - sign * product(bracket(a, c), b)
 
 
 def gerstenhaber_by_evaluation(
@@ -352,19 +379,10 @@ def gerstenhaber_by_evaluation(
         return not (bracket(a, b) - sign * bracket(b, a)).is_zero()
 
     def jacobi_fails(triple):
-        a, b, c = triple
-        sign = -1 if ((a.degree() + 1) * (b.degree() + 1)) % 2 else 1
-        lhs = _hom_bilinear(bracket, a, bracket(b, c))
-        rhs = _hom_bilinear(bracket, bracket(a, b), c)
-        rhs = rhs + sign * _hom_bilinear(bracket, b, bracket(a, c))
-        return not (lhs - rhs).is_zero()
+        return not jacobiator(bracket, *triple).is_zero()
 
     def leibniz_fails(triple):
-        a, b, c = triple
-        sign = -1 if (b.degree() * c.degree()) % 2 else 1
-        lhs = _hom_bilinear(bracket, a, product(b, c))
-        rhs = product(bracket(a, b), c) + sign * product(bracket(a, c), b)
-        return not (lhs - rhs).is_zero()
+        return not leibniz_defect(bracket, product, *triple).is_zero()
 
     for name, arity, fails, unit in (
         ("graded antisymmetry", 2, antisymmetry_fails, "pairs"),
@@ -453,7 +471,7 @@ SCHOUTEN_CALIBRATION = 1
 
 
 def induced_items_by_evaluation(H, D2, window_degree: int, budget: Budget) -> StructReport:
-    """``induced_bv``'s items after the slice dimensions, every one evaluated
+    """``induced_bv``'s items after its exact identity line, every one evaluated
     on the classes of ``H`` with the degree -1 part ``D2``, even when it is 0."""
     table = H.table
     report = StructReport("induced items by evaluation")

@@ -1,10 +1,9 @@
-import random
 from fractions import Fraction
 from functools import cache, partial
-from itertools import islice, product as iter_product
+from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bvcheck import brackets, structures
 from bvcheck.algebra import (
@@ -20,7 +19,6 @@ from bvcheck.brackets import (
     akman_order_check,
     bracket_vanishes,
     bv_bracket,
-    first_witness,
 )
 from bvcheck.linalg import RowSpace
 from bvcheck.linfty import verify_linfty
@@ -44,6 +42,8 @@ from oracles import (
     bracket_derivation_defect,
     gerstenhaber_by_evaluation,
     induced_items_by_evaluation,
+    jacobiator,
+    leibniz_defect,
     square_by_degree_pairs,
 )
 
@@ -57,43 +57,39 @@ def monomial_elements(table, max_degree):
 # --- Gerstenhaber axioms ----------------------------------------------------
 
 def test_laplacian_bracket_passes_axioms():
-    # Jacobi decided from the square, and evaluated on a prefix of triples
+    # odd of order 2 with D o D = 0: Jacobi and Leibniz are read off the
+    # normal forms and pass on the window's counts; both offsets pass
     model = polyvector_model(2)
-    elems = monomial_elements(model.table, 2)
-    cert = akman_order_check(model.D, 2, BUDGET)
-    for triples, square in (((), model.D.square()),
-                            (islice(iter_product(elems, repeat=3), 60), None)):
-        report = check_gerstenhaber(
-            lambda a, b: bv_bracket(model.D, a, b),
-            BUDGET.max_tuples,
-            triples,
-            (cert.tuples_tested, cert.failure_witness),
-            square=square,
-        )
-        assert report.passed and report.fully_tested
-        names = [i.name for i in report.items]
-        assert names == ["graded antisymmetry", "graded Jacobi", "Leibniz rule"]
-        assert report.items[1].details == "60 triples"
-
-
-def test_gerstenhaber_evaluates_each_pair_once():
-    model = polyvector_model(2)
-    elems = monomial_elements(model.table, 2)
-    brackets = []
-
-    def bracket(a, b):
-        brackets.append((a, b))
-        return bv_bracket(model.D, a, b)
-
-    # Leibniz is the caller's outcome: only Jacobi calls the bracket
-    triples = islice(iter_product(elems, repeat=3), 60)
-    report = check_gerstenhaber(bracket, 60, triples, (60, None))
+    report = check_gerstenhaber(model.D, BUDGET)
     assert report.passed and report.fully_tested
-    assert brackets and len(set(brackets)) == len(brackets)
-    # decided from the square, Jacobi calls it not at all
-    brackets.clear()
-    report = check_gerstenhaber(bracket, 60, (), (60, None), square=model.D.square())
-    assert report.passed and report.fully_tested and brackets == []
+    assert [(i.name, i.details) for i in report.items] == [
+        ("graded antisymmetry", "60 pairs"),
+        ("graded Jacobi", "60 triples"),
+        ("Leibniz rule", "60 triples"),
+        ("bracket degree offset -1", ""),
+        ("product degree offset +0", ""),
+    ]
+    _assert_agrees_with_evaluation(model.D)
+
+
+def test_gerstenhaber_evaluates_each_pair_once(monkeypatch):
+    calls = []
+
+    def recorded(D, a, b):
+        calls.append((a, b))
+        return bv_bracket(D, a, b)
+
+    monkeypatch.setattr(structures, "bv_bracket", recorded)
+    # Leibniz fails on mixed-order's order-3 part, so Jacobi is evaluated on
+    # every triple up to the first failure, once per distinct pair
+    model = mixed_order_model()
+    report = check_gerstenhaber(model.D, Budget(max_degree=2, max_tuples=23**3))
+    assert report.items[1].name == "graded Jacobi" and report.items[1].witness
+    assert calls and len(set(calls)) == len(calls)
+    # decided from the square, Jacobi and Leibniz call it not at all
+    calls.clear()
+    report = check_gerstenhaber(polyvector_model(2).D, BUDGET)
+    assert report.passed and report.fully_tested and calls == []
 
 
 def test_gerstenhaber_by_evaluation_evaluates_each_pair_once():
@@ -276,41 +272,71 @@ def test_bracket_derivation_defect_is_the_bracket_of_the_square(name):
     assert (nonzero > 0) == (name == "laplacian2+x1*xi1")
 
 
-def _gerstenhaber_items(D, elems, budget):
-    """``gerstenhaber_by_evaluation``'s items and ``check_gerstenhaber``'s, with
-    the Leibniz outcome of the latter the order <= 2 search on the same
-    triples, by name."""
-    triples = list(islice(iter_product(elems, repeat=3), budget.max_tuples))
-    leibniz = first_witness(triples, lambda t: not akman_bracket(D, t).is_zero())
+def _witness_elements(table, witness: str) -> list[Element]:
+    """A report's ``(a, b, c)`` witness as elements."""
+    return [parse_element(table, m) for m in witness.strip("()").split(", ")]
+
+
+def _gerstenhaber_items(D):
+    """``check_gerstenhaber``'s items and ``gerstenhaber_by_evaluation``'s, by
+    name, on every pair and triple of the window of degree 2."""
+    elems = monomial_elements(D.table, 2)
+    budget = Budget(max_degree=2, max_tuples=len(elems) ** 3)
+    homogeneous = D.is_degree_homogeneous() and not D.is_zero()
+    evaluated = gerstenhaber_by_evaluation(
+        partial(bv_bracket, D), lambda a, b: a * b, elems, budget,
+        bracket_degree=D.degree() if homogeneous else None, product_degree=0,
+    )
+    read_off = check_gerstenhaber(D, budget)
+    return {i.name: i for i in read_off.items}, {i.name: i for i in evaluated.items}
+
+
+def _jacobi_is_evaluated(D, read_off) -> bool:
+    """Whether ``check_gerstenhaber`` evaluated Jacobi on the window's triples
+    (the Leibniz rule fails, or D is even) instead of reading it off D o D."""
+    return read_off["Leibniz rule"].status == "fail" or bool(D) and not D.is_odd()
+
+
+def _assert_agrees_with_evaluation(D):
+    """Each item has the oracle's status on a window that holds every
+    constructed witness.  A pass, and an evaluated Jacobi, is the oracle's
+    item; a failure read off a normal form fails the oracle's identity at
+    its witness.  Returns the items."""
+    read_off, evaluated = _gerstenhaber_items(D)
+    assert read_off.keys() == evaluated.keys()
+    for name, item in read_off.items():
+        assert item.status == evaluated[name].status, name
+        if item.status == "pass":
+            assert item == evaluated[name], name
     bracket = partial(bv_bracket, D)
-    evaluated = gerstenhaber_by_evaluation(bracket, lambda a, b: a * b, elems, budget)
-    read_off = check_gerstenhaber(bracket, min(len(elems) ** 2, budget.max_tuples), triples, leibniz)
-    return ({i.name: i for i in evaluated.items}, {i.name: i for i in read_off.items})
+    if read_off["Leibniz rule"].status == "fail":
+        a, b, c = _witness_elements(D.table, read_off["Leibniz rule"].witness)
+        assert not leibniz_defect(bracket, lambda u, v: u * v, a, b, c).is_zero()
+    if _jacobi_is_evaluated(D, read_off):
+        assert read_off["graded Jacobi"] == evaluated["graded Jacobi"]
+    elif read_off["graded Jacobi"].status == "fail":
+        a, b, c = _witness_elements(D.table, read_off["graded Jacobi"].witness)
+        assert not jacobiator(bracket, a, b, c).is_zero()
+    return read_off, evaluated
 
 
 def test_leibniz_is_order_two_and_antisymmetry_holds_on_every_square():
-    # the Leibniz defect is (-1)^{|a|} F^3(a,b,c), so the evaluated rule
-    # fails first at the first triple with a nonzero F^3; F^2 is graded
-    # symmetric, so antisymmetry never fails; the elements are shuffled so
-    # that the triples do not all start with the unit
-    budget = Budget(max_degree=2, max_tuples=400)
+    # the Leibniz defect is (-1)^{|a|} F^3(a,b,c), so the rule fails exactly
+    # where the order <= 2 certificate does; F^2 is graded symmetric, so
+    # antisymmetry never fails.  Every term has at most three derivatives
+    # and the odd ones of order <= 2 square to at most four, so each
+    # constructed witness lies in the window of degree 2
     statuses = set()
     for name, D in sorted(SQUARES.items()):
-        elems = monomial_elements(D.table, 2)
-        random.Random(name).shuffle(elems)
-        evaluated, read_off = _gerstenhaber_items(D, elems, budget)
-        assert read_off["Leibniz rule"] == evaluated["Leibniz rule"], name
+        read_off, evaluated = _assert_agrees_with_evaluation(D)
         assert evaluated["graded antisymmetry"].status == "pass", name
-        assert read_off["graded antisymmetry"] == evaluated["graded antisymmetry"], name
-        assert read_off["graded Jacobi"] == evaluated["graded Jacobi"], name
         statuses.add(evaluated["Leibniz rule"].status)
     assert statuses == {"pass", "fail"}
 
 
 @st.composite
 def parity_homogeneous_operators(draw):
-    """An odd or even operator of up to five terms, inhomogeneous in degree,
-    with a window of its table's monomials in a drawn order."""
+    """An odd or even operator of up to five terms, inhomogeneous in degree."""
     table = GeneratorTable(("x", "xi", "eta", "u"), (0, -1, 1, 2))
     key = st.tuples(
         st.sampled_from(enumerate_monomials(table, 2)),
@@ -319,18 +345,41 @@ def parity_homogeneous_operators(draw):
     coeff = st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 2)])
     P = Operator(table, draw(st.dictionaries(key, coeff, max_size=5)))
     parity = draw(st.sampled_from((0, 1)))
-    D = Operator(table, {t: c for t, c in P.terms.items() if P.term_degree(t) % 2 == parity})
-    return D, draw(st.permutations(monomial_elements(table, 2)))
+    return Operator(table, {t: c for t, c in P.terms.items() if P.term_degree(t) % 2 == parity})
 
 
 @given(parity_homogeneous_operators())
 @settings(max_examples=30, deadline=None)
-def test_leibniz_is_order_two_and_antisymmetry_holds_on_drawn_operators(case):
-    D, elems = case
-    evaluated, read_off = _gerstenhaber_items(D, elems, Budget(max_degree=2, max_tuples=150))
-    assert read_off["Leibniz rule"] == evaluated["Leibniz rule"]
+def test_leibniz_is_order_two_and_antisymmetry_holds_on_drawn_operators(D):
+    # every term has at most three derivatives, so an order <= 2 operator's
+    # square has at most four, and each constructed witness lies in window 2
+    read_off, evaluated = _assert_agrees_with_evaluation(D)
     assert evaluated["graded antisymmetry"].status == "pass"
+
+
+def _assert_jacobi_equals_evaluation(D):
+    """Jacobi of a degree-inhomogeneous D, evaluated on every triple of the
+    window of degree 2, is the oracle's item, witness included, though only
+    the oracle splits each bracket value into its degree components."""
+    read_off, evaluated = _gerstenhaber_items(D)
+    assert _jacobi_is_evaluated(D, read_off)
     assert read_off["graded Jacobi"] == evaluated["graded Jacobi"]
+    return read_off["graded Jacobi"]
+
+
+def test_jacobi_of_mixed_order_equals_evaluation_by_degree():
+    # mixed-order's brackets have components of several degrees; its order-3
+    # part breaks the Leibniz rule, so Jacobi is evaluated, and fails
+    jacobi = _assert_jacobi_equals_evaluation(mixed_order_model().D)
+    assert jacobi.status == "fail" and jacobi.witness == "(eta3, u*eta2, xi2*eta1)"
+
+
+@given(parity_homogeneous_operators())
+@settings(max_examples=30, deadline=None)
+def test_jacobi_of_drawn_inhomogeneous_operators_equals_evaluation_by_degree(D):
+    assume(not D.is_degree_homogeneous())
+    assume(not D.is_odd() or not bracket_vanishes(D, 3))
+    _assert_jacobi_equals_evaluation(D)
 
 
 POLYVECTOR2 = polyvector_model(2)
@@ -363,15 +412,10 @@ def odd_order_two_operators(draw):
 def _exact_and_evaluated_jacobi(D):
     """Jacobi decided from ``D o D`` and evaluated on every triple of the
     degree-2 window, which holds every witness of ``bracket_witness(D o D, 3)``."""
-    elems = monomial_elements(D.table, 2)
-    budget = Budget(max_degree=2, max_tuples=len(elems) ** 3)
-    cert = akman_order_check(D, 2, budget)
-    assert cert.passed and D.is_odd()
-    bracket = partial(bv_bracket, D)
-    exact = check_gerstenhaber(bracket, len(elems) ** 2, (), (cert.tuples_tested, None),
-                               square=D.square())
-    evaluated = gerstenhaber_by_evaluation(bracket, lambda a, b: a * b, elems, budget)
-    return exact.items[1], {i.name: i for i in evaluated.items}["graded Jacobi"]
+    assert akman_order_check(D, 2).passed and D.is_odd()
+    read_off, evaluated = _assert_agrees_with_evaluation(D)
+    assert not _jacobi_is_evaluated(D, read_off)
+    return read_off["graded Jacobi"], evaluated["graded Jacobi"]
 
 
 @pytest.mark.parametrize("name", sorted(NON_JACOBI))
@@ -828,19 +872,16 @@ def test_induced_items_equal_evaluating_every_case(model, window, max_tuples):
     # the budget's prefix finds no failure
     budget = Budget(max_degree=2, max_tuples=max_tuples)
     report = induced_bv(model.table, model.d, model.D, window, budget)
-    assert [i.name for i in report.items[:2]] == [
-        "d D2 + D2 d = 0 (exact operator identity)",
-        "cohomology slice dimensions",
-    ]
+    assert report.items[0].name == "d D2 + D2 d = 0 (exact operator identity)"
     D2 = model.D.degree_components().get(-1, Operator.zero(model.table))
     H = cohomology(model.table, model.d, window)
     oracle = induced_items_by_evaluation(H, D2, window, budget)
     if not D2:
-        assert [i.line() for i in report.items[2:]] == [i.line() for i in oracle.items]
+        assert [i.line() for i in report.items[1:]] == [i.line() for i in oracle.items]
         return
     assert model.d.is_zero()
     exhaustive = _exhaustive_oracle(model, window)
-    for item, prefix, full in zip(report.items[2:], oracle.items, exhaustive.items, strict=True):
+    for item, prefix, full in zip(report.items[1:], oracle.items, exhaustive.items, strict=True):
         assert item.name == prefix.name == full.name
         assert prefix.status != "fail"
         assert item.status != "pass" or full.status == "pass"
@@ -899,9 +940,9 @@ def test_induced_bv_of_a_unimodular_linear_poisson_structure_passes(sign, casimi
     d, D = _lie_poisson([(1, 3, 1, 2), (1, 1, 2, 3), (sign, 2, 1, 3)])
     table = d.table
     assert d.apply(parse_element(table, casimir)).is_zero()
+    assert cohomology(table, d, 3).dims() == {0: 2, 3: 1}
     report = induced_bv(table, d, D, 3, Budget())
     assert report.passed and report.fully_tested
-    assert report.items[1].details == "{0: 2, 3: 1}"
     assert [i.details for i in report.items[-4:]] == [
         "27 triples", "9 pairs", "27 triples", "27 triples",
     ]
