@@ -29,7 +29,6 @@ from .operators import Operator, format_operator
 from .specfile import ModelSpec, SpecError, parse_spec
 from .structures import (
     CohomologyBasis,
-    SplitResult,
     StructReport,
     check_bvinfty,
     check_derivation_lemma,

@@ -229,6 +229,10 @@ class OrderCertificate:
         return "pass" if self.degenerate_zero or self.tuples_tested else "untested"
 
     def verdict(self) -> str:
+        """The details of the certificate's report line, empty for a failure,
+        which its status and witness say in full."""
+        if not self.passed:
+            return ""
         if self.degenerate_zero:
             return "pass (zero operator, order 0 by convention)"
         sharp = "sharp" if self.sharp else "not shown sharp"

@@ -163,6 +163,10 @@ class Operator:
         mult, deriv = key
         return self.table.monomial_degree(mult) - self.table.monomial_degree(deriv)
 
+    def degrees(self) -> frozenset[int]:
+        """The degrees of the terms, known since the operator was built."""
+        return self._degrees
+
     def degree(self) -> int:
         if len(self._degrees) != 1:
             raise AlgebraError("degree of a non-homogeneous or zero operator")

@@ -74,6 +74,11 @@ class StructReport:
         )
         self.add(name, cert.status, cert.verdict(), witness)
 
+    def certify_components(self, certificates: dict[int, OrderCertificate], table):
+        """One ``certify`` line per certificate of ``degree_split``."""
+        for n, cert in certificates.items():
+            self.certify(f"component n={n} (degree {3 - 2 * n:+d}) has order <= {n}", cert, table)
+
     def square_zero(self, name, D: Operator):
         """Pass when D o D = 0, else fail at its least witness monomial."""
         witness = square_witness(D)
@@ -177,48 +182,18 @@ def check_gerstenhaber(D: Operator, budget: Budget | None = None) -> StructRepor
 
 
 # --------------------------------------------------------------------------
-# Order/degree splitting of a square-zero operator
+# Order/degree splitting
 # --------------------------------------------------------------------------
 
-@dataclass
-class SplitResult:
-    components: list[tuple[int, Operator]]  # (order index n, component)
-    certificates: dict[int, OrderCertificate]
-    residual_degrees: list[int]
-
-
-def degree_split(D: Operator, budget: Budget | None = None) -> SplitResult:
-    """Split a square-zero operator into components indexed by order n via
-    degree 3 - 2n, certifying order <= n for each.
-
-    Components at degrees not of the form 3 - 2n (n >= 1) are listed as
-    residual degrees instead of being silently dropped.
-    """
+def degree_split(P: Operator, budget: Budget | None = None) -> dict[int, OrderCertificate]:
+    """The order <= n certificate of each component of P of degree 3 - 2n,
+    n >= 1, by n.  Components of other degrees get none."""
     budget = budget or Budget()
-    witness = square_witness(D)
-    if witness:
-        raise AlgebraError(
-            f"degree_split requires a square-zero operator; D^2 != 0 at {witness}"
-        )
-    comps = D.degree_components()
-    plus_one = comps.get(1)
-    if plus_one is not None and plus_one.structural_order() > 1:
-        raise AlgebraError(
-            "degree_split hypothesis violated: the degree +1 component must "
-            "have order <= 1"
-        )
-    components: list[tuple[int, Operator]] = []
-    residual: list[int] = []
-    certificates: dict[int, OrderCertificate] = {}
-    for degree, comp in comps.items():
-        if (3 - degree) % 2 == 0 and (3 - degree) // 2 >= 1:
-            n = (3 - degree) // 2
-            components.append((n, comp))
-            certificates[n] = akman_order_check(comp, n, budget)
-        else:
-            residual.append(degree)
-    components.sort(key=lambda t: t[0])
-    return SplitResult(components, certificates, residual)
+    return {
+        (3 - g) // 2: akman_order_check(comp, (3 - g) // 2, budget)
+        for g, comp in reversed(P.degree_components().items())
+        if g <= 1 and g % 2
+    }
 
 
 # --------------------------------------------------------------------------
@@ -293,7 +268,8 @@ def check_derivation_lemma(D: Operator, budget: Budget | None = None) -> StructR
 def check_bvinfty(d: Operator, D: Operator, budget: Budget | None = None) -> StructReport:
     """Clause-by-clause check of the homotopy-BV triple (A, d, D):
     d a degree +1 differential and derivation, D odd and square zero, every
-    degree component of D - d of negative degree.
+    degree component of D - d of negative degree, and each component of
+    degree 3 - 2n of order <= n (``degree_split``).
     """
     budget = budget or Budget()
     report = StructReport("homotopy-BV triple")
@@ -303,8 +279,7 @@ def check_bvinfty(d: Operator, D: Operator, budget: Budget | None = None) -> Str
     elif d.is_degree_homogeneous() and d.degree() == 1:
         report.add("d homogeneous of degree +1", "pass")
     else:
-        degs = sorted({d.term_degree(k) for k in d.terms})
-        report.add("d homogeneous of degree +1", "fail", f"degrees {degs}")
+        report.add("d homogeneous of degree +1", "fail", f"degrees {sorted(d.degrees())}")
 
     report.square_zero("d squares to zero", d)
 
@@ -318,12 +293,13 @@ def check_bvinfty(d: Operator, D: Operator, budget: Budget | None = None) -> Str
     report.square_zero("D squares to zero", D)
 
     tail = D - d
-    offending = sorted(g for g in tail.degree_components() if g >= 0)
+    offending = sorted(g for g in tail.degrees() if g >= 0)
     report.add(
         "degree of D - d is negative",
         "pass" if not offending else "fail",
         "" if not offending else f"non-negative components at degrees {offending}",
     )
+    report.certify_components(degree_split(tail, budget), D.table)
     return report
 
 
@@ -371,9 +347,11 @@ def cohomology(
 
     warnings: list[str] = []
     # growth of total exponent along d; negative growth can pull boundaries
-    # in from outside the window
+    # in from outside the window, unless the generators are all odd and the
+    # window holds every monomial
     growths = [sum(m) - sum(dv) for (m, dv) in d.terms]
-    truncation_risk = bool(growths) and min(growths) <= 0
+    whole = len(table.odd) == len(table) and window_degree >= len(table)
+    truncation_risk = bool(growths) and min(growths) <= 0 and not whole
 
     by_degree: dict[int, list] = {}
     for m in enumerate_monomials(table, window_degree):
@@ -424,8 +402,10 @@ def induced_bv(
     D induces on H(d), read off identities on the algebra once
     ``check_bvinfty`` passes; nothing is evaluated on representatives.
 
-    D is odd, d has degree +1 (or is 0) and every other component of D has
-    negative odd degree, so the degree 0 and -2 parts of D o D = 0 read
+    D is odd, d has degree +1 (or is 0), every other component of D has
+    negative odd degree, and the degree -1 part D2 has order <= 2, so
+    F^3_{D2} = 0 (``bracket_vanishes``).  The degree 0 and -2 parts of
+    D o D = 0 read
 
         d D2 + D2 d = 0,    D2 o D2 = -(d D3 + D3 d),
 
@@ -433,14 +413,13 @@ def induced_bv(
     boundaries to boundaries; d is a product derivation, so the product, D2
     and every bracket F^n_{D2} built from them descend to classes.  By the
     second, D2 o D2 sends a cycle z to the boundary -d D3 z.  F^2 is graded
-    symmetric, hence antisymmetry.  When F^3_{D2} = 0 (``bracket_vanishes``,
-    as for every D2 of order <= 2): the induced operator has order <= 2 and
-    the Leibniz defect, (-1)^{|a|} F^3, vanishes; and by the Koszul-Akman
-    identity R_3 = F^3_{X o X} the Jacobiator is +-F^3_{D2 o D2} =
-    -+F^3_{d D3 + D3 d}.  Polarizing R_3 at X = d + D3, where F^n_d = 0 for
-    n >= 2, gives on cycles F^3_{d D3 + D3 d}(a, b, c) = d F^3_{D3}(a, b, c),
-    a boundary, so Jacobi holds on classes.  When F^3_{D2} != 0 those three
-    items are undecided.  Each item counts the window's classes, pairs and
+    symmetric, hence antisymmetry.  As F^3_{D2} = 0, the induced operator
+    has order <= 2 and the Leibniz defect, (-1)^{|a|} F^3, vanishes; and by
+    the Koszul-Akman identity R_3 = F^3_{X o X} the Jacobiator is
+    +-F^3_{D2 o D2} = -+F^3_{d D3 + D3 d}.  Polarizing R_3 at X = d + D3,
+    where F^n_d = 0 for n >= 2, gives on cycles
+    F^3_{d D3 + D3 d}(a, b, c) = d F^3_{D3}(a, b, c), a boundary, so Jacobi
+    holds on classes.  Each item counts the window's classes, pairs and
     triples (capped by ``budget.max_tuples``) or boundaries it covers.
     """
     budget = budget or Budget()
@@ -458,16 +437,12 @@ def induced_bv(
     report.add("induced map well defined on classes", "pass",
                f"{H.boundary_space.dim} boundaries")
     n, cap = sum(H.dims().values()), budget.max_tuples
-    report.tally("induced operator squares to zero on classes", n, None)
-    order_two = bracket_vanishes(D.degree_components().get(-1, Operator.zero(table)), 3)
     for name, tried, unit in (
+        ("induced operator squares to zero on classes", n, ""),
         ("induced operator has order <= 2 on representatives", min(n**3, cap), "triples"),
         ("induced bracket: graded antisymmetry", min(n**2, cap), "pairs"),
         ("induced bracket: graded Jacobi", min(n**3, cap), "triples"),
         ("induced bracket: Leibniz rule", min(n**3, cap), "triples"),
     ):
-        if order_two or unit == "pairs":  # antisymmetry needs no order bound
-            report.tally(name, tried, None, unit)
-        else:
-            report.add(name, "untested", "undecided: D2 has order > 2")
+        report.tally(name, tried, None, unit)
     return report

@@ -246,6 +246,13 @@ def test_order_check_zero_operator_is_degenerate():
     assert "order 0" in cert.verdict()
 
 
+def test_failing_order_certificate_has_no_details():
+    # its report line is the status and the witness: nothing was counted
+    cert = akman_order_check(DELTA, 1, Budget(max_degree=2, max_tuples=40))
+    assert cert.status == "fail" and cert.failure_witness
+    assert cert.verdict() == ""
+
+
 def test_order_check_on_no_tuples_is_untested():
     cert = akman_order_check(DELTA, 2, Budget(max_tuples=0))
     assert cert.passed and cert.tuples_tested == 0

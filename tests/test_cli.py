@@ -5,11 +5,13 @@ from itertools import product
 import pytest
 
 from bvcheck import brackets, cli, structures
-from bvcheck.algebra import AlgebraError, parse_element
+from bvcheck.algebra import AlgebraError, enumerate_monomials, parse_element
 from bvcheck.brackets import Budget
 from bvcheck.cli import SUITES, build_parser, main
 from bvcheck.models import BUILTIN_MODELS
 from bvcheck.specfile import parse_spec
+
+from oracles import akman_bracket_by_elements, order_check_by_evaluation
 
 LAPLACIAN_SPEC = """\
 GENERATORS
@@ -490,8 +492,7 @@ def test_order_claim_the_normal_form_refutes_fails(budget, tmp_path, capsys):
     code = main(["check", "--spec", spec, *budget])
     out = capsys.readouterr().out
     assert code == 1
-    assert ("[FAIL    ] bracket order <= 2 - fail (not shown sharp, 1 tuples)"
-            " (witness: xi1; xi2; xi3)") in out
+    assert "[FAIL    ] bracket order <= 2 (witness: xi1; xi2; xi3)\n" in out
     # the Leibniz rule reads the same certificate
     code = main(["check", "--model", "exterior-cube", "--suite", "gerstenhaber", *budget])
     out = capsys.readouterr().out
@@ -575,69 +576,72 @@ GOLDEN_SPECS = {
     "second-order-degree-one": "GENERATORS\nx 0\ny -1\n\nOPERATOR D\n1 | 0 0 | 1 1\n",
 }
 GOLDEN_BUDGET = ["--format", "json", "--budget-degree", "2", "--budget-tuples", "40"]
+# d/dx1 d/dx2 d/dxi1 on the polyvector2 generators with d = 0: odd, square
+# zero, of degree -1 and order 3, so outside the homotopy-BV definition
+ORDER_THREE_D2_SPEC = "MODEL polyvector2\n\nOPERATOR D\n1 | 0 0 0 0 | 1 1 1 0\n"
 GOLDEN = {
     ("model:exterior-cube", "bv-core"): (0, "267bcbc644edc682c8fafc78b8c33dbe9841d43fb7c4786f36f4aefed92c6e42"),
     ("model:exterior-cube", "brackets"): (0, "ae0ab98d5993aaef2e57a4e10850c07ae48ac0d7a486ee7f5a9ec731ea33dee5"),
     ("model:exterior-cube", "linfty"): (0, "712aca4c0946a93dae088f7faae37e74f9f72bed1ef88a97965dd088479dd797"),
-    ("model:exterior-cube", "split"): (0, "229d3a0e851646fa12a13704e317a0081a9a1667b7c82e41ce6930ca929f1e6c"),
+    ("model:exterior-cube", "split"): (0, "4bda1ace4d8f40f2507c031dcd6a95ea679f70525b22115d4d51020638a08e98"),
     ("model:exterior-cube", "derivation"): (0, "f60467e966fe3a54f7b0af99d589eaa7a7e6cea57effea086f2dc38021ce3a08"),
-    ("model:exterior-cube", "bvinfty"): (0, "25ab726c9a25c32779eeae98aa8762c288ae5e369b271e73559358368e43d21e"),
+    ("model:exterior-cube", "bvinfty"): (0, "2509c6eb7007957d900df907aea6e3b77910c1f2a4eb79a9f26036528f6c1f6c"),
     ("model:exterior-cube", "gerstenhaber"): (1, "5315144f496fdefce4582dc764822a6c49df9b3e3ebbf8dcca45c01e0f08766b"),
     ("model:exterior-cube", "cohomology"): (0, "4a841c97b59bc7b2d2ef3d0b40bf996ecc47c25fddb2afdbde61a584ee307b0f"),
     ("model:koszul1", "bv-core"): (0, "5dc251b6ede1cfaebf5bd6853eb0c2a78aec2567dec0f0c6f6044bf39fbd05e0"),
     ("model:koszul1", "brackets"): (0, "b9c33e54e781b93e84e8557239e2572b8b21d9e51bc707eeb8ee1e66b21007c0"),
     ("model:koszul1", "linfty"): (0, "78cbb10ffa7909fdd2df8731f1abe723f8487fc698943c9dcc102391142a4a3b"),
-    ("model:koszul1", "split"): (0, "f8edb0b040b238a017ab31b1efcf8e5efc54cdd46453edefe96259d05dde1b93"),
+    ("model:koszul1", "split"): (0, "23cdfdb5e26c809066653ed9f907866fa3a6c1eb088d025465c526c0f3f8b9f1"),
     ("model:koszul1", "derivation"): (0, "b273764b08c936c3f01e9eb38142a9093153ee1d8e17ce612e837fa9cbee8674"),
-    ("model:koszul1", "bvinfty"): (0, "5b2ac9828a3479d47b6b57899e478a72c08b1d3418459db672b547f0e1ceaf88"),
+    ("model:koszul1", "bvinfty"): (0, "a65f0d400d10a2c0a171f6bd8040db0014d8bc3101ca245dd274ff09d1daf9a9"),
     ("model:koszul1", "gerstenhaber"): (0, "070129d83e3eea2aea9edae608e460e2d387b97936893ad8b43d294c2cb73a2a"),
     ("model:koszul1", "cohomology"): (3, "5551b7d2b42e5b4639f770a5997311cc2f1f38eaba5f523d04a7f5b8c7d64826"),
     ("model:koszul2", "bv-core"): (0, "4d2932ae8727bf0502869238ae639567d1350305a05f430077c09dab87890ad3"),
     ("model:koszul2", "brackets"): (0, "c2f6ffedd26ecdabad6260b357f815f7a29bbca02c17d95db1740bf4e8dbd930"),
     ("model:koszul2", "linfty"): (0, "1d2f2d03f3d03d6ef37406425471f751f6c885a14ae8556fdc963a6f75bebf3d"),
-    ("model:koszul2", "split"): (0, "48870eee443319eeb92b5c833879f0868d28b416dfadfacf29d49155825ca935"),
+    ("model:koszul2", "split"): (0, "a6461091964bc7913aae35bd8ffa4020a5f3d422704e0a61d4193185cfb3995f"),
     ("model:koszul2", "derivation"): (0, "d12f61801b7104592f22c3a0d9ae19abca460cac448469e86137bf662897d8cf"),
-    ("model:koszul2", "bvinfty"): (0, "939da20e11d4bcff4aa54b46fcd3c8e221b00240519d54ba2a0f680d23f1331d"),
+    ("model:koszul2", "bvinfty"): (0, "c095e4cc7ed53102e0cd1a415cafbed29a0a09a954c60a6d97ec121f5b665495"),
     ("model:koszul2", "gerstenhaber"): (0, "e2e9db4e5491b408080a65e03f71276606b35884c36f38896b94f00c57eeae80"),
     ("model:koszul2", "cohomology"): (0, "2d3f370c08c7df34f6450a98729d371d351ba6cf67457f89b9c5604e75615a30"),
     ("model:mixed-order", "bv-core"): (0, "702909c9093aaf5d213fc2a8616caad8520d7736109ccbb905d83ab9ae002ef3"),
     ("model:mixed-order", "brackets"): (0, "43893365a514a1d9e8f2016efaeeb1d9d65198f06ab3f653b16ae36dd1d81e8c"),
     ("model:mixed-order", "linfty"): (0, "95580c3bdeaa53a11c785eb766b2a64c2fd8a34b1615325058c687f4115742e6"),
-    ("model:mixed-order", "split"): (0, "786224bf816559b1f7825875dc2979cb9d7f54098e3ba5b2b8c63a6678e49d68"),
+    ("model:mixed-order", "split"): (0, "3a5b34ecc492bc89d356527f660cc78796df9cc2e0815ea21e44acabb5808ad8"),
     ("model:mixed-order", "derivation"): (0, "d4a7df1d3d608c04139fb26435052d1d1d029a32ea88fa8e605fdbc4ee86c4cc"),
-    ("model:mixed-order", "bvinfty"): (0, "f4a263814b029f5474a8139b4e4abc03f59556077c74de3dfb32c7aab5a7732a"),
+    ("model:mixed-order", "bvinfty"): (0, "eb63ff698bc7a84c5a87f161abac73739fcee960bc6f61760280952ace97893a"),
     ("model:mixed-order", "gerstenhaber"): (1, "be336ce502a94b01c66c140912b8ed7abc9b23411235ccd32e1810cc470b4f8a"),
     ("model:mixed-order", "cohomology"): (3, "be60fbb64fa7598946bdf6ab8e98cbeb550449d33c7f11df42a04087a633908e"),
     ("model:polyvector2", "bv-core"): (0, "1e3d0e7a1459c795bd9e724d10ea742c6a050158e985bd6b05ab29943cc67170"),
     ("model:polyvector2", "brackets"): (0, "fa0aaf3fefb498f965fa81d7122b07f9441f9ee420a01892ea2db679db3cc349"),
     ("model:polyvector2", "linfty"): (0, "b54f088b2208620185d884f948dcab0ec3bf0ada282ba1aca0aeddf52f7e5ca3"),
-    ("model:polyvector2", "split"): (0, "11b218ffd91a98b6081733112ab8149b8c0aeda504a765235b3bb38a95a6f2d3"),
+    ("model:polyvector2", "split"): (0, "da7504ef448eb3a301d96087a86e7dbf648ece38877e47667e8a8fabf5f895d3"),
     ("model:polyvector2", "derivation"): (0, "f42674ed63a703e95294e8c28b6cb28f263bc617f97cb25e7aed4b3ac9820002"),
-    ("model:polyvector2", "bvinfty"): (0, "0c43790467d3841e5b1cfd9f1bd310ea62a9c5da918dbdf5f3c621ab0405b8da"),
+    ("model:polyvector2", "bvinfty"): (0, "8567dbd7ad56e7f35489b07e20a5c0615be03a68d5ae9a7cbe0bd15777e14e93"),
     ("model:polyvector2", "gerstenhaber"): (0, "84b4e08c4e715e0ffc7a744b1ce0e20fa6feb2bf03a4a8112dfa604dac23d7b2"),
     ("model:polyvector2", "cohomology"): (0, "8b2e12c6d3d41cf6dc2ed7fd784bb2e24e7870bd2cb513fadb196c84c2f44098"),
     ("model:polyvector3", "bv-core"): (0, "1bd1d710739dc80039466c98a089af4d9f209eda880c9686e9530bcb645ae648"),
     ("model:polyvector3", "brackets"): (0, "e6d6f99af158b4bb1acc9e68db9dfaabc19f54ebfa20f4c30fa1e3ce3616c1e9"),
     ("model:polyvector3", "linfty"): (0, "65969249244edabf5027a0e136e4753908ef34e8c8a3a67c77b87335afc1c2c4"),
-    ("model:polyvector3", "split"): (0, "4c4f811ec27d2b65f80eb1a6a926eeab7061bc1d1784d9ba8bf8acf2916dbdf0"),
+    ("model:polyvector3", "split"): (0, "a1ab93b95066b94410fb6c9495b5d5ddb95704824aeabf188e2692ee916f0eb8"),
     ("model:polyvector3", "derivation"): (0, "f1d4495dd220ede7a341b435bff0fdcd9641adde2a92f58a66abb81fb0ed7afb"),
-    ("model:polyvector3", "bvinfty"): (0, "c5c51af637c025ac9e463f514bc18b8e3c339bb7275c23ebc13dabb34e635643"),
+    ("model:polyvector3", "bvinfty"): (0, "6751a69eaa4c28aaaf468c476ffdeb7c35a995b54076d57e9c27c3fede22cc22"),
     ("model:polyvector3", "gerstenhaber"): (0, "518cad9b170ddbcb142d1d1e00a55ea86a49ae2f09af6599eb1c3d63e466112a"),
     ("model:polyvector3", "cohomology"): (0, "d1b971645b3577a558505783e853363caf3d419ce699cb11553d895019ddddbd"),
-    ("laplacian-plus-xi1", "bv-core"): (1, "37f46d032d6d7bb7245e1c349ef54c65e5f1c272ca7bc9cf6924ae70dc3a2b54"),
+    ("laplacian-plus-xi1", "bv-core"): (1, "a4c885d018c63a705c773bca072ad10e1b1733d016b6a617eb6f772ef1462ebc"),
     ("laplacian-plus-xi1", "brackets"): (0, "21c6335fd41db07e6042f4c6fdc797543ceecd916f8505fd79c10e4585d1212d"),
     ("laplacian-plus-xi1", "linfty"): (1, "5e878cb29d6ce9e57cf25ad3ad7691e287e1335b7718f92c439e9a41f5a1fe54"),
     ("laplacian-plus-xi1", "split"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("laplacian-plus-xi1", "derivation"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("laplacian-plus-xi1", "bvinfty"): (1, "012f760b090f37fd62aa2184fb6c2a216f370014bc81f51fedee97fee62d6032"),
+    ("laplacian-plus-xi1", "bvinfty"): (1, "3760530e6a9e437b1990bfbf214aa90120a3c7ab3834ab12af3b6c7ae1ae4e1b"),
     ("laplacian-plus-xi1", "gerstenhaber"): (1, "46a240413ea70b4a75c5470d371b3daf2112f5200ce0ab04616b61391d5c6560"),
     ("laplacian-plus-xi1", "cohomology"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("second-order-degree-one", "bv-core"): (0, "ae6e0ef03ebbd911c2d40b81c6c35cf54f5cf781a0b638e9e30333dc5ecb32a4"),
     ("second-order-degree-one", "brackets"): (0, "536249ee178ebfec6e848baa39ba017a05366c5832afff74ceb1c12723fbd35d"),
     ("second-order-degree-one", "linfty"): (0, "e5dd99b3fbeb9020e09064bc62efd41f6e568ad86253c35532ac40a67a009426"),
-    ("second-order-degree-one", "split"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("second-order-degree-one", "split"): (1, "22bb725244b510476b64990b16a634f984c4b278f40b2c0cb909a974a533d4a5"),
     ("second-order-degree-one", "derivation"): (1, "d004ed8524a474f8a222b122567eb9c49d65417d3ce38244f9c6698f6a44dc43"),
-    ("second-order-degree-one", "bvinfty"): (1, "4a64bcd1df5c0a02a43a46372bf51d0f869b1ee2c9f6fc71157d9616fec394e9"),
+    ("second-order-degree-one", "bvinfty"): (1, "3b0a9f85875e521bc42c95c36543e0bad411dcd16ba0a5233f4b9c3bcb3d07d2"),
     ("second-order-degree-one", "gerstenhaber"): (0, "0eeb926f0dd4faccecb8b6859f1ab6c8b5ae046a5299a3846f960cd75b886c05"),
     ("second-order-degree-one", "cohomology"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
@@ -813,13 +817,106 @@ SUITE brackets arity=4
     (["brackets", "--arity", "3"], FRACTIONAL_BRACKETS_SPEC, 0),
     (["cohomology", "--window", "7"], KOSZUL_FRACTIONAL, 0),
     (["check", "--model", "mixed-order", "--suite", "gerstenhaber"], None, 1),
+    (["check", "--suite", "bvinfty"], ORDER_THREE_D2_SPEC, 1),
+    (["cohomology"], ORDER_THREE_D2_SPEC, 2),
 ], ids=["bv-core", "koszul2-window4", "split", "derivation", "mixed-order-brackets",
         "fractional-brackets", "fractional-value-table", "koszul-fractional",
-        "mixed-order-gerstenhaber"])
+        "mixed-order-gerstenhaber", "order-three-d2-bvinfty", "order-three-d2-cohomology"])
 def test_exit_code_at_the_default_budget(argv, spec, code, tmp_path, capsys):
     # the route suite passes through arity 4 on mixed-order and on an operator
     # with denominators 2, 7, 9 and 3 and a multiplication term; mixed-order's
-    # order-3 part breaks the Leibniz rule
+    # order-3 part breaks the Leibniz rule; a D2 of order 3 fails the
+    # homotopy-BV definition, which the induced structure requires
     if spec is not None:
         argv = argv + ["--spec", write(tmp_path, "s.spec", spec)]
     assert main(argv) == code
+
+
+def test_bvinfty_fails_the_order_clause_of_an_order_three_d2(tmp_path, capsys):
+    # the degree -1 part d/dx1 d/dx2 d/dxi1 has F^3(x1, x2, xi1) = -+1, so
+    # order <= 2 fails there, and the induced structure is refused with it
+    spec = write(tmp_path, "d2.spec", ORDER_THREE_D2_SPEC)
+    assert main(["check", "--spec", spec, "--suite", "bvinfty"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "[FAIL" in line] == [
+        "  [FAIL    ] component n=2 (degree -1) has order <= 2 (witness: x1; x2; xi1)"
+    ]
+    assert main(["cohomology", "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: induced_bv precondition: homotopy-BV check failed: "
+        "component n=2 (degree -1) has order <= 2 (witness: x1; x2; xi1)\n"
+    )
+
+
+ORDER_SOURCES = {
+    **{f"model:{m}": f"MODEL {m}\n" for m in BUILTIN_MODELS},
+    **GOLDEN_SPECS,
+    "order-three-d2": ORDER_THREE_D2_SPEC,
+}
+
+
+@pytest.mark.parametrize("suite", ["bvinfty", "split"])
+@pytest.mark.parametrize("source", sorted(ORDER_SOURCES))
+def test_component_lines_equal_evaluating_every_tuple(source, suite):
+    # each "component n=..." line, read off a normal form, is the certificate
+    # of evaluating every tuple of the degree-1 window: the same status and,
+    # for a pass, the same sharpness and tuple count; a failure's witness is
+    # a tuple of that window at which the bracket, evaluated on elements, is
+    # nonzero.  bvinfty splits D - d, split splits D.
+    spec = parse_spec(ORDER_SOURCES[source])
+    D = spec.main_operator()
+    P = D - spec.differential() if suite == "bvinfty" else D
+    budget = Budget(max_degree=1, max_tuples=10**6)
+    if suite == "split" and not D.is_square_zero()[0]:
+        with pytest.raises(AlgebraError, match="requires a square-zero operator"):
+            cli.run_suite(suite, spec, budget, {})
+        return
+    report = cli.run_suite(suite, spec, budget, {})
+    lines = {
+        int(i.name.split()[1][len("n="):]): i
+        for i in report.items if i.name.startswith("component n=")
+    }
+    comps = P.degree_components()
+    assert sorted(lines) == sorted((3 - g) // 2 for g in comps if g <= 1 and g % 2)
+    window = set(enumerate_monomials(spec.table, 1))
+    for n, item in lines.items():
+        comp = comps[3 - 2 * n]
+        oracle = order_check_by_evaluation(comp, n, budget)
+        assert (item.status, item.details) == (oracle.status, oracle.verdict())
+        if item.status == "fail":
+            args = [parse_element(spec.table, a) for a in item.witness.split("; ")]
+            assert all(a.coeffs.keys() <= window for a in args)
+            assert not akman_bracket_by_elements(comp, args).is_zero()
+
+
+# Chevalley-Eilenberg chain complexes on odd generators of degree 1: d is
+# the Lie bracket as a second-order operator, so d vanishes on generators
+# and d(xi1 xi2) = +-[e1, e2].  aff(1), [e1, e2] = e2: H = {0: 1, 1: 1}
+# (xi2 is a boundary, xi1 xi2 no cycle).  Heisenberg, [e1, e2] = e3:
+# H_1 = 3 - 1, H_2 = 2 (the cycles xi1 xi3, xi2 xi3; d(xi1 xi2 xi3) = 0),
+# H_3 = 1.  Window 2 of Heisenberg misses xi1 xi2 xi3.
+CE_SPECS = {
+    "aff1": "GENERATORS\nxi1 1\nxi2 1\n\nOPERATOR d\n-1 | 0 1 | 1 1\n",
+    "heisenberg": "GENERATORS\nxi1 1\nxi2 1\nxi3 1\n\nOPERATOR d\n-1 | 0 0 1 | 1 1 0\n",
+}
+
+
+@pytest.mark.parametrize("name, window, dims, code", [
+    ("aff1", 2, {0: 1, 1: 1}, 0),
+    ("heisenberg", 3, {0: 1, 1: 2, 2: 2, 3: 1}, 0),
+    ("heisenberg", 2, {0: 1, 1: 2, 2: 2}, 3),
+], ids=["aff1-window2", "heisenberg-window3", "heisenberg-window2"])
+def test_window_of_every_monomial_warns_of_no_truncation(name, window, dims, code,
+                                                         tmp_path, capsys):
+    # with odd generators only, a window of total exponent >= their number
+    # holds every monomial, so no boundary can come from outside it
+    spec = write(tmp_path, "ce.spec", CE_SPECS[name])
+    argv = ["cohomology", "--spec", spec, "--window", str(window), "--format", "json"]
+    assert main(argv) == code
+    suite, _ = json.loads(capsys.readouterr().out)["suites"]
+    items = [(i["name"], i["status"], i["details"]) for i in suite["items"]]
+    assert items[0] == ("slice dimensions", "pass", str(dims))
+    assert (len(items) > 1) == (code == 3)
+    assert all(n == "window truncation" for n, _, _ in items[1:])

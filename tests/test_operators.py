@@ -72,6 +72,7 @@ def assert_degree_queries_match_terms(op):
         for mult, deriv in op.terms
     }
     pars = {d % 2 for d in degs}
+    assert op.degrees() == degs
     assert op.is_degree_homogeneous() == (len(degs) <= 1)
     assert op.is_parity_homogeneous() == (len(pars) <= 1)
     assert op.is_odd() == (pars == {1})

@@ -20,6 +20,7 @@ from bvcheck.brackets import (
     bracket_vanishes,
     bv_bracket,
 )
+from bvcheck.cli import run_suite
 from bvcheck.linalg import RowSpace
 from bvcheck.linfty import verify_linfty
 from bvcheck.models import (
@@ -29,6 +30,7 @@ from bvcheck.models import (
     polyvector_model,
 )
 from bvcheck.operators import Operator
+from bvcheck.specfile import parse_spec
 from bvcheck.structures import (
     check_bvinfty,
     check_derivation_lemma,
@@ -156,51 +158,62 @@ def test_broken_bracket_fails_axioms():
 
 def test_degree_split_mixed_order():
     model = mixed_order_model()
-    result = degree_split(model.D, BUDGET)
-    assert [n for n, _ in result.components] == [1, 2, 3]
-    assert not result.residual_degrees
-    recombined = Operator.zero(model.table)
-    for n, comp in result.components:
-        assert comp.degree() == 3 - 2 * n
-        assert comp.structural_order() == n
-        cert = result.certificates[n]
+    certificates = degree_split(model.D, BUDGET)
+    comps = model.D.degree_components()
+    assert list(certificates) == [1, 2, 3]
+    assert list(comps) == [-3, -1, 1]
+    for n, cert in certificates.items():
+        assert comps[3 - 2 * n].structural_order() == n
         assert cert.passed and cert.sharp
-        recombined = recombined + comp
-    assert recombined == model.D
 
 
 def test_degree_split_assigns_by_degree_not_order():
     table = GeneratorTable(("xi", "u"), (-1, 1))
     D = Operator.derivative(table, "u")  # degree -1, so indexed n = 2
-    result = degree_split(D, BUDGET)
-    assert result.components == [(2, D)]
-    assert not result.residual_degrees
+    certificates = degree_split(D, BUDGET)
+    assert list(certificates) == [2]
+    assert certificates[2].passed and not certificates[2].sharp
 
 
 def test_degree_split_flags_off_pattern_degrees():
+    # a d/db has degree 0, of no order index: degree_split certifies nothing
+    # and the split suite lists the degree as residual
     table = GeneratorTable(("a", "b"), (1, 1))
-    off = Operator.term(table, 1, (1, 0), (0, 1))  # a d/db, degree 0
+    off = Operator.term(table, 1, (1, 0), (0, 1))
     assert off.compose(off).is_zero()
-    result = degree_split(off, BUDGET)
-    assert result.residual_degrees == [0]
-    assert result.components == []
+    assert degree_split(off, BUDGET) == {}
+    spec = parse_spec("GENERATORS\na 1\nb 1\n\nOPERATOR D\n1 | 1 0 | 0 1\n")
+    assert spec.main_operator() == off
+    report = run_suite("split", spec, BUDGET, {})
+    assert [(i.name, i.status, i.details) for i in report.items] == [
+        ("no off-pattern degree components", "fail", "residual degrees [0]")
+    ]
 
 
 def test_degree_split_rejects_higher_order_plus_one_part():
+    # the degree +1 component d/dx d/dxi has order 2: its order <= 1
+    # certificate fails at (x, xi)
     table = GeneratorTable(("x", "xi"), (0, -1))
-    D = Operator.term(table, 1, (0, 0), (1, 1))  # degree +1, order 2
+    D = Operator.term(table, 1, (0, 0), (1, 1))
     assert D.compose(D).is_zero()
-    with pytest.raises(AlgebraError):
-        degree_split(D, BUDGET)
+    certificates = degree_split(D, BUDGET)
+    assert list(certificates) == [1]
+    assert not certificates[1].passed
+    assert certificates[1].failure_witness == ((1, 0), (0, 1))
 
 
 def test_degree_split_requires_square_zero():
+    # degree_split certifies any operator's components; the split suite
+    # requires D o D = 0, here d/dx1 after the Laplacian plus xi1
     model = polyvector_model(1)
     bad = model.D + Operator.multiplication(
         Element.generator(model.table, "xi1")
     )
-    with pytest.raises(AlgebraError):
-        degree_split(bad, BUDGET)
+    assert list(degree_split(bad, BUDGET)) == [1, 2]
+    spec = parse_spec("GENERATORS\nx1 0\nxi1 1\n\nOPERATOR D\n1 | 0 0 | 1 1\n1 | 0 1 | 0 0\n")
+    assert spec.main_operator() == bad
+    with pytest.raises(AlgebraError, match=r"square-zero operator; D\^2 != 0 at x1$"):
+        run_suite("split", spec, BUDGET, {})
 
 
 def _laplacian_plus(n: int, mult: str, deriv: tuple = ()) -> Operator:
@@ -229,8 +242,8 @@ SQUARES = {
 @pytest.mark.parametrize("name", sorted(SQUARES))
 def test_square_by_degree_pairs_is_the_square_by_degree(name):
     # compose is bilinear and degrees add: the per-degree sums of products of
-    # components are the degree parts of D o D, so split's expansion line is
-    # decided by degree_split's square-zero precondition
+    # components are the degree parts of D o D, which the split suite's
+    # square-zero precondition finds zero
     D = SQUARES[name]
     assert square_by_degree_pairs(D) == D.square().degree_components()
 
@@ -887,28 +900,26 @@ def test_induced_items_equal_evaluating_every_case(model, window, max_tuples):
         assert item.status != "pass" or full.status == "pass"
 
 
-def test_induced_items_of_an_order_three_d2_are_undecided():
+def test_induced_bv_of_an_order_three_d2_is_a_precondition_error():
     # D = d/dx1 d/dx2 d/dxi1 on polyvector2 with d = 0 squares to zero, but
-    # its degree -1 part (D itself) has order 3: F^3(x2, x1, xi1) = 1, so the
-    # three items that need F^3_{D2} = 0 read undecided, and evaluating every
-    # triple fails order <= 2 there
+    # its degree -1 part (D itself) has order 3: F^3(x1, x2, xi1) = -+1, so
+    # check_bvinfty fails its order clause and induced_bv refuses D, as does
+    # evaluating every triple, which fails order <= 2 at (x2, x1, xi1)
     model = polyvector_model(2)
     D = Operator.term(model.table, 1, (0, 0, 0, 0), (1, 1, 1, 0))
-    report = induced_bv(model.table, model.d, D, 1, Budget(max_degree=2, max_tuples=200))
-    assert report.passed and not report.fully_tested
-    undecided = [
-        "induced operator has order <= 2 on representatives",
-        "induced bracket: graded Jacobi",
-        "induced bracket: Leibniz rule",
-    ]
-    assert [(i.name, i.details) for i in report.items if i.status != "pass"] == [
-        (name, "undecided: D2 has order > 2") for name in undecided
-    ]
-    assert all(i.status == "untested" for i in report.items if i.name in undecided)
+    budget = Budget(max_degree=2, max_tuples=200)
+    failed = [(i.name, i.witness) for i in check_bvinfty(model.d, D, budget).items
+              if i.status != "pass"]
+    assert failed == [("component n=2 (degree -1) has order <= 2", "x1; x2; xi1")]
+    with pytest.raises(AlgebraError, match=(
+        r"homotopy-BV check failed: component n=2 \(degree -1\) has order <= 2 "
+        r"\(witness: x1; x2; xi1\)$"
+    )):
+        induced_bv(model.table, model.d, D, 1, budget)
     H = cohomology(model.table, model.d, 1)
     oracle = {i.name: i for i in induced_items_by_evaluation(H, D, 1, Budget(max_tuples=125)).items}
-    assert oracle[undecided[0]].status == "fail"
-    assert oracle[undecided[0]].witness == "(x2, x1, xi1)"
+    order = oracle["induced operator has order <= 2 on representatives"]
+    assert (order.status, order.witness) == ("fail", "(x2, x1, xi1)")
 
 
 def _lie_poisson(pi_terms):
