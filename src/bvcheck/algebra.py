@@ -8,8 +8,10 @@ and equality is exact.  Coefficients are ``fractions.Fraction``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Mapping
 
 Monomial = tuple[int, ...]
@@ -50,7 +52,7 @@ class GeneratorTable:
         return self.degrees[i] % 2
 
     def monomial_degree(self, mono: Monomial) -> int:
-        return sum(e * d for e, d in zip(mono, self.degrees))
+        return sum(map(operator.mul, mono, self.degrees))
 
     def monomial_parity(self, mono: Monomial) -> int:
         return sum(mono[i] for i in self.odd) % 2
@@ -81,7 +83,7 @@ def monomial_mul(table: GeneratorTable, a: Monomial, b: Monomial):
                 return None  # odd generator squared
             crossings += b_odd_below
         b_odd_below += b[i]
-    mono = tuple(x + y for x, y in zip(a, b))
+    mono = tuple(map(operator.add, a, b))
     return (-1 if crossings % 2 else 1), mono
 
 
@@ -247,6 +249,18 @@ def enumerate_monomials(table: GeneratorTable, max_degree: int) -> list[Monomial
     monos = [m for m, _ in prefixes]
     monos.sort(key=lambda m: (sum(m), m))
     return monos
+
+
+def count_monomials(table: GeneratorTable, max_degree: int) -> int:
+    """``len(enumerate_monomials(table, max_degree))`` in closed form: ``j``
+    of the odd generators, and a total exponent of at most ``max_degree - j``
+    on the even ones."""
+    n_odd = len(table.odd)
+    n_even = len(table) - n_odd
+    return sum(
+        comb(n_odd, j) * comb(n_even + max_degree - j, n_even)
+        for j in range(min(max_degree, n_odd) + 1)
+    )
 
 
 # --- parsing / formatting (shared with the CLI report round-trip) ----------

@@ -30,7 +30,9 @@ from fractions import Fraction
 from itertools import combinations, product as iter_product
 from math import lcm, prod
 
-from .algebra import AlgebraError, Element, Monomial, enumerate_monomials, monomial_mul
+from .algebra import (
+    AlgebraError, Element, Monomial, count_monomials, enumerate_monomials, monomial_mul,
+)
 from .graded import koszul_sign, unshuffles
 from .operators import Operator
 
@@ -195,7 +197,7 @@ def monomial_tuples(table, arity: int, budget: Budget):
 
 def tuple_count(table, arity: int, budget: Budget) -> int:
     """How many tuples ``monomial_tuples`` yields."""
-    return min(len(enumerate_monomials(table, budget.max_degree)) ** arity, budget.max_tuples)
+    return min(count_monomials(table, budget.max_degree) ** arity, budget.max_tuples)
 
 
 def first_witness(cases, holds):

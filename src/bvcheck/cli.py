@@ -19,7 +19,7 @@ import json
 import sys
 from functools import cache
 
-from .algebra import AlgebraError, Element, enumerate_monomials, format_element
+from .algebra import AlgebraError, Element, count_monomials, format_element
 from .brackets import (
     Budget,
     akman_bracket,
@@ -54,7 +54,7 @@ def _unit_window(suite):
 
     def run(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
         report = suite(spec, budget, params)
-        if len(enumerate_monomials(spec.table, budget.max_degree)) == 1:
+        if count_monomials(spec.table, budget.max_degree) == 1:
             for item in report.items:
                 if item.status == "pass" and item.tallied:
                     item.status = "untested"

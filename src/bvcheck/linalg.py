@@ -1,13 +1,16 @@
 """Exact linear algebra on sparse vectors keyed by hashable labels.
 
-Vectors are dicts label -> Fraction with no zero entries; labels (monomials)
-must sort deterministically.  Pivots are always the smallest label and bases
-are kept fully reduced, so every reduction is canonical and reproducible.
-Each vector is reduced once, in place in one copy of it.  ``RowSpace``
-subtracts its rational pivot rows into that copy; ``kernel_and_image``
-eliminates fraction-free instead, on integer rows that are primitive
-multiples of the same fully reduced rows, and turns its results back into
-``Fraction`` only at the output.
+Vectors are dicts label -> coefficient with no zero entries; labels
+(monomials) must sort deterministically.  Pivots are always the smallest
+label and bases are kept fully reduced, so every reduction is canonical and
+reproducible, and one sweep over a vector's own labels reduces it.  Each
+vector is reduced once, in place in one copy of it.  ``RowSpace`` subtracts
+its rational pivot rows, of pivot coefficient 1, into that copy.
+``kernel_and_image`` eliminates fraction-free instead and returns integers:
+its image rows are integer multiples of the same fully reduced rows, and a
+caller divides by a row's pivot entry, or by a combination's scale, only
+where it needs a ``Fraction``.  ``_eliminate`` reduces an integer vector
+against such rows.
 """
 
 from __future__ import annotations
@@ -104,45 +107,66 @@ def _make_primitive(vec: dict, pivot) -> None:
 
 
 def kernel_and_image(labels: list, vectors: list[dict]):
-    """Nullspace combinations and image space of the map label_i -> vectors[i].
+    """Nullspace combinations and image rows of the map label_i -> vectors[i],
+    in integers.
 
-    Returns (kernel, image): kernel is a list of {label: coeff} combinations
-    with ``sum coeff * vector(label) = 0``, image the RowSpace of the vectors.
-    Augmented labels sort vector entries before tags so pivots always sit in
-    the vector part, whose fully reduced rows are then the image's basis.
-    Raises ``ValueError`` unless there is one label per vector.
+    Returns (kernel, image).  ``kernel`` lists ``(combination, scale)``: an
+    integer {label: coeff} combination and a ``scale > 0`` with
+    ``sum coeff / scale * vector(label) = 0``.  ``image`` maps each pivot
+    to ``(row, t)``: an integer row whose entry ``t`` at the pivot is
+    positive, ``t`` times the image's fully reduced rational row.  Dividing
+    by ``scale`` or ``t`` gives the values, and dict orders, of the rational
+    elimination.  Raises ``ValueError`` unless there is one label per vector.
 
-    The elimination runs on integers: each augmented vector is scaled by the
-    lcm of its denominators, each step is ``vec = p * vec - q * row``, and
-    each tracked row is a primitive integer multiple of the fully reduced
-    rational row, so a kernel combination is its residual divided by the
-    product ``scale`` of those factors, and an image row is its row divided
-    by its pivot coefficient.
+    Entries are renamed to ints that sort as they do, and labels to ints
+    after every entry, in label order, so the augmented vectors' pivots
+    always sit in the vector part, whose fully reduced rows are then the
+    image's basis; dicts then hash small ints.  Each augmented vector is
+    scaled by the lcm of its denominators and each step is
+    ``vec = p * vec - q * row``, against rows kept as primitive integer
+    multiples of the fully reduced rows: a kernel combination is what is
+    left of the tags, over the product ``scale`` of the factors ``p``.
+    ``holders`` maps each entry to the pivots of the rows holding it, so a
+    new pivot is eliminated from those rows alone, each independently of the
+    others, exactly as a scan of every row would.
     """
-    rows: dict = {}  # (0, pivot) -> primitive integer row, pivot entry > 0
-    kernel: list[dict] = []
+    entries = sorted(set().union(*vectors))
+    names = entries + sorted(labels)
+    n = len(entries)
+    entry_id = {k: i for i, k in enumerate(entries)}
+    tag_id = {label: i for i, label in enumerate(names[n:], n)}
+    rows: dict[int, dict[int, int]] = {}  # pivot -> primitive row, pivot entry > 0
+    holders: dict[int, set[int]] = {}
+    kernel: list[tuple[dict, int]] = []
     for label, vec in zip(labels, vectors, strict=True):
         scale = lcm(*(v.denominator for v in vec.values()))
-        aug = {(0, k): v.numerator * (scale // v.denominator) for k, v in vec.items()}
-        aug[(1, label)] = scale
+        aug = {entry_id[k]: v.numerator * (scale // v.denominator) for k, v in vec.items()}
+        aug[tag_id[label]] = scale
         for k in sorted(aug):
             c = aug.get(k)
             if c is not None and k in rows:
                 row = rows[k]
                 scale *= _eliminate(aug, c, row, row[k])
         pivot = min(aug)
-        if pivot[0] == 1:  # only tags are left
-            kernel.append({k[1]: Fraction(v, scale) for k, v in aug.items()})
+        if pivot >= n:  # only tags are left
+            kernel.append(({names[k]: v for k, v in aug.items()}, scale))
             continue
         _make_primitive(aug, pivot)
-        for row_pivot, r in rows.items():
-            s = r.get(pivot)
-            if s is not None:
-                _eliminate(r, s, aug, aug[pivot])
-                _make_primitive(r, row_pivot)
+        held = [k for k in aug if k < n]
+        for row_pivot in holders.pop(pivot, ()):
+            r = rows[row_pivot]
+            _eliminate(r, r[pivot], aug, aug[pivot])
+            _make_primitive(r, row_pivot)
+            for k in held:
+                if k in r:
+                    holders.setdefault(k, set()).add(row_pivot)
+                elif k in holders:
+                    holders[k].discard(row_pivot)
+        for k in held:
+            holders.setdefault(k, set()).add(pivot)
         rows[pivot] = aug
-    image = RowSpace()
-    for (_, pivot), row in rows.items():
-        t = row[(0, pivot)]
-        image.rows[pivot] = {k[1]: Fraction(v, t) for k, v in row.items() if k[0] == 0}
+    image = {
+        names[p]: ({names[k]: v for k, v in row.items() if k < n}, row[p])
+        for p, row in rows.items()
+    }
     return kernel, image

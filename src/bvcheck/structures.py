@@ -9,10 +9,12 @@ errors (violated preconditions) do raise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from fractions import Fraction
+from functools import cache, cached_property
 
 from .algebra import (
-    AlgebraError, Element, GeneratorTable, enumerate_monomials, format_element, format_monomial,
+    AlgebraError, Element, GeneratorTable, count_monomials, enumerate_monomials, format_element,
+    format_monomial,
 )
 from .brackets import (
     Budget,
@@ -26,7 +28,7 @@ from .brackets import (
     monomial_tuples,
     tuple_count,
 )
-from .linalg import RowSpace, kernel_and_image
+from .linalg import RowSpace, _eliminate, kernel_and_image
 from .operators import Operator
 
 
@@ -174,7 +176,7 @@ def check_gerstenhaber(D: Operator, budget: Budget | None = None) -> StructRepor
     report.tally("graded antisymmetry", tuple_count(table, 2, budget), None, "pairs")
     report.tally("graded Jacobi", *jacobi, "triples")
     report.tally("Leibniz rule", triples, as_elements(table, cert.failure_witness), "triples")
-    pairs = len(enumerate_monomials(table, budget.max_degree)) ** 2
+    pairs = count_monomials(table, budget.max_degree) ** 2
     if D.is_degree_homogeneous() and not D.is_zero():
         report.tally(f"bracket degree offset {D.degree():+d}", pairs, None)
     report.tally("product degree offset +0", pairs, None)
@@ -311,15 +313,31 @@ def check_bvinfty(d: Operator, D: Operator, budget: Budget | None = None) -> Str
 class CohomologyBasis:
     """Per-degree representatives of ker d / im d on a finite monomial window,
     shared by every caller of ``cohomology`` for one d and window: read it,
-    never mutate it."""
+    never mutate it.
+
+    ``boundaries`` holds the image rows of every slice as ``kernel_and_image``
+    returns them, in integers: pivot -> (row, positive pivot entry), the
+    fully reduced basis of the window's boundaries times that entry.
+    ``cohomology`` reduces kernel combinations against them in integers, so
+    its ``RowSpace`` of representatives sees only the residuals that are not
+    boundaries.  The rational ``boundary_space`` (pivot coefficient 1) is
+    built from them on first use, by ``reduce`` or a reader of its rows.
+    """
 
     table: GeneratorTable
     representatives: dict[int, list[Element]]
-    boundary_space: RowSpace  # all boundaries from window monomials, one space
+    boundaries: dict  # all boundaries from window monomials, one fully reduced basis
     warnings: list[str]
 
     def dims(self) -> dict[int, int]:
         return {g: len(reps) for g, reps in sorted(self.representatives.items())}
+
+    @cached_property
+    def boundary_space(self) -> RowSpace:
+        space = RowSpace()
+        for pivot, (row, t) in self.boundaries.items():
+            space.rows[pivot] = {k: Fraction(v, t) for k, v in row.items()}
+        return space
 
     def reduce(self, a: Element) -> Element:
         """Canonical representative of ``a`` modulo window boundaries."""
@@ -359,20 +377,29 @@ def cohomology(
 
     # d is homogeneous, so the slices' images span disjoint parts of the boundaries;
     # a negative-degree d maps later slices into earlier ones, so eliminate all first
-    boundary_space = RowSpace()
-    kernels: dict[int, list[dict]] = {}
+    boundaries: dict = {}
+    kernels: dict[int, list] = {}
     for g, slice_monos in sorted(by_degree.items()):
         images = [d.int_image(m) for m in slice_monos]
         kernels[g], image = kernel_and_image(slice_monos, images)
-        boundary_space.rows.update(image.rows)
+        boundaries.update(image)
 
+    # a kernel combination reduces in integers, as RowSpace.reduce would in
+    # rationals; most reduce to 0, and only the rest become Fractions
     representatives: dict[int, list[Element]] = {}
     for g, slice_monos in sorted(by_degree.items()):
         reps: list[Element] = []
         rep_space = RowSpace()
-        for combo in kernels[g]:
-            reduced = boundary_space.reduce(combo)
-            if rep_space.add(reduced):  # nothing for a boundary
+        for combo, scale in kernels[g]:
+            for k in sorted(combo):
+                c = combo.get(k)
+                if c is not None and k in boundaries:
+                    row, t = boundaries[k]
+                    scale *= _eliminate(combo, c, row, t)
+            if not combo:  # a boundary
+                continue
+            reduced = {k: Fraction(v, scale) for k, v in combo.items()}
+            if rep_space.add(reduced):
                 reps.append(Element(table, reduced))
         if reps:
             representatives[g] = reps
@@ -382,7 +409,7 @@ def cohomology(
             warnings.append(
                 f"degree {g}: boundaries from outside the window may be missed"
             )
-    basis = CohomologyBasis(table, representatives, boundary_space, warnings)
+    basis = CohomologyBasis(table, representatives, boundaries, warnings)
     d._cohomology[window_degree] = basis
     return basis
 
@@ -435,7 +462,7 @@ def induced_bv(
 
     H = cohomology(table, d, window_degree)
     report.add("induced map well defined on classes", "pass",
-               f"{H.boundary_space.dim} boundaries")
+               f"{len(H.boundaries)} boundaries")
     n, cap = sum(H.dims().values()), budget.max_tuples
     for name, tried, unit in (
         ("induced operator squares to zero on classes", n, ""),

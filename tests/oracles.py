@@ -25,6 +25,7 @@ from bvcheck.brackets import (
     monomial_tuples,
 )
 from bvcheck.graded import koszul_sign, unshuffles
+from bvcheck.linalg import RowSpace
 from bvcheck.operators import Operator, _diff_monomial
 from bvcheck.structures import StructReport
 
@@ -96,6 +97,56 @@ def kernel_and_image_by_copies(labels: list, vectors: list[dict]):
     for (_, pivot), row in tracked.rows.items():
         image.rows[pivot] = {k[1]: v for k, v in row.items() if k[0] == 0}
     return kernel, image
+
+
+def fraction_view(kernel: list, image: dict):
+    """``kernel_and_image``'s integer return as the rational elimination gives
+    it: each combination divided by its scale, and each image row by its
+    pivot entry, in a ``RowSpace``."""
+    space = RowSpace()
+    for pivot, (row, t) in image.items():
+        space.rows[pivot] = {k: Fraction(v, t) for k, v in row.items()}
+    return [{k: Fraction(v, scale) for k, v in c.items()} for c, scale in kernel], space
+
+
+def cohomology_by_fractions(table: GeneratorTable, d: Operator, window_degree: int):
+    """``cohomology``'s representatives, boundary space and warnings the
+    rational way: each slice's ``image_by_fractions`` eliminated by
+    ``kernel_and_image_by_copies``, and every kernel combination reduced
+    modulo the boundaries and added to a ``RowSpace`` in ``Fraction``s."""
+    warnings: list[str] = []
+    growths = [sum(m) - sum(dv) for (m, dv) in d.terms]
+    whole = len(table.odd) == len(table) and window_degree >= len(table)
+    truncation_risk = bool(growths) and min(growths) <= 0 and not whole
+
+    by_degree: dict[int, list] = {}
+    for m in enumerate_monomials(table, window_degree):
+        by_degree.setdefault(table.monomial_degree(m), []).append(m)
+
+    boundary_space = RowSpace()
+    kernels: dict[int, list[dict]] = {}
+    for g, slice_monos in sorted(by_degree.items()):
+        images = [image_by_fractions(d, m) for m in slice_monos]
+        kernels[g], image = kernel_and_image_by_copies(slice_monos, images)
+        boundary_space.rows.update(image.rows)
+
+    representatives: dict[int, list[Element]] = {}
+    for g, slice_monos in sorted(by_degree.items()):
+        reps: list[Element] = []
+        rep_space = RowSpace()
+        for combo in kernels[g]:
+            reduced = boundary_space.reduce(combo)
+            if rep_space.add(reduced):  # nothing for a boundary
+                reps.append(Element(table, reduced))
+        if reps:
+            representatives[g] = reps
+        if truncation_risk and any(
+            sum(m) >= window_degree + min(growths) for m in slice_monos
+        ):
+            warnings.append(
+                f"degree {g}: boundaries from outside the window may be missed"
+            )
+    return representatives, boundary_space, warnings
 
 
 def _diff_by_generators(table: GeneratorTable, deriv, mono):

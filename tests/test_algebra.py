@@ -7,6 +7,7 @@ from bvcheck.algebra import (
     AlgebraError,
     Element,
     GeneratorTable,
+    count_monomials,
     enumerate_monomials,
     format_element,
     monomial_mul,
@@ -167,6 +168,14 @@ def test_enumerate_monomials_on_a_four_pair_window():
     monos = enumerate_monomials(table, 6)
     assert len(monos) == 1289
     assert monos == enumerate_monomials_by_box(table, 6)
+
+
+@pytest.mark.parametrize("degrees", [(), (1, 3, -1), (0, 2, 4), (0, 2, 1, 3), (-2, -1, 2, -3)],
+                         ids=["no-generators", "all-odd", "all-even", "mixed", "negative"])
+@pytest.mark.parametrize("max_degree", range(-1, 9))
+def test_count_monomials_is_the_length_of_the_enumeration(degrees, max_degree):
+    table = GeneratorTable(tuple(f"g{i}" for i in range(len(degrees))), degrees)
+    assert count_monomials(table, max_degree) == len(enumerate_monomials(table, max_degree))
 
 
 def test_equal_elements_hash_equal_over_equal_tables():

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvcheck.linalg import RowSpace, kernel_and_image
-from oracles import RowSpaceByCopies, kernel_and_image_by_copies, vec_add
+from oracles import RowSpaceByCopies, fraction_view, kernel_and_image_by_copies, vec_add
 
 
 def vec(*pairs):
     return {k: Fraction(v) for k, v in pairs if v}
+
+
+def rational_kernel_and_image(labels, vectors):
+    """``kernel_and_image`` read through the ``Fraction`` view."""
+    return fraction_view(*kernel_and_image(labels, vectors))
 
 
 def test_vec_add():
@@ -67,7 +72,7 @@ def test_kernel_and_image_hand_example():
     # columns: v0 = (1,0), v1 = (0,1), v2 = v0 + v1
     labels = ["a", "b", "c"]
     vectors = [vec((0, 1)), vec((1, 1)), vec((0, 1), (1, 1))]
-    kernel, image = kernel_and_image(labels, vectors)
+    kernel, image = rational_kernel_and_image(labels, vectors)
     assert image.dim == 2
     assert len(kernel) == 1
     combo = kernel[0]
@@ -79,7 +84,7 @@ def test_kernel_and_image_hand_example():
 
 def test_kernel_of_zero_map():
     labels = [0, 1]
-    kernel, image = kernel_and_image(labels, [{}, {}])
+    kernel, image = rational_kernel_and_image(labels, [{}, {}])
     assert image.dim == 0
     assert len(kernel) == 2
 
@@ -97,7 +102,7 @@ def test_rank_nullity(rows):
     vectors = [
         {j: Fraction(v) for j, v in enumerate(r) if v} for r in rows
     ]
-    kernel, image = kernel_and_image(labels, vectors)
+    kernel, image = rational_kernel_and_image(labels, vectors)
     assert len(kernel) + image.dim == len(rows)
     oracle = RowSpace()
     for v in vectors:
@@ -117,7 +122,7 @@ COEFF = st.one_of(
 
 
 def _label(kind, k):
-    # monomial-like ints, or the (0, k) / (1, label) tags kernel_and_image uses
+    # monomial-like ints, or tuples of two kinds that sort by their first entry
     return k if kind == "int" else ((0, k) if k < 3 else (1, "abcdef"[k]))
 
 
@@ -156,7 +161,7 @@ def test_elimination_matches_the_copying_oracle(case, rng):
     vectors, probes = case
     labels = list(range(len(vectors)))
     rng.shuffle(labels)  # tags need not sort in insertion order
-    kernel, image = kernel_and_image(labels, vectors)
+    kernel, image = rational_kernel_and_image(labels, vectors)
     kernel_oracle, image_oracle = kernel_and_image_by_copies(labels, vectors)
     assert [list(c.items()) for c in kernel] == [list(c.items()) for c in kernel_oracle]
     assert ordered(image) == ordered(image_oracle)
@@ -178,9 +183,17 @@ WIDE_COEFF = st.builds(
 
 
 def assert_same_kernel_and_image(labels, vectors):
-    """Entries in the same order and every value a ``Fraction``, as the
-    copying oracle gives them."""
-    kernel, image = kernel_and_image(labels, vectors)
+    """Integers out of the elimination, and through the ``Fraction`` view
+    entries in the same order and every value a ``Fraction``, as the copying
+    oracle gives them."""
+    int_kernel, int_image = kernel_and_image(labels, vectors)
+    for combo, scale in int_kernel:
+        assert type(scale) is int and scale > 0
+        assert all(type(v) is int for v in combo.values())
+    for pivot, (row, t) in int_image.items():
+        assert type(t) is int and t == row[pivot] > 0
+        assert all(type(v) is int for v in row.values())
+    kernel, image = fraction_view(int_kernel, int_image)
     kernel_oracle, image_oracle = kernel_and_image_by_copies(labels, vectors)
     assert [list(c.items()) for c in kernel] == [list(c.items()) for c in kernel_oracle]
     assert ordered(image) == ordered(image_oracle)
@@ -207,12 +220,12 @@ def test_a_common_scalar_changes_neither_kernel_nor_image(case, s, rng):
     vectors, _ = case
     labels = list(range(len(vectors)))
     rng.shuffle(labels)
-    kernel, image = kernel_and_image(labels, vectors)
+    kernel, image = rational_kernel_and_image(labels, vectors)
     den = lcm(*(v.denominator for vec in vectors for v in vec.values()))
     as_fractions = [{k: s * v for k, v in vec.items()} for vec in vectors]
     as_ints = [{k: (s * den * v).numerator for k, v in vec.items()} for vec in vectors]
     for scaled in (as_fractions, as_ints):
-        scaled_kernel, scaled_image = kernel_and_image(labels, scaled)
+        scaled_kernel, scaled_image = rational_kernel_and_image(labels, scaled)
         assert [list(c.items()) for c in scaled_kernel] == [list(c.items()) for c in kernel]
         assert ordered(scaled_image) == ordered(image)
 
@@ -229,6 +242,19 @@ def test_a_common_scalar_changes_neither_kernel_nor_image(case, s, rng):
 )
 def test_elimination_edge_inputs_match_the_copying_oracle(vectors):
     assert_same_kernel_and_image(list(range(len(vectors))), vectors)
+
+
+def test_a_new_pivot_held_by_several_rows_is_eliminated_from_each():
+    # {1: 1, 2: 1} puts entry 2 into the row of pivot 0, so pivot 2 is then
+    # held by three rows, and pivot 3 by the rows that pivot 2 filled in
+    vectors = [vec((0, 1), (1, 1)), vec((1, 1), (2, 1)), vec((3, 1), (2, 2)),
+               vec((2, 1), (4, 3)), vec((3, 7)), vec((0, 3), (3, 1), (4, 1))]
+    assert_same_kernel_and_image(list("abcdef"), vectors)
+    kernel, image = rational_kernel_and_image(list("abcdef"), vectors)
+    assert list(image.rows) == [0, 1, 2, 3, 4]
+    for pivot, row in image.rows.items():
+        assert row[pivot] == 1 and not (row.keys() & image.rows.keys()) - {pivot}
+    assert len(kernel) == 1
 
 
 @pytest.mark.parametrize("n_labels,n_vectors", [(3, 2), (2, 3), (0, 1), (1, 0)])

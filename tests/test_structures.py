@@ -3,7 +3,7 @@ from functools import cache, partial
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bvcheck import brackets, structures
 from bvcheck.algebra import (
@@ -42,12 +42,14 @@ from bvcheck.structures import (
 
 from oracles import (
     bracket_derivation_defect,
+    cohomology_by_fractions,
     gerstenhaber_by_evaluation,
     induced_items_by_evaluation,
     jacobiator,
     leibniz_defect,
     square_by_degree_pairs,
 )
+from test_cli import CE_SPECS, KOSZUL_FRACTIONAL
 
 BUDGET = Budget(max_degree=2, max_tuples=60)
 
@@ -791,6 +793,79 @@ def test_shared_cohomology_equals_a_fresh_build(model, window):
     assert fresh.representatives == shared.representatives
     assert list(fresh.boundary_space.rows.items()) == list(shared.boundary_space.rows.items())
     assert fresh.warnings == shared.warnings
+
+
+def assert_matches_the_rational_loop(table, d, window):
+    # representatives (dict order and values), dimensions, boundary rows and
+    # warnings as the Fraction elimination and reduction give them
+    H = cohomology(table, d, window)
+    reps, boundary_space, warnings = cohomology_by_fractions(table, d, window)
+
+    def shown(representatives):
+        return [(g, [list(r.coeffs.items()) for r in rs]) for g, rs in representatives.items()]
+
+    assert shown(H.representatives) == shown(reps)
+    assert H.dims() == {g: len(rs) for g, rs in sorted(reps.items())}
+    assert [(p, list(r.items())) for p, r in H.boundary_space.rows.items()] == [
+        (p, list(r.items())) for p, r in boundary_space.rows.items()
+    ]
+    assert H.warnings == warnings
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_MODELS, "laplacian-as-d"])
+@pytest.mark.parametrize("window", range(5))
+def test_cohomology_of_each_model_matches_the_rational_loop(name, window):
+    if name == "laplacian-as-d":
+        model = polyvector_model(2)
+        table, d = model.table, model.D  # degree -1: boundaries land in earlier slices
+    else:
+        model = BUILTIN_MODELS[name]()
+        table, d = model.table, model.d
+    assert_matches_the_rational_loop(table, d, window)
+
+
+@pytest.mark.parametrize("name", ["koszul-fractional", "aff1", "heisenberg"])
+@pytest.mark.parametrize("window", range(7))
+def test_cohomology_of_each_spec_matches_the_rational_loop(name, window):
+    spec = parse_spec(KOSZUL_FRACTIONAL if name == "koszul-fractional" else CE_SPECS[name])
+    assert_matches_the_rational_loop(spec.table, spec.differential(), window)
+
+
+@st.composite
+def weighted_koszul_differentials(draw):
+    """sum_i c_i x_i^{w_i} d/dxi_i with c_i of denominator 2-9, on 1-3 pairs."""
+    weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = len(weights)
+    table = koszul_complex_model(weights).table
+    d = Operator.zero(table)
+    for i, w in enumerate(weights):
+        c = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(2, 9)))
+        mult = tuple(w if j == 2 * i else 0 for j in range(2 * n))
+        deriv = tuple(1 if j == 2 * i + 1 else 0 for j in range(2 * n))
+        d = d + Operator.term(table, c, mult, deriv)
+    return table, d
+
+
+@given(weighted_koszul_differentials(), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_cohomology_of_weighted_koszul_complexes_matches_the_rational_loop(case, window):
+    table, d = case
+    assert_matches_the_rational_loop(table, d, window)
+
+
+FRACTION = st.builds(Fraction, st.integers(-9, 9), st.integers(2, 9))
+
+
+@given(FRACTION, FRACTION, st.integers(0, 3))
+@example(Fraction(2), Fraction(3), 2)
+@settings(max_examples=40, deadline=None)
+def test_cohomology_of_two_dimensional_lie_algebras_matches_the_rational_loop(a, b, window):
+    # Chevalley-Eilenberg, [e1, e2] = a e1 + b e2: for a, b != 0 the boundary
+    # +-(a xi1 + b xi2) has its pivot in the cycle xi1, whose residual, a
+    # multiple of xi2, is the class
+    table = GeneratorTable(("xi1", "xi2"), (1, 1))
+    d = Operator.term(table, a, (1, 0), (1, 1)) + Operator.term(table, b, (0, 1), (1, 1))
+    assert_matches_the_rational_loop(table, d, window)
 
 
 # --- induced structure ------------------------------------------------------
