@@ -320,7 +320,7 @@ def main(argv=None) -> int:
                 if not spec.model.d.is_zero():
                     ops.setdefault("d", spec.model.d)
             for name, op in sorted(ops.items()):
-                degs = sorted(op.degree_components())
+                degs = sorted(op.degrees())
                 report.add(
                     f"operator {name}", "pass",
                     f"order {op.structural_order()}, degrees {degs}: "

@@ -9,7 +9,7 @@ its rational pivot rows, of pivot coefficient 1, into that copy.
 ``kernel_and_image`` eliminates fraction-free instead and returns integers:
 its image rows are integer multiples of the same fully reduced rows, and a
 caller divides by a row's pivot entry, or by a combination's scale, only
-where it needs a ``Fraction``.  ``_eliminate`` reduces an integer vector
+where it needs a ``Fraction``.  ``_reduce`` reduces an integer vector
 against such rows.
 """
 
@@ -81,11 +81,11 @@ class RowSpace:
         return len(self.rows)
 
 
-def _eliminate(vec: dict, c: int, row: dict, t: int) -> int:
+def _eliminate(vec: dict, row: dict, pivot) -> int:
     """``vec = p * vec - q * row`` in place, with ``p / q = t / c`` in lowest
-    terms, for the entry ``c`` of ``vec`` at the pivot of ``row``, whose
-    coefficient there is ``t > 0``; drops entries that cancel and returns
-    ``p > 0``."""
+    terms, for the entries ``c`` of ``vec`` and ``t > 0`` of ``row`` at the
+    pivot of ``row``; drops entries that cancel and returns ``p > 0``."""
+    c, t = vec[pivot], row[pivot]
     g = gcd(c, t)
     p = t // g
     if p != 1:
@@ -93,6 +93,18 @@ def _eliminate(vec: dict, c: int, row: dict, t: int) -> int:
             vec[k] *= p
     _subtract(vec, c // g, row)
     return p
+
+
+def _reduce(vec: dict, rows: dict) -> int:
+    """Reduce the integer ``vec`` in place modulo ``rows`` (pivot -> fully
+    reduced integer row, positive at its pivot) in one sweep of its labels, as
+    ``RowSpace.reduce`` does in rationals; returns the factor ``vec`` was
+    multiplied by, so that ``vec`` over it is the rational residual."""
+    scale = 1
+    for k in sorted(vec):
+        if k in vec and k in rows:
+            scale *= _eliminate(vec, rows[k], k)
+    return scale
 
 
 def _make_primitive(vec: dict, pivot) -> None:
@@ -113,9 +125,9 @@ def kernel_and_image(labels: list, vectors: list[dict]):
     Returns (kernel, image).  ``kernel`` lists ``(combination, scale)``: an
     integer {label: coeff} combination and a ``scale > 0`` with
     ``sum coeff / scale * vector(label) = 0``.  ``image`` maps each pivot
-    to ``(row, t)``: an integer row whose entry ``t`` at the pivot is
-    positive, ``t`` times the image's fully reduced rational row.  Dividing
-    by ``scale`` or ``t`` gives the values, and dict orders, of the rational
+    to an integer row whose entry at the pivot is positive: that entry times
+    the image's fully reduced rational row.  Dividing by ``scale`` or the
+    pivot entry gives the values, and dict orders, of the rational
     elimination.  Raises ``ValueError`` unless there is one label per vector.
 
     Entries are renamed to ints that sort as they do, and labels to ints
@@ -142,11 +154,7 @@ def kernel_and_image(labels: list, vectors: list[dict]):
         scale = lcm(*(v.denominator for v in vec.values()))
         aug = {entry_id[k]: v.numerator * (scale // v.denominator) for k, v in vec.items()}
         aug[tag_id[label]] = scale
-        for k in sorted(aug):
-            c = aug.get(k)
-            if c is not None and k in rows:
-                row = rows[k]
-                scale *= _eliminate(aug, c, row, row[k])
+        scale *= _reduce(aug, rows)
         pivot = min(aug)
         if pivot >= n:  # only tags are left
             kernel.append(({names[k]: v for k, v in aug.items()}, scale))
@@ -155,7 +163,7 @@ def kernel_and_image(labels: list, vectors: list[dict]):
         held = [k for k in aug if k < n]
         for row_pivot in holders.pop(pivot, ()):
             r = rows[row_pivot]
-            _eliminate(r, r[pivot], aug, aug[pivot])
+            _eliminate(r, aug, pivot)
             _make_primitive(r, row_pivot)
             for k in held:
                 if k in r:
@@ -165,8 +173,6 @@ def kernel_and_image(labels: list, vectors: list[dict]):
         for k in held:
             holders.setdefault(k, set()).add(pivot)
         rows[pivot] = aug
-    image = {
-        names[p]: ({names[k]: v for k, v in row.items() if k < n}, row[p])
-        for p, row in rows.items()
+    return kernel, {
+        names[p]: {names[k]: v for k, v in row.items() if k < n} for p, row in rows.items()
     }
-    return kernel, image

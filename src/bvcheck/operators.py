@@ -14,7 +14,9 @@ check exact and decidable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import product
+from math import comb, lcm, prod
+from operator import sub
 from typing import Iterator, Mapping
 
 from .algebra import (
@@ -72,11 +74,11 @@ class Operator:
     """Normal-form finite sum of (multiplier x derivative) terms.
 
     ``terms`` is never changed after construction, so each operator keeps the
-    set of its term degrees, built once; the integer form of its terms, built
-    on the first ``den`` or ``int_image`` call (the lcm ``den()`` of the
+    set of its term degrees, built once; its integer terms, which ``compose``
+    and ``int_image`` read, built on first use (the lcm ``den()`` of the
     coefficient denominators and, per term, the multiplier, the derivative
-    word and ``den()`` times the coefficient as an int); the integer images
-    ``int_image`` computes over ``den()``, each monomial differentiated once,
+    multi-index and word and ``den()`` times the coefficient as an int); the
+    integer images ``int_image`` computes, each monomial differentiated once,
     which ``apply`` sums and divides by ``den()`` once; its square once asked
     for; and, by window, the cohomology ``structures.cohomology`` builds of
     it.  All live as long as the operator.
@@ -234,7 +236,7 @@ class Operator:
         if self._int_terms is None:
             den = lcm(*(c.denominator for c in self.terms.values()))
             self._int_terms = den, [
-                (mult, _word(deriv), c.numerator * (den // c.denominator))
+                (mult, deriv, _word(deriv), c.numerator * (den // c.denominator))
                 for (mult, deriv), c in self.terms.items()
             ]
         return self._int_terms[0]
@@ -249,7 +251,7 @@ class Operator:
         self.den()  # builds the integer terms
         table = self.table
         out: dict[Monomial, int] = {}
-        for mult, word, n in self._int_terms[1]:
+        for mult, _, word, n in self._int_terms[1]:
             d = _diff_word(table, word, mono)
             if d is None:
                 continue
@@ -265,56 +267,41 @@ class Operator:
     # --- composition ------------------------------------------------------
 
     def compose(self, other: "Operator") -> "Operator":
-        """Normal form of self o other (apply ``other`` first)."""
+        """Normal form of self o other (apply ``other`` first), by the graded
+        Leibniz rule on the integer terms, divided by ``self.den() *
+        other.den()`` once per key.
+
+        For terms m1 d^alpha and m2 d^beta, each gamma <= alpha gives
+        prod C(alpha_i, gamma_i) m1 d^gamma(m2) d^delta o d^beta, delta =
+        alpha - gamma; derivatives multiply like their generators, so
+        ``monomial_mul`` puts d^delta o d^beta in normal form.  Each odd d_i
+        of delta passes m2 less its derivatives in gamma above i: one sign if
+        m2 is odd, and one per such derivative, the sign of x^gamma x^delta.
+        """
         self._check_table(other)
         table = self.table
-        n = len(table)
-        result: dict[TermKey, Fraction] = {}
-
-        def add(key: TermKey, c: Fraction):
-            result[key] = result.get(key, Fraction(0)) + c
-
-        for (m1, alpha), c1 in self.terms.items():
-            for (m2, beta), c2 in other.terms.items():
-                # current: normal-form expansion of d^alpha o (m2 . d^beta)
-                current: dict[TermKey, Fraction] = {(m2, beta): Fraction(1)}
-                for i in reversed(range(n)):
-                    for _ in range(alpha[i]):
-                        nxt: dict[TermKey, Fraction] = {}
-                        for (m, gamma), c in current.items():
-                            # d_i acting on the multiplier
-                            d = _diff_monomial(table, i, m)
-                            if d is not None:
-                                dc, dm = d
-                                key = (dm, gamma)
-                                nxt[key] = nxt.get(key, Fraction(0)) + c * dc
-                            # d_i passing the multiplier into the derivative word
-                            p_i = table.parity(i)
-                            if p_i and gamma[i]:
-                                continue  # odd derivative squared
-                            pass_sign = -1 if p_i and table.monomial_parity(m) else 1
-                            crossings = sum(
-                                gamma[j] for j in range(i) if table.parity(j)
-                            ) if p_i else 0
-                            if crossings % 2:
-                                pass_sign = -pass_sign
-                            new_gamma = tuple(
-                                e + 1 if j == i else e for j, e in enumerate(gamma)
-                            )
-                            key = (m, new_gamma)
-                            nxt[key] = nxt.get(key, Fraction(0)) + c * pass_sign
-                        current = {k: v for k, v in nxt.items() if v}
-                        if not current:
-                            break
-                    if not current:
-                        break
-                for (m, gamma), c in current.items():
-                    sm = monomial_mul(table, m1, m)
-                    if sm is None:
+        den = self.den() * other.den()
+        out: dict[TermKey, int] = {}
+        for m1, alpha, _, n1 in self._int_terms[1]:
+            for m2, beta, _, n2 in other._int_terms[1]:
+                # gamma_i <= m2_i, so d^gamma(m2) is not 0
+                for gamma in product(*(range(min(a, e) + 1) for a, e in zip(alpha, m2))):
+                    delta = tuple(map(sub, alpha, gamma))
+                    deriv = monomial_mul(table, delta, beta)
+                    if deriv is None:
                         continue
-                    sign, mono = sm
-                    add((mono, gamma), c1 * c2 * sign * c)
-        return Operator(table, result)
+                    dc, dm = _diff_word(table, _word(gamma), m2)
+                    mult = monomial_mul(table, m1, dm)
+                    if mult is None:
+                        continue
+                    # gamma and delta share no odd index, so x^gamma x^delta is not 0
+                    sign = deriv[0] * mult[0] * monomial_mul(table, gamma, delta)[0]
+                    if table.monomial_parity(m2) and table.monomial_parity(delta):
+                        sign = -sign
+                    key = (mult[1], deriv[1])
+                    c = n1 * n2 * sign * dc * prod(map(comb, alpha, gamma))
+                    out[key] = out.get(key, 0) + c
+        return Operator(table, {k: Fraction(v, den) for k, v in out.items() if v})
 
     def square(self) -> "Operator":
         """Normal form of self o self, built on the first call and kept."""

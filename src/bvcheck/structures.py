@@ -28,7 +28,7 @@ from .brackets import (
     monomial_tuples,
     tuple_count,
 )
-from .linalg import RowSpace, _eliminate, kernel_and_image
+from .linalg import RowSpace, _reduce, kernel_and_image
 from .operators import Operator
 
 
@@ -316,7 +316,7 @@ class CohomologyBasis:
     never mutate it.
 
     ``boundaries`` holds the image rows of every slice as ``kernel_and_image``
-    returns them, in integers: pivot -> (row, positive pivot entry), the
+    returns them, in integers: pivot -> row, positive at the pivot, the
     fully reduced basis of the window's boundaries times that entry.
     ``cohomology`` reduces kernel combinations against them in integers, so
     its ``RowSpace`` of representatives sees only the residuals that are not
@@ -335,8 +335,8 @@ class CohomologyBasis:
     @cached_property
     def boundary_space(self) -> RowSpace:
         space = RowSpace()
-        for pivot, (row, t) in self.boundaries.items():
-            space.rows[pivot] = {k: Fraction(v, t) for k, v in row.items()}
+        for pivot, row in self.boundaries.items():
+            space.rows[pivot] = {k: Fraction(v, row[pivot]) for k, v in row.items()}
         return space
 
     def reduce(self, a: Element) -> Element:
@@ -391,11 +391,7 @@ def cohomology(
         reps: list[Element] = []
         rep_space = RowSpace()
         for combo, scale in kernels[g]:
-            for k in sorted(combo):
-                c = combo.get(k)
-                if c is not None and k in boundaries:
-                    row, t = boundaries[k]
-                    scale *= _eliminate(combo, c, row, t)
+            scale *= _reduce(combo, boundaries)
             if not combo:  # a boundary
                 continue
             reduced = {k: Fraction(v, scale) for k, v in combo.items()}

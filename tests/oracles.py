@@ -26,7 +26,7 @@ from bvcheck.brackets import (
 )
 from bvcheck.graded import koszul_sign, unshuffles
 from bvcheck.linalg import RowSpace
-from bvcheck.operators import Operator, _diff_monomial
+from bvcheck.operators import Operator
 from bvcheck.structures import StructReport
 
 
@@ -104,8 +104,8 @@ def fraction_view(kernel: list, image: dict):
     it: each combination divided by its scale, and each image row by its
     pivot entry, in a ``RowSpace``."""
     space = RowSpace()
-    for pivot, (row, t) in image.items():
-        space.rows[pivot] = {k: Fraction(v, t) for k, v in row.items()}
+    for pivot, row in image.items():
+        space.rows[pivot] = {k: Fraction(v, row[pivot]) for k, v in row.items()}
     return [{k: Fraction(v, scale) for k, v in c.items()} for c, scale in kernel], space
 
 
@@ -149,6 +149,22 @@ def cohomology_by_fractions(table: GeneratorTable, d: Operator, window_degree: i
     return representatives, boundary_space, warnings
 
 
+def leibniz_derivative(table: GeneratorTable, i: int, mono):
+    """d_i of a monomial: remove each letter i from the letter word in turn,
+    with the sign of moving d_i past the odd letters before it.  Returns
+    (int coeff, monomial) or None."""
+    word = [j for j, e in enumerate(mono) for _ in range(e)]
+    total = 0
+    for pos, letter in enumerate(word):
+        if letter == i:
+            odd_before = sum(1 for j in word[:pos] if table.degrees[j] % 2)
+            total += -1 if table.degrees[i] % 2 and odd_before % 2 else 1
+    if not total:
+        return None
+    reduced = tuple(e - 1 if j == i else e for j, e in enumerate(mono))
+    return total, reduced
+
+
 def _diff_by_generators(table: GeneratorTable, deriv, mono):
     """d^deriv of a monomial, walking every generator from the highest index
     down: (int coeff, monomial) or None."""
@@ -156,7 +172,7 @@ def _diff_by_generators(table: GeneratorTable, deriv, mono):
     # innermost derivative is the highest generator index
     for i in reversed(range(len(table))):
         for _ in range(deriv[i]):
-            d = _diff_monomial(table, i, mono)
+            d = leibniz_derivative(table, i, mono)
             if d is None:
                 return None
             dc, mono = d
@@ -187,6 +203,44 @@ def _apply_by_fractions(D: Operator, coeffs: dict) -> dict:
         for m, v in image_by_fractions(D, mono).items():
             out[m] = out.get(m, 0) + c * v
     return {m: v for m, v in out.items() if v}
+
+
+def compose_by_single_derivatives(A: Operator, B: Operator) -> Operator:
+    """``A.compose(B)`` by pushing the derivatives of each term of ``A``
+    through each term of ``B`` one at a time, from the highest index down, in
+    ``Fraction``s: d_i either differentiates the multiplier or passes it into
+    the derivative word, with one sign per odd factor it crosses."""
+    table = A.table
+    n = len(table)
+    result: dict = {}
+    for (m1, alpha), c1 in A.terms.items():
+        for (m2, beta), c2 in B.terms.items():
+            # current: normal-form expansion of d^alpha o (m2 . d^beta)
+            current = {(m2, beta): Fraction(1)}
+            for i in reversed(range(n)):
+                odd_i = table.degrees[i] % 2
+                for _ in range(alpha[i]):
+                    nxt: dict = {}
+                    for (m, gamma), c in current.items():
+                        d = leibniz_derivative(table, i, m)
+                        if d is not None:
+                            dc, dm = d
+                            nxt[(dm, gamma)] = nxt.get((dm, gamma), 0) + c * dc
+                        if odd_i and gamma[i]:
+                            continue  # odd derivative squared
+                        crossings = 0
+                        if odd_i:
+                            crossings += sum(m[j] for j in range(n) if table.degrees[j] % 2)
+                            crossings += sum(gamma[j] for j in range(i) if table.degrees[j] % 2)
+                        key = (m, tuple(e + (j == i) for j, e in enumerate(gamma)))
+                        nxt[key] = nxt.get(key, 0) + c * (-1) ** crossings
+                    current = {k: v for k, v in nxt.items() if v}
+            for (m, gamma), c in current.items():
+                sm = monomial_mul(table, m1, m)
+                if sm is not None:
+                    key = (sm[1], gamma)
+                    result[key] = result.get(key, 0) + c1 * c2 * sm[0] * c
+    return Operator(table, result)
 
 
 def square_zero_witness_by_scan(D: Operator):

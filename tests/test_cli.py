@@ -375,8 +375,8 @@ def test_explain_subcommand(capsys):
     code = main(["explain", "--model", "mixed-order"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "operator D" in out
-    assert "order 3" in out
+    assert "operator D - order 3, degrees [-3, -1, 1]: " in out
+    assert "operator d - order 1, degrees [1]: " in out
 
 
 @pytest.mark.parametrize("flag", ["--budget-tuples", "--budget-degree"])

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bvcheck.algebra import (
     AlgebraError,
@@ -11,7 +11,12 @@ from bvcheck.algebra import (
 )
 from bvcheck.models import BUILTIN_MODELS, mixed_order_model, polyvector_model
 from bvcheck.operators import Operator, _diff_monomial, format_operator
-from oracles import image_by_fractions, square_zero_witness_by_scan
+from oracles import (
+    compose_by_single_derivatives,
+    image_by_fractions,
+    leibniz_derivative,
+    square_zero_witness_by_scan,
+)
 
 TABLE = GeneratorTable(("x", "y", "xi", "eta"), (0, 2, 1, 3))
 # odd and even generators interleaved, odd ones of negative degree included
@@ -129,6 +134,53 @@ def test_compose_agrees_with_sequential_apply():
                 )
 
 
+# coefficients over denominators 1-6, so two operators' den() differ
+COMPOSE_COEFF = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 6))
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two operators on one table, each term any multiplier and derivative of
+    total exponent <= 3: even derivatives of exponent 2 and 3 meet multipliers
+    holding their generator, and odd derivatives cross odd multipliers."""
+    table = draw(st.sampled_from([TABLE, MIXED_TABLE]))
+    monos = enumerate_monomials(table, 3)
+    terms = st.dictionaries(
+        st.tuples(st.sampled_from(monos), st.sampled_from(monos)),
+        COMPOSE_COEFF, min_size=1, max_size=3,
+    )
+    return Operator(table, draw(terms)), Operator(table, draw(terms))
+
+
+def _pair(table, a_terms, b_terms):
+    return Operator(table, a_terms), Operator(table, b_terms)
+
+
+@given(operator_pairs())
+# d/dx^2 o x^2 d/dy: the binomial C(2, 1) of x^2 hit once
+@example(_pair(TABLE, {((0, 0, 0, 0), (2, 0, 0, 0)): Fraction(1, 2)},
+               {((2, 0, 0, 0), (0, 1, 0, 0)): Fraction(-2, 3)}))
+# d/du^3 o u^2 d/deta1 on the mixed table
+@example(_pair(MIXED_TABLE, {((0,) * 6, (0, 0, 3, 0, 0, 0)): Fraction(1)},
+               {((0, 0, 2, 0, 0, 0), (0, 0, 0, 1, 0, 0)): Fraction(5, 4)}))
+# d/deta o xi d/dx: d/deta passes the odd xi
+@example(_pair(TABLE, {((0, 0, 0, 0), (0, 0, 0, 1)): Fraction(3)},
+               {((0, 0, 1, 0), (1, 0, 0, 0)): Fraction(1, 5)}))
+# d/dxi d/deta o xi eta: d/deta passes xi eta, then d/dxi hits it or passes
+@example(_pair(TABLE, {((1, 0, 0, 0), (0, 0, 1, 1)): Fraction(1)},
+               {((0, 0, 1, 1), (0, 0, 0, 0)): Fraction(1, 2),
+                ((0, 0, 0, 1), (0, 0, 1, 0)): Fraction(-1)}))
+@settings(max_examples=150, deadline=None)
+def test_compose_is_the_single_derivative_expansion(pair):
+    A, B = pair
+    AB = A.compose(B)
+    assert AB == compose_by_single_derivatives(A, B)
+    # an operator of order k is fixed by its values on monomials of length <= k
+    for m in enumerate_monomials(A.table, A.structural_order() + B.structural_order()):
+        e = Element.monomial(A.table, m)
+        assert AB.apply(e) == A.apply(B.apply(e)), (str(A), str(B), m)
+
+
 def test_odd_derivatives_anticommute():
     dxi = Operator.derivative(TABLE, "xi")
     deta = Operator.derivative(TABLE, "eta")
@@ -222,21 +274,6 @@ def test_format_operator_term_lines():
     text = format_operator(op)
     assert text == "-3/2 | x | d/dxi"
     assert format_operator(Operator.zero(TABLE)) == "0"
-
-
-def leibniz_derivative(table, i, mono):
-    """Oracle for d_i: remove each letter i from the letter word in turn, with
-    the sign of moving d_i past the odd letters before it."""
-    word = [j for j, e in enumerate(mono) for _ in range(e)]
-    total = 0
-    for pos, letter in enumerate(word):
-        if letter == i:
-            odd_before = sum(1 for j in word[:pos] if table.degrees[j] % 2)
-            total += -1 if table.degrees[i] % 2 and odd_before % 2 else 1
-    if not total:
-        return None
-    reduced = tuple(e - 1 if j == i else e for j, e in enumerate(mono))
-    return total, reduced
 
 
 def test_diff_monomial_matches_leibniz_oracle():
