@@ -157,10 +157,11 @@ class Element:
 
     def parity(self) -> int:
         """Parity of a parity-homogeneous element; raises otherwise."""
-        pars = {self.table.monomial_parity(m) for m in self.coeffs}
-        if len(pars) != 1:
+        parities = map(self.table.monomial_parity, self.coeffs)
+        parity = next(parities, None)
+        if parity is None or any(p != parity for p in parities):
             raise AlgebraError("parity of a mixed-parity or zero element")
-        return pars.pop()
+        return parity
 
     def is_homogeneous(self) -> bool:
         return len({self.table.monomial_degree(m) for m in self.coeffs}) <= 1

@@ -72,10 +72,16 @@ def _integral(a: Element, scale: int) -> dict[Monomial, int]:
 def _akman_on_monomials(D: Operator, p_D: int, monos: tuple, parities: tuple):
     """The module docstring's recursion on monomials, as {monomial: int} over
     ``D.den()``, with ``D.int_image`` at the leaves; the product a_n a_{n+1}
-    is a signed monomial, whose sign scales the first term.  The result may
-    be ``D``'s cached image: read it, never mutate it."""
+    is a signed monomial, whose sign scales the first term.
+
+    Every value is kept in ``D``'s recursion memo, keyed by ``monos`` alone:
+    the parities are those of the monomials and ``p_D`` is ``D``'s.  The
+    result is ``D``'s cached dict: read it, never mutate it."""
     if len(monos) == 1:
         return D.int_image(monos[0])
+    cached = D._akman.get(monos)
+    if cached is not None:
+        return cached
     table = D.table
     a_n, a_np1 = monos[-2], monos[-1]
     p_n, p_np1 = parities[-2], parities[-1]
@@ -94,7 +100,8 @@ def _akman_on_monomials(D: Operator, p_D: int, monos: tuple, parities: tuple):
         sm = monomial_mul(table, a_n, k)
         if sm is not None:
             out[sm[1]] = out.get(sm[1], 0) + sign * sm[0] * v
-    return {k: v for k, v in out.items() if v}
+    out = D._akman[monos] = {k: v for k, v in out.items() if v}
+    return out
 
 
 def _scales(args) -> list[int]:
@@ -179,6 +186,13 @@ class Budget:
     def __post_init__(self):
         if self.max_degree < 0 or self.max_tuples < 0:
             raise AlgebraError("budget degree and tuple count must be >= 0")
+
+
+def window_elements(table, budget: Budget) -> dict[Monomial, Element]:
+    """Each monomial of the budget's window as an ``Element``, built once so
+    that a suite can index the tuples of ``monomial_tuples`` into it.  The
+    Elements are shared by every tuple: read them, never mutate them."""
+    return {m: Element.monomial(table, m) for m in enumerate_monomials(table, budget.max_degree)}
 
 
 def monomial_tuples(table, arity: int, budget: Budget):

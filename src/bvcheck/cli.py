@@ -19,7 +19,7 @@ import json
 import sys
 from functools import cache
 
-from .algebra import AlgebraError, Element, count_monomials, format_element
+from .algebra import AlgebraError, count_monomials, format_element
 from .brackets import (
     Budget,
     akman_bracket,
@@ -28,6 +28,7 @@ from .brackets import (
     first_witness,
     koszul_bracket,
     monomial_tuples,
+    window_elements,
 )
 from .linfty import verify_linfty
 from .models import BUILTIN_MODELS
@@ -84,9 +85,11 @@ def _brackets(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     if arity < 1:
         raise AlgebraError(f"bracket arity must be >= 1, got {arity}")
 
+    elements = window_elements(table, budget)
+
     def routes_differ(tup):
-        elems = [Element.monomial(table, m) for m in tup]
-        return not (akman_bracket(D, elems) - koszul_bracket(D, elems)).is_zero()
+        elems = [elements[m] for m in tup]
+        return akman_bracket(D, elems).coeffs != koszul_bracket(D, elems).coeffs
 
     for n in range(1, arity + 1):
         tested, bad = first_witness(monomial_tuples(table, n, budget), routes_differ)
@@ -282,15 +285,16 @@ def main(argv=None) -> int:
             table = spec.table
             values = StructReport(f"arity-{args.arity} bracket values")
             # nothing to tabulate when every bracket of this arity vanishes
-            vanishes = bracket_vanishes(D, args.arity)
-            for tup in () if vanishes else monomial_tuples(table, args.arity, budget):
-                elems = [Element.monomial(table, m) for m in tup]
-                val = akman_bracket(D, elems)
-                if not val.is_zero():
-                    label = ", ".join(format_element(e) for e in elems)
-                    values.add(f"F({label})", "pass", format_element(val))
-                if len(values.items) == 12:
-                    break
+            if not bracket_vanishes(D, args.arity):
+                elements = window_elements(table, budget)
+                for tup in monomial_tuples(table, args.arity, budget):
+                    elems = [elements[m] for m in tup]
+                    val = akman_bracket(D, elems)
+                    if not val.is_zero():
+                        label = ", ".join(format_element(e) for e in elems)
+                        values.add(f"F({label})", "pass", format_element(val))
+                    if len(values.items) == 12:
+                        break
             reports = [report, values]
 
         elif args.command == "split":

@@ -8,6 +8,7 @@ bracket kernels only compare with 0, returns the int 1 or -1.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 
@@ -15,22 +16,22 @@ class GradedError(ValueError):
     """Domain error in the graded kernel (bad permutation, length mismatch...)."""
 
 
-def unshuffles(k: int, n: int) -> list[tuple[int, ...]]:
+@cache
+def unshuffles(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     """All (k, n-k) unshuffles of {0..n-1} in lexicographic order.
 
     A (k, n-k) unshuffle is a permutation that is increasing on its first k
     positions and on its last n-k positions.  Exactly binomial(n, k) of them
-    exist; they are indexed by the subset occupying the first block.
+    exist; they are indexed by the subset occupying the first block.  Built
+    once per (k, n) and shared, as a tuple so that no caller can change it.
     """
     if k < 1 or k > n:
         raise GradedError(f"unshuffles: need 1 <= k <= n, got k={k}, n={n}")
-    result = []
     universe = range(n)
-    for left in combinations(universe, k):
-        left_set = set(left)
-        right = tuple(i for i in universe if i not in left_set)
-        result.append(left + right)
-    return result
+    return tuple(
+        left + tuple(i for i in universe if i not in left)
+        for left in combinations(universe, k)
+    )
 
 
 def koszul_sign(degrees, sigma) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraError, Element
-from .brackets import Budget, first_witness, koszul_bracket, monomial_tuples
+from .brackets import Budget, first_witness, koszul_bracket, monomial_tuples, window_elements
 from .operators import Operator
 
 
@@ -49,10 +49,11 @@ def verify_linfty(D: Operator, n_max: int, budget: Budget | None = None) -> list
         raise AlgebraError(f"relation family needs n >= 1, got {n_max}")
     budget = budget or Budget()
     table = D.table
+    elements = window_elements(table, budget)
     reports = []
     for n in range(1, n_max + 1):
         def fails(tup):
-            return not linfty_relation(D, n, [Element.monomial(table, m) for m in tup]).is_zero()
+            return not linfty_relation(D, n, [elements[m] for m in tup]).is_zero()
 
         tested, failing = first_witness(monomial_tuples(table, n, budget), fails)
         reports.append(RelationReport(n, tested, failing is None, failing))

@@ -79,13 +79,16 @@ class Operator:
     coefficient denominators and, per term, the multiplier, the derivative
     multi-index and word and ``den()`` times the coefficient as an int); the
     integer images ``int_image`` computes, each monomial differentiated once,
-    which ``apply`` sums and divides by ``den()`` once; its square once asked
-    for; and, by window, the cohomology ``structures.cohomology`` builds of
-    it.  All live as long as the operator.
+    which ``apply`` sums and divides by ``den()`` once; by tuple of two or
+    more monomials, the integer values of the bracket recursion that
+    ``brackets.akman_bracket`` computes on it, so sub-tuples shared between
+    calls are evaluated once; its square once asked for; and, by window, the
+    cohomology ``structures.cohomology`` builds of it.  All live as long as
+    the operator, and each cached dict is shared: read it, never mutate it.
     """
 
-    __slots__ = ("table", "terms", "_degrees", "_int_images", "_int_terms", "_square",
-                 "_cohomology")
+    __slots__ = ("table", "terms", "_degrees", "_int_images", "_int_terms", "_akman",
+                 "_square", "_cohomology")
 
     def __init__(self, table: GeneratorTable, terms: Mapping[TermKey, Fraction] | None = None):
         self.table = table
@@ -110,6 +113,7 @@ class Operator:
         self._degrees = frozenset(degrees)
         self._int_images: dict[Monomial, dict[Monomial, int]] = {}
         self._int_terms: tuple[int, list] | None = None
+        self._akman: dict[tuple[Monomial, ...], dict[Monomial, int]] = {}
         self._square: Operator | None = None
         self._cohomology: dict = {}
 
@@ -282,10 +286,19 @@ class Operator:
         table = self.table
         den = self.den() * other.den()
         out: dict[TermKey, int] = {}
+        zero = (0,) * len(table)
         for m1, alpha, _, n1 in self._int_terms[1]:
+            support = [i for i, a in enumerate(alpha) if a]
             for m2, beta, _, n2 in other._int_terms[1]:
-                # gamma_i <= m2_i, so d^gamma(m2) is not 0
-                for gamma in product(*(range(min(a, e) + 1) for a, e in zip(alpha, m2))):
+                # gamma_i <= m2_i, so d^gamma(m2) is not 0: gamma is 0 where
+                # alpha or m2 is, and runs over the other indices in the
+                # order of the product over every index
+                live = [i for i in support if m2[i]]
+                for entries in product(*(range(min(alpha[i], m2[i]) + 1) for i in live)):
+                    gamma = list(zero)
+                    for i, g in zip(live, entries):
+                        gamma[i] = g
+                    gamma = tuple(gamma)
                     delta = tuple(map(sub, alpha, gamma))
                     deriv = monomial_mul(table, delta, beta)
                     if deriv is None:
@@ -312,10 +325,17 @@ class Operator:
     # --- structural queries ------------------------------------------------
 
     def degree_components(self) -> dict[int, "Operator"]:
+        """The terms of each degree as an operator, by degree.  The terms are
+        this operator's, already valid, so no component checks them again."""
         parts: dict[int, dict[TermKey, Fraction]] = {}
         for key, c in self.terms.items():
             parts.setdefault(self.term_degree(key), {})[key] = c
-        return {d: Operator(self.table, t) for d, t in sorted(parts.items())}
+        components = {}
+        for d, terms in sorted(parts.items()):
+            component = components[d] = Operator(self.table)
+            component.terms = terms
+            component._degrees = frozenset((d,))
+        return components
 
     def structural_order(self) -> int:
         """Max total derivative count over terms; 0 for the zero operator."""

@@ -130,6 +130,25 @@ def test_degree_and_parity():
         (x + eta).degree()
 
 
+def test_parity_of_parity_homogeneous_elements():
+    x, y, xi, eta = (Element.generator(TABLE, n) for n in TABLE.names)
+    # homogeneous in parity, not in degree
+    assert (x + y).parity() == 0
+    with pytest.raises(AlgebraError):
+        (x + y).degree()
+    assert (xi + eta + x * y * xi).parity() == 1
+    assert (Fraction(1, 2) * Element.one(TABLE) + y * y).parity() == 0
+    # odd generators of degrees -1 and 1
+    mixed = [Element.generator(MIXED_TABLE, n) for n in ("xi1", "eta1", "u")]
+    assert (mixed[0] + mixed[1] * mixed[2]).parity() == 1
+
+
+@pytest.mark.parametrize("text", ["0", "x + xi", "xi + x", "x + y + eta", "x*xi + y - x*eta"])
+def test_parity_raises_on_zero_and_mixed_parity(text):
+    with pytest.raises(AlgebraError):
+        parse_element(TABLE, text).parity()
+
+
 def test_grade_decompose_reassembles():
     x = Element.generator(TABLE, "x")
     y = Element.generator(TABLE, "y")

@@ -186,6 +186,56 @@ def test_integer_routes_match_the_element_oracles(shape, with_zero, data):
         assert expected.is_zero()
 
 
+MIXED_TABLE = mixed_order_model().table
+
+
+@st.composite
+def operator_and_tuples(draw):
+    """A parity-homogeneous operator on TABLE or MIXED_TABLE, with up to four
+    terms of total exponent <= 2 and fractional coefficients, and one to five
+    tuples of arity 1-4.  An argument is a monomial of total exponent <= 1, or
+    a parity-homogeneous combination of two such monomials, so that tuples
+    share sub-tuples."""
+    table = draw(st.sampled_from([TABLE, MIXED_TABLE]))
+    monos = enumerate_monomials(table, 2)
+    parity = draw(st.sampled_from((0, 1)))
+    shapes = [(m, d) for m in monos for d in monos
+              if (table.monomial_degree(m) - table.monomial_degree(d)) % 2 == parity]
+    terms = draw(st.dictionaries(st.sampled_from(shapes), FRACTION, min_size=1, max_size=4))
+    small = enumerate_monomials(table, 1)
+
+    @st.composite
+    def argument(draw):
+        first = draw(st.sampled_from(small))
+        coeffs = {first: Fraction(1)}
+        if draw(st.booleans()):
+            same = [m for m in small if table.monomial_parity(m) == table.monomial_parity(first)]
+            coeffs[draw(st.sampled_from(same))] = draw(FRACTION)
+        return Element(table, coeffs)
+
+    def arguments(n):
+        return st.lists(argument(), min_size=n, max_size=n).map(tuple)
+
+    tuples = draw(st.lists(st.integers(1, 4).flatmap(arguments), min_size=1, max_size=5))
+    return Operator(table, terms), tuples
+
+
+@given(operator_and_tuples())
+@settings(max_examples=40, deadline=None)
+def test_warm_recursion_memo_matches_a_fresh_operator_and_the_element_oracle(D_tuples):
+    # the tuples forward, again in reverse order (every value from the memo),
+    # then each with its arguments reversed (sub-tuples partly from the memo)
+    D, tuples = D_tuples
+    expected = {}
+    for tup in tuples + tuples[::-1] + [t[::-1] for t in tuples]:
+        got = akman_bracket(D, tup)
+        fresh = akman_bracket(Operator(D.table, D.terms), tup)
+        assert got == fresh
+        if tup not in expected:
+            expected[tup] = akman_bracket_by_elements(D, tup)
+        assert got == expected[tup]
+
+
 def test_equal_tables_interoperate_and_different_tables_raise():
     twin = GeneratorTable(TABLE.names, TABLE.degrees)
     assert twin == TABLE and twin is not TABLE

@@ -4,11 +4,12 @@ from itertools import product
 
 import pytest
 
-from bvcheck import brackets, cli, structures
+from bvcheck import brackets, cli, linfty, structures
 from bvcheck.algebra import AlgebraError, enumerate_monomials, parse_element
 from bvcheck.brackets import Budget
 from bvcheck.cli import SUITES, build_parser, main
 from bvcheck.models import BUILTIN_MODELS
+from bvcheck.operators import Operator
 from bvcheck.specfile import parse_spec
 
 from oracles import akman_bracket_by_elements, order_check_by_evaluation
@@ -352,6 +353,71 @@ def test_brackets_value_table_is_skipped_when_the_arity_vanishes(monkeypatch, ca
     assert main(["brackets", "--model", "polyvector2", "--arity", "3"]) == 0
     assert len(calls) == 425
     assert capsys.readouterr().out.split("arity-3 bracket values\n")[1] == "result: PASS\n"
+
+
+# the Laplacian plus 1/2 xi1: odd, with D o D = 1/2 d/dx1 != 0
+PERTURBED_SPEC = """\
+GENERATORS
+x1 0
+x2 0
+xi1 1
+xi2 1
+
+OPERATOR D
+1 | 0 0 0 0 | 1 0 1 0
+1 | 0 0 0 0 | 0 1 0 1
+1/2 | 0 0 1 0 | 0 0 0 0
+"""
+
+
+def _caches(op):
+    """Copies of an operator's integer images and recursion values."""
+    return ({m: dict(v) for m, v in op._int_images.items()},
+            {t: dict(v) for t, v in op._akman.items()})
+
+
+@pytest.mark.parametrize("text, suite, params", [
+    ("MODEL mixed-order\n", "brackets", {"arity": 4}),
+    (PERTURBED_SPEC, "brackets", {"arity": 3}),
+    (PERTURBED_SPEC, "linfty", {"n": 3}),
+], ids=["mixed-order-brackets", "perturbed-brackets", "perturbed-linfty"])
+def test_bracket_suites_leave_the_window_and_the_operator_caches_unchanged(
+    text, suite, params, monkeypatch
+):
+    # the window Elements and the cached dicts are shared by every tuple of
+    # a pass: what they hold after a pass is what they held when built, and
+    # what a fresh operator computes
+    spec = parse_spec(text)
+    windows = []
+
+    def recording(table, budget):
+        elements = brackets.window_elements(table, budget)
+        windows.append((elements, {m: (e.table, dict(e.coeffs)) for m, e in elements.items()}))
+        return elements
+
+    monkeypatch.setattr(cli, "window_elements", recording)
+    monkeypatch.setattr(linfty, "window_elements", recording)
+    budget = Budget(max_degree=2, max_tuples=80)
+    lines = cli.run_suite(suite, spec, budget, params).lines()
+    D = spec.main_operator()
+    ops = [D, D.square()]
+    cached = [_caches(op) for op in ops]
+    assert any(images for images, _ in cached)
+    assert cli.run_suite(suite, spec, budget, params).lines() == lines
+    assert [_caches(op) for op in ops] == cached
+    assert len(windows) == 2
+    for elements, built in windows:
+        assert {m: (e.table, e.coeffs) for m, e in elements.items()} == built
+        assert all(coeffs == {m: 1} for m, (_, coeffs) in built.items())
+    for op, (images, recursion) in zip(ops, cached):
+        fresh = Operator(op.table, op.terms)
+        assert all(fresh.int_image(m) == image for m, image in images.items())
+        p_D = op.parity() if op else 1
+        for monos, value in recursion.items():
+            parities = tuple(op.table.monomial_parity(m) for m in monos)
+            assert brackets._akman_on_monomials(fresh, p_D, monos, parities) == value
+    if suite == "brackets":
+        assert cached[0][1]  # the recursion memo was filled and checked
 
 
 def test_split_subcommand(capsys):

@@ -24,6 +24,18 @@ def test_unshuffles_are_unshuffles_and_distinct():
                 assert is_unshuffle(sigma, k)
 
 
+def test_unshuffles_are_shared_immutable_tuples():
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            first = unshuffles(k, n)
+            assert unshuffles(k, n) == first
+            assert type(first) is tuple and all(type(s) is tuple for s in first)
+            with pytest.raises(TypeError):
+                first[0] = first[-1]
+            with pytest.raises(TypeError):
+                first[0][0] = 0
+
+
 def test_unshuffles_rejects_bad_arity():
     with pytest.raises(GradedError):
         unshuffles(0, 3)
