@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterator, Mapping
 
 Monomial = tuple[int, ...]
@@ -88,9 +88,14 @@ def monomial_mul(table: GeneratorTable, a: Monomial, b: Monomial):
 
 
 class Element:
-    """Finite rational linear combination of monomials, in normal form."""
+    """Finite rational linear combination of monomials, in normal form.
 
-    __slots__ = ("table", "coeffs")
+    ``coeffs`` is never changed after construction, so a nonzero
+    parity-homogeneous element keeps, once asked for, its ``int_form``: the
+    parity, scale and integer coefficients that the bracket kernels read.
+    """
+
+    __slots__ = ("table", "coeffs", "_int_form")
 
     def __init__(self, table: GeneratorTable, coeffs: Mapping[Monomial, Coeff] | None = None):
         self.table = table
@@ -103,6 +108,7 @@ class Element:
                     table.check_monomial(mono)
                     clean[mono] = c
         self.coeffs = clean
+        self._int_form: tuple[int, int, dict[Monomial, int]] | None = None
 
     # --- constructors -----------------------------------------------------
 
@@ -162,6 +168,20 @@ class Element:
         if parity is None or any(p != parity for p in parities):
             raise AlgebraError("parity of a mixed-parity or zero element")
         return parity
+
+    def int_form(self) -> tuple[int, int, dict[Monomial, int]]:
+        """``(parity, scale, {monomial: int})``: ``scale`` is the lcm of the
+        coefficient denominators and the dict is ``scale`` times the element.
+        Built on the first call and kept; raises like ``parity`` on a zero or
+        mixed-parity element, and then keeps nothing.  The dict is shared by
+        every caller: read it, never mutate it."""
+        form = self._int_form
+        if form is None:
+            parity = self.parity()
+            scale = lcm(*(c.denominator for c in self.coeffs.values()))
+            ints = {m: c.numerator * (scale // c.denominator) for m, c in self.coeffs.items()}
+            form = self._int_form = parity, scale, ints
+        return form
 
     def is_homogeneous(self) -> bool:
         return len({self.table.monomial_degree(m) for m in self.coeffs}) <= 1

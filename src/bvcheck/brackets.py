@@ -14,9 +14,13 @@ graded symmetric:  F(..., b, a, ...) = (-1)^{|a||b|} F(..., a, b, ...).
 
 Both routes sum over integers with ``D.int_image`` and ``monomial_mul`` and
 divide once at the output: ``akman_bracket`` runs the recursion on monomial
-tuples, ``koszul_bracket`` on products of its argument ``Element``s.  The
-recursion on ``Element`` values, or on cohomology classes, is evaluated only
-by the test oracles (tests/oracles.py).
+tuples, ``koszul_bracket`` on products of its argument ``Element``s.  Each
+call validates every argument, and reads its parity, scale and integer
+coefficients from the form the ``Element`` keeps (``Element.int_form``);
+``koszul_bracket`` reads its unshuffles and their signs from a table that
+``D`` keeps per pattern of argument parities.  The recursion on ``Element``
+values, or on cohomology classes, is evaluated only by the test oracles
+(tests/oracles.py).
 
 Signs read only parities, so arguments and D are required parity-homogeneous;
 degree-homogeneous inputs are the common case.
@@ -28,7 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
-from math import lcm, prod
+from math import prod
 
 from .algebra import (
     AlgebraError, Element, Monomial, count_monomials, enumerate_monomials, monomial_mul,
@@ -44,23 +48,29 @@ def _check_parity(D: Operator) -> None:
         )
 
 
-def _check_args(D: Operator, args) -> tuple[int, list[int]]:
-    """Validate a bracket request; return (|D| parity, argument parities).
+_ZERO_FORM = (0, 1, {})  # a zero argument: parity 0 and no terms
 
-    Reads D's cached degree set, so the cost does not grow with D's terms.
+
+def _check_args(D: Operator, args) -> tuple[int, list]:
+    """Validate a bracket request; return (|D| parity, argument forms), each
+    form the argument's ``int_form``, or ``_ZERO_FORM`` for a zero argument.
+
+    Reads D's cached degree set and each argument's kept form, so the cost
+    grows with neither D's terms nor the arguments' after their first call;
+    the table and parity of every argument are still checked on every call.
     """
     if not args:
         raise AlgebraError("bracket needs at least one argument")
     _check_parity(D)
-    parities = []
+    forms = []
     for a in args:
         if a.is_zero():
-            parities.append(0)
+            forms.append(_ZERO_FORM)
             continue
         if a.table is not D.table and a.table != D.table:
             raise AlgebraError("bracket argument over a different table")
-        parities.append(a.parity())  # raises on mixed parity
-    return (D.parity() if D else 1), tuple(parities)
+        forms.append(a.int_form())  # raises on mixed parity
+    return (D.parity() if D else 1), forms
 
 
 def _integral(a: Element, scale: int) -> dict[Monomial, int]:
@@ -104,26 +114,37 @@ def _akman_on_monomials(D: Operator, p_D: int, monos: tuple, parities: tuple):
     return out
 
 
-def _scales(args) -> list[int]:
-    """The lcm of each argument's coefficient denominators."""
-    return [lcm(*(c.denominator for c in a.coeffs.values())) for a in args]
-
-
 def akman_bracket(D: Operator, args) -> Element:
     """The arity-len(args) obstruction bracket, by the recursion on every
     tuple of the arguments' monomials, each weighted by the product of its
-    coefficients scaled to integers by ``_scales``."""
+    coefficients scaled to integers, as in each argument's ``int_form``."""
     args = tuple(args)
-    p_D, parities = _check_args(D, args)
-    scales = _scales(args)
+    p_D, forms = _check_args(D, args)
+    parities = tuple(f[0] for f in forms)
     out: dict[Monomial, int] = {}
-    for choice in iter_product(*(_integral(a, s).items() for a, s in zip(args, scales))):
+    for choice in iter_product(*(f[2].items() for f in forms)):
         c = prod(n for _, n in choice)
         monos = tuple(m for m, _ in choice)
         for k, v in _akman_on_monomials(D, p_D, monos, parities).items():
             out[k] = out.get(k, 0) + c * v
-    den = D.den() * prod(scales)
+    den = D.den() * prod(f[1] for f in forms)
     return Element(args[0].table, {k: Fraction(v, den) for k, v in out.items() if v})
+
+
+def _sign_table(D: Operator, parities: tuple) -> tuple:
+    """``(k, sigma, negative)`` for every k = 1..n and every (k, n-k)
+    unshuffle sigma, ``negative`` the sign (-1)^{n-k} eps(sigma) of its term
+    for these argument parities; built once per parity pattern and kept on
+    ``D``, like the recursion memo."""
+    table = D._koszul_signs.get(parities)
+    if table is None:
+        n = len(parities)
+        table = D._koszul_signs[parities] = tuple(
+            (k, sigma, ((n - k) % 2 == 1) != (koszul_sign(parities, sigma) < 0))
+            for k in range(1, n + 1)
+            for sigma in unshuffles(k, n)
+        )
+    return table
 
 
 def koszul_bracket(D: Operator, args) -> Element:
@@ -138,33 +159,34 @@ def koszul_bracket(D: Operator, args) -> Element:
     Each index-ordered subset product is built once, from the product of the
     subset without its last index; ((a b) c) = (a (b c)) keeps the result
     exactly that of multiplying left to right per unshuffle, and is scaled to
-    integers by the product of its arguments' ``_scales``.
+    integers by the product of its arguments' ``int_form`` scales.  The signs
+    come from ``D``'s table for the arguments' parities.
     """
     args = tuple(args)
-    _, parities = _check_args(D, args)
+    _, forms = _check_args(D, args)
     table = args[0].table
     if not D:
         return Element.zero(table)
     n = len(args)
-    scales = _scales(args)
+    scales = [f[1] for f in forms]
+    ints = {(i,): f[2] for i, f in enumerate(forms)}
     products = {(i,): a for i, a in enumerate(args)}
     for size in range(2, n + 1):
         for subset in combinations(range(n), size):
-            products[subset] = products[subset[:-1]] * args[subset[-1]]
-    ints = {s: _integral(p, prod(scales[i] for i in s)) for s, p in products.items()}
+            p = products[subset] = products[subset[:-1]] * args[subset[-1]]
+            ints[subset] = _integral(p, prod(scales[i] for i in subset))
+    unit = {(0,) * len(table): 1}
     out: dict[Monomial, int] = {}
-    for k in range(1, n + 1):
-        for sigma in unshuffles(k, n):
-            negative = ((n - k) % 2 == 1) != (koszul_sign(parities, sigma) < 0)
-            right = ints[sigma[k:]] if k < n else {(0,) * len(table): 1}
-            for m, c in ints[sigma[:k]].items():
-                if negative:
-                    c = -c
-                for p, v in D.int_image(m).items():
-                    for r, cr in right.items():
-                        sm = monomial_mul(table, p, r)
-                        if sm is not None:
-                            out[sm[1]] = out.get(sm[1], 0) + sm[0] * c * v * cr
+    for k, sigma, negative in _sign_table(D, tuple(f[0] for f in forms)):
+        right = ints[sigma[k:]] if k < n else unit
+        for m, c in ints[sigma[:k]].items():
+            if negative:
+                c = -c
+            for p, v in D.int_image(m).items():
+                for r, cr in right.items():
+                    sm = monomial_mul(table, p, r)
+                    if sm is not None:
+                        out[sm[1]] = out.get(sm[1], 0) + sm[0] * c * v * cr
     den = D.den() * prod(scales)
     return Element(table, {m: Fraction(v, den) for m, v in out.items() if v})
 

@@ -82,13 +82,15 @@ class Operator:
     which ``apply`` sums and divides by ``den()`` once; by tuple of two or
     more monomials, the integer values of the bracket recursion that
     ``brackets.akman_bracket`` computes on it, so sub-tuples shared between
-    calls are evaluated once; its square once asked for; and, by window, the
-    cohomology ``structures.cohomology`` builds of it.  All live as long as
-    the operator, and each cached dict is shared: read it, never mutate it.
+    calls are evaluated once; by pattern of argument parities, the signed
+    unshuffles that ``brackets.koszul_bracket`` sums over; its square once
+    asked for; and, by window, the cohomology ``structures.cohomology`` builds
+    of it.  All live as long as the operator, and each cached dict is shared:
+    read it, never mutate it.
     """
 
     __slots__ = ("table", "terms", "_degrees", "_int_images", "_int_terms", "_akman",
-                 "_square", "_cohomology")
+                 "_koszul_signs", "_square", "_cohomology")
 
     def __init__(self, table: GeneratorTable, terms: Mapping[TermKey, Fraction] | None = None):
         self.table = table
@@ -114,6 +116,7 @@ class Operator:
         self._int_images: dict[Monomial, dict[Monomial, int]] = {}
         self._int_terms: tuple[int, list] | None = None
         self._akman: dict[tuple[Monomial, ...], dict[Monomial, int]] = {}
+        self._koszul_signs: dict[tuple[int, ...], tuple] = {}
         self._square: Operator | None = None
         self._cohomology: dict = {}
 
@@ -287,14 +290,17 @@ class Operator:
         den = self.den() * other.den()
         out: dict[TermKey, int] = {}
         zero = (0,) * len(table)
+        others = [(m2, beta, n2, table.monomial_parity(m2))
+                  for m2, beta, _, n2 in other._int_terms[1]]
         for m1, alpha, _, n1 in self._int_terms[1]:
             support = [i for i, a in enumerate(alpha) if a]
-            for m2, beta, _, n2 in other._int_terms[1]:
+            for m2, beta, n2, odd_m2 in others:
                 # gamma_i <= m2_i, so d^gamma(m2) is not 0: gamma is 0 where
                 # alpha or m2 is, and runs over the other indices in the
                 # order of the product over every index
                 live = [i for i in support if m2[i]]
-                for entries in product(*(range(min(alpha[i], m2[i]) + 1) for i in live)):
+                top = [alpha[i] for i in live]
+                for entries in product(*(range(min(a, m2[i]) + 1) for a, i in zip(top, live))):
                     gamma = list(zero)
                     for i, g in zip(live, entries):
                         gamma[i] = g
@@ -303,16 +309,19 @@ class Operator:
                     deriv = monomial_mul(table, delta, beta)
                     if deriv is None:
                         continue
-                    dc, dm = _diff_word(table, _word(gamma), m2)
+                    # gamma's word, as _word builds it, from its live indices
+                    word = tuple(i for i, g in zip(reversed(live), reversed(entries))
+                                 for _ in range(g))
+                    dc, dm = _diff_word(table, word, m2)
                     mult = monomial_mul(table, m1, dm)
                     if mult is None:
                         continue
                     # gamma and delta share no odd index, so x^gamma x^delta is not 0
                     sign = deriv[0] * mult[0] * monomial_mul(table, gamma, delta)[0]
-                    if table.monomial_parity(m2) and table.monomial_parity(delta):
+                    if odd_m2 and table.monomial_parity(delta):
                         sign = -sign
                     key = (mult[1], deriv[1])
-                    c = n1 * n2 * sign * dc * prod(map(comb, alpha, gamma))
+                    c = n1 * n2 * sign * dc * prod(map(comb, top, entries))
                     out[key] = out.get(key, 0) + c
         return Operator(table, {k: Fraction(v, den) for k, v in out.items() if v})
 

@@ -18,7 +18,6 @@ from bvcheck.algebra import (
 from bvcheck.brackets import (
     Budget,
     OrderCertificate,
-    _check_args,
     akman_bracket,
     bv_bracket,
     first_witness,
@@ -312,9 +311,12 @@ def _first_tuples(elems, arity: int, budget: Budget):
 
 def akman_bracket_by_elements(D, args) -> Element:
     """``akman_bracket`` by the recursion on ``Element`` values: ``D.apply``
-    at every leaf and ``Element`` products at every node."""
+    at every leaf and ``Element`` products at every node.  The parities are
+    read with ``Operator.parity`` and ``Element.parity``, which raise on a
+    mixed-parity input; a zero argument counts as even."""
     args = tuple(args)
-    p_D, parities = _check_args(D, args)
+    p_D = D.parity() if D else 1
+    parities = tuple(a.parity() if a else 0 for a in args)
     return akman_recursion(D.apply, lambda a, b: a * b, p_D, args, parities)
 
 

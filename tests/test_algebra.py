@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +148,34 @@ def test_parity_of_parity_homogeneous_elements():
 def test_parity_raises_on_zero_and_mixed_parity(text):
     with pytest.raises(AlgebraError):
         parse_element(TABLE, text).parity()
+
+
+@pytest.mark.parametrize("text", ["0", "x + xi", "x*xi + y - x*eta"])
+def test_int_form_raises_on_every_call_and_keeps_nothing(text):
+    a = parse_element(TABLE, text)
+    for _ in range(2):
+        with pytest.raises(AlgebraError, match="mixed-parity or zero"):
+            a.int_form()
+    assert a._int_form is None
+
+
+@given(st.integers(0, 1), st.data())
+@settings(max_examples=80, deadline=None)
+def test_int_form_is_the_lcm_scaling(parity, data):
+    monos = [m for m in enumerate_monomials(TABLE, 3) if TABLE.monomial_parity(m) == parity]
+    coeffs = data.draw(st.dictionaries(
+        st.sampled_from(monos),
+        st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 9)),
+        min_size=1, max_size=6,
+    ))
+    a = Element(TABLE, coeffs)
+    form = a.int_form()
+    scale = lcm(*(c.denominator for c in coeffs.values()))
+    assert form == (parity, scale, {m: c * scale for m, c in coeffs.items()})
+    assert all(type(v) is int for v in form[2].values())
+    # kept: the second call returns the same form
+    assert a.int_form() is form
+    assert a.coeffs == coeffs
 
 
 def test_grade_decompose_reassembles():

@@ -324,6 +324,42 @@ def test_zero_operator_bracket_is_zero_and_checks_its_arguments():
         koszul_bracket(zero, [])
 
 
+ROUTES = pytest.mark.parametrize("route", [akman_bracket, koszul_bracket], ids=["akman", "koszul"])
+
+
+@ROUTES
+def test_mixed_parity_argument_raises_on_every_call(route):
+    # a failed validation keeps nothing on the argument, so the same Element
+    # is refused again
+    mixed = gen("x1") + gen("xi1")
+    for _ in range(2):
+        with pytest.raises(AlgebraError, match="mixed-parity"):
+            route(DELTA, [gen("x2"), mixed])
+    assert mixed._int_form is None
+
+
+@ROUTES
+def test_argument_with_a_kept_form_is_still_checked_against_the_table(route):
+    other = polyvector_model(3)
+    a = Element.generator(other.table, "xi1")
+    assert not route(other.D, [a, Element.generator(other.table, "x1")]).is_zero()
+    (mono,) = a.coeffs
+    assert a._int_form == (1, 1, {mono: 1})  # kept by the call above
+    for _ in range(2):
+        with pytest.raises(AlgebraError, match="different table"):
+            route(DELTA, [gen("x1"), a])
+
+
+@ROUTES
+def test_zero_argument_gives_zero_and_keeps_no_form(route):
+    zero = Element.zero(TABLE)
+    for args in ([zero], [zero, gen("x1")], [gen("xi1"), zero, gen("x2") * gen("xi2")]):
+        for _ in range(2):
+            assert route(DELTA, args) == Element.zero(TABLE)
+            assert akman_bracket_by_elements(DELTA, args) == Element.zero(TABLE)
+    assert zero._int_form is None
+
+
 @pytest.mark.parametrize("budget", [Budget(max_tuples=0), Budget()], ids=["zero", "default"])
 def test_order_check_of_a_mixed_parity_operator_is_a_domain_error(budget):
     # every bracket of D vanishes at arity 4, yet D has no parity to sign them by

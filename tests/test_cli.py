@@ -5,9 +5,10 @@ from itertools import product
 import pytest
 
 from bvcheck import brackets, cli, linfty, structures
-from bvcheck.algebra import AlgebraError, enumerate_monomials, parse_element
+from bvcheck.algebra import AlgebraError, Element, enumerate_monomials, parse_element
 from bvcheck.brackets import Budget
 from bvcheck.cli import SUITES, build_parser, main
+from bvcheck.graded import koszul_sign, unshuffles
 from bvcheck.models import BUILTIN_MODELS
 from bvcheck.operators import Operator
 from bvcheck.specfile import parse_spec
@@ -371,9 +372,11 @@ OPERATOR D
 
 
 def _caches(op):
-    """Copies of an operator's integer images and recursion values."""
+    """Copies of an operator's integer images, recursion values and Koszul
+    sign tables."""
     return ({m: dict(v) for m, v in op._int_images.items()},
-            {t: dict(v) for t, v in op._akman.items()})
+            {t: dict(v) for t, v in op._akman.items()},
+            dict(op._koszul_signs))
 
 
 @pytest.mark.parametrize("text, suite, params", [
@@ -384,9 +387,10 @@ def _caches(op):
 def test_bracket_suites_leave_the_window_and_the_operator_caches_unchanged(
     text, suite, params, monkeypatch
 ):
-    # the window Elements and the cached dicts are shared by every tuple of
-    # a pass: what they hold after a pass is what they held when built, and
-    # what a fresh operator computes
+    # the window Elements, their kept forms and the cached dicts and sign
+    # tables are shared by every tuple of a pass: what they hold after two
+    # passes is what they held when built, and what a fresh operator or
+    # Element computes
     spec = parse_spec(text)
     windows = []
 
@@ -402,22 +406,34 @@ def test_bracket_suites_leave_the_window_and_the_operator_caches_unchanged(
     D = spec.main_operator()
     ops = [D, D.square()]
     cached = [_caches(op) for op in ops]
-    assert any(images for images, _ in cached)
+    assert any(images for images, _, _ in cached)
     assert cli.run_suite(suite, spec, budget, params).lines() == lines
     assert [_caches(op) for op in ops] == cached
     assert len(windows) == 2
     for elements, built in windows:
         assert {m: (e.table, e.coeffs) for m, e in elements.items()} == built
         assert all(coeffs == {m: 1} for m, (_, coeffs) in built.items())
-    for op, (images, recursion) in zip(ops, cached):
+        # every kept argument form is what a fresh Element computes
+        forms = {m: e._int_form for m, e in elements.items() if e._int_form is not None}
+        assert forms
+        for m, form in forms.items():
+            assert form == (D.table.monomial_parity(m), 1, {m: 1})
+            assert Element(D.table, {m: 1}).int_form() == form
+    for op, (images, recursion, signs) in zip(ops, cached):
         fresh = Operator(op.table, op.terms)
         assert all(fresh.int_image(m) == image for m, image in images.items())
         p_D = op.parity() if op else 1
         for monos, value in recursion.items():
             parities = tuple(op.table.monomial_parity(m) for m in monos)
             assert brackets._akman_on_monomials(fresh, p_D, monos, parities) == value
+        for parities, table in signs.items():
+            n = len(parities)
+            assert table == tuple(
+                (k, sigma, (-1) ** (n - k) * koszul_sign(parities, sigma) < 0)
+                for k in range(1, n + 1) for sigma in unshuffles(k, n))
     if suite == "brackets":
         assert cached[0][1]  # the recursion memo was filled and checked
+    assert any(signs for _, _, signs in cached)  # a sign table was filled and checked
 
 
 def test_split_subcommand(capsys):
