@@ -41,11 +41,14 @@ from .graded import koszul_sign, unshuffles
 from .operators import Operator
 
 
-def _check_parity(D: Operator) -> None:
-    if not D.is_parity_homogeneous():
+def _check_parity(D: Operator) -> int:
+    """|D| mod 2, 1 for the zero operator, from one pass over D's degrees."""
+    parities = {d % 2 for d in D.degrees()}
+    if len(parities) > 1:
         raise AlgebraError(
             "bracket of a mixed-parity operator; apply degree_components first"
         )
+    return parities.pop() if parities else 1
 
 
 _ZERO_FORM = (0, 1, {})  # a zero argument: parity 0 and no terms
@@ -61,7 +64,7 @@ def _check_args(D: Operator, args) -> tuple[int, list]:
     """
     if not args:
         raise AlgebraError("bracket needs at least one argument")
-    _check_parity(D)
+    p_D = _check_parity(D)
     forms = []
     for a in args:
         if a.is_zero():
@@ -70,7 +73,7 @@ def _check_args(D: Operator, args) -> tuple[int, list]:
         if a.table is not D.table and a.table != D.table:
             raise AlgebraError("bracket argument over a different table")
         forms.append(a.int_form())  # raises on mixed parity
-    return (D.parity() if D else 1), forms
+    return p_D, forms
 
 
 def _integral(a: Element, scale: int) -> dict[Monomial, int]:

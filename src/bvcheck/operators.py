@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm, prod
+from math import comb, lcm, perm, prod
 from operator import sub
 from typing import Iterator, Mapping
 
@@ -31,43 +31,32 @@ from .algebra import (
 TermKey = tuple[Monomial, Monomial]  # (multiplier, derivatives)
 
 
-def _diff_monomial(table: GeneratorTable, i: int, mono: Monomial):
-    """Left derivative d_i of a normal-form monomial: (coeff, monomial) or None.
+def _derivative(table: GeneratorTable, alpha, mono: Monomial):
+    """d^alpha of a normal-form monomial: (int coeff, monomial) or None.
 
-    The coefficient is an int: the exponent for an even generator, +1 or -1
-    (the odd factors d_i crosses) for an odd one.
+    ``alpha`` is the derivative's support as (i, alpha_i) pairs, ascending i;
+    a pair with alpha_i = 0 changes nothing.  d_i^a takes the coefficient
+    m_i! / (m_i - a)! and leaves m_i - a; the higher derivatives act first,
+    so an odd d_i crosses every odd factor of the monomial below i, one sign
+    each.  Every exponent is checked before anything is built.
     """
-    e = mono[i]
-    if not e:
-        return None
-    reduced = mono[:i] + (e - 1,) + mono[i + 1:]
-    if not table.parity(i):
-        return e, reduced
-    sign = 1
-    for j in table.odd:
-        if j >= i:
-            break
-        if mono[j]:
-            sign = -sign
-    return sign, reduced
-
-
-def _word(deriv: Monomial) -> tuple[int, ...]:
-    """The derivatives of a multi-index as generator indices, innermost (the
-    highest index) first."""
-    return tuple(i for i in reversed(range(len(deriv))) for _ in range(deriv[i]))
-
-
-def _diff_word(table: GeneratorTable, word: tuple[int, ...], mono: Monomial):
-    """d^word of a normal-form monomial: (int coeff, monomial) or None."""
-    coeff = 1
-    for i in word:
-        d = _diff_monomial(table, i, mono)
-        if d is None:
+    for i, a in alpha:
+        if mono[i] < a:
             return None
-        dc, mono = d
-        coeff *= dc
-    return coeff, mono
+    degrees = table.degrees
+    coeff = 1
+    out = list(mono)
+    for i, a in alpha:
+        out[i] -= a
+        if not degrees[i] % 2:
+            coeff *= perm(mono[i], a)
+        elif a:
+            for j in table.odd:
+                if j >= i:
+                    break
+                if mono[j]:
+                    coeff = -coeff
+    return coeff, tuple(out)
 
 
 class Operator:
@@ -77,16 +66,16 @@ class Operator:
     set of its term degrees, built once; its integer terms, which ``compose``
     and ``int_image`` read, built on first use (the lcm ``den()`` of the
     coefficient denominators and, per term, the multiplier, the derivative
-    multi-index and word and ``den()`` times the coefficient as an int); the
-    integer images ``int_image`` computes, each monomial differentiated once,
-    which ``apply`` sums and divides by ``den()`` once; by tuple of two or
-    more monomials, the integer values of the bracket recursion that
-    ``brackets.akman_bracket`` computes on it, so sub-tuples shared between
-    calls are evaluated once; by pattern of argument parities, the signed
-    unshuffles that ``brackets.koszul_bracket`` sums over; its square once
-    asked for; and, by window, the cohomology ``structures.cohomology`` builds
-    of it.  All live as long as the operator, and each cached dict is shared:
-    read it, never mutate it.
+    multi-index and its support as (i, alpha_i) pairs and ``den()`` times the
+    coefficient as an int); the integer images ``int_image`` computes, each
+    monomial differentiated once, which ``apply`` sums and divides by
+    ``den()`` once; by tuple of two or more monomials, the integer values of
+    the bracket recursion that ``brackets.akman_bracket`` computes on it, so
+    sub-tuples shared between calls are evaluated once; by pattern of argument
+    parities, the signed unshuffles that ``brackets.koszul_bracket`` sums
+    over; its square once asked for; and, by window, the cohomology
+    ``structures.cohomology`` builds of it.  All live as long as the operator,
+    and each cached dict is shared: read it, never mutate it.
     """
 
     __slots__ = ("table", "terms", "_degrees", "_int_images", "_int_terms", "_akman",
@@ -102,13 +91,7 @@ class Operator:
                 if not c:
                     continue
                 table.check_monomial(mult)
-                if len(deriv) != len(table):
-                    raise AlgebraError("derivative multi-index has wrong length")
-                for i, e in enumerate(deriv):
-                    if e < 0 or (e > 1 and table.parity(i)):
-                        raise AlgebraError(
-                            f"bad derivative exponent {e} for generator {table.names[i]!r}"
-                        )
+                table.check_monomial(deriv)
                 clean[(tuple(mult), tuple(deriv))] = c
                 degrees.add(table.monomial_degree(mult) - table.monomial_degree(deriv))
         self.terms = clean
@@ -243,7 +226,8 @@ class Operator:
         if self._int_terms is None:
             den = lcm(*(c.denominator for c in self.terms.values()))
             self._int_terms = den, [
-                (mult, deriv, _word(deriv), c.numerator * (den // c.denominator))
+                (mult, deriv, tuple((i, a) for i, a in enumerate(deriv) if a),
+                 c.numerator * (den // c.denominator))
                 for (mult, deriv), c in self.terms.items()
             ]
         return self._int_terms[0]
@@ -258,8 +242,8 @@ class Operator:
         self.den()  # builds the integer terms
         table = self.table
         out: dict[Monomial, int] = {}
-        for mult, _, word, n in self._int_terms[1]:
-            d = _diff_word(table, word, mono)
+        for mult, _, support, n in self._int_terms[1]:
+            d = _derivative(table, support, mono)
             if d is None:
                 continue
             dc, m = d
@@ -292,13 +276,12 @@ class Operator:
         zero = (0,) * len(table)
         others = [(m2, beta, n2, table.monomial_parity(m2))
                   for m2, beta, _, n2 in other._int_terms[1]]
-        for m1, alpha, _, n1 in self._int_terms[1]:
-            support = [i for i, a in enumerate(alpha) if a]
+        for m1, alpha, support, n1 in self._int_terms[1]:
             for m2, beta, n2, odd_m2 in others:
                 # gamma_i <= m2_i, so d^gamma(m2) is not 0: gamma is 0 where
                 # alpha or m2 is, and runs over the other indices in the
                 # order of the product over every index
-                live = [i for i in support if m2[i]]
+                live = [i for i, _ in support if m2[i]]
                 top = [alpha[i] for i in live]
                 for entries in product(*(range(min(a, m2[i]) + 1) for a, i in zip(top, live))):
                     gamma = list(zero)
@@ -309,10 +292,7 @@ class Operator:
                     deriv = monomial_mul(table, delta, beta)
                     if deriv is None:
                         continue
-                    # gamma's word, as _word builds it, from its live indices
-                    word = tuple(i for i, g in zip(reversed(live), reversed(entries))
-                                 for _ in range(g))
-                    dc, dm = _diff_word(table, word, m2)
+                    dc, dm = _derivative(table, tuple(zip(live, entries)), m2)
                     mult = monomial_mul(table, m1, dm)
                     if mult is None:
                         continue

@@ -10,11 +10,11 @@ from bvcheck.algebra import (
     enumerate_monomials,
 )
 from bvcheck.models import BUILTIN_MODELS, mixed_order_model, polyvector_model
-from bvcheck.operators import Operator, _diff_monomial, format_operator
+from bvcheck.operators import Operator, _derivative, format_operator
 from oracles import (
+    _diff_by_generators,
     compose_by_single_derivatives,
     image_by_fractions,
-    leibniz_derivative,
     square_zero_witness_by_scan,
 )
 
@@ -276,13 +276,23 @@ def test_format_operator_term_lines():
     assert format_operator(Operator.zero(TABLE)) == "0"
 
 
-def test_diff_monomial_matches_leibniz_oracle():
-    for table in (TABLE, MIXED_TABLE):
-        for mono in enumerate_monomials(table, 4):
-            for i in range(len(table)):
-                got = _diff_monomial(table, i, mono)
-                assert got == leibniz_derivative(table, i, mono), (table, i, mono)
-                assert got is None or type(got[0]) is int
+# odd generators only, of odd degrees of both signs
+ODD_TABLE = GeneratorTable(("a", "b", "c", "d", "e"), (1, -1, 3, 1, -3))
+
+
+@pytest.mark.parametrize("table", [TABLE, MIXED_TABLE, ODD_TABLE],
+                         ids=["table", "mixed", "all-odd"])
+def test_derivative_matches_the_generator_by_generator_oracle(table):
+    # every pair (alpha, m) of total exponent <= 4; the support pairs with
+    # zero entries, as compose passes them, give the same derivative
+    monos = enumerate_monomials(table, 4)
+    for alpha in monos:
+        support = tuple((i, a) for i, a in enumerate(alpha) if a)
+        for mono in monos:
+            got = _derivative(table, support, mono)
+            assert got == _diff_by_generators(table, alpha, mono), (alpha, mono)
+            assert got is None or type(got[0]) is int
+            assert _derivative(table, tuple(enumerate(alpha)), mono) == got
 
 
 # --- the per-operator image cache against a cold operator --------------------
