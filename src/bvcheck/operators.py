@@ -165,19 +165,8 @@ class Operator:
         (deg,) = self._degrees
         return deg
 
-    def parity(self) -> int:
-        pars = {d % 2 for d in self._degrees}
-        if len(pars) != 1:
-            raise AlgebraError(
-                "parity of a mixed-parity or zero operator; decompose first"
-            )
-        return pars.pop()
-
     def is_degree_homogeneous(self) -> bool:
         return len(self._degrees) <= 1
-
-    def is_parity_homogeneous(self) -> bool:
-        return len({d % 2 for d in self._degrees}) <= 1
 
     # --- arithmetic -------------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 from .algebra import (
     AlgebraError, Element, GeneratorTable, count_monomials, enumerate_monomials, format_element,
@@ -318,10 +318,10 @@ class CohomologyBasis:
     ``boundaries`` holds the image rows of every slice as ``kernel_and_image``
     returns them, in integers: pivot -> row, positive at the pivot, the
     fully reduced basis of the window's boundaries times that entry.
-    ``cohomology`` reduces kernel combinations against them in integers, so
-    its ``RowSpace`` of representatives sees only the residuals that are not
-    boundaries.  The rational ``boundary_space`` (pivot coefficient 1) is
-    built from them on first use, by ``reduce`` or a reader of its rows.
+    ``cohomology`` reduces kernel combinations against them with ``_reduce``,
+    so its integer ``RowSpace`` of representatives sees only the residuals
+    that are not boundaries; a residual becomes ``Fraction``s only for the
+    ``Element`` it reports.
     """
 
     table: GeneratorTable
@@ -331,18 +331,6 @@ class CohomologyBasis:
 
     def dims(self) -> dict[int, int]:
         return {g: len(reps) for g, reps in sorted(self.representatives.items())}
-
-    @cached_property
-    def boundary_space(self) -> RowSpace:
-        space = RowSpace()
-        for pivot, row in self.boundaries.items():
-            space.rows[pivot] = {k: Fraction(v, row[pivot]) for k, v in row.items()}
-        return space
-
-    def reduce(self, a: Element) -> Element:
-        """Canonical representative of ``a`` modulo window boundaries."""
-        residual = self.boundary_space.reduce(a.coeffs)
-        return Element(self.table, residual)
 
 
 def cohomology(
@@ -384,19 +372,16 @@ def cohomology(
         kernels[g], image = kernel_and_image(slice_monos, images)
         boundaries.update(image)
 
-    # a kernel combination reduces in integers, as RowSpace.reduce would in
-    # rationals; most reduce to 0, and only the rest become Fractions
+    # a kernel combination reduces in integers; most reduce to 0, a boundary,
+    # and only a new class's residual becomes Fractions
     representatives: dict[int, list[Element]] = {}
     for g, slice_monos in sorted(by_degree.items()):
         reps: list[Element] = []
         rep_space = RowSpace()
         for combo, scale in kernels[g]:
             scale *= _reduce(combo, boundaries)
-            if not combo:  # a boundary
-                continue
-            reduced = {k: Fraction(v, scale) for k, v in combo.items()}
-            if rep_space.add(reduced):
-                reps.append(Element(table, reduced))
+            if rep_space.add(combo):
+                reps.append(Element(table, {k: Fraction(v, scale) for k, v in combo.items()}))
         if reps:
             representatives[g] = reps
         if truncation_risk and any(

@@ -24,7 +24,6 @@ from bvcheck.brackets import (
     monomial_tuples,
 )
 from bvcheck.graded import koszul_sign, unshuffles
-from bvcheck.linalg import RowSpace
 from bvcheck.operators import Operator
 from bvcheck.structures import StructReport
 
@@ -53,8 +52,10 @@ def vec_add(a: dict, b: dict, scale: Fraction = Fraction(1)) -> dict:
 
 
 class RowSpaceByCopies:
-    """``RowSpace`` with a fresh dict for every pivot a reduction meets, and
-    every inserted vector reduced again."""
+    """The rational row space that ``RowSpace`` keeps in integers: rows of
+    pivot coefficient 1, a fresh dict for every pivot a reduction meets, and
+    every inserted vector reduced again.  ``reduce`` returns the residual in
+    a new dict, and ``add`` the residual it inserted (empty if in the span)."""
 
     def __init__(self):
         self.rows: dict = {}
@@ -100,19 +101,27 @@ def kernel_and_image_by_copies(labels: list, vectors: list[dict]):
 
 def fraction_view(kernel: list, image: dict):
     """``kernel_and_image``'s integer return as the rational elimination gives
-    it: each combination divided by its scale, and each image row by its
-    pivot entry, in a ``RowSpace``."""
-    space = RowSpace()
+    it: each combination divided by its scale, and each image row (or
+    ``cohomology``'s boundary row) by its pivot entry, in a
+    ``RowSpaceByCopies``."""
+    space = RowSpaceByCopies()
     for pivot, row in image.items():
         space.rows[pivot] = {k: Fraction(v, row[pivot]) for k, v in row.items()}
     return [{k: Fraction(v, scale) for k, v in c.items()} for c, scale in kernel], space
+
+
+def boundary_space(H) -> RowSpaceByCopies:
+    """``H.boundaries`` as the rational fully reduced rows, each integer row
+    divided by its pivot entry."""
+    return fraction_view([], H.boundaries)[1]
 
 
 def cohomology_by_fractions(table: GeneratorTable, d: Operator, window_degree: int):
     """``cohomology``'s representatives, boundary space and warnings the
     rational way: each slice's ``image_by_fractions`` eliminated by
     ``kernel_and_image_by_copies``, and every kernel combination reduced
-    modulo the boundaries and added to a ``RowSpace`` in ``Fraction``s."""
+    modulo the boundaries and added to a ``RowSpaceByCopies`` in
+    ``Fraction``s."""
     warnings: list[str] = []
     growths = [sum(m) - sum(dv) for (m, dv) in d.terms]
     whole = len(table.odd) == len(table) and window_degree >= len(table)
@@ -122,19 +131,19 @@ def cohomology_by_fractions(table: GeneratorTable, d: Operator, window_degree: i
     for m in enumerate_monomials(table, window_degree):
         by_degree.setdefault(table.monomial_degree(m), []).append(m)
 
-    boundary_space = RowSpace()
+    boundaries = RowSpaceByCopies()
     kernels: dict[int, list[dict]] = {}
     for g, slice_monos in sorted(by_degree.items()):
         images = [image_by_fractions(d, m) for m in slice_monos]
         kernels[g], image = kernel_and_image_by_copies(slice_monos, images)
-        boundary_space.rows.update(image.rows)
+        boundaries.rows.update(image.rows)
 
     representatives: dict[int, list[Element]] = {}
     for g, slice_monos in sorted(by_degree.items()):
         reps: list[Element] = []
-        rep_space = RowSpace()
+        rep_space = RowSpaceByCopies()
         for combo in kernels[g]:
-            reduced = boundary_space.reduce(combo)
+            reduced = boundaries.reduce(combo)
             if rep_space.add(reduced):  # nothing for a boundary
                 reps.append(Element(table, reduced))
         if reps:
@@ -145,7 +154,7 @@ def cohomology_by_fractions(table: GeneratorTable, d: Operator, window_degree: i
             warnings.append(
                 f"degree {g}: boundaries from outside the window may be missed"
             )
-    return representatives, boundary_space, warnings
+    return representatives, boundaries, warnings
 
 
 def leibniz_derivative(table: GeneratorTable, i: int, mono):
@@ -312,10 +321,11 @@ def _first_tuples(elems, arity: int, budget: Budget):
 def akman_bracket_by_elements(D, args) -> Element:
     """``akman_bracket`` by the recursion on ``Element`` values: ``D.apply``
     at every leaf and ``Element`` products at every node.  The parities are
-    read with ``Operator.parity`` and ``Element.parity``, which raise on a
-    mixed-parity input; a zero argument counts as even."""
+    read off ``D.degrees()`` and with ``Element.parity``, and a mixed-parity
+    input raises; the zero operator counts as odd and a zero argument as
+    even."""
     args = tuple(args)
-    p_D = D.parity() if D else 1
+    (p_D,) = {g % 2 for g in D.degrees()} or {1}  # unpacking raises on mixed parity
     parities = tuple(a.parity() if a else 0 for a in args)
     return akman_recursion(D.apply, lambda a, b: a * b, p_D, args, parities)
 
@@ -583,9 +593,10 @@ def induced_items_by_evaluation(H, D2, window_degree: int, budget: Budget) -> St
     table = H.table
     report = StructReport("induced items by evaluation")
     reps = [r for rs in H.representatives.values() for r in rs]
+    space = boundary_space(H)
     bad, untested_boundary = None, False
-    for row in H.boundary_space.rows.values():
-        residual = H.boundary_space.reduce(D2.apply(Element(table, row)).coeffs)
+    for row in space.rows.values():
+        residual = space.reduce(D2.apply(Element(table, row)).coeffs)
         if any(sum(m) > window_degree for m in residual):
             untested_boundary = True
         elif residual:
@@ -597,13 +608,13 @@ def induced_items_by_evaluation(H, D2, window_degree: int, budget: Budget) -> St
     elif untested_boundary:
         report.add(name, "untested", "untested at boundary: image leaves the window")
     else:
-        report.add(name, "pass", f"{H.boundary_space.dim} boundaries")
+        report.add(name, "pass", f"{len(space.rows)} boundaries")
 
     def induced(a):
-        return H.reduce(D2.apply(a))
+        return Element(table, space.reduce(D2.apply(a).coeffs))
 
     def induced_product(a, b):
-        return H.reduce(a * b)
+        return Element(table, space.reduce((a * b).coeffs))
 
     def bracket(args):
         return akman_recursion(induced, induced_product, 1, args, tuple(a.parity() for a in args))

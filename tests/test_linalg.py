@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,48 +24,87 @@ def test_vec_add():
     assert vec_add(a, a, Fraction(-1)) == {}
 
 
+def as_ints(vector):
+    """A rational vector times the lcm of its denominators, as ints."""
+    den = lcm(*(v.denominator for v in vector.values()))
+    return {k: (v * den).numerator for k, v in vector.items()}
+
+
+def residual(space, vector):
+    """The rational residual of an integer ``vector`` modulo ``space``, read
+    through the factor ``reduce`` returns; ``vector`` is left alone."""
+    out = dict(vector)
+    scale = space.reduce(out)
+    assert type(scale) is int and scale > 0
+    return {k: Fraction(v, scale) for k, v in out.items()}
+
+
+def rational(space):
+    """The space's integer rows, each divided by its pivot entry."""
+    return fraction_view([], space.rows)[1]
+
+
+def assert_integer_rows(space):
+    """Primitive integer rows, positive at their pivot, the least label, and
+    fully reduced: no row holds another row's pivot."""
+    for pivot, row in space.rows.items():
+        assert pivot == min(row) and row[pivot] > 0
+        assert all(type(v) is int for v in row.values())
+        assert gcd(*row.values()) == 1
+        assert not (row.keys() & space.rows.keys()) - {pivot}
+
+
 def test_rowspace_membership():
-    space = RowSpace()
-    space.add(vec((0, 1), (1, 1)))
-    space.add(vec((1, 1), (2, 1)))
-    assert space.dim == 2
-    assert space.contains(vec((0, 1), (2, -1)))  # difference of the two rows
-    assert not space.contains(vec((2, 1)))
-    assert space.add(vec((0, 2), (1, 2))) == {}  # dependent, not added
-    assert space.dim == 2
+    space, oracle = RowSpace(), RowSpaceByCopies()
+    for v in ({0: 1, 1: 1}, {1: 1, 2: 1}):
+        assert space.add(v) and oracle.add(v)
+    assert len(space.rows) == 2
+    assert residual(space, {0: 1, 2: -1}) == {}  # difference of the two rows
+    assert residual(space, {2: 1}) == oracle.reduce({2: 1}) != {}
+    assert not space.add({0: 2, 1: 2})  # dependent, not added
+    assert len(space.rows) == 2
+    assert rational(space).rows == oracle.rows
 
 
 def test_rowspace_reduction_is_canonical():
     space = RowSpace()
-    space.add(vec((0, 1), (1, 5)))
-    r1 = space.reduce(vec((0, 3), (1, 15), (2, 1)))
-    r2 = space.reduce(vec((2, 1)))
-    assert r1 == r2 == vec((2, 1))
+    space.add({0: 1, 1: 5})
+    vector = {0: 3, 1: 15, 2: 1}
+    r1 = residual(space, vector)
+    r2 = residual(space, {2: 1})
+    assert r1 == r2 == {2: 1}
+    assert vector == {0: 3, 1: 15, 2: 1}
+    # in place: the integer residual over the factor is the rational one,
+    # here {1: 1 - 3 * 3/2} against the row {0: 1, 1: 3/2}
+    space = RowSpace()
+    space.add({0: 2, 1: 3})
+    vector = {0: 3, 1: 1}
+    assert space.reduce(vector) == 2 and vector == {1: -7}
 
 
 def test_rowspace_fully_reduced_invariant():
-    space = RowSpace()
-    space.add(vec((1, 1), (2, 1)))
-    space.add(vec((0, 1), (1, 1)))  # pivot 0; must eliminate 1 from nothing
-    space.add(vec((2, 1), (3, 1)))
-    for pivot, row in space.rows.items():
+    space, oracle = RowSpace(), RowSpaceByCopies()
+    for v in ({1: 2, 2: 2}, {0: -3, 1: 3}, {2: 5, 3: 5}, {1: 4, 3: -6}):
+        space.add(v)
+        oracle.add({k: Fraction(c) for k, c in v.items()})
+        assert_integer_rows(space)
+        assert ordered(rational(space)) == ordered(oracle)
+    for pivot, row in rational(space).rows.items():
         assert row[pivot] == 1
-        for other in space.rows:
-            if other != pivot:
-                assert other not in row
 
 
-def test_mutating_the_residual_of_add_leaves_the_space_alone():
+def test_add_keeps_a_copy_of_the_callers_dict():
     space = RowSpace()
-    first = space.add(vec((0, 1), (1, 2)))  # unit pivot: kept as it is
-    second = space.add(vec((1, 3), (2, 1)))  # pivot 3: divided through
+    first, second = {0: 2, 1: 4}, {1: 3, 2: 1}
+    assert space.add(first) and space.add(second)
+    assert first == {0: 2, 1: 4} and second == {1: 3, 2: 1}
     rows = {p: dict(r) for p, r in space.rows.items()}
-    for residual in (first, second):
-        residual[1] = Fraction(7)
-        residual[9] = Fraction(1)
-        residual.pop(2, None)
+    for vector in (first, second):
+        vector[1] = 7
+        vector[9] = 1
+        vector.pop(2, None)
     assert space.rows == rows
-    assert space.reduce(vec((0, 1), (1, 2))) == {}
+    assert residual(space, {0: 1, 1: 2}) == {}
 
 
 def test_kernel_and_image_hand_example():
@@ -73,7 +112,7 @@ def test_kernel_and_image_hand_example():
     labels = ["a", "b", "c"]
     vectors = [vec((0, 1)), vec((1, 1)), vec((0, 1), (1, 1))]
     kernel, image = rational_kernel_and_image(labels, vectors)
-    assert image.dim == 2
+    assert len(image.rows) == 2
     assert len(kernel) == 1
     combo = kernel[0]
     total = {}
@@ -85,7 +124,7 @@ def test_kernel_and_image_hand_example():
 def test_kernel_of_zero_map():
     labels = [0, 1]
     kernel, image = rational_kernel_and_image(labels, [{}, {}])
-    assert image.dim == 0
+    assert len(image.rows) == 0
     assert len(kernel) == 2
 
 
@@ -103,8 +142,8 @@ def test_rank_nullity(rows):
         {j: Fraction(v) for j, v in enumerate(r) if v} for r in rows
     ]
     kernel, image = rational_kernel_and_image(labels, vectors)
-    assert len(kernel) + image.dim == len(rows)
-    oracle = RowSpace()
+    assert len(kernel) + len(image.rows) == len(rows)
+    oracle = RowSpaceByCopies()
     for v in vectors:
         oracle.add(v)
     assert list(image.rows.items()) == list(oracle.rows.items())
@@ -167,10 +206,13 @@ def test_elimination_matches_the_copying_oracle(case, rng):
     assert ordered(image) == ordered(image_oracle)
     space, oracle = RowSpace(), RowSpaceByCopies()
     for v in vectors:
-        assert list(space.add(v).items()) == list(oracle.add(v).items())
-        assert ordered(space) == ordered(oracle)
+        assert space.add(as_ints(v)) == bool(oracle.add(v))
+        assert ordered(rational(space)) == ordered(oracle)
     for p in probes + vectors:
-        assert list(space.reduce(p).items()) == list(oracle.reduce(p).items())
+        # the integer residual is the rational one, in the same entry order
+        den = lcm(*(v.denominator for v in p.values()))
+        got = {k: v / den for k, v in residual(space, as_ints(p)).items()}
+        assert list(got.items()) == list(oracle.reduce(p).items())
 
 
 # Numerators up to 10^6 and denominators up to 97: integer rows grow, carry a
@@ -180,6 +222,19 @@ WIDE_COEFF = st.builds(
     st.integers(-10**6, 10**6).filter(bool),
     st.integers(1, 97),
 )
+
+
+@given(sparse_vectors(WIDE_COEFF, max_vectors=12))
+@settings(max_examples=150, deadline=None)
+def test_the_holder_index_names_exactly_the_rows_holding_each_label(case):
+    vectors, _ = case
+    space = RowSpace()
+    for v in vectors:
+        space.add(as_ints(v))
+        labels = set(space.holders).union(*space.rows.values())
+        for k in labels:
+            assert space.holders.get(k, set()) == {p for p, r in space.rows.items() if k in r}
+        assert_integer_rows(space)
 
 
 def assert_same_kernel_and_image(labels, vectors):

@@ -9,6 +9,7 @@ from bvcheck.algebra import (
     GeneratorTable,
     enumerate_monomials,
 )
+from bvcheck.brackets import _check_parity
 from bvcheck.models import BUILTIN_MODELS, mixed_order_model, polyvector_model
 from bvcheck.operators import Operator, _derivative, format_operator
 from oracles import (
@@ -62,7 +63,7 @@ def test_derivative_word_ordering():
 def test_degree_and_parity_of_terms():
     op = Operator.term(TABLE, 1, (1, 0, 0, 0), (0, 0, 1, 0))
     assert op.degree() == -1
-    assert op.parity() == 1
+    assert _check_parity(op) == 1
     mixed = op + Operator.derivative(TABLE, "y")
     assert not mixed.is_degree_homogeneous()
     with pytest.raises(AlgebraError):
@@ -79,18 +80,18 @@ def assert_degree_queries_match_terms(op):
     pars = {d % 2 for d in degs}
     assert op.degrees() == degs
     assert op.is_degree_homogeneous() == (len(degs) <= 1)
-    assert op.is_parity_homogeneous() == (len(pars) <= 1)
     assert op.is_odd() == (pars == {1})
     if len(degs) == 1:
         assert op.degree() == min(degs)
     else:
         with pytest.raises(AlgebraError):
             op.degree()
-    if len(pars) == 1:
-        assert op.parity() == min(pars)
+    # the bracket's parity check: |op| mod 2, 1 for the zero operator
+    if len(pars) <= 1:
+        assert _check_parity(op) == min(pars, default=1)
     else:
         with pytest.raises(AlgebraError):
-            op.parity()
+            _check_parity(op)
 
 
 def test_cached_degree_set_matches_the_terms():
