@@ -123,6 +123,8 @@ def akman_bracket(D: Operator, args) -> Element:
     coefficients scaled to integers, as in each argument's ``int_form``."""
     args = tuple(args)
     p_D, forms = _check_args(D, args)
+    if not D:
+        return Element.zero(args[0].table)
     parities = tuple(f[0] for f in forms)
     out: dict[Monomial, int] = {}
     for choice in iter_product(*(f[2].items() for f in forms)):

@@ -248,15 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd)
         p.add_argument("--spec", help="path to a spec file")
         p.add_argument("--model", help="builtin model name instead of a spec")
-        p.add_argument(
-            "--suite", action="append", default=[],
-            help="suite to run (repeatable); overrides the spec's SUITE lines",
-        )
         p.add_argument("--budget-degree", type=int, default=3)
         p.add_argument("--budget-tuples", type=int, default=200)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("human", "json"), default="human")
         p.add_argument("--out", help="write the report to a file")
+        if cmd == "check":
+            p.add_argument(
+                "--suite", action="append", default=[],
+                help="suite to run (repeatable); overrides the spec's SUITE lines",
+            )
         if cmd == "brackets":
             p.add_argument("--arity", type=int, default=2)
         if cmd == "cohomology":

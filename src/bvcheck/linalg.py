@@ -12,7 +12,7 @@ a caller divides only where it needs a ``Fraction``.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 
 def _subtract(vec: dict, scale: int, row: dict, holders=None, vec_pivot=None) -> None:
@@ -117,7 +117,7 @@ class RowSpace:
 
 def kernel_and_image(labels: list, vectors: list[dict]):
     """Nullspace combinations and image rows of the map label_i -> vectors[i],
-    in integers.
+    for integer vectors {entry: int}.
 
     Returns (kernel, image).  ``kernel`` lists ``(combination, scale)``: an
     integer {label: coeff} combination and a ``scale > 0`` with
@@ -130,9 +130,9 @@ def kernel_and_image(labels: list, vectors: list[dict]):
     Entries are renamed to ints that sort as they do, and labels to ints
     after every entry, in label order, so the augmented vectors' pivots
     always sit in the vector part, whose fully reduced rows are then the
-    image's basis; dicts then hash small ints.  Each augmented vector, scaled
-    by the lcm of its denominators, is reduced in one ``RowSpace``: a kernel
-    combination is what is left of its tags, over its ``scale``.
+    image's basis; dicts then hash small ints.  Each vector, with its label's
+    tag at entry 1, is reduced in one ``RowSpace``: a kernel combination is
+    what is left of its tags, over the factor ``reduce`` returns.
     """
     entries = sorted(set().union(*vectors))
     names = entries + sorted(labels)
@@ -142,10 +142,9 @@ def kernel_and_image(labels: list, vectors: list[dict]):
     space = RowSpace()
     kernel: list[tuple[dict, int]] = []
     for label, vec in zip(labels, vectors, strict=True):
-        scale = lcm(*(v.denominator for v in vec.values()))
-        aug = {entry_id[k]: v.numerator * (scale // v.denominator) for k, v in vec.items()}
-        aug[tag_id[label]] = scale
-        scale *= space.reduce(aug)
+        aug = {entry_id[k]: v for k, v in vec.items()}
+        aug[tag_id[label]] = 1
+        scale = space.reduce(aug)
         if min(aug) >= n:  # only tags are left
             kernel.append(({names[k]: v for k, v in aug.items()}, scale))
         else:

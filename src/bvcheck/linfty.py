@@ -9,7 +9,8 @@ The n-th relation is defined as
 with eps the Koszul sign in unshifted degrees.  For an odd operator D it is
 the n-th bracket of D o D (Akman; Voronov), so it vanishes for every n iff
 D o D = 0; the n = 1 member is literally D(D a).  The library evaluates that
-bracket of the square; the tests compare it with the expansion above.
+bracket of the square by the recursion (``akman_bracket``), memoised on
+``D.square()``; the tests compare it with the expansion above.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraError, Element
-from .brackets import Budget, first_witness, koszul_bracket, monomial_tuples, window_elements
+from .brackets import Budget, akman_bracket, first_witness, monomial_tuples, window_elements
 from .operators import Operator
 
 
@@ -28,7 +29,7 @@ def linfty_relation(D: Operator, n: int, args) -> Element:
         raise AlgebraError(f"relation index {n} with {len(args)} arguments")
     if not D.is_odd():
         raise AlgebraError("relation family requires an odd operator")
-    return koszul_bracket(D.square(), args)
+    return akman_bracket(D.square(), args)
 
 
 @dataclass

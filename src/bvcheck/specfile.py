@@ -14,9 +14,10 @@ A spec file has sections introduced by keywords:
     SUITE bv-core         # suite to run, with optional key=value parameters
     SUITE cohomology window=4
 
-Coefficients are exact rationals (`-3/2`).  Errors carry 1-based line and
-column positions.  The operator named ``D`` is the main operator and ``d``
-the differential; a MODEL line provides defaults for both.
+Coefficients are exact rationals (`-3/2`), degrees and exponents integers.
+Errors carry 1-based line and column positions.  The operator named ``D`` is
+the main operator and ``d`` the differential; a MODEL line provides defaults
+for both.
 """
 
 from __future__ import annotations
@@ -67,11 +68,6 @@ class ModelSpec:
         return self._zero_d
 
 
-def _strip_comment(raw: str) -> str:
-    pos = raw.find("#")
-    return raw if pos < 0 else raw[:pos]
-
-
 def _parse_fraction(tok: str, lineno: int, col: int) -> Fraction:
     try:
         return Fraction(tok)
@@ -79,166 +75,126 @@ def _parse_fraction(tok: str, lineno: int, col: int) -> Fraction:
         raise SpecError(f"bad rational coefficient {tok!r}", lineno, col) from None
 
 
+def _parse_int(tok: str, what: str, lineno: int, col: int) -> int:
+    """``tok`` as an int: an optional ``-`` and decimal digits, every one of
+    which ``int()`` reads; any other token is a ``bad {what}``."""
+    if not tok.removeprefix("-").isdecimal():
+        raise SpecError(f"bad {what} {tok!r}", lineno, col)
+    return int(tok)
+
+
 def _parse_exponents(part: str, n: int, lineno: int, col: int) -> tuple:
     toks = part.split()
     if len(toks) != n:
-        raise SpecError(
-            f"expected {n} exponents, got {len(toks)}", lineno, col
-        )
-    out = []
-    for tok in toks:
-        if not tok.lstrip("-").isdigit():
-            raise SpecError(f"bad exponent {tok!r}", lineno, col)
-        out.append(int(tok))
-    return tuple(out)
+        raise SpecError(f"expected {n} exponents, got {len(toks)}", lineno, col)
+    return tuple(_parse_int(tok, "exponent", lineno, col) for tok in toks)
+
+
+_HEADERS = ("GENERATORS", "OPERATOR", "MODEL", "SUITE")
 
 
 def parse_spec(text: str) -> ModelSpec:
     spec = ModelSpec()
-    section: str | None = None
-    gen_names: list[str] = []
-    gen_degrees: list[int] = []
-    current_op: str | None = None
-    op_terms: dict = {}
-    generators_done = False
+    section: str | None = None  # the header of the open section
+    generators: dict[str, int] = {}  # name -> degree, in table order
+    op_name, op_terms = None, {}
 
-    def finish_generators(lineno: int):
-        nonlocal generators_done
-        if section == "GENERATORS" and not generators_done:
-            if not gen_names:
+    def close(lineno: int) -> None:
+        """Build the open GENERATORS table or OPERATOR, at the next header
+        (line ``lineno``) or at the end of the text."""
+        if section == "GENERATORS":
+            if not generators:
                 raise SpecError("empty GENERATORS section", lineno)
-            spec.table = GeneratorTable(tuple(gen_names), tuple(gen_degrees))
-            generators_done = True
-
-    def finish_operator(lineno: int):
-        nonlocal current_op, op_terms
-        if current_op is not None:
+            spec.table = GeneratorTable(tuple(generators), tuple(generators.values()))
+        elif section == "OPERATOR":
             if not op_terms:
-                raise SpecError(f"operator {current_op!r} has no terms", lineno)
-            spec.operators[current_op] = Operator(spec.table, op_terms)
-            current_op, op_terms = None, {}
+                raise SpecError(f"operator {op_name!r} has no terms", lineno)
+            spec.operators[op_name] = Operator(spec.table, op_terms)
 
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head = line.split()[0]
+        parts = line.split()
+        head = parts[0]
 
-        if head == "GENERATORS":
-            finish_operator(lineno)
-            if generators_done or gen_names:
-                raise SpecError("duplicate GENERATORS section", lineno)
-            if spec.model is not None:
-                raise SpecError("GENERATORS conflicts with an earlier MODEL", lineno)
-            section = "GENERATORS"
-            continue
-        if head == "OPERATOR":
-            finish_generators(lineno)
-            finish_operator(lineno)
-            parts = line.split()
-            if len(parts) != 2:
-                raise SpecError("OPERATOR needs exactly one name", lineno)
-            if spec.table is None:
-                raise SpecError(
-                    "OPERATOR before any GENERATORS or MODEL section", lineno
-                )
-            name = parts[1]
-            if name in spec.operators:
-                raise SpecError(f"duplicate operator name {name!r}", lineno)
-            current_op = name
-            section = "OPERATOR"
-            continue
-        if head == "MODEL":
-            finish_generators(lineno)
-            finish_operator(lineno)
-            parts = line.split()
-            if len(parts) != 2:
-                raise SpecError("MODEL needs exactly one name", lineno)
-            if spec.table is not None:
-                raise SpecError("MODEL conflicts with an earlier table", lineno)
-            if parts[1] not in BUILTIN_MODELS:
-                known = ", ".join(sorted(BUILTIN_MODELS))
-                raise SpecError(
-                    f"unknown model {parts[1]!r} (known: {known})", lineno,
-                    col=line.index(parts[1]) + 1,
-                )
-            spec.model_name = parts[1]
-            spec.model = BUILTIN_MODELS[parts[1]]()
-            spec.table = spec.model.table
-            section = None
-            continue
-        if head == "SUITE":
-            finish_generators(lineno)
-            finish_operator(lineno)
-            parts = line.split()
-            if len(parts) < 2:
-                raise SpecError("SUITE needs a name", lineno)
-            params = {}
-            for tok in parts[2:]:
-                if "=" not in tok:
+        if head in _HEADERS:
+            # a GENERATORS header in a GENERATORS section with no lines yet
+            # leaves the section open
+            if head != "GENERATORS" or section != "GENERATORS":
+                close(lineno)
+            section = head
+            if head == "GENERATORS":
+                if generators:
+                    raise SpecError("duplicate GENERATORS section", lineno)
+                if spec.model is not None:
+                    raise SpecError("GENERATORS conflicts with an earlier MODEL", lineno)
+            elif head == "OPERATOR":
+                if len(parts) != 2:
+                    raise SpecError("OPERATOR needs exactly one name", lineno)
+                if spec.table is None:
+                    raise SpecError("OPERATOR before any GENERATORS or MODEL section", lineno)
+                if parts[1] in spec.operators:
+                    raise SpecError(f"duplicate operator name {parts[1]!r}", lineno)
+                op_name, op_terms = parts[1], {}
+            elif head == "MODEL":
+                if len(parts) != 2:
+                    raise SpecError("MODEL needs exactly one name", lineno)
+                if spec.table is not None:
+                    raise SpecError("MODEL conflicts with an earlier table", lineno)
+                if parts[1] not in BUILTIN_MODELS:
+                    known = ", ".join(sorted(BUILTIN_MODELS))
                     raise SpecError(
-                        f"suite parameter {tok!r} must be key=value", lineno,
-                        col=line.index(tok) + 1,
+                        f"unknown model {parts[1]!r} (known: {known})", lineno,
+                        col=line.index(parts[1]) + 1,
                     )
-                key, val = tok.split("=", 1)
-                try:
-                    params[key] = int(val)
-                except ValueError:
-                    raise SpecError(
-                        f"suite parameter {key!r} must be an integer", lineno,
-                        col=line.index(tok) + 1,
-                    ) from None
-            spec.suites.append((parts[1], params))
-            section = None
-            continue
-
-        # content lines
-        if section == "GENERATORS":
-            parts = line.split()
+                spec.model_name = parts[1]
+                spec.model = BUILTIN_MODELS[parts[1]]()
+                spec.table = spec.model.table
+            else:  # SUITE
+                if len(parts) < 2:
+                    raise SpecError("SUITE needs a name", lineno)
+                params = {}
+                for tok in parts[2:]:
+                    col = line.index(tok) + 1
+                    if "=" not in tok:
+                        raise SpecError(f"suite parameter {tok!r} must be key=value", lineno, col)
+                    key, val = tok.split("=", 1)
+                    try:
+                        params[key] = int(val)
+                    except ValueError:
+                        raise SpecError(
+                            f"suite parameter {key!r} must be an integer", lineno, col
+                        ) from None
+                spec.suites.append((parts[1], params))
+        elif section == "GENERATORS":
             if len(parts) != 2:
                 raise SpecError("generator line must be `name degree`", lineno)
             name, deg = parts
-            if name in gen_names:
-                raise SpecError(
-                    f"duplicate generator {name!r}", lineno, col=1
-                )
-            if not deg.lstrip("-").isdigit():
-                raise SpecError(
-                    f"bad degree {deg!r}", lineno, col=line.index(deg) + 1
-                )
-            gen_names.append(name)
-            gen_degrees.append(int(deg))
-            continue
-        if section == "OPERATOR":
+            if name in generators:
+                raise SpecError(f"duplicate generator {name!r}", lineno)
+            generators[name] = _parse_int(deg, "degree", lineno, line.index(deg) + 1)
+        elif section == "OPERATOR":
             parts = [p.strip() for p in line.split("|")]
             if len(parts) != 3:
-                raise SpecError(
-                    "term line must be `coeff | mult exps | deriv exps`", lineno
-                )
+                raise SpecError("term line must be `coeff | mult exps | deriv exps`", lineno)
             coeff = _parse_fraction(parts[0], lineno, 1)
             n = len(spec.table)
             mult = _parse_exponents(parts[1], n, lineno, raw.index("|") + 2)
-            deriv = _parse_exponents(
-                parts[2], n, lineno, raw.rindex("|") + 2
-            )
+            deriv = _parse_exponents(parts[2], n, lineno, raw.rindex("|") + 2)
             for i, e in enumerate(mult + deriv):
-                gi = i % n
                 if e < 0:
                     raise SpecError("negative exponent", lineno)
-                if e > 1 and spec.table.parity(gi):
+                if e > 1 and spec.table.parity(i % n):
                     raise SpecError(
-                        f"exponent {e} on odd generator "
-                        f"{spec.table.names[gi]!r}", lineno,
+                        f"exponent {e} on odd generator {spec.table.names[i % n]!r}", lineno
                     )
-            key = (mult, deriv)
-            op_terms[key] = op_terms.get(key, Fraction(0)) + coeff
-            continue
+            op_terms[mult, deriv] = op_terms.get((mult, deriv), Fraction(0)) + coeff
+        else:
+            raise SpecError(f"unrecognized line {head!r}", lineno)
 
-        raise SpecError(f"unrecognized line {line.split()[0]!r}", lineno)
-
-    finish_generators(len(lines) + 1)
-    finish_operator(len(lines) + 1)
+    close(len(lines) + 1)
     if spec.table is None:
         raise SpecError("spec defines no GENERATORS or MODEL", max(len(lines), 1))
     return spec

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice, product as iter_product
+from math import lcm
 
 from bvcheck.algebra import (
     AlgebraError,
@@ -97,6 +98,15 @@ def kernel_and_image_by_copies(labels: list, vectors: list[dict]):
     for (_, pivot), row in tracked.rows.items():
         image.rows[pivot] = {k[1]: v for k, v in row.items() if k[0] == 0}
     return kernel, image
+
+
+def integer_vectors(vectors: list[dict]) -> list[dict]:
+    """Rational ``vectors``, every one times the lcm of all their
+    denominators, as the integer vectors ``kernel_and_image`` takes; a
+    common factor changes neither its kernel nor its image in the
+    ``fraction_view``."""
+    den = lcm(*(v.denominator for vec in vectors for v in vec.values()))
+    return [{k: (v * den).numerator for k, v in vec.items()} for vec in vectors]
 
 
 def fraction_view(kernel: list, image: dict):

@@ -128,6 +128,27 @@ def test_exit_code_two_on_malformed_spec(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("GENERATORS\nx --1\n", 2),
+    ("GENERATORS\nx \u00b2\n", 2),  # a superscript two: isdigit, but not int()
+    ("GENERATORS\nx 0\nOPERATOR D\n1 | --1 | 0\n", 4),
+])
+def test_integer_tokens_int_cannot_read_are_spec_errors(text, line, tmp_path, capsys):
+    spec = write(tmp_path, "bad-integer.spec", text)
+    assert main(["check", "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"spec error: line {line}, col ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["brackets", "split", "cohomology", "explain"])
+def test_only_check_takes_a_suite_flag(cmd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--model", "polyvector2", "--suite", "bv-core"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --suite bv-core" in capsys.readouterr().err
+
+
 def test_exit_code_two_on_unknown_model(capsys):
     assert main(["check", "--model", "nosuch"]) == 2
     assert "unknown model" in capsys.readouterr().err
@@ -432,8 +453,10 @@ def test_bracket_suites_leave_the_window_and_the_operator_caches_unchanged(
                 (k, sigma, (-1) ** (n - k) * koszul_sign(parities, sigma) < 0)
                 for k in range(1, n + 1) for sigma in unshuffles(k, n))
     if suite == "brackets":
-        assert cached[0][1]  # the recursion memo was filled and checked
-    assert any(signs for _, _, signs in cached)  # a sign table was filled and checked
+        assert cached[0][1]  # D's recursion memo was filled and checked
+        assert any(signs for _, _, signs in cached)  # a sign table was filled and checked
+    else:
+        assert cached[1][1]  # the relations fill and read the square's recursion memo
 
 
 def test_split_subcommand(capsys):

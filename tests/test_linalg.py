@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvcheck.linalg import RowSpace, kernel_and_image
-from oracles import RowSpaceByCopies, fraction_view, kernel_and_image_by_copies, vec_add
+from oracles import (
+    RowSpaceByCopies, fraction_view, integer_vectors, kernel_and_image_by_copies, vec_add,
+)
 
 
 def vec(*pairs):
@@ -13,8 +15,9 @@ def vec(*pairs):
 
 
 def rational_kernel_and_image(labels, vectors):
-    """``kernel_and_image`` read through the ``Fraction`` view."""
-    return fraction_view(*kernel_and_image(labels, vectors))
+    """``kernel_and_image`` of the rational ``vectors``, given as
+    ``integer_vectors`` and read through the ``Fraction`` view."""
+    return fraction_view(*kernel_and_image(labels, integer_vectors(vectors)))
 
 
 def test_vec_add():
@@ -240,8 +243,8 @@ def test_the_holder_index_names_exactly_the_rows_holding_each_label(case):
 def assert_same_kernel_and_image(labels, vectors):
     """Integers out of the elimination, and through the ``Fraction`` view
     entries in the same order and every value a ``Fraction``, as the copying
-    oracle gives them."""
-    int_kernel, int_image = kernel_and_image(labels, vectors)
+    oracle gives them for the rational ``vectors``."""
+    int_kernel, int_image = kernel_and_image(labels, integer_vectors(vectors))
     for combo, scale in int_kernel:
         assert type(scale) is int and scale > 0
         assert all(type(v) is int for v in combo.values())
@@ -275,14 +278,12 @@ def test_a_common_scalar_changes_neither_kernel_nor_image(case, s, rng):
     vectors, _ = case
     labels = list(range(len(vectors)))
     rng.shuffle(labels)
-    kernel, image = rational_kernel_and_image(labels, vectors)
-    den = lcm(*(v.denominator for vec in vectors for v in vec.values()))
-    as_fractions = [{k: s * v for k, v in vec.items()} for vec in vectors]
-    as_ints = [{k: (s * den * v).numerator for k, v in vec.items()} for vec in vectors]
-    for scaled in (as_fractions, as_ints):
-        scaled_kernel, scaled_image = rational_kernel_and_image(labels, scaled)
-        assert [list(c.items()) for c in scaled_kernel] == [list(c.items()) for c in kernel]
-        assert ordered(scaled_image) == ordered(image)
+    ints = integer_vectors(vectors)
+    kernel, image = fraction_view(*kernel_and_image(labels, ints))
+    scaled = [{k: s * v for k, v in vec.items()} for vec in ints]
+    scaled_kernel, scaled_image = fraction_view(*kernel_and_image(labels, scaled))
+    assert [list(c.items()) for c in scaled_kernel] == [list(c.items()) for c in kernel]
+    assert ordered(scaled_image) == ordered(image)
 
 
 @pytest.mark.parametrize(
@@ -315,4 +316,4 @@ def test_a_new_pivot_held_by_several_rows_is_eliminated_from_each():
 @pytest.mark.parametrize("n_labels,n_vectors", [(3, 2), (2, 3), (0, 1), (1, 0)])
 def test_kernel_and_image_rejects_mismatched_lengths(n_labels, n_vectors):
     with pytest.raises(ValueError):
-        kernel_and_image(list(range(n_labels)), [vec((0, 1))] * n_vectors)
+        kernel_and_image(list(range(n_labels)), [{0: 1}] * n_vectors)

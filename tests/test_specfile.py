@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvcheck.operators import Operator, format_operator
 from bvcheck.specfile import ModelSpec, SpecError, parse_spec
@@ -60,9 +61,12 @@ def test_operator_round_trips_through_term_format():
         ("OPERATOR D\n1 | 0 | 1\n", "before any GENERATORS", 1),
         ("GENERATORS\nx 0\nx 1\n", "duplicate generator", 3),
         ("GENERATORS\nx zero\n", "bad degree", 2),
+        ("GENERATORS\nx --1", "bad degree", 2),
+        ("GENERATORS\nx \u00b2", "bad degree", 2),
         ("GENERATORS\nx 0\nGENERATORS\n", "duplicate GENERATORS", 3),
         ("GENERATORS\nx 0\nOPERATOR D\nfoo | 0 | 1\n", "bad rational", 4),
         ("GENERATORS\nx 0\nOPERATOR D\n1 | 0 0 | 1\n", "expected 1 exponents", 4),
+        ("GENERATORS\nx 0\nOPERATOR D\n1 | --1 | 0\n", "bad exponent", 4),
         ("GENERATORS\nxi 1\nOPERATOR D\n1 | 0 | 2\n", "odd generator", 4),
         ("GENERATORS\nx 0\nOPERATOR D\n", "no terms", 4),
         ("GENERATORS\nx 0\nOPERATOR D\n1 | 0 | 1\nOPERATOR D\n1 | 0 | 1\n",
@@ -89,6 +93,11 @@ def test_comments_and_blank_lines_ignored():
     assert ((0,), (1,)) in spec.operators["D"].terms
 
 
+def test_a_repeated_generators_header_with_no_lines_yet_keeps_the_section_open():
+    spec = parse_spec("GENERATORS\n# none yet\nGENERATORS\nx 0\n")
+    assert spec.table.names == ("x",)
+
+
 def test_main_operator_fallbacks():
     spec = parse_spec("GENERATORS\nx 0\nOPERATOR only\n1 | 0 | 1\n")
     assert spec.main_operator() == spec.operators["only"]
@@ -97,3 +106,56 @@ def test_main_operator_fallbacks():
     )
     with pytest.raises(SpecError):
         two.main_operator()
+
+
+HEADER_LINES = st.sampled_from([
+    "GENERATORS", "GENERATORS extra", "OPERATOR D", "OPERATOR", "OPERATOR a b",
+    "MODEL polyvector2", "MODEL nosuch", "MODEL", "SUITE linfty n=2", "SUITE",
+    "SUITE linfty n=two", "SUITE linfty n", "BOGUS",
+])
+OTHER_LINES = st.sampled_from(["", "   ", "# a comment", "x", "1 | 0", "x 0 0"])
+# half good, half bad integer tokens: `--1` and a superscript two pass a
+# digit test that int() then rejects
+INTEGERS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2"]),
+    st.sampled_from(["--1", "\u00b2", "+1", "1_0", "-", "zero"]),
+)
+EXPONENTS = st.one_of(st.sampled_from(["0", "1"]), INTEGERS)
+
+
+@st.composite
+def spec_lines(draw):
+    """A GENERATORS section, OPERATOR sections and SUITE lines, with bad
+    integers, exponent counts one off, and up to three lines inserted,
+    copied or dropped; each line perhaps with a comment."""
+    names = draw(st.lists(st.sampled_from(["x", "y", "xi"]), min_size=1, max_size=3, unique=True))
+    lines = ["GENERATORS"] + [f"{name} {draw(INTEGERS)}" for name in names]
+    for op in draw(st.lists(st.sampled_from(["D", "d"]), max_size=2)):
+        lines.append(f"OPERATOR {op}")
+        for _ in range(draw(st.integers(0, 2))):
+            n = len(names) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+            mult, deriv = (" ".join(draw(st.lists(EXPONENTS, min_size=n, max_size=n)))
+                           for _ in range(2))
+            lines.append(f"{draw(st.sampled_from(['1', '-3/2', '1/0']))} | {mult} | {deriv}")
+    lines += draw(st.lists(st.just("SUITE bv-core"), max_size=1))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        how = draw(st.sampled_from(["insert", "copy", "drop"]))
+        if how == "insert":
+            lines.insert(i, draw(st.one_of(HEADER_LINES, OTHER_LINES)))
+        elif lines:
+            line = lines.pop(min(i, len(lines) - 1))
+            if how == "copy":
+                lines[i:i] = [line, line]
+    return [line + draw(st.sampled_from(["", "", "  # trailing", "#GENERATORS"]))
+            for line in lines]
+
+
+@given(spec_lines(), st.sampled_from(["", "\n"]))
+@settings(max_examples=400, deadline=None)
+def test_every_text_parses_or_fails_with_a_spec_error_on_one_of_its_lines(lines, end):
+    text = "\n".join(lines) + end
+    try:
+        parse_spec(text)
+    except SpecError as exc:
+        assert 1 <= exc.line <= len(text.splitlines()) + 1
