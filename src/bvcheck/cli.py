@@ -135,43 +135,45 @@ def _split(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
 
 
 def _cohomology(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
-    table = spec.table
     D = spec.main_operator()
     d = spec.differential()
     window = params.get("window", budget.max_degree + 1)
     report = StructReport("cohomology of the differential")
-    H = cohomology(table, d, window)
+    H = cohomology(d, window)
     report.add("slice dimensions", "pass", str(H.dims()))
     for w in H.warnings:
         report.add("window truncation", "untested", w)
     if not D.is_zero() and not (D - d).is_zero():
-        report.items += induced_bv(table, d, D, window, budget).items
+        report.items += induced_bv(d, D, window, budget).items
     return report
 
 
-# suite name -> report from (spec, budget, params); key order is the listing order
+# suite name -> (report from (spec, budget, params), the parameters it reads);
+# key order is the listing order
 SUITES = {
-    "bv-core": _bv_core,
-    "brackets": _brackets,
-    "linfty": _linfty,
-    "split": _split,
-    "derivation": _unit_window(lambda spec, budget, params: check_derivation_lemma(
-        spec.main_operator(), budget
-    )),
-    "bvinfty": lambda spec, budget, params: check_bvinfty(
-        spec.differential(), spec.main_operator(), budget
-    ),
-    "gerstenhaber": _unit_window(lambda spec, budget, params: check_gerstenhaber(
-        spec.main_operator(), budget
-    )),
-    "cohomology": _cohomology,
+    "bv-core": (_bv_core, ("order",)),
+    "brackets": (_brackets, ("arity",)),
+    "linfty": (_linfty, ("n",)),
+    "split": (_split, ()),
+    "derivation": (_unit_window(lambda spec, budget, params: check_derivation_lemma(
+        spec.main_operator(), budget)), ()),
+    "bvinfty": (lambda spec, budget, params: check_bvinfty(
+        spec.differential(), spec.main_operator(), budget), ()),
+    "gerstenhaber": (_unit_window(lambda spec, budget, params: check_gerstenhaber(
+        spec.main_operator(), budget)), ()),
+    "cohomology": (_cohomology, ("window",)),
 }
 
 
 def run_suite(name: str, spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     if name not in SUITES:
-        raise SpecError(f"unknown suite {name!r} (known: {', '.join(SUITES)})", 0)
-    return SUITES[name](spec, budget, params)
+        raise SpecError(f"unknown suite {name!r} (known: {', '.join(SUITES)})")
+    suite, keys = SUITES[name]
+    for key in params:
+        if key not in keys:
+            raise SpecError(f"suite {name!r} takes no parameter {key!r} "
+                            f"(it reads: {', '.join(keys) or 'none'})")
+    return suite(spec, budget, params)
 
 
 def _exit_code(reports: list[StructReport]) -> int:
@@ -230,10 +232,10 @@ def _load_spec(args) -> ModelSpec:
         if args.model not in BUILTIN_MODELS:
             raise SpecError(
                 f"unknown model {args.model!r} "
-                f"(known: {', '.join(sorted(BUILTIN_MODELS))})", 0
+                f"(known: {', '.join(sorted(BUILTIN_MODELS))})"
             )
         return parse_spec(f"MODEL {args.model}\n")
-    raise SpecError("either --spec or --model is required", 0)
+    raise SpecError("either --spec or --model is required")
 
 
 @cache
@@ -303,7 +305,7 @@ def main(argv=None) -> int:
 
         elif args.command == "cohomology":
             report = run_suite("cohomology", spec, budget, {"window": args.window})
-            H = cohomology(spec.table, spec.differential(), args.window)
+            H = cohomology(spec.differential(), args.window)
             reps = StructReport("representatives")
             for g, rs in sorted(H.representatives.items()):
                 reps.add(
@@ -319,12 +321,7 @@ def main(argv=None) -> int:
                 "generators", "pass",
                 ", ".join(f"{n} (degree {d})" for n, d in zip(t.names, t.degrees)),
             )
-            ops = dict(spec.operators)
-            if spec.model is not None:
-                ops.setdefault("D", spec.model.D)
-                if not spec.model.d.is_zero():
-                    ops.setdefault("d", spec.model.d)
-            for name, op in sorted(ops.items()):
+            for name, op in sorted(spec.operators.items()):
                 degs = sorted(op.degrees())
                 report.add(
                     f"operator {name}", "pass",

@@ -20,8 +20,10 @@ class Model:
     d: Operator
 
 
-def _zero_multi(table: GeneratorTable) -> tuple:
-    return (0,) * len(table)
+def _multi(n: int, exps: dict[int, int]) -> tuple:
+    """The multi-index of length n with exponent ``exps[j]`` at each j in
+    ``exps`` and 0 elsewhere."""
+    return tuple(exps.get(j, 0) for j in range(n))
 
 
 def polyvector_model(n: int) -> Model:
@@ -34,16 +36,10 @@ def polyvector_model(n: int) -> Model:
     if n < 1:
         raise AlgebraError("polyvector model needs n >= 1")
     names = [f"x{i+1}" for i in range(n)] + [f"xi{i+1}" for i in range(n)]
-    degrees = [0] * n + [1] * n
-    table = GeneratorTable(tuple(names), tuple(degrees))
-    z = _zero_multi(table)
-    delta = Operator.zero(table)
-    for i in range(n):
-        deriv = tuple(
-            1 if j == i or j == n + i else 0 for j in range(2 * n)
-        )
-        delta = delta + Operator.term(table, 1, z, deriv)
-    return Model(table, delta, Operator.zero(table))
+    table = GeneratorTable(tuple(names), (0,) * n + (1,) * n)
+    z = (0,) * (2 * n)
+    delta = {(z, _multi(2 * n, {i: 1, n + i: 1})): 1 for i in range(n)}
+    return Model(table, Operator(table, delta), Operator.zero(table))
 
 
 # --------------------------------------------------------------------------
@@ -58,32 +54,20 @@ def koszul_complex_model(weights: list[int]) -> Model:
     """
     if not weights or any(w < 1 for w in weights):
         raise AlgebraError("koszul model needs positive integer weights")
-    n = len(weights)
-    names = []
-    degrees = []
-    for i, w in enumerate(weights):
-        names.append(f"x{i+1}")
-        degrees.append(2)
-        names.append(f"xi{i+1}")
-        degrees.append(2 * w - 1)
-    table = GeneratorTable(tuple(names), tuple(degrees))
-    z = _zero_multi(table)
-    d = Operator.zero(table)
-    d2 = Operator.zero(table)
-    for i, w in enumerate(weights):
-        mult = tuple(w if j == 2 * i else 0 for j in range(2 * n))
-        deriv1 = tuple(1 if j == 2 * i + 1 else 0 for j in range(2 * n))
-        d = d + Operator.term(table, 1, mult, deriv1)
-        deriv2 = tuple(1 if j in (2 * i, 2 * i + 1) else 0 for j in range(2 * n))
-        d2 = d2 + Operator.term(table, 1, z, deriv2)
-    return Model(table, d + d2, d)
+    n = 2 * len(weights)
+    names = tuple(f"{p}{i+1}" for i in range(len(weights)) for p in ("x", "xi"))
+    table = GeneratorTable(names, tuple(g for w in weights for g in (2, 2 * w - 1)))
+    z = (0,) * n
+    d = {(_multi(n, {2 * i: w}), _multi(n, {2 * i + 1: 1})): 1 for i, w in enumerate(weights)}
+    d2 = {(z, _multi(n, {2 * i: 1, 2 * i + 1: 1})): 1 for i in range(len(weights))}
+    return Model(table, Operator(table, d | d2), Operator(table, d))
 
 
 def exterior_cube_model() -> Model:
     """Exterior algebra on three degree-1 generators with the third-order
     operator d^3/(dxi_1 dxi_2 dxi_3), degree -3, square zero, d = 0."""
     table = GeneratorTable(("xi1", "xi2", "xi3"), (1, 1, 1))
-    D = Operator.term(table, 1, (0, 0, 0), (1, 1, 1))
+    D = Operator(table, {((0, 0, 0), (1, 1, 1)): 1})
     return Model(table, D, Operator.zero(table))
 
 
@@ -98,14 +82,10 @@ def mixed_order_model() -> Model:
     table = GeneratorTable(
         ("xi1", "xi2", "u", "eta1", "eta2", "eta3"), (-1, -1, 2, 1, 1, 1)
     )
-    z = _zero_multi(table)
-    D = (
-        Operator.term(table, 1, z, (1, 0, 0, 0, 0, 0))
-        + Operator.term(table, 1, z, (0, 1, 1, 0, 0, 0))
-        + Operator.term(table, 1, z, (0, 0, 0, 1, 1, 1))
-    )
-    d = Operator.term(table, 1, z, (1, 0, 0, 0, 0, 0))
-    return Model(table, D, d)
+    z = (0,) * 6
+    d = {(z, (1, 0, 0, 0, 0, 0)): 1}
+    D = d | {(z, (0, 1, 1, 0, 0, 0)): 1, (z, (0, 0, 0, 1, 1, 1)): 1}
+    return Model(table, Operator(table, D), Operator(table, d))
 
 
 BUILTIN_MODELS = {

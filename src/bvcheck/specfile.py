@@ -14,25 +14,30 @@ A spec file has sections introduced by keywords:
     SUITE bv-core         # suite to run, with optional key=value parameters
     SUITE cohomology window=4
 
-Coefficients are exact rationals (`-3/2`), degrees and exponents integers.
-Errors carry 1-based line and column positions.  The operator named ``D`` is
-the main operator and ``d`` the differential; a MODEL line provides defaults
-for both.
+Coefficients are exact rationals (`-3/2`), degrees, exponents and suite
+parameters integers: an optional `-` and decimal digits.  Errors carry the
+1-based line and the column of the token they name.  The operator named
+``D`` is the main operator and ``d`` the differential.  A MODEL supplies its
+``D``, and its ``d`` when nonzero, unless an OPERATOR section of the same
+name is in the spec; ``spec.operators`` holds them all after parsing.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import GeneratorTable
-from .models import BUILTIN_MODELS, Model
+from .models import BUILTIN_MODELS
 from .operators import Operator
 
 
 class SpecError(Exception):
-    def __init__(self, message: str, line: int, col: int = 1):
-        super().__init__(f"line {line}, col {col}: {message}")
+    """A malformed spec; ``line`` is None when no spec line is at fault."""
+
+    def __init__(self, message: str, line: int | None = None, col: int = 1):
+        super().__init__(message if line is None else f"line {line}, col {col}: {message}")
         self.message = message
         self.line = line
         self.col = col
@@ -42,159 +47,160 @@ class SpecError(Exception):
 class ModelSpec:
     table: GeneratorTable | None = None
     operators: dict[str, Operator] = field(default_factory=dict)
-    model_name: str | None = None
-    model: Model | None = None
     suites: list[tuple[str, dict]] = field(default_factory=list)
-    # the zero differential of a spec with neither MODEL nor ``d``, made once
-    # so that every call returns the same operator and shares its caches
+    # the zero differential of a spec without ``d``, made once so that every
+    # call returns the same operator and shares its caches
     _zero_d: Operator | None = field(default=None, init=False, repr=False, compare=False)
 
     def main_operator(self) -> Operator:
         if "D" in self.operators:
             return self.operators["D"]
-        if self.model is not None:
-            return self.model.D
         if len(self.operators) == 1:
             return next(iter(self.operators.values()))
-        raise SpecError("no operator named 'D' and no model", 0)
+        raise SpecError("no operator named 'D' and no model")
 
     def differential(self) -> Operator:
         if "d" in self.operators:
             return self.operators["d"]
-        if self.model is not None:
-            return self.model.d
         if self._zero_d is None:
             self._zero_d = Operator.zero(self.table)
         return self._zero_d
 
 
-def _parse_fraction(tok: str, lineno: int, col: int) -> Fraction:
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise SpecError(f"bad rational coefficient {tok!r}", lineno, col) from None
+def _is_int(tok: str) -> bool:
+    """An optional ``-`` and decimal digits, every one of which ``int()`` reads."""
+    return tok.removeprefix("-").isdecimal()
 
 
-def _parse_int(tok: str, what: str, lineno: int, col: int) -> int:
-    """``tok`` as an int: an optional ``-`` and decimal digits, every one of
-    which ``int()`` reads; any other token is a ``bad {what}``."""
-    if not tok.removeprefix("-").isdecimal():
-        raise SpecError(f"bad {what} {tok!r}", lineno, col)
-    return int(tok)
-
-
-def _parse_exponents(part: str, n: int, lineno: int, col: int) -> tuple:
-    toks = part.split()
-    if len(toks) != n:
-        raise SpecError(f"expected {n} exponents, got {len(toks)}", lineno, col)
-    return tuple(_parse_int(tok, "exponent", lineno, col) for tok in toks)
-
-
+_WORD = re.compile(r"\S+")
 _HEADERS = ("GENERATORS", "OPERATOR", "MODEL", "SUITE")
+
+
+def _column(text: str, k: int, col: int = 1) -> int:
+    """The column of the k-th whitespace-separated token of ``text``, which
+    starts at column ``col``; scanned for only when an error names it."""
+    return col + list(_WORD.finditer(text))[k].start()
 
 
 def parse_spec(text: str) -> ModelSpec:
     spec = ModelSpec()
+    model = None
     section: str | None = None  # the header of the open section
     generators: dict[str, int] = {}  # name -> degree, in table order
     op_name, op_terms = None, {}
 
-    def close(lineno: int) -> None:
+    def close(lineno: int, col: int = 1) -> None:
         """Build the open GENERATORS table or OPERATOR, at the next header
-        (line ``lineno``) or at the end of the text."""
+        (line ``lineno``, column ``col``) or at the end of the text."""
         if section == "GENERATORS":
             if not generators:
-                raise SpecError("empty GENERATORS section", lineno)
+                raise SpecError("empty GENERATORS section", lineno, col)
             spec.table = GeneratorTable(tuple(generators), tuple(generators.values()))
         elif section == "OPERATOR":
             if not op_terms:
-                raise SpecError(f"operator {op_name!r} has no terms", lineno)
+                raise SpecError(f"operator {op_name!r} has no terms", lineno, col)
             spec.operators[op_name] = Operator(spec.table, op_terms)
 
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        code = raw.split("#", 1)[0]
+        words = code.split()
+        if not words:
             continue
-        parts = line.split()
-        head = parts[0]
+        head, col = words[0], len(code) - len(code.lstrip()) + 1
 
-        if head in _HEADERS:
+        if section == "OPERATOR" and head not in _HEADERS:
+            # a term line; the coefficient starts at the line's first token
+            parts = code.split("|")
+            if len(parts) != 3:
+                raise SpecError("term line must be `coeff | mult exps | deriv exps`", lineno, col)
+            coeff = parts[0].strip()
+            try:
+                coeff = Fraction(coeff)
+            except (ValueError, ZeroDivisionError):
+                raise SpecError(f"bad rational coefficient {coeff!r}", lineno, col) from None
+            n = len(spec.table)
+            cols = (len(parts[0]) + 2, len(parts[0]) + len(parts[1]) + 3)  # after each `|`
+            exps = []  # the multiplier's exponents, then the derivative's
+            for part, at in zip(parts[1:], cols):
+                toks = part.split()
+                if len(toks) != n:
+                    raise SpecError(f"expected {n} exponents, got {len(toks)}", lineno, at)
+                for k, tok in enumerate(toks):
+                    if not _is_int(tok):
+                        raise SpecError(f"bad exponent {tok!r}", lineno, _column(part, k, at))
+                exps += map(int, toks)
+            for i, e in enumerate(exps):
+                if e < 0 or (e > 1 and spec.table.parity(i % n)):
+                    at = _column(parts[1 + i // n], i % n, cols[i // n])
+                    if e < 0:
+                        raise SpecError("negative exponent", lineno, at)
+                    name = spec.table.names[i % n]
+                    raise SpecError(f"exponent {e} on odd generator {name!r}", lineno, at)
+            mult, deriv = tuple(exps[:n]), tuple(exps[n:])
+            op_terms[mult, deriv] = op_terms.get((mult, deriv), Fraction(0)) + coeff
+        elif head in _HEADERS:
             # a GENERATORS header in a GENERATORS section with no lines yet
             # leaves the section open
             if head != "GENERATORS" or section != "GENERATORS":
-                close(lineno)
+                close(lineno, col)
             section = head
             if head == "GENERATORS":
                 if generators:
-                    raise SpecError("duplicate GENERATORS section", lineno)
-                if spec.model is not None:
-                    raise SpecError("GENERATORS conflicts with an earlier MODEL", lineno)
+                    raise SpecError("duplicate GENERATORS section", lineno, col)
+                if model is not None:
+                    raise SpecError("GENERATORS conflicts with an earlier MODEL", lineno, col)
             elif head == "OPERATOR":
-                if len(parts) != 2:
-                    raise SpecError("OPERATOR needs exactly one name", lineno)
+                if len(words) != 2:
+                    raise SpecError("OPERATOR needs exactly one name", lineno, col)
                 if spec.table is None:
-                    raise SpecError("OPERATOR before any GENERATORS or MODEL section", lineno)
-                if parts[1] in spec.operators:
-                    raise SpecError(f"duplicate operator name {parts[1]!r}", lineno)
-                op_name, op_terms = parts[1], {}
+                    raise SpecError("OPERATOR before any GENERATORS or MODEL section", lineno, col)
+                if words[1] in spec.operators:
+                    raise SpecError(f"duplicate operator name {words[1]!r}", lineno,
+                                    _column(code, 1))
+                op_name, op_terms = words[1], {}
             elif head == "MODEL":
-                if len(parts) != 2:
-                    raise SpecError("MODEL needs exactly one name", lineno)
+                if len(words) != 2:
+                    raise SpecError("MODEL needs exactly one name", lineno, col)
                 if spec.table is not None:
-                    raise SpecError("MODEL conflicts with an earlier table", lineno)
-                if parts[1] not in BUILTIN_MODELS:
+                    raise SpecError("MODEL conflicts with an earlier table", lineno, col)
+                if words[1] not in BUILTIN_MODELS:
                     known = ", ".join(sorted(BUILTIN_MODELS))
-                    raise SpecError(
-                        f"unknown model {parts[1]!r} (known: {known})", lineno,
-                        col=line.index(parts[1]) + 1,
-                    )
-                spec.model_name = parts[1]
-                spec.model = BUILTIN_MODELS[parts[1]]()
-                spec.table = spec.model.table
+                    raise SpecError(f"unknown model {words[1]!r} (known: {known})", lineno,
+                                    _column(code, 1))
+                model = BUILTIN_MODELS[words[1]]()
+                spec.table = model.table
             else:  # SUITE
-                if len(parts) < 2:
-                    raise SpecError("SUITE needs a name", lineno)
+                if len(words) < 2:
+                    raise SpecError("SUITE needs a name", lineno, col)
                 params = {}
-                for tok in parts[2:]:
-                    col = line.index(tok) + 1
-                    if "=" not in tok:
-                        raise SpecError(f"suite parameter {tok!r} must be key=value", lineno, col)
-                    key, val = tok.split("=", 1)
-                    try:
-                        params[key] = int(val)
-                    except ValueError:
-                        raise SpecError(
-                            f"suite parameter {key!r} must be an integer", lineno, col
-                        ) from None
-                spec.suites.append((parts[1], params))
+                for k, tok in enumerate(words[2:], start=2):
+                    key, eq, val = tok.partition("=")
+                    if not eq:
+                        raise SpecError(f"suite parameter {tok!r} must be key=value", lineno,
+                                        _column(code, k))
+                    if not _is_int(val):
+                        raise SpecError(f"suite parameter {key!r} must be an integer", lineno,
+                                        _column(code, k))
+                    params[key] = int(val)
+                spec.suites.append((words[1], params))
         elif section == "GENERATORS":
-            if len(parts) != 2:
-                raise SpecError("generator line must be `name degree`", lineno)
-            name, deg = parts
+            if len(words) != 2:
+                raise SpecError("generator line must be `name degree`", lineno, col)
+            name, deg = words
             if name in generators:
-                raise SpecError(f"duplicate generator {name!r}", lineno)
-            generators[name] = _parse_int(deg, "degree", lineno, line.index(deg) + 1)
-        elif section == "OPERATOR":
-            parts = [p.strip() for p in line.split("|")]
-            if len(parts) != 3:
-                raise SpecError("term line must be `coeff | mult exps | deriv exps`", lineno)
-            coeff = _parse_fraction(parts[0], lineno, 1)
-            n = len(spec.table)
-            mult = _parse_exponents(parts[1], n, lineno, raw.index("|") + 2)
-            deriv = _parse_exponents(parts[2], n, lineno, raw.rindex("|") + 2)
-            for i, e in enumerate(mult + deriv):
-                if e < 0:
-                    raise SpecError("negative exponent", lineno)
-                if e > 1 and spec.table.parity(i % n):
-                    raise SpecError(
-                        f"exponent {e} on odd generator {spec.table.names[i % n]!r}", lineno
-                    )
-            op_terms[mult, deriv] = op_terms.get((mult, deriv), Fraction(0)) + coeff
+                raise SpecError(f"duplicate generator {name!r}", lineno, col)
+            if not _is_int(deg):
+                raise SpecError(f"bad degree {deg!r}", lineno, _column(code, 1))
+            generators[name] = int(deg)
         else:
-            raise SpecError(f"unrecognized line {head!r}", lineno)
+            raise SpecError(f"unrecognized line {head!r}", lineno, col)
 
     close(len(lines) + 1)
     if spec.table is None:
         raise SpecError("spec defines no GENERATORS or MODEL", max(len(lines), 1))
+    if model is not None:
+        spec.operators.setdefault("D", model.D)
+        if not model.d.is_zero():
+            spec.operators.setdefault("d", model.d)
     return spec

@@ -333,17 +333,13 @@ class CohomologyBasis:
         return {g: len(reps) for g, reps in sorted(self.representatives.items())}
 
 
-def cohomology(
-    table: GeneratorTable, d: Operator, window_degree: int = 4
-) -> CohomologyBasis:
+def cohomology(d: Operator, window_degree: int = 4) -> CohomologyBasis:
     """Kernel-mod-image of a square-zero degree-homogeneous d, per degree,
     over the window of monomials with total exponent <= window_degree.
     Built once per window and kept on ``d``: later calls share it.
     """
     if window_degree < 0:
         raise AlgebraError(f"cohomology window must be >= 0, got {window_degree}")
-    if d.table is not table and d.table != table:
-        raise AlgebraError("differential and window over different tables")
     if not d.square().is_zero():
         raise AlgebraError("cohomology requires d^2 = 0 (exact normal form)")
     if not d.is_zero() and not d.is_degree_homogeneous():
@@ -351,6 +347,7 @@ def cohomology(
     if window_degree in d._cohomology:
         return d._cohomology[window_degree]
 
+    table = d.table
     warnings: list[str] = []
     # growth of total exponent along d; negative growth can pull boundaries
     # in from outside the window, unless the generators are all odd and the
@@ -400,7 +397,6 @@ def cohomology(
 # --------------------------------------------------------------------------
 
 def induced_bv(
-    table: GeneratorTable,
     d: Operator,
     D: Operator,
     window_degree: int = 4,
@@ -441,7 +437,7 @@ def induced_bv(
     report = StructReport("induced BV structure on cohomology")
     report.add("d D2 + D2 d = 0 (exact operator identity)", "pass")
 
-    H = cohomology(table, d, window_degree)
+    H = cohomology(d, window_degree)
     report.add("induced map well defined on classes", "pass",
                f"{len(H.boundaries)} boundaries")
     n, cap = sum(H.dims().values()), budget.max_tuples

@@ -184,7 +184,7 @@ def test_criterion_6_derivation_lemma():
 
 def test_criterion_7_cohomology_and_induced_structure():
     weighted = koszul_complex_model([2])
-    H = cohomology(weighted.table, weighted.d, 6)
+    H = cohomology(weighted.d, 6)
     dims_ok = H.dims() == {0: 1, 2: 1}
     reps = {g: [str(r) for r in rs] for g, rs in H.representatives.items()}
     reps_ok = reps == {0: ["1"], 2: ["x1"]}
@@ -194,7 +194,7 @@ def test_criterion_7_cohomology_and_induced_structure():
     budget = Budget(max_degree=2, max_tuples=13**3)
     # with a zero differential the induced operator is the original one
     induced_is_delta = poly.D.degree_components().get(-1) == poly.D
-    report = induced_bv(poly.table, poly.d, poly.D, 2, budget)
+    report = induced_bv(poly.d, poly.D, 2, budget)
     items = {i.name: i.status for i in report.items}
     induced_ok = (
         report.passed

@@ -358,6 +358,48 @@ def test_unknown_suite_is_a_spec_error(tmp_path, capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["check", "--model", "polyvector2", "--suite", "nosuch"], None,
+     f"unknown suite 'nosuch' (known: {', '.join(SUITES)})"),
+    (["check", "--model", "nosuch"], None, "unknown model 'nosuch' (known: "),
+    (["check"], "GENERATORS\nx 0\nOPERATOR a\n1 | 0 | 1\nOPERATOR b\n2 | 0 | 1\n",
+     "no operator named 'D' and no model"),
+], ids=["suite", "model", "no-D"])
+def test_spec_errors_of_no_spec_line_print_no_position(argv, text, message, tmp_path, capsys):
+    if text is not None:
+        argv = argv + ["--spec", write(tmp_path, "s.spec", text)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"spec error: {message}")
+    assert "line 0" not in err
+
+
+@pytest.mark.parametrize("suite, message", [
+    ("bv-core ordr=1", "suite 'bv-core' takes no parameter 'ordr' (it reads: order)"),
+    ("linfty window=3", "suite 'linfty' takes no parameter 'window' (it reads: n)"),
+    ("split order=2", "suite 'split' takes no parameter 'order' (it reads: none)"),
+    ("linfty n=+1", "line 2, col 14: suite parameter 'n' must be an integer"),
+    ("linfty n=1_0", "line 2, col 14: suite parameter 'n' must be an integer"),
+])
+def test_suite_parameters_are_checked(suite, message, tmp_path, capsys):
+    spec = write(tmp_path, "s.spec", f"MODEL polyvector2\nSUITE {suite}\n")
+    assert main(["check", "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"spec error: {message}\n")
+
+
+def test_each_suite_reads_the_parameters_it_lists(tmp_path, capsys):
+    # every listed key is accepted; a wrong value of it shows that it is read
+    for name, value, code in [("bv-core", "order=1", 1), ("brackets", "arity=0", 2),
+                              ("linfty", "n=0", 2), ("cohomology", "window=-1", 2)]:
+        assert SUITES[name][1] == (value.split("=")[0],)
+        spec = write(tmp_path, "s.spec", f"MODEL polyvector2\nSUITE {name} {value}\n")
+        assert main(["check", "--spec", spec]) == code
+        assert "takes no parameter" not in capsys.readouterr().err
+    assert {name for name, (_, keys) in SUITES.items() if keys} == {
+        "bv-core", "brackets", "linfty", "cohomology"}
+
+
 def test_brackets_subcommand_tabulates_values(capsys):
     code = main(["brackets", "--model", "polyvector2", "--arity", "2",
                  "--budget-degree", "2", "--budget-tuples", "40"])
@@ -829,6 +871,53 @@ def test_golden_cohomology_command(source, window, tmp_path, monkeypatch, capsys
         where = ["--spec", source + ".spec"]
     got = _report_digest(capsys, ["cohomology", *where, "--window", window])
     assert got == GOLDEN_COHOMOLOGY[source, window]
+
+
+# A MODEL line supplies D and d unless the spec names its own operator; the
+# explain and check reports of three specs that mix the two, pinned
+MERGE_SUITES = "\nSUITE bv-core\nSUITE bvinfty\nSUITE cohomology window=3\n"
+MERGE_SPECS = {
+    # koszul1's d, with D = d + 3 d/dx1 d/dxi1 in place of the model's
+    "koszul1-own-D": "MODEL koszul1\n\nOPERATOR D\n1 | 1 0 | 0 1\n3 | 0 0 | 1 1\n"
+    + MERGE_SUITES,
+    # the model's Laplacian stays D and is d as well
+    "laplacian-as-d": GOLDEN_COHOMOLOGY_SPECS["laplacian-as-d"] + MERGE_SUITES,
+    # a third operator leaves the model's D and d the main ones
+    "mixed-order-plus-X": "MODEL mixed-order\n\nOPERATOR X\n1 | 0 0 0 0 0 0 | 0 0 0 1 0 0\n"
+    + MERGE_SUITES,
+}
+GOLDEN_MERGE = {
+    ("koszul1-own-D", "explain"): (0, "888165d49d4a8ee95f0bec17360c55331f726a03b2b76af595eab34f112e627a"),
+    ("koszul1-own-D", "check"): (3, "10cd7b33086553ee4ae8f92c87e079196a3370e954322eae6f00040939aea3f8"),
+    ("laplacian-as-d", "explain"): (0, "c026c13c2496d735d14a1fa02c671bcbc775ed0fe74e146b2a01b012bac856ac"),
+    ("laplacian-as-d", "check"): (1, "ff84837d4018db29b35d217e0e82644135c6c0f3a72cf81da354d461725b82d0"),
+    ("mixed-order-plus-X", "explain"): (0, "b6041dcd4058e51cb352399357ec85ad2213da64782c91e925288c16ac093c3a"),
+    ("mixed-order-plus-X", "check"): (3, "328e85a6d0a45e2f7c6c4f4077efb92553a0a5f0df5104e5a0025ebdd4399a73"),
+}
+
+
+@pytest.mark.parametrize("source,command", sorted(GOLDEN_MERGE))
+def test_golden_model_defaults_and_spec_operators(source, command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, source + ".spec", MERGE_SPECS[source])
+    got = _report_digest(capsys, [command, "--spec", source + ".spec"])
+    assert got == GOLDEN_MERGE[source, command]
+
+
+@pytest.mark.parametrize("text", [
+    *MERGE_SPECS.values(), *(f"MODEL {m}\n" for m in BUILTIN_MODELS), LAPLACIAN_SPEC,
+])
+def test_main_operator_and_differential_are_one_object_each(text):
+    spec = parse_spec(text)
+    assert spec.main_operator() is spec.main_operator()
+    assert spec.differential() is spec.differential()
+
+
+def test_a_spec_operator_beside_a_model_leaves_the_models_main_operator():
+    spec = parse_spec(MERGE_SPECS["mixed-order-plus-X"])
+    model = BUILTIN_MODELS["mixed-order"]()
+    assert spec.main_operator().terms == model.D.terms
+    assert spec.differential().terms == model.d.terms
 
 
 # polyvector2 with d = xi1 (a multiplication) and D = d + Delta: d is no

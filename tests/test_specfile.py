@@ -40,8 +40,10 @@ def test_rational_coefficients_and_term_merging():
 
 def test_model_line_supplies_table_and_operators():
     spec = parse_spec("MODEL polyvector2\nSUITE bv-core\n")
-    assert spec.model_name == "polyvector2"
     assert len(spec.table) == 4
+    # the model's d is zero, so only its D joins the operators
+    assert list(spec.operators) == ["D"]
+    assert spec.main_operator() is spec.operators["D"]
     assert spec.main_operator().degree() == -1
     assert spec.differential().is_zero()
 
@@ -55,35 +57,55 @@ def test_operator_round_trips_through_term_format():
     assert lines == ["1 | 1 | d/dx d/dxi"]
 
 
+# (text, message fragment, line, column): the column is that of the token
+# the error names, or of the line's first token
+ERROR_POSITIONS = [
+    ("OPERATOR D\n1 | 0 | 1\n", "before any GENERATORS", 1, 1),
+    ("GENERATORS\nx 0\nx 1\n", "duplicate generator", 3, 1),
+    ("GENERATORS\nx zero\n", "bad degree", 2, 3),
+    ("GENERATORS\nx --1", "bad degree", 2, 3),
+    ("GENERATORS\nx \u00b2", "bad degree", 2, 3),
+    ("GENERATORS\nx 0\nGENERATORS\n", "duplicate GENERATORS", 3, 1),
+    ("GENERATORS\nx 0\nOPERATOR D\nfoo | 0 | 1\n", "bad rational", 4, 1),
+    ("GENERATORS\nx 0\nOPERATOR D\n1 | 0 0 | 1\n", "expected 1 exponents", 4, 4),
+    ("GENERATORS\nx 0\nOPERATOR D\n1 | --1 | 0\n", "bad exponent", 4, 5),
+    ("GENERATORS\nxi 1\nOPERATOR D\n1 | 0 | 2\n", "odd generator", 4, 9),
+    ("GENERATORS\nx 0\nOPERATOR D\n", "no terms", 4, 1),
+    ("GENERATORS\nx 0\nOPERATOR D\n1 | 0 | 1\nOPERATOR D\n1 | 0 | 1\n",
+     "duplicate operator", 5, 10),
+    ("MODEL nosuch\n", "unknown model", 1, 7),
+    ("MODEL polyvector2\nGENERATORS\n", "conflicts", 2, 1),
+    ("GENERATORS\nx 0\nSUITE\n", "SUITE needs a name", 3, 1),
+    ("GENERATORS\nx 0\nSUITE linfty n=two\n", "must be an integer", 3, 14),
+    ("MODEL polyvector2\nBOGUS\n", "unrecognized", 2, 1),
+    ("", "no GENERATORS or MODEL", 1, 1),
+    # each column is its own token's, in the raw line
+    ("GENERATORS\nzero zero\n", "bad degree", 2, 6),
+    ("GENERATORS\n  x 0\n  x 1\n", "duplicate generator", 3, 3),
+    ("GENERATORS\nx 0\nOPERATOR D\n  foo | 0 | 1\n", "bad rational", 4, 3),
+    ("GENERATORS\nx 0\ny 0\nOPERATOR D\n1 | 0 x | 0 0\n", "bad exponent", 5, 7),
+    ("GENERATORS\nx 0\ny 0\nOPERATOR D\n1 | 0 0 | 0 x\n", "bad exponent", 5, 13),
+    ("GENERATORS\nx 0\ny 0\nOPERATOR D\n1 | 0 -1 | 0 0\n", "negative exponent", 5, 7),
+    ("GENERATORS\nx 0\nxi 1\nOPERATOR D\n1|0 0|0 2\n", "odd generator", 5, 9),
+    ("GENERATORS\nx 0\nOPERATOR D\n1 | 0 | 1\n\tOPERATOR D\n", "duplicate operator", 5, 11),
+    ("GENERATORS\nx 0\n  OPERATOR D\n", "no terms", 4, 1),
+    ("GENERATORS\nx 0\nOPERATOR D\n  OPERATOR d\n", "no terms", 4, 3),
+    # suite parameters follow the integer rule of degrees and exponents
+    ("GENERATORS\nx 0\nSUITE linfty n=+1\n", "must be an integer", 3, 14),
+    ("GENERATORS\nx 0\nSUITE linfty n=1_0\n", "must be an integer", 3, 14),
+    ("GENERATORS\nx 0\nSUITE bv-core order=2 n\n", "must be key=value", 3, 23),
+]
+
+
 @pytest.mark.parametrize(
-    "text,fragment,line",
-    [
-        ("OPERATOR D\n1 | 0 | 1\n", "before any GENERATORS", 1),
-        ("GENERATORS\nx 0\nx 1\n", "duplicate generator", 3),
-        ("GENERATORS\nx zero\n", "bad degree", 2),
-        ("GENERATORS\nx --1", "bad degree", 2),
-        ("GENERATORS\nx \u00b2", "bad degree", 2),
-        ("GENERATORS\nx 0\nGENERATORS\n", "duplicate GENERATORS", 3),
-        ("GENERATORS\nx 0\nOPERATOR D\nfoo | 0 | 1\n", "bad rational", 4),
-        ("GENERATORS\nx 0\nOPERATOR D\n1 | 0 0 | 1\n", "expected 1 exponents", 4),
-        ("GENERATORS\nx 0\nOPERATOR D\n1 | --1 | 0\n", "bad exponent", 4),
-        ("GENERATORS\nxi 1\nOPERATOR D\n1 | 0 | 2\n", "odd generator", 4),
-        ("GENERATORS\nx 0\nOPERATOR D\n", "no terms", 4),
-        ("GENERATORS\nx 0\nOPERATOR D\n1 | 0 | 1\nOPERATOR D\n1 | 0 | 1\n",
-         "duplicate operator", 5),
-        ("MODEL nosuch\n", "unknown model", 1),
-        ("MODEL polyvector2\nGENERATORS\n", "conflicts", 2),
-        ("GENERATORS\nx 0\nSUITE\n", "SUITE needs a name", 3),
-        ("GENERATORS\nx 0\nSUITE linfty n=two\n", "must be an integer", 3),
-        ("MODEL polyvector2\nBOGUS\n", "unrecognized", 2),
-        ("", "no GENERATORS or MODEL", 1),
-    ],
+    "text,fragment,line,col", ERROR_POSITIONS,
+    ids=[f"{text}-{fragment}-{line}" for text, fragment, line, _ in ERROR_POSITIONS],
 )
-def test_error_positions(text, fragment, line):
+def test_error_positions(text, fragment, line, col):
     with pytest.raises(SpecError) as err:
         parse_spec(text)
     assert fragment in err.value.message
-    assert err.value.line == line
+    assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_comments_and_blank_lines_ignored():

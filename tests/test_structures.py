@@ -642,7 +642,7 @@ def test_one_operator_is_squared_once(monkeypatch):
     monkeypatch.setattr(Operator, "compose", counting)
     assert d.is_square_zero() == (True, None)
     assert all(r.passed for r in verify_linfty(d, 3, BUDGET))
-    assert cohomology(d.table, d, 3).dims()
+    assert cohomology(d, 3).dims()
     assert len(calls) == 1 and calls[0][0] is d and calls[0][1] is d
 
 
@@ -661,7 +661,7 @@ def test_bvinfty_detects_positive_tail():
 
 def test_cohomology_weighted_model():
     model = koszul_complex_model([2])
-    H = cohomology(model.table, model.d, 6)
+    H = cohomology(model.d, 6)
     assert H.dims() == {0: 1, 2: 1}
     assert not H.warnings
     reps = {g: [str(r) for r in rs] for g, rs in H.representatives.items()}
@@ -670,13 +670,13 @@ def test_cohomology_weighted_model():
 
 def test_cohomology_unit_weight_is_acyclic():
     model = koszul_complex_model([1])
-    H = cohomology(model.table, model.d, 4)
+    H = cohomology(model.d, 4)
     assert H.dims() == {0: 1}
 
 
 def test_cohomology_zero_differential_keeps_everything():
     model = polyvector_model(1)
-    H = cohomology(model.table, model.d, 2)
+    H = cohomology(model.d, 2)
     n_monos = len(enumerate_monomials(model.table, 2))
     assert sum(len(r) for r in H.representatives.values()) == n_monos
 
@@ -687,24 +687,18 @@ def test_cohomology_requires_square_zero():
         Operator.derivative(model.table, "x1")
     )
     with pytest.raises(AlgebraError):
-        cohomology(model.table, d, 3)
+        cohomology(d, 3)
 
 
 def test_cohomology_rejects_a_negative_window():
     model = koszul_complex_model([2])
     with pytest.raises(AlgebraError, match="window"):
-        cohomology(model.table, model.d, -1)
-
-
-def test_cohomology_rejects_a_differential_over_another_table():
-    model, other = koszul_complex_model([2]), koszul_complex_model([1])
-    with pytest.raises(AlgebraError, match="different tables"):
-        cohomology(model.table, other.d, 3)
+        cohomology(model.d, -1)
 
 
 def test_cohomology_reduce_is_canonical():
     model = koszul_complex_model([2])
-    H = cohomology(model.table, model.d, 6)
+    H = cohomology(model.d, 6)
     x = Element.generator(model.table, "x1")
     xi = Element.generator(model.table, "xi1")
     space = boundary_space(H)
@@ -732,7 +726,7 @@ def test_boundary_space_is_the_span_of_every_window_image(name, window):
     oracle = RowSpaceByCopies()
     for m in enumerate_monomials(table, window):
         oracle.add(dict(d.apply(Element.monomial(table, m)).coeffs))
-    H = cohomology(table, d, window)
+    H = cohomology(d, window)
     assert boundary_space(H).rows == oracle.rows
     # each representative lies in its own degree slice
     for g, reps in H.representatives.items():
@@ -748,37 +742,35 @@ def test_cohomology_is_built_once_per_differential_and_window(monkeypatch):
         return real(labels, vectors)
 
     monkeypatch.setattr(structures, "kernel_and_image", counting)
-    H = cohomology(model.table, model.d, 5)
+    H = cohomology(model.d, 5)
     degrees = {model.table.monomial_degree(m) for m in enumerate_monomials(model.table, 5)}
     assert len(slices) == len(set(slices)) == len(degrees)
-    assert cohomology(model.table, model.d, 5) is H
+    assert cohomology(model.d, 5) is H
     assert len(slices) == len(degrees)
     # another window is another elimination and another basis
-    H4 = cohomology(model.table, model.d, 4)
+    H4 = cohomology(model.d, 4)
     assert H4 is not H and len(slices) > len(degrees)
     assert boundary_space(H4).rows != boundary_space(H).rows
-    assert cohomology(model.table, model.d, 4) is H4
+    assert cohomology(model.d, 4) is H4
 
 
 def test_cohomology_domain_errors_follow_a_cached_call():
-    model, other = koszul_complex_model([2]), koszul_complex_model([1])
+    model = koszul_complex_model([2])
     table, d = model.table, model.d
     xi1 = Operator.multiplication(Element.generator(table, "xi1"))
     mixed = koszul_complex_model([1, 2])
     # d/dxi1 (degree -1) and d/dxi2 (degree -3) anticommute and square to 0
     inhomogeneous = (Operator.derivative(mixed.table, "xi1")
                      + Operator.derivative(mixed.table, "xi2"))
-    H = cohomology(table, d, 3)
+    H = cohomology(d, 3)
     for _ in range(2):
         with pytest.raises(AlgebraError, match="window"):
-            cohomology(table, d, -1)
-        with pytest.raises(AlgebraError, match="different tables"):
-            cohomology(other.table, d, 3)
+            cohomology(d, -1)
         with pytest.raises(AlgebraError, match="d\\^2 = 0"):
-            cohomology(table, d + xi1, 3)  # (d + xi1)^2 = mult by x1^2
+            cohomology(d + xi1, 3)  # (d + xi1)^2 = mult by x1^2
         with pytest.raises(AlgebraError, match="degree-homogeneous"):
-            cohomology(mixed.table, inhomogeneous, 3)
-    assert cohomology(table, d, 3) is H
+            cohomology(inhomogeneous, 3)
+    assert cohomology(d, 3) is H
 
 
 @pytest.mark.parametrize(
@@ -787,9 +779,9 @@ def test_cohomology_domain_errors_follow_a_cached_call():
     ids=["koszul12", "mixed-order", "polyvector2"],
 )
 def test_shared_cohomology_equals_a_fresh_build(model, window):
-    shared = cohomology(model.table, model.d, window)
-    assert cohomology(model.table, model.d, window) is shared
-    fresh = cohomology(model.table, Operator(model.table, model.d.terms), window)
+    shared = cohomology(model.d, window)
+    assert cohomology(model.d, window) is shared
+    fresh = cohomology(Operator(model.table, model.d.terms), window)
     assert fresh is not shared
     assert fresh.dims() == shared.dims()
     assert fresh.representatives == shared.representatives
@@ -800,7 +792,7 @@ def test_shared_cohomology_equals_a_fresh_build(model, window):
 def assert_matches_the_rational_loop(table, d, window):
     # representatives (dict order and values), dimensions, boundary rows and
     # warnings as the Fraction elimination and reduction give them
-    H = cohomology(table, d, window)
+    H = cohomology(d, window)
     reps, oracle_boundaries, warnings = cohomology_by_fractions(table, d, window)
 
     def shown(representatives):
@@ -874,21 +866,21 @@ def test_cohomology_of_two_dimensional_lie_algebras_matches_the_rational_loop(a,
 
 def test_induced_bv_koszul():
     model = koszul_complex_model([1])
-    report = induced_bv(model.table, model.d, model.D, 4, BUDGET)
+    report = induced_bv(model.d, model.D, 4, BUDGET)
     assert report.passed
 
 
 def test_induced_bv_polyvector_zero_differential():
     # the five classes 1, x1, xi1, x1^2, x1 xi1: 125 triples
     model = polyvector_model(1)
-    report = induced_bv(model.table, model.d, model.D, 2, Budget(max_degree=2, max_tuples=125))
+    report = induced_bv(model.d, model.D, 2, Budget(max_degree=2, max_tuples=125))
     assert report.passed and report.fully_tested
     names = {i.name: i.status for i in report.items}
     assert names["induced operator squares to zero on classes"] == "pass"
     assert names["induced operator has order <= 2 on representatives"] == "pass"
     # the Laplacian has order 2, so the items hold on every class and a
     # smaller budget caps only the counts
-    report = induced_bv(model.table, model.d, model.D, 2, BUDGET)
+    report = induced_bv(model.d, model.D, 2, BUDGET)
     assert report.passed and report.fully_tested
     assert [(i.name, i.details) for i in report.items[-4:]] == [
         ("induced operator has order <= 2 on representatives", "60 triples"),
@@ -929,7 +921,7 @@ def test_induced_maps_are_computed_once_per_argument(model, window, monkeypatch)
         monkeypatch.setattr(module, "akman_bracket", recorded("bracket", module.akman_bracket))
     for name in ("koszul_bracket", "_akman_on_monomials"):
         monkeypatch.setattr(brackets, name, recorded("bracket", getattr(brackets, name)))
-    report = induced_bv(model.table, model.d, model.D, window, BUDGET)
+    report = induced_bv(model.d, model.D, window, BUDGET)
     assert report.passed and report.fully_tested
     assert recording and calls == []
 
@@ -938,7 +930,7 @@ def test_induced_maps_are_computed_once_per_argument(model, window, monkeypatch)
 def _exhaustive_oracle(model, window):
     """``induced_items_by_evaluation`` on every boundary, class and triple,
     made once per model and window."""
-    H = cohomology(model.table, model.d, window)
+    H = cohomology(model.d, window)
     n = sum(H.dims().values())
     D2 = model.D.degree_components().get(-1, Operator.zero(model.table))
     return induced_items_by_evaluation(H, D2, window, Budget(max_tuples=n**3))
@@ -961,10 +953,10 @@ def test_induced_items_equal_evaluating_every_case(model, window, max_tuples):
     # so evaluation is exact: each pass is one of evaluating every case, and
     # the budget's prefix finds no failure
     budget = Budget(max_degree=2, max_tuples=max_tuples)
-    report = induced_bv(model.table, model.d, model.D, window, budget)
+    report = induced_bv(model.d, model.D, window, budget)
     assert report.items[0].name == "d D2 + D2 d = 0 (exact operator identity)"
     D2 = model.D.degree_components().get(-1, Operator.zero(model.table))
-    H = cohomology(model.table, model.d, window)
+    H = cohomology(model.d, window)
     oracle = induced_items_by_evaluation(H, D2, window, budget)
     if not D2:
         assert [i.line() for i in report.items[1:]] == [i.line() for i in oracle.items]
@@ -992,8 +984,8 @@ def test_induced_bv_of_an_order_three_d2_is_a_precondition_error():
         r"homotopy-BV check failed: component n=2 \(degree -1\) has order <= 2 "
         r"\(witness: x1; x2; xi1\)$"
     )):
-        induced_bv(model.table, model.d, D, 1, budget)
-    H = cohomology(model.table, model.d, 1)
+        induced_bv(model.d, D, 1, budget)
+    H = cohomology(model.d, 1)
     oracle = {i.name: i for i in induced_items_by_evaluation(H, D, 1, Budget(max_tuples=125)).items}
     order = oracle["induced operator has order <= 2 on representatives"]
     assert (order.status, order.witness) == ("fail", "(x2, x1, xi1)")
@@ -1028,8 +1020,8 @@ def test_induced_bv_of_a_unimodular_linear_poisson_structure_passes(sign, casimi
     d, D = _lie_poisson([(1, 3, 1, 2), (1, 1, 2, 3), (sign, 2, 1, 3)])
     table = d.table
     assert d.apply(parse_element(table, casimir)).is_zero()
-    assert cohomology(table, d, 3).dims() == {0: 2, 3: 1}
-    report = induced_bv(table, d, D, 3, Budget())
+    assert cohomology(d, 3).dims() == {0: 2, 3: 1}
+    report = induced_bv(d, D, 3, Budget())
     assert report.passed and report.fully_tested
     assert [i.details for i in report.items[-4:]] == [
         "27 triples", "9 pairs", "27 triples", "27 triples",
@@ -1040,10 +1032,10 @@ def test_induced_bv_of_the_heisenberg_structure_passes_every_triple():
     # pi = x3 xi1 xi2, unimodular: every induced item passes on all triples
     # of the window's classes, among them the Casimirs 1, x3, x3^2, x3^3
     d, D = _lie_poisson([(1, 3, 1, 2)])
-    H = cohomology(d.table, d, 3)
+    H = cohomology(d, 3)
     n = sum(H.dims().values())
     assert H.dims()[0] == 4
-    report = induced_bv(d.table, d, D, 3, Budget(max_tuples=n**3))
+    report = induced_bv(d, D, 3, Budget(max_tuples=n**3))
     assert report.passed and report.fully_tested
     assert [i.details for i in report.items[-4:]] == [
         f"{n**3} triples", f"{n**2} pairs", f"{n**3} triples", f"{n**3} triples",
@@ -1077,7 +1069,7 @@ def test_chevalley_eilenberg_homology_of_gl_n_is_the_exterior_algebra_on_primiti
     # is a sum of distinct primitive degrees.  The window n^2 holds every
     # monomial, so nothing is truncated.  Without the signs of the odd
     # derivatives, d o d is still 0 on gl_3 but the classes move
-    table, d = _gl_chevalley_eilenberg(n)
-    H = cohomology(table, d, n * n)
+    _, d = _gl_chevalley_eilenberg(n)
+    H = cohomology(d, n * n)
     assert H.dims() == {g: 1 for g in sorted(degrees)}
     assert not H.warnings
