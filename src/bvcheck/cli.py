@@ -48,23 +48,6 @@ from .structures import (
 SCHEMA = "bvcheck-report/1"
 
 
-def _unit_window(suite):
-    """``suite`` with every tallied pass made untested on a window of the unit
-    monomial alone, where it exercises nothing; exact and vacuous items, and
-    failures, keep their status."""
-
-    def run(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
-        report = suite(spec, budget, params)
-        if count_monomials(spec.table, budget.max_degree) == 1:
-            for item in report.items:
-                if item.status == "pass" and item.tallied:
-                    item.status = "untested"
-                    item.details = ", ".join(filter(None, (item.details, "the unit monomial alone")))
-        return report
-
-    return run
-
-
 def _bv_core(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     table = spec.table
     D = spec.main_operator()
@@ -76,11 +59,11 @@ def _bv_core(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     return report
 
 
-@_unit_window
 def _brackets(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     table = spec.table
     D = spec.main_operator()
-    report = StructReport("bracket route agreement")
+    report = StructReport("bracket route agreement",
+                          unit_alone=count_monomials(table, budget.max_degree) == 1)
     arity = params.get("arity", 3)
     if arity < 1:
         raise AlgebraError(f"bracket arity must be >= 1, got {arity}")
@@ -102,11 +85,11 @@ def _brackets(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     return report
 
 
-@_unit_window
 def _linfty(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     D = spec.main_operator()
     n_max = params.get("n", 3)
-    report = StructReport("square-zero relation family")
+    report = StructReport("square-zero relation family",
+                          unit_alone=count_monomials(spec.table, budget.max_degree) == 1)
     for rr in verify_linfty(D, n_max, budget):
         report.tally(
             f"relation n={rr.index}",
@@ -155,25 +138,32 @@ SUITES = {
     "brackets": (_brackets, ("arity",)),
     "linfty": (_linfty, ("n",)),
     "split": (_split, ()),
-    "derivation": (_unit_window(lambda spec, budget, params: check_derivation_lemma(
-        spec.main_operator(), budget)), ()),
+    "derivation": (lambda spec, budget, params: check_derivation_lemma(
+        spec.main_operator(), budget), ()),
     "bvinfty": (lambda spec, budget, params: check_bvinfty(
         spec.differential(), spec.main_operator(), budget), ()),
-    "gerstenhaber": (_unit_window(lambda spec, budget, params: check_gerstenhaber(
-        spec.main_operator(), budget)), ()),
+    "gerstenhaber": (lambda spec, budget, params: check_gerstenhaber(
+        spec.main_operator(), budget), ()),
     "cohomology": (_cohomology, ("window",)),
 }
 
 
+def check_suites(suites) -> None:
+    """A spec error at the first (name, params) pair whose name is no suite,
+    or whose params hold a key that its suite does not read."""
+    for name, params in suites:
+        if name not in SUITES:
+            raise SpecError(f"unknown suite {name!r} (known: {', '.join(SUITES)})")
+        keys = SUITES[name][1]
+        for key in params:
+            if key not in keys:
+                raise SpecError(f"suite {name!r} takes no parameter {key!r} "
+                                f"(it reads: {', '.join(keys) or 'none'})")
+
+
 def run_suite(name: str, spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
-    if name not in SUITES:
-        raise SpecError(f"unknown suite {name!r} (known: {', '.join(SUITES)})")
-    suite, keys = SUITES[name]
-    for key in params:
-        if key not in keys:
-            raise SpecError(f"suite {name!r} takes no parameter {key!r} "
-                            f"(it reads: {', '.join(keys) or 'none'})")
-    return suite(spec, budget, params)
+    check_suites([(name, params)])
+    return SUITES[name][0](spec, budget, params)
 
 
 def _exit_code(reports: list[StructReport]) -> int:
@@ -195,15 +185,7 @@ def _emit(reports, args, spec_name: str, exit_code: int) -> None:
                 {
                     "title": r.title,
                     "passed": r.passed,
-                    "items": [
-                        {
-                            "name": i.name,
-                            "status": i.status,
-                            "details": i.details,
-                            "witness": i.witness,
-                        }
-                        for i in r.items
-                    ],
+                    "items": [vars(i) for i in r.items],
                 }
                 for r in reports
             ],
@@ -280,6 +262,7 @@ def main(argv=None) -> int:
 
         if args.command == "check":
             suites = [(s, {}) for s in args.suite] or spec.suites or [("bv-core", {})]
+            check_suites(suites)  # every one, before any runs
             reports = [run_suite(n, spec, budget, p) for n, p in suites]
 
         elif args.command == "brackets":
@@ -315,6 +298,7 @@ def main(argv=None) -> int:
             reports = [report, reps]
 
         else:  # explain
+            check_suites(spec.suites)
             report = StructReport("parsed spec")
             t = spec.table
             report.add(

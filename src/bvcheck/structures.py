@@ -38,7 +38,6 @@ class CheckItem:
     status: str  # "pass" | "fail" | "untested"
     details: str = ""
     witness: str | None = None
-    tallied: bool = field(default=False, repr=False, compare=False)  # a count of cases
 
     def line(self) -> str:
         out = f"[{self.status.upper():8}] {self.name}"
@@ -53,20 +52,25 @@ class CheckItem:
 class StructReport:
     title: str
     items: list[CheckItem] = field(default_factory=list)
+    unit_alone: bool = False  # tallies count cases on a window of the unit monomial alone
 
     def add(self, name, status, details="", witness=None):
         self.items.append(CheckItem(name, status, details, witness))
 
     def tally(self, name, tried, witness, unit="", *, count_failures=False):
         """Fail at ``witness``, or pass with ``tried`` counted in ``unit`` (if
-        any); untested when no case was tried.  With ``count_failures`` a
-        failure keeps the count too, as the relation-family lines always have.
+        any); untested when no case was tried, and when the cases are the unit
+        monomial alone (``unit_alone``), where a pass exercises nothing.  With
+        ``count_failures`` a failure keeps the count too, as the
+        relation-family lines always have.
         """
         count = f"{tried} {unit}" if unit else ""
         if witness is not None:
             self.add(name, "fail", count if count_failures else "", _show(witness))
+        elif tried and self.unit_alone:
+            self.add(name, "untested", ", ".join(filter(None, (count, "the unit monomial alone"))))
         else:
-            self.items.append(CheckItem(name, "pass" if tried else "untested", count, tallied=True))
+            self.add(name, "pass" if tried else "untested", count)
 
     def certify(self, name, cert: OrderCertificate, table: GeneratorTable):
         """An order certificate's verdict, with its failure witness, if any,
@@ -86,12 +90,10 @@ class StructReport:
         witness = square_witness(D)
         self.add(name, "fail" if witness else "pass", witness=witness)
 
-    def exhibit(self, name, witness, untested):
-        """A failure expected to exist: pass once ``witness`` exhibits it."""
-        if witness is not None:
-            self.add(name, "pass", "failure witness exhibited", witness=_show(witness))
-        else:
-            self.add(name, "untested", untested)
+    def exhibit(self, name, witness):
+        """A failure expected to exist passes, exhibited at ``witness``: the
+        one that a failing order certificate always carries."""
+        self.add(name, "pass", "failure witness exhibited", witness=_show(witness))
 
     @property
     def passed(self) -> bool:
@@ -153,7 +155,8 @@ def check_gerstenhaber(D: Operator, budget: Budget | None = None) -> StructRepor
     table = D.table
     cert = akman_order_check(D, 2, budget)
     bracket = cache(lambda a, b: bv_bracket(D, a, b))
-    report = StructReport("bracket of the main operator")
+    monomials = count_monomials(table, budget.max_degree)
+    report = StructReport("bracket of the main operator", unit_alone=monomials == 1)
 
     def jacobi_fails(triple):
         a, b, c = triple
@@ -176,7 +179,7 @@ def check_gerstenhaber(D: Operator, budget: Budget | None = None) -> StructRepor
     report.tally("graded antisymmetry", tuple_count(table, 2, budget), None, "pairs")
     report.tally("graded Jacobi", *jacobi, "triples")
     report.tally("Leibniz rule", triples, as_elements(table, cert.failure_witness), "triples")
-    pairs = count_monomials(table, budget.max_degree) ** 2
+    pairs = monomials**2
     if D.is_degree_homogeneous() and not D.is_zero():
         report.tally(f"bracket degree offset {D.degree():+d}", pairs, None)
     report.tally("product degree offset +0", pairs, None)
@@ -214,7 +217,10 @@ def check_derivation_lemma(D: Operator, budget: Budget | None = None) -> StructR
     For X = D odd its defect is (-1)^{|a|} F^2_{D o D}(a,b), so under D^2 = 0
     it holds exactly and passes on the window's pair count; for an odd product
     derivation X it is (-1)^{|a|} F^2_{X o D + D o X}(a,b).  The other clauses
-    are read off order certificates, each decided from a normal form.
+    are read off order certificates, each decided from a normal form.  The
+    last, D1's bracket derivation, is decided only when the D1 product
+    Leibniz line passes as reported: on a window of the unit monomial alone
+    that line is untested, and so is the last.
     """
     budget = budget or Budget()
     witness = square_witness(D)
@@ -222,8 +228,9 @@ def check_derivation_lemma(D: Operator, budget: Budget | None = None) -> StructR
         raise AlgebraError(f"derivation lemma requires D^2 = 0; witness {witness}")
     if D and not D.is_odd():
         raise AlgebraError("derivation lemma requires an odd operator")
-    report = StructReport("derivation lemma")
     table = D.table
+    report = StructReport("derivation lemma",
+                          unit_alone=count_monomials(table, budget.max_degree) == 1)
 
     # (i) D is a derivation of the bracket: its defect is a bracket of D o D = 0
     report.tally("D is a bracket derivation", tuple_count(table, 2, budget), None, "pairs")
@@ -232,11 +239,8 @@ def check_derivation_lemma(D: Operator, budget: Budget | None = None) -> StructR
     if not any(sum(d) >= 2 for (_, d) in D.terms):
         report.add("product-Leibniz failure of D", "pass", "vacuous: no order >= 2 part")
     else:
-        report.exhibit(
-            "product-Leibniz failure of D",
-            as_elements(table, akman_order_check(D, 1, budget).failure_witness),
-            "no witness within budget",
-        )
+        report.exhibit("product-Leibniz failure of D",
+                       as_elements(table, akman_order_check(D, 1, budget).failure_witness))
 
     # (iii) the degree +1 component is a product derivation
     d1 = D.degree_components().get(1)
@@ -247,19 +251,20 @@ def check_derivation_lemma(D: Operator, budget: Budget | None = None) -> StructR
     witness = as_elements(table, cert.failure_witness)
     report.tally("D1 product Leibniz", cert.tuples_tested, witness, "pairs")
 
-    # (iv) when D1 is a product derivation, its bracket-derivation defect is
-    # (-1)^{|a|} F^2 of D1 o D + D o D1: D1 is a bracket derivation exactly
-    # when that operator's order <= 1 certificate passes, else it fails there
+    # (iv) when (iii) passes, D1's bracket-derivation defect is (-1)^{|a|} F^2
+    # of D1 o D + D o D1: D1 is a bracket derivation exactly when that
+    # operator's order <= 1 certificate passes, else it fails there
     name = "D1 bracket-derivation failure"
-    if cert.status != "pass":
-        shown = "not" if cert.status == "fail" else "not shown"
+    status = report.items[-1].status
+    if status != "pass":
+        shown = "not" if status == "fail" else "not shown"
         report.add(name, "untested", f"undecided: D1 is {shown} a product derivation")
         return report
     cert = akman_order_check(d1.compose(D) + D.compose(d1), 1, budget)
     if cert.passed:
         report.add(name, cert.status, "none: D1 is a derivation of the bracket")
     else:
-        report.exhibit(name, as_elements(table, cert.failure_witness), "")
+        report.exhibit(name, as_elements(table, cert.failure_witness))
     return report
 
 

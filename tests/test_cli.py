@@ -228,15 +228,40 @@ def test_tallied_passes_on_the_unit_alone_are_untested(suite, items, capsys):
     code = main(["check", "--model", "koszul1", "--suite", suite, "--budget-degree", "0"])
     out = capsys.readouterr().out
     assert code == 3
-    # the passes are exact: the product-Leibniz failure of D is constructed,
-    # and D1 is a bracket derivation because D1 o D + D o D1 has order <= 1
+    # the one pass is exact: the product-Leibniz failure of D is constructed;
+    # D1's bracket derivation is decided only once D1 product Leibniz passes
     passes = [line for line in out.splitlines() if "[PASS" in line]
     assert passes == ([] if suite == "brackets" else [
         "  [PASS    ] product-Leibniz failure of D - failure witness exhibited"
-        " (witness: (x1, xi1))",
-        "  [PASS    ] D1 bracket-derivation failure - none: D1 is a derivation of the bracket"])
+        " (witness: (x1, xi1))"])
     for item in items:
         assert f"[UNTESTED] {item}, the unit monomial alone" in out
+    if suite == "derivation":
+        assert ("  [UNTESTED] D1 bracket-derivation failure - undecided:"
+                " D1 is not shown a product derivation\n") in out
+
+
+# each suite's report as the library builds it, from a spec and a budget
+LIBRARY_REPORTS = {
+    "gerstenhaber": lambda spec, budget: structures.check_gerstenhaber(spec.main_operator(), budget),
+    "derivation": lambda spec, budget: structures.check_derivation_lemma(
+        spec.main_operator(), budget),
+    "brackets": lambda spec, budget: cli._brackets(spec, budget, {}),
+    "linfty": lambda spec, budget: cli._linfty(spec, budget, {}),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(LIBRARY_REPORTS))
+@pytest.mark.parametrize("model", sorted(BUILTIN_MODELS))
+def test_library_and_cli_agree_on_the_unit_window(model, suite, capsys):
+    # the unit-window rule is the report's own: check prints every item as
+    # the library made it, at the window of the unit alone too
+    main(["check", "--model", model, "--suite", suite, "--budget-degree", "0",
+          "--format", "json"])
+    (printed,) = json.loads(capsys.readouterr().out)["suites"]
+    report = LIBRARY_REPORTS[suite](parse_spec(f"MODEL {model}\n"), Budget(max_degree=0))
+    assert printed["items"] == [vars(item) for item in report.items]
+    assert any(item.details.endswith("the unit monomial alone") for item in report.items)
 
 
 def test_exact_and_vacuous_passes_on_the_unit_alone_stay_passes(capsys):
@@ -386,6 +411,20 @@ def test_suite_parameters_are_checked(suite, message, tmp_path, capsys):
     assert main(["check", "--spec", spec]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"spec error: {message}\n")
+
+
+BAD_SUITES_SPEC = "MODEL polyvector2\nSUITE linfty\nSUITE bv-core ordr=1\nSUITE nosuch\n"
+
+
+@pytest.mark.parametrize("command", ["check", "explain"])
+def test_every_suite_is_checked_before_any_runs(command, tmp_path, monkeypatch, capsys):
+    # the first bad SUITE line is an error before linfty, the one good suite, runs
+    monkeypatch.setattr(cli, "verify_linfty", lambda *args: pytest.fail("linfty ran"))
+    spec = write(tmp_path, "s.spec", BAD_SUITES_SPEC)
+    assert main([command, "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "spec error: suite 'bv-core' takes no parameter 'ordr' (it reads: order)\n")
 
 
 def test_each_suite_reads_the_parameters_it_lists(tmp_path, capsys):
