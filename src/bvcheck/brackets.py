@@ -35,7 +35,7 @@ from itertools import combinations, product as iter_product
 from math import prod
 
 from .algebra import (
-    AlgebraError, Element, Monomial, count_monomials, enumerate_monomials, monomial_mul,
+    AlgebraError, Element, Monomial, enumerate_monomials, monomial_mul,
 )
 from .graded import koszul_sign, unshuffles
 from .operators import Operator
@@ -225,8 +225,7 @@ def window_elements(table, budget: Budget) -> dict[Monomial, Element]:
 def monomial_tuples(table, arity: int, budget: Budget):
     """Deterministic tuple stream: full product if small, else seeded sample.
 
-    Lazy and single-pass: a sampled tuple is drawn only when it is consumed.
-    ``tuple_count`` gives its length without drawing anything."""
+    Lazy and single-pass: a sampled tuple is drawn only when it is consumed."""
     monos = enumerate_monomials(table, budget.max_degree)
     if len(monos) ** arity <= budget.max_tuples:
         yield from iter_product(monos, repeat=arity)
@@ -234,11 +233,6 @@ def monomial_tuples(table, arity: int, budget: Budget):
     rng = random.Random(budget.seed)
     for _ in range(budget.max_tuples):
         yield tuple(monos[rng.randrange(len(monos))] for _ in range(arity))
-
-
-def tuple_count(table, arity: int, budget: Budget) -> int:
-    """How many tuples ``monomial_tuples`` yields."""
-    return min(count_monomials(table, budget.max_degree) ** arity, budget.max_tuples)
 
 
 def first_witness(cases, holds):
@@ -255,7 +249,9 @@ def first_witness(cases, holds):
 
 @dataclass
 class OrderCertificate:
-    """Machine-checkable evidence that an operator has a given bracket order."""
+    """Machine-checkable evidence that an operator has a given bracket order.
+
+    ``tuples_tested`` counts the brackets evaluated to reach the verdict."""
 
     tuples_tested: int
     passed: bool
@@ -265,11 +261,7 @@ class OrderCertificate:
 
     @property
     def status(self) -> str:
-        """``fail``, or ``pass``; ``untested`` when the window has no tuple,
-        unless the operator is zero and has order 0 by convention."""
-        if not self.passed:
-            return "fail"
-        return "pass" if self.degenerate_zero or self.tuples_tested else "untested"
+        return "pass" if self.passed else "fail"
 
     def verdict(self) -> str:
         """The details of the certificate's report line, empty for a failure,
@@ -278,8 +270,7 @@ class OrderCertificate:
             return ""
         if self.degenerate_zero:
             return "pass (zero operator, order 0 by convention)"
-        sharp = "sharp" if self.sharp else "not shown sharp"
-        return f"{self.status} ({sharp}, {self.tuples_tested} tuples)"
+        return "exact, sharp" if self.sharp else "exact, not sharp"
 
 
 def bracket_vanishes(P: Operator, n: int) -> bool:
@@ -309,23 +300,22 @@ def bracket_witness(P: Operator, n: int) -> tuple:
     return tuple(tuple(g.count(i) for i in range(width)) for g in groups)
 
 
-def akman_order_check(D: Operator, k: int, budget: Budget | None = None) -> OrderCertificate:
+def akman_order_check(D: Operator, k: int) -> OrderCertificate:
     """Decide order <= k exactly from the normal form: every arity-(k+1)
     bracket vanishes iff ``bracket_vanishes(D, k + 1)``.
 
-    A pass reports the window's tuple count and is sharp when the arity-k
-    bracket does not vanish.  A failure carries ``bracket_witness``, confirmed
-    by one bracket evaluation, and reports that one tuple.
+    A pass evaluates no bracket and is sharp when the arity-k bracket does
+    not vanish.  A failure carries ``bracket_witness``, confirmed by one
+    bracket evaluation.
     """
     if k < 0:
         raise AlgebraError("order must be >= 0")
-    budget = budget or Budget()
     if D.is_zero():
         return OrderCertificate(0, True, degenerate_zero=True)
     _check_parity(D)
     if bracket_vanishes(D, k + 1):
         sharp = k >= 1 and not bracket_vanishes(D, k)
-        return OrderCertificate(tuple_count(D.table, k + 1, budget), True, sharp=sharp)
+        return OrderCertificate(0, True, sharp=sharp)
     witness = bracket_witness(D, k + 1)
     if akman_bracket(D, [Element.monomial(D.table, m) for m in witness]).is_zero():
         raise AssertionError("constructed bracket witness evaluates to zero")

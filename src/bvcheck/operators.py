@@ -322,8 +322,8 @@ class Operator:
         return max(sum(deriv) for (_, deriv) in self.terms)
 
     def is_odd(self) -> bool:
-        """True iff every term has odd degree."""
-        return bool(self._degrees) and all(d % 2 for d in self._degrees)
+        """True iff every term has odd degree; the zero operator counts as odd."""
+        return all(d % 2 for d in self._degrees)
 
     def is_square_zero(self):
         """Exact check of D o D == 0 on normal forms.

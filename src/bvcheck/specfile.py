@@ -179,6 +179,9 @@ def parse_spec(text: str) -> ModelSpec:
                     if not eq:
                         raise SpecError(f"suite parameter {tok!r} must be key=value", lineno,
                                         _column(code, k))
+                    if key in params:
+                        raise SpecError(f"repeated suite parameter {key!r}", lineno,
+                                        _column(code, k))
                     if not _is_int(val):
                         raise SpecError(f"suite parameter {key!r} must be an integer", lineno,
                                         _column(code, k))

@@ -656,3 +656,27 @@ def induced_items_by_evaluation(H, D2, window_degree: int, budget: Budget) -> St
             if item.status == "pass" and item.details.endswith(" triples"):
                 item.status, item.details = "untested", item.details + ", truncated prefix"
     return report
+
+
+def induced_identities_on_representatives(H, d, D, budget: Budget) -> StructReport:
+    """``induced_bv``'s five items after its boundary line, each identity
+    that it reads off evaluated on the algebra at ``H``'s representatives, up
+    to the first ``budget.max_tuples`` pairs and triples: D2 o D2 = -d D3 on
+    a cycle, for the degree -1 and -3 parts D2 and D3 of D; F^3_{D2} = 0;
+    and the Gerstenhaber axioms of D2's bracket.  Unlike
+    ``induced_items_by_evaluation`` nothing is reduced modulo the window's
+    boundaries, which miss those of the products that leave the window."""
+    parts = D.degree_components()
+    zero = Operator.zero(D.table)
+    D2, D3 = parts.get(-1, zero), parts.get(-3, zero)
+    reps = [r for rs in H.representatives.values() for r in rs]
+    report = StructReport("induced identities on representatives")
+    report.tally("induced operator squares to zero on classes", *first_witness(
+        reps, lambda r: D2.apply(D2.apply(r)) != -d.apply(D3.apply(r))))
+    report.tally("induced operator has order <= 2 on representatives", *first_witness(
+        _first_tuples(reps, 3, budget), lambda t: not akman_bracket(D2, t).is_zero()
+    ), "triples")
+    axioms = gerstenhaber_by_evaluation(partial(bv_bracket, D2), lambda a, b: a * b, reps, budget)
+    for item in axioms.items:
+        report.add("induced bracket: " + item.name, item.status, item.details, item.witness)
+    return report

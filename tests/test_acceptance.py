@@ -19,6 +19,7 @@ from bvcheck.brackets import (
     bv_bracket,
     koszul_bracket,
     monomial_tuples,
+    window_elements,
 )
 from bvcheck.cli import main
 from bvcheck.linfty import linfty_relation, verify_linfty
@@ -37,7 +38,10 @@ from bvcheck.structures import (
 )
 from oracles import (
     SCHOUTEN_CALIBRATION,
+    bracket_derivation_defect,
     gerstenhaber_by_evaluation,
+    induced_items_by_evaluation,
+    order_check_by_evaluation,
     relation_by_expansion,
     schouten_oracle,
 )
@@ -59,16 +63,19 @@ def announce(number: int, passed: bool, detail: str = ""):
 def test_criterion_1_core_operator_certificates():
     model = polyvector_model(3)
     budget = Budget(max_degree=3, max_tuples=200)
-    cert = akman_order_check(model.D, 2, budget)
+    cert = akman_order_check(model.D, 2)
+    # the exact certificate, and evaluating the window's triples agrees
+    oracle = order_check_by_evaluation(model.D, 2, budget)
     ok_square, witness = model.D.is_square_zero()
     passed = (
         cert.passed
         and cert.sharp
-        and cert.tuples_tested >= 200
+        and oracle.passed
+        and oracle.tuples_tested >= 200
         and ok_square
         and witness is None
     )
-    announce(1, passed, f"{cert.tuples_tested} triples, order 2 sharp, square zero")
+    announce(1, passed, f"{oracle.tuples_tested} triples, order 2 sharp, square zero")
 
 
 def test_criterion_2_bracket_matches_independent_oracle():
@@ -145,8 +152,7 @@ def test_criterion_4_relation_family_forward_and_converse():
 
 def test_criterion_5_degree_split_and_square_expansion():
     model = mixed_order_model()
-    budget = Budget(max_degree=2, max_tuples=120)
-    certificates = degree_split(model.D, budget)
+    certificates = degree_split(model.D)
     comps = model.D.degree_components()
     split_ok = (
         list(certificates) == [1, 2, 3]
@@ -165,12 +171,18 @@ def test_criterion_5_degree_split_and_square_expansion():
 def test_criterion_6_derivation_lemma():
     model = koszul_complex_model([1])
     budget = Budget(max_degree=9, max_tuples=120)
-    report = check_derivation_lemma(model.D, budget)
+    report = check_derivation_lemma(model.D)
     items = {i.name: i for i in report.items}
     derivation = items["D is a bracket derivation"]
-    pairs = int(derivation.details.split()[0]) if derivation.details else 0
     leibniz1 = items["D1 product Leibniz"]
-    pairs1 = int(leibniz1.details.split()[0]) if leibniz1.details else 0
+    # the exact lines, and evaluating the window's pairs agrees
+    elements = window_elements(model.table, budget)
+    pairs = 0
+    for ma, mb in monomial_tuples(model.table, 2, budget):
+        a, b = elements[ma], elements[mb]
+        pairs += bracket_derivation_defect(model.D, model.D, a, b).is_zero()
+    evaluated1 = order_check_by_evaluation(model.D.degree_components()[1], 1, budget)
+    pairs1 = evaluated1.tuples_tested if evaluated1.passed else 0
     passed = (
         derivation.status == "pass"
         and pairs >= 100
@@ -194,10 +206,15 @@ def test_criterion_7_cohomology_and_induced_structure():
     budget = Budget(max_degree=2, max_tuples=13**3)
     # with a zero differential the induced operator is the original one
     induced_is_delta = poly.D.degree_components().get(-1) == poly.D
-    report = induced_bv(poly.d, poly.D, 2, budget)
+    report = induced_bv(poly.d, poly.D, 2)
     items = {i.name: i.status for i in report.items}
+    # every class is a representative and nothing leaves the boundaries
+    # behind, so evaluating every triple of the classes is exact
+    evaluated = induced_items_by_evaluation(cohomology(poly.d, 2), poly.D, 2, budget)
     induced_ok = (
         report.passed
+        and evaluated.passed
+        and evaluated.fully_tested
         and items["induced operator squares to zero on classes"] == "pass"
         and items["induced operator has order <= 2 on representatives"] == "pass"
         and items["induced bracket: graded antisymmetry"] == "pass"
@@ -276,7 +293,7 @@ def test_criterion_9_infrastructure(tmp_path):
               "--out", str(tmp_path / "h0.txt")]),
         fail_code,
         main(["check", "--spec", str(garbage)]),
-        main(["check", "--model", "polyvector2", "--suite", "derivation",
+        main(["check", "--model", "polyvector2", "--suite", "linfty",
               "--budget-degree", "0", "--out", str(tmp_path / "h3.txt")]),
     )
     contract = codes == (0, 1, 2, 3)

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import random
 from fractions import Fraction
@@ -11,6 +10,7 @@ from bvcheck import brackets
 from bvcheck.algebra import AlgebraError, Element, GeneratorTable, enumerate_monomials
 from bvcheck.brackets import (
     Budget,
+    OrderCertificate,
     akman_bracket,
     akman_order_check,
     bracket_vanishes,
@@ -19,9 +19,9 @@ from bvcheck.brackets import (
     first_witness,
     koszul_bracket,
     monomial_tuples,
-    tuple_count,
 )
 from bvcheck.graded import koszul_sign
+from bvcheck.linalg import kernel_and_image
 from bvcheck.models import (
     BUILTIN_MODELS,
     koszul_complex_model,
@@ -29,6 +29,7 @@ from bvcheck.models import (
     polyvector_model,
 )
 from bvcheck.operators import Operator
+from bvcheck.structures import check_gerstenhaber
 from oracles import (
     akman_bracket_by_elements,
     koszul_bracket_by_unshuffles,
@@ -272,46 +273,46 @@ def test_bv_bracket_with_zero_argument(name):
 
 
 def test_order_certificates():
-    budget = Budget(max_degree=2, max_tuples=120)
-    cert = akman_order_check(DELTA, 2, budget)
+    cert = akman_order_check(DELTA, 2)
     assert cert.passed and cert.sharp
     assert DELTA.structural_order() == 2
     assert cert.failure_witness is None
 
     # a first-order operator is not order 0 but is order 1
     d = Operator.derivative(TABLE, "xi1")
-    assert not akman_order_check(d, 0, budget).passed
-    assert akman_order_check(d, 1, budget).passed
+    assert not akman_order_check(d, 0).passed
+    assert akman_order_check(d, 1).passed
 
     # a multiplication operator certifies no finite order in this convention:
     # the arity-1 bracket is the operator itself, never zero
     m = Operator.multiplication(gen("x1"))
-    assert not akman_order_check(m, 0, budget).passed
-    assert not akman_order_check(m, 1, budget).passed
+    assert not akman_order_check(m, 0).passed
+    assert not akman_order_check(m, 1).passed
 
 
 def test_order_check_zero_operator_is_degenerate():
-    cert = akman_order_check(Operator.zero(TABLE), 2, Budget())
+    cert = akman_order_check(Operator.zero(TABLE), 2)
     assert cert.passed and cert.degenerate_zero
     assert "order 0" in cert.verdict()
 
 
 def test_failing_order_certificate_has_no_details():
     # its report line is the status and the witness: nothing was counted
-    cert = akman_order_check(DELTA, 1, Budget(max_degree=2, max_tuples=40))
+    cert = akman_order_check(DELTA, 1)
     assert cert.status == "fail" and cert.failure_witness
     assert cert.verdict() == ""
 
 
-def test_order_check_on_no_tuples_is_untested():
-    cert = akman_order_check(DELTA, 2, Budget(max_tuples=0))
-    assert cert.passed and cert.tuples_tested == 0
-    assert cert.status == "untested"
-    assert cert.verdict() == "untested (sharp, 0 tuples)"
-    zero = akman_order_check(Operator.zero(TABLE), 2, Budget(max_tuples=0))
-    assert zero.status == "pass"
-    assert akman_order_check(DELTA, 2, Budget(max_degree=2, max_tuples=40)).status == "pass"
-    assert akman_order_check(DELTA, 1, Budget(max_degree=2, max_tuples=40)).status == "fail"
+def test_order_check_status_is_pass_or_fail():
+    # decided from the normal form, a certificate passes on no evaluated
+    # bracket and fails on one; there is no window to leave it untested
+    for k, want in ((1, ("fail", 1, "")), (2, ("pass", 0, "exact, sharp")),
+                    (3, ("pass", 0, "exact, not sharp"))):
+        cert = akman_order_check(DELTA, k)
+        assert (cert.status, cert.tuples_tested, cert.verdict()) == want, k
+    zero = akman_order_check(Operator.zero(TABLE), 2)
+    assert (zero.status, zero.tuples_tested, zero.verdict()) == (
+        "pass", 0, "pass (zero operator, order 0 by convention)")
 
 
 def test_zero_operator_bracket_is_zero_and_checks_its_arguments():
@@ -362,10 +363,13 @@ def test_zero_argument_gives_zero_and_keeps_no_form(route):
 
 @pytest.mark.parametrize("budget", [Budget(max_tuples=0), Budget()], ids=["zero", "default"])
 def test_order_check_of_a_mixed_parity_operator_is_a_domain_error(budget):
-    # every bracket of D vanishes at arity 4, yet D has no parity to sign them by
+    # every bracket of D vanishes at arity 4, yet D has no parity to sign them by;
+    # the Gerstenhaber suite's Leibniz certificate refuses it at any budget
     D = DELTA + Operator.derivative(TABLE, "x1")
     with pytest.raises(AlgebraError, match="mixed-parity"):
-        akman_order_check(D, 3, budget)
+        akman_order_check(D, 3)
+    with pytest.raises(AlgebraError, match="mixed-parity"):
+        check_gerstenhaber(D, budget)
 
 
 def test_passing_order_check_evaluates_no_bracket(monkeypatch):
@@ -378,12 +382,17 @@ def test_passing_order_check_evaluates_no_bracket(monkeypatch):
 
     monkeypatch.setattr(brackets, "akman_bracket", counting)
     # order 2 <= 3 and no arity-3 bracket is nonzero either
-    cert = akman_order_check(DELTA, 3, Budget(max_degree=2, max_tuples=120))
-    assert (cert.status, cert.tuples_tested, cert.sharp) == ("pass", 120, False)
+    cert = akman_order_check(DELTA, 3)
+    assert (cert.status, cert.tuples_tested, cert.sharp) == ("pass", 0, False)
     # order <= 2 is decided too, and so is its sharpness
-    cert = akman_order_check(DELTA, 2, Budget(max_degree=2, max_tuples=120))
-    assert (cert.status, cert.tuples_tested, cert.sharp) == ("pass", 120, True)
+    cert = akman_order_check(DELTA, 2)
+    assert (cert.status, cert.tuples_tested, cert.sharp) == ("pass", 0, True)
     assert calls == []
+    # evaluating 120 tuples of each arity finds no nonzero bracket either
+    budget = Budget(max_degree=2, max_tuples=120)
+    for k in (2, 3):
+        oracle = order_check_by_evaluation(DELTA, k, budget)
+        assert (oracle.passed, oracle.tuples_tested) == (True, 120)
 
 
 def _order_check_cases():
@@ -410,7 +419,7 @@ def test_order_check_matches_evaluating_every_tuple(budget):
     seen = set()
     for label, D in _order_check_cases():
         for k in range(4):
-            cert = akman_order_check(D, k, budget)
+            cert = akman_order_check(D, k)
             oracle = order_check_by_evaluation(D, k, budget)
             assert cert.passed == bracket_vanishes(D, k + 1), (label, k)
             seen.add((cert.status, oracle.status))
@@ -421,8 +430,11 @@ def test_order_check_matches_evaluating_every_tuple(budget):
                 continue
             assert cert.sharp == (k >= 1 and not bracket_vanishes(D, k)), (label, k)
             assert oracle.sharp <= cert.sharp, (label, k)
-            # a pass is the oracle's, sharpness aside: no tuple of the window fails
-            assert cert == dataclasses.replace(oracle, sharp=cert.sharp), (label, k)
+            # a pass evaluates nothing, and no tuple of the window fails
+            assert cert == OrderCertificate(0, True, sharp=cert.sharp,
+                                            degenerate_zero=D.is_zero()), (label, k)
+            window = 0 if D.is_zero() else len(list(monomial_tuples(D.table, k + 1, budget)))
+            assert (oracle.passed, oracle.tuples_tested) == (True, window), (label, k)
     # passes, failures both found and missed by the window all occur
     assert {("pass", "pass"), ("fail", "fail"), ("fail", "pass")} <= seen
 
@@ -435,12 +447,15 @@ def test_order_check_matches_evaluating_every_tuple(budget):
 ], ids=["unit-window", "three-tuples", "exhaustive", "zero-budget"])
 def test_order_check_never_passes_what_the_normal_form_refutes(budget):
     # F^3 of d/dxi1 d/dxi2 d/dxi3 is nonzero only at permutations of
-    # (xi1, xi2, xi3): the certificate fails there whatever the window holds
+    # (xi1, xi2, xi3): the certificate fails there, though evaluating the
+    # budget's window may not meet one
     D = BUILTIN_MODELS["exterior-cube"]().D
     assert not bracket_vanishes(D, 3)
-    cert = akman_order_check(D, 2, budget)
+    cert = akman_order_check(D, 2)
     assert (cert.status, cert.tuples_tested) == ("fail", 1)
     assert cert.failure_witness == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    oracle = order_check_by_evaluation(D, 2, budget)
+    assert oracle.passed or sorted(oracle.failure_witness) == sorted(cert.failure_witness)
 
 
 @pytest.mark.parametrize("model", [koszul_complex_model([1, 2]), mixed_order_model()],
@@ -495,6 +510,63 @@ def test_bracket_vanishes_iff_every_bracket_on_the_window_vanishes(P):
         assert bracket_vanishes(P, n) == evaluated, n
 
 
+# the bounded scopes of the vanishing proof: a table and the largest arity
+VANISHING_SCOPES = {
+    "x0-xi1": (GeneratorTable(("x", "xi"), (0, 1)), 3),
+    "x2-xi1": (GeneratorTable(("x", "xi"), (2, 1)), 3),
+    "x1-x2-xi1-xi2": (GeneratorTable(("x1", "x2", "xi1", "xi2"), (0, 0, 1, 1)), 2),
+}
+
+
+@pytest.mark.parametrize("scope", sorted(VANISHING_SCOPES))
+def test_bracket_vanishes_exactly_on_the_span_of_its_short_terms(scope):
+    """A bounded-scope proof that ``bracket_vanishes(P, n)`` holds iff
+    ``F^n_P = 0``, the identity every exact order certificate rests on.
+
+    Scope: every operator P of one parity spanned by the terms m d^alpha
+    with a multiplier m of total exponent <= 1 and a derivative alpha of
+    total exponent <= 2 (15 terms on (x, xi), with x of degree 0 or 2, for
+    n <= 3; 65 terms on (x1, x2, xi1, xi2) for n <= 2).
+
+    Claim: the kernel of the linear map P -> F^n_P on that span is exactly
+    the span of the terms with 0 < |alpha| < n.  Those are the operators
+    that ``bracket_vanishes`` accepts, so the claim is the identity on
+    every P of the scope, both ways.
+
+    Why a finite window is a proof.  F^n_P is linear in P, and by the
+    Leibniz rule it is a polydifferential operator whose derivative in each
+    argument slot is at most alpha, of total order <= 2.  Such an operator
+    is zero iff it vanishes on every tuple of argument monomials of total
+    exponent <= 2: were it nonzero, take a slot and a minimal derivative
+    beta there with a nonzero coefficient; at the monomial x^beta in that
+    slot every other derivative either kills x^beta or is not below beta,
+    and d^beta(x^beta) is a nonzero scalar.  So the kernel over the finite
+    window, computed by ``kernel_and_image`` over the term labels, is the
+    kernel on the whole algebra.
+    """
+    table, n_max = VANISHING_SCOPES[scope]
+    terms = [(m, a) for m in enumerate_monomials(table, 1) for a in enumerate_monomials(table, 2)]
+    assert len(terms) == (65 if len(table) == 4 else 15)
+    args = [Element.monomial(table, m) for m in enumerate_monomials(table, 2)]
+    for parity in (0, 1):
+        span = [t for t in terms if
+                (table.monomial_degree(t[0]) - table.monomial_degree(t[1])) % 2 == parity]
+        ops = [Operator(table, {t: 1}) for t in span]
+        for n in range(1, n_max + 1):
+            vectors = []
+            for op in ops:
+                vec = {}
+                for k, tup in enumerate(iter_product(args, repeat=n)):
+                    for m, c in akman_bracket(op, tup).coeffs.items():
+                        assert c.denominator == 1  # a term of coefficient 1
+                        vec[k, m] = c.numerator
+                vectors.append(vec)
+            kernel, _ = kernel_and_image(span, vectors)
+            short = [t for t in span if 0 < sum(t[1]) < n]
+            assert sorted(tuple(c) for c, _ in kernel) == [(t,) for t in sorted(short)], (parity, n)
+            assert [bracket_vanishes(op, n) for op in ops] == [t in short for t in span]
+
+
 @st.composite
 def polyvector_operators(draw):
     """A parity-homogeneous operator of up to four terms on polyvector2, of
@@ -540,7 +612,7 @@ def test_bracket_witness_of_a_multiplication_term_is_the_unit():
 
 
 def test_laplacian_fails_order_one():
-    cert = akman_order_check(DELTA, 1, Budget(max_degree=2, max_tuples=120))
+    cert = akman_order_check(DELTA, 1)
     assert not cert.passed
     assert cert.failure_witness is not None
     elems = [elem(m) for m in cert.failure_witness]
@@ -574,7 +646,7 @@ def test_lazy_tuples_are_the_eager_list(arity, max_degree, max_tuples, seed):
     budget = Budget(max_degree=max_degree, max_tuples=max_tuples, seed=seed)
     eager = monomial_tuples_eager(TABLE, arity, budget)
     assert list(monomial_tuples(TABLE, arity, budget)) == eager
-    assert tuple_count(TABLE, arity, budget) == len(eager)
+    assert len(eager) == min(len(enumerate_monomials(TABLE, max_degree)) ** arity, max_tuples)
 
 
 def _counting_draws(monkeypatch) -> list:
@@ -594,15 +666,13 @@ def _counting_draws(monkeypatch) -> list:
     Fraction(-2) * Operator(TABLE, {((0, 0, 0, 0), (1, 1, 1, 0)): Fraction(1)}),
 ], ids=["xi1", "dx1dx2dxi1"])
 def test_failing_order_check_draws_no_tuple_and_evaluates_one_bracket(extra, monkeypatch):
-    # the two perturbations of the Laplacian that refute order <= 2, on a
-    # window the tuple stream would sample
-    D, budget = DELTA + extra, Budget()
-    assert len(enumerate_monomials(TABLE, budget.max_degree)) ** 3 > budget.max_tuples
+    # the two perturbations of the Laplacian that refute order <= 2
+    D = DELTA + extra
     draws = _counting_draws(monkeypatch)
     calls, real = [], brackets.akman_bracket
     monkeypatch.setattr(brackets, "akman_bracket",
                         lambda P, args: calls.append((P, tuple(args))) or real(P, args))
-    cert = akman_order_check(D, 2, budget)
+    cert = akman_order_check(D, 2)
     assert (cert.status, cert.tuples_tested) == ("fail", 1)
     witness = tuple(elem(m) for m in cert.failure_witness)
     assert calls == [(D, witness)] and draws == []
@@ -612,13 +682,13 @@ def test_a_zero_constructed_witness_is_an_assertion_error(monkeypatch):
     # the witness rule is a theorem; a zero bracket at its witness is a bug
     monkeypatch.setattr(brackets, "bracket_witness", lambda P, n: ((0, 0, 0, 0),) * n)
     with pytest.raises(AssertionError, match="witness"):
-        akman_order_check(DELTA, 1, Budget())
+        akman_order_check(DELTA, 1)
 
 
 def test_exact_order_pass_draws_no_tuple(monkeypatch):
     draws = _counting_draws(monkeypatch)
-    cert = akman_order_check(DELTA, 3, Budget())
-    assert (cert.status, cert.tuples_tested) == ("pass", Budget().max_tuples)
+    cert = akman_order_check(DELTA, 3)
+    assert (cert.status, cert.tuples_tested) == ("pass", 0)
     assert draws == []
 
 

@@ -1,19 +1,26 @@
 import hashlib
 import json
+from functools import partial
 from itertools import product
 
 import pytest
 
 from bvcheck import brackets, cli, linfty, structures
 from bvcheck.algebra import AlgebraError, Element, enumerate_monomials, parse_element
-from bvcheck.brackets import Budget
+from bvcheck.brackets import Budget, bv_bracket, window_elements
 from bvcheck.cli import SUITES, build_parser, main
 from bvcheck.graded import koszul_sign, unshuffles
 from bvcheck.models import BUILTIN_MODELS
 from bvcheck.operators import Operator
 from bvcheck.specfile import parse_spec
+from bvcheck.structures import cohomology
 
-from oracles import akman_bracket_by_elements, order_check_by_evaluation
+from oracles import (
+    akman_bracket_by_elements,
+    gerstenhaber_by_evaluation,
+    induced_identities_on_representatives,
+    order_check_by_evaluation,
+)
 
 LAPLACIAN_SPEC = """\
 GENERATORS
@@ -155,14 +162,28 @@ def test_exit_code_two_on_unknown_model(capsys):
 
 
 def test_exit_code_three_when_only_untested(tmp_path, capsys):
-    # on the unit window the Leibniz failure is still exhibited, but the
-    # bracket-derivation tally exercises nothing: nothing fails, it is untested
-    code = main(["check", "--model", "polyvector2", "--suite", "derivation",
+    # on the unit window the route-agreement tallies exercise nothing:
+    # nothing fails, it is untested
+    code = main(["check", "--model", "polyvector2", "--suite", "brackets",
                  "--budget-degree", "0"])
     out = capsys.readouterr().out
     assert code == 3
     assert "UNTESTED" in out
     assert out.endswith("result: UNTESTED\n")
+
+
+# two terms that cancel: D parses as the zero operator, which counts as odd
+ZERO_D_SPEC = "GENERATORS\nx 0\nxi 1\nOPERATOR D\n1 | 0 0 | 1 1\n-1 | 0 0 | 1 1\n"
+
+
+@pytest.mark.parametrize("suite", ["bv-core", "bvinfty", "linfty", "derivation",
+                                   "gerstenhaber", "split"])
+def test_every_suite_passes_the_zero_operator(suite, tmp_path, capsys):
+    spec = write(tmp_path, "zero.spec", ZERO_D_SPEC)
+    assert parse_spec(ZERO_D_SPEC).main_operator().is_zero()
+    assert main(["check", "--spec", spec, "--suite", suite]) == 0
+    out = capsys.readouterr().out
+    assert "[FAIL" not in out and out.endswith("result: PASS\n")
 
 
 # mixed-order plus multiplication by xi1: D∘D = d/dxi1∘xi1 + xi1∘d/dxi1 = 1
@@ -198,16 +219,26 @@ def test_relation_family_failing_on_the_unit_alone_still_fails(tmp_path, capsys)
     assert out.count("[FAIL    ] relation n=") == 3
 
 
-def test_gerstenhaber_on_the_unit_alone_is_untested(capsys):
+# d/dxi1 d/dxi2: square zero, of order 2 and even, so Jacobi is evaluated
+EVEN_ORDER_TWO_SPEC = "GENERATORS\nxi1 1\nxi2 1\nOPERATOR D\n1 | 0 0 | 1 1\n"
+
+
+def test_gerstenhaber_on_the_unit_alone_is_untested(tmp_path, capsys):
     # at window degree 0 the only element is 1, whose bracket with anything
-    # vanishes, so the five passes exercise nothing
-    code = main(["check", "--model", "polyvector2", "--suite", "gerstenhaber",
-                 "--budget-degree", "0"])
+    # vanishes, so the evaluated Jacobi line exercises nothing; the lines
+    # read off normal forms hold whatever the window
+    spec = write(tmp_path, "even.spec", EVEN_ORDER_TWO_SPEC)
+    code = main(["check", "--spec", spec, "--suite", "gerstenhaber", "--budget-degree", "0"])
     out = capsys.readouterr().out
     assert code == 3
-    assert out.count("[UNTESTED]") == 5
-    assert out.count(", the unit monomial alone") == 3
-    assert "[PASS" not in out
+    assert [line for line in out.splitlines() if line.startswith("  [")] == [
+        "  [PASS    ] graded antisymmetry - exact",
+        "  [UNTESTED] graded Jacobi - 1 triples, the unit monomial alone",
+        "  [PASS    ] Leibniz rule - exact",
+        "  [PASS    ] bracket degree offset -2 - exact",
+        "  [PASS    ] product degree offset +0 - exact",
+    ]
+
 
 
 def test_gerstenhaber_failing_on_the_unit_alone_still_fails(tmp_path, capsys):
@@ -215,37 +246,31 @@ def test_gerstenhaber_failing_on_the_unit_alone_still_fails(tmp_path, capsys):
     code = main(["check", "--spec", spec, "--suite", "gerstenhaber", "--budget-degree", "0"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "[FAIL    ] Leibniz rule (witness: (1, 1, 1))" in out
-    assert "[PASS" not in out
+    # only the evaluated Jacobi line reads the window
+    assert [line for line in out.splitlines() if line.startswith("  [")] == [
+        "  [PASS    ] graded antisymmetry - exact",
+        "  [UNTESTED] graded Jacobi - 1 triples, the unit monomial alone",
+        "  [FAIL    ] Leibniz rule (witness: (1, 1, 1))",
+        "  [PASS    ] product degree offset +0 - exact",
+    ]
 
 
 @pytest.mark.parametrize("suite, items", [
     ("brackets", [f"recursion vs unshuffle expansion, arity {n} - 1 tuples" for n in (1, 2, 3)]),
-    # koszul1's D has a degree +1 part, so both derivation tallies are made
-    ("derivation", ["D is a bracket derivation - 1 pairs", "D1 product Leibniz - 1 pairs"]),
 ])
 def test_tallied_passes_on_the_unit_alone_are_untested(suite, items, capsys):
     code = main(["check", "--model", "koszul1", "--suite", suite, "--budget-degree", "0"])
     out = capsys.readouterr().out
     assert code == 3
-    # the one pass is exact: the product-Leibniz failure of D is constructed;
-    # D1's bracket derivation is decided only once D1 product Leibniz passes
-    passes = [line for line in out.splitlines() if "[PASS" in line]
-    assert passes == ([] if suite == "brackets" else [
-        "  [PASS    ] product-Leibniz failure of D - failure witness exhibited"
-        " (witness: (x1, xi1))"])
+    assert "[PASS" not in out
     for item in items:
         assert f"[UNTESTED] {item}, the unit monomial alone" in out
-    if suite == "derivation":
-        assert ("  [UNTESTED] D1 bracket-derivation failure - undecided:"
-                " D1 is not shown a product derivation\n") in out
 
 
 # each suite's report as the library builds it, from a spec and a budget
 LIBRARY_REPORTS = {
     "gerstenhaber": lambda spec, budget: structures.check_gerstenhaber(spec.main_operator(), budget),
-    "derivation": lambda spec, budget: structures.check_derivation_lemma(
-        spec.main_operator(), budget),
+    "derivation": lambda spec, budget: structures.check_derivation_lemma(spec.main_operator()),
     "brackets": lambda spec, budget: cli._brackets(spec, budget, {}),
     "linfty": lambda spec, budget: cli._linfty(spec, budget, {}),
 }
@@ -261,17 +286,36 @@ def test_library_and_cli_agree_on_the_unit_window(model, suite, capsys):
     (printed,) = json.loads(capsys.readouterr().out)["suites"]
     report = LIBRARY_REPORTS[suite](parse_spec(f"MODEL {model}\n"), Budget(max_degree=0))
     assert printed["items"] == [vars(item) for item in report.items]
-    assert any(item.details.endswith("the unit monomial alone") for item in report.items)
+    # a sampled line is untested there; a line read off a normal form is not
+    sampled = [i for i in report.items if i.details.endswith("the unit monomial alone")]
+    if suite in ("brackets", "linfty"):
+        assert sampled == report.items
+    else:
+        assert all(i.status != "untested" for i in report.items if i not in sampled)
 
 
 def test_exact_and_vacuous_passes_on_the_unit_alone_stay_passes(capsys):
     code = main(["check", "--model", "polyvector2", "--suite", "bv-core",
-                 "--suite", "derivation", "--budget-degree", "0"])
+                 "--suite", "derivation", "--suite", "gerstenhaber", "--budget-degree", "0"])
     out = capsys.readouterr().out
-    assert code == 3
-    assert "[PASS    ] bracket order <= 2 - pass (sharp, 1 tuples)" in out
+    assert code == 0
+    assert "[UNTESTED]" not in out
+    assert "[PASS    ] bracket order <= 2 - exact, sharp" in out
+    # the Laplacian is odd of order 2 and squares to zero: every axiom is exact
+    assert "[PASS    ] graded Jacobi - exact" in out
     assert "[PASS    ] D1 product Leibniz - vacuous: no degree +1 part" in out
-    assert "[UNTESTED] D is a bracket derivation - 1 pairs, the unit monomial alone" in out
+    assert "[PASS    ] D is a bracket derivation - exact" in out
+    # koszul1's D has a degree +1 part: (iii) holds exactly, so (iv) is decided
+    code = main(["check", "--model", "koszul1", "--suite", "derivation", "--budget-degree", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("  [")] == [
+        "  [PASS    ] D is a bracket derivation - exact",
+        "  [PASS    ] product-Leibniz failure of D - failure witness exhibited"
+        " (witness: (x1, xi1))",
+        "  [PASS    ] D1 product Leibniz - exact",
+        "  [PASS    ] D1 bracket-derivation failure - none: D1 is a derivation of the bracket",
+    ]
 
 
 def test_json_reports_are_byte_identical(tmp_path):
@@ -541,7 +585,7 @@ def test_bracket_suites_leave_the_window_and_the_operator_caches_unchanged(
 
 
 def test_split_subcommand(capsys):
-    code = main(["split", "--model", "mixed-order", "--budget-tuples", "60"])
+    code = main(["split", "--model", "mixed-order", "--seed", "60"])
     out = capsys.readouterr().out
     assert code == 0
     for fragment in ("n=1 (degree +1)", "n=2 (degree -1)", "n=3 (degree -3)"):
@@ -549,8 +593,7 @@ def test_split_subcommand(capsys):
 
 
 def test_cohomology_subcommand(capsys):
-    code = main(["cohomology", "--model", "koszul2", "--window", "6",
-                 "--budget-tuples", "60"])
+    code = main(["cohomology", "--model", "koszul2", "--window", "6", "--seed", "60"])
     out = capsys.readouterr().out
     assert code == 0
     assert "{0: 1, 2: 1}" in out
@@ -563,6 +606,18 @@ def test_explain_subcommand(capsys):
     assert code == 0
     assert "operator D - order 3, degrees [-3, -1, 1]: " in out
     assert "operator d - order 1, degrees [1]: " in out
+
+
+@pytest.mark.parametrize("flag", ["--budget-tuples", "--budget-degree"])
+@pytest.mark.parametrize("cmd", ["split", "cohomology", "explain"])
+def test_only_check_and_brackets_take_budget_flags(cmd, flag, capsys):
+    # these commands decide everything exactly; the seed is still echoed
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--model", "polyvector2", flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert main([cmd, "--model", "polyvector2", "--seed", "5", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
 
 
 @pytest.mark.parametrize("flag", ["--budget-tuples", "--budget-degree"])
@@ -604,16 +659,17 @@ def test_zero_budget_is_untested(capsys):
 
 
 @pytest.mark.parametrize("argv, item", [
-    (["check", "--model", "polyvector2", "--suite", "bv-core"], "bracket order <= 2"),
-    (["split", "--model", "polyvector2"], "component n=2 (degree -1) has order <= 2"),
-    (["check", "--model", "koszul2", "--suite", "bvinfty"], "d is a product derivation"),
-])
-def test_zero_budget_order_certificate_is_untested(argv, item, capsys):
-    assert main(argv + ["--budget-tuples", "0", "--format", "json"]) == 3
+    (["--model", "polyvector2", "--suite", "bv-core"], "bracket order <= 2"),
+    (["--model", "polyvector2", "--suite", "split"], "component n=2 (degree -1) has order <= 2"),
+    (["--model", "koszul2", "--suite", "bvinfty"], "d is a product derivation"),
+], ids=["bv-core", "split", "bvinfty"])
+def test_zero_budget_order_certificate_passes(argv, item, capsys):
+    # an order certificate is decided from the normal form, on no tuple
+    assert main(["check", *argv, "--budget-tuples", "0", "--format", "json"]) == 0
     (suite,) = json.loads(capsys.readouterr().out)["suites"]
     statuses = {i["name"]: (i["status"], i["details"]) for i in suite["items"]}
-    assert statuses[item] == ("untested", "untested (sharp, 0 tuples)")
-    assert all(s in ("pass", "untested") for s, _ in statuses.values())
+    assert statuses[item] == ("pass", "exact, sharp")
+    assert all(s == "pass" for s, _ in statuses.values())
 
 
 @pytest.mark.parametrize("n", [0, -2])
@@ -698,9 +754,15 @@ def test_gerstenhaber_evaluates_no_arity_three_bracket(monkeypatch, capsys):
                             lambda D, args, real=real: arities.append(len(args)) or real(D, args))
     assert main(["check", "--model", "polyvector2", "--suite", "gerstenhaber"]) == 0
     out = capsys.readouterr().out
-    assert "[PASS    ] graded Jacobi - 200 triples" in out
-    assert "[PASS    ] Leibniz rule - 200 triples" in out
+    assert "[PASS    ] graded Jacobi - exact" in out
+    assert "[PASS    ] Leibniz rule - exact" in out
     assert arities == []
+    # evaluating both on 200 triples of the default window agrees
+    D = BUILTIN_MODELS["polyvector2"]().D
+    elems = list(window_elements(D.table, Budget()).values())
+    evaluated = gerstenhaber_by_evaluation(partial(bv_bracket, D), lambda a, b: a * b, elems)
+    assert evaluated.passed and evaluated.fully_tested
+    assert [i.details for i in evaluated.items[1:]] == ["200 triples", "200 triples"]
 
 
 # odd and of order 2 on polyvector2, but its bracket breaks Jacobi: the
@@ -722,7 +784,10 @@ def test_gerstenhaber_fails_jacobi_of_an_order_two_operator(tmp_path, capsys):
     assert main(["check", "--spec", spec]) == 1
     out = capsys.readouterr().out
     assert "[FAIL    ] graded Jacobi (witness: (x2, xi1, xi2))" in out
-    assert "[PASS    ] Leibniz rule - 200 triples" in out
+    assert "[PASS    ] Leibniz rule - exact" in out
+    # the Leibniz rule is order <= 2, and 200 triples of the window agree
+    evaluated = order_check_by_evaluation(parse_spec(NON_JACOBI_SPEC).main_operator(), 2)
+    assert (evaluated.passed, evaluated.tuples_tested) == (True, 200)
 
 
 # square-zero but not odd: the derivation suite is a domain error at any budget
@@ -761,80 +826,82 @@ GOLDEN_SPECS = {
     # d/dx d/dy with y odd of degree -1: square zero, degree +1, order 2
     "second-order-degree-one": "GENERATORS\nx 0\ny -1\n\nOPERATOR D\n1 | 0 0 | 1 1\n",
 }
-GOLDEN_BUDGET = ["--format", "json", "--budget-degree", "2", "--budget-tuples", "40"]
+GOLDEN_BUDGET = ["--budget-degree", "2", "--budget-tuples", "40"]
 # d/dx1 d/dx2 d/dxi1 on the polyvector2 generators with d = 0: odd, square
 # zero, of degree -1 and order 3, so outside the homotopy-BV definition
 ORDER_THREE_D2_SPEC = "MODEL polyvector2\n\nOPERATOR D\n1 | 0 0 0 0 | 1 1 1 0\n"
 GOLDEN = {
-    ("model:exterior-cube", "bv-core"): (0, "267bcbc644edc682c8fafc78b8c33dbe9841d43fb7c4786f36f4aefed92c6e42"),
+    ("model:exterior-cube", "bv-core"): (0, "ae45c07cbe68a5c82d6860752327d6a6092845538e6109dba58a1ecfd45d2397"),
     ("model:exterior-cube", "brackets"): (0, "ae0ab98d5993aaef2e57a4e10850c07ae48ac0d7a486ee7f5a9ec731ea33dee5"),
     ("model:exterior-cube", "linfty"): (0, "712aca4c0946a93dae088f7faae37e74f9f72bed1ef88a97965dd088479dd797"),
-    ("model:exterior-cube", "split"): (0, "4bda1ace4d8f40f2507c031dcd6a95ea679f70525b22115d4d51020638a08e98"),
-    ("model:exterior-cube", "derivation"): (0, "f60467e966fe3a54f7b0af99d589eaa7a7e6cea57effea086f2dc38021ce3a08"),
-    ("model:exterior-cube", "bvinfty"): (0, "2509c6eb7007957d900df907aea6e3b77910c1f2a4eb79a9f26036528f6c1f6c"),
-    ("model:exterior-cube", "gerstenhaber"): (1, "5315144f496fdefce4582dc764822a6c49df9b3e3ebbf8dcca45c01e0f08766b"),
-    ("model:exterior-cube", "cohomology"): (0, "4a841c97b59bc7b2d2ef3d0b40bf996ecc47c25fddb2afdbde61a584ee307b0f"),
-    ("model:koszul1", "bv-core"): (0, "5dc251b6ede1cfaebf5bd6853eb0c2a78aec2567dec0f0c6f6044bf39fbd05e0"),
+    ("model:exterior-cube", "split"): (0, "f9c7118cabeebd430f0966beec2e8fb9e8cf1fcec6206505206e0b37fd0015c4"),
+    ("model:exterior-cube", "derivation"): (0, "b97daa47b0dbf52fed62c0be4a42206d954a73d136ded2f4d709477a0eb98aa8"),
+    ("model:exterior-cube", "bvinfty"): (0, "d8dca407b2fdd6cfef49c9c715fe60f79c43f4186ef5955447325f4399195cd5"),
+    ("model:exterior-cube", "gerstenhaber"): (1, "589b4bb71c0be42a965f18f42eeca72d993a824ebe1ca42866b3b558fee093a6"),
+    ("model:exterior-cube", "cohomology"): (0, "72b183f9be6bd66836f3a5761c7225f9933124c2f818807a6c007a06dba612f9"),
+    ("model:koszul1", "bv-core"): (0, "bf87e06c316d61991a98c92bbeb89b33a8cd8ca26731dbc6aee164cca2603ad2"),
     ("model:koszul1", "brackets"): (0, "b9c33e54e781b93e84e8557239e2572b8b21d9e51bc707eeb8ee1e66b21007c0"),
     ("model:koszul1", "linfty"): (0, "78cbb10ffa7909fdd2df8731f1abe723f8487fc698943c9dcc102391142a4a3b"),
-    ("model:koszul1", "split"): (0, "23cdfdb5e26c809066653ed9f907866fa3a6c1eb088d025465c526c0f3f8b9f1"),
-    ("model:koszul1", "derivation"): (0, "b273764b08c936c3f01e9eb38142a9093153ee1d8e17ce612e837fa9cbee8674"),
-    ("model:koszul1", "bvinfty"): (0, "a65f0d400d10a2c0a171f6bd8040db0014d8bc3101ca245dd274ff09d1daf9a9"),
-    ("model:koszul1", "gerstenhaber"): (0, "070129d83e3eea2aea9edae608e460e2d387b97936893ad8b43d294c2cb73a2a"),
-    ("model:koszul1", "cohomology"): (3, "5551b7d2b42e5b4639f770a5997311cc2f1f38eaba5f523d04a7f5b8c7d64826"),
-    ("model:koszul2", "bv-core"): (0, "4d2932ae8727bf0502869238ae639567d1350305a05f430077c09dab87890ad3"),
+    ("model:koszul1", "split"): (0, "4cd6d568f9511e4538fa1a242deb17deef4759860071b15f51eb87957a7410f8"),
+    ("model:koszul1", "derivation"): (0, "f5ad7edac879b15b562f21e86d0eac254ece6c6e57348b95239534b4cc3ff266"),
+    ("model:koszul1", "bvinfty"): (0, "1d66126b9d99620ef0a9cab1efb110de1ed964f26983a4a3a331e7c321b345cb"),
+    ("model:koszul1", "gerstenhaber"): (0, "cb4d69bb48a3110e14c454747d3568002fa7bb893181dbfa696e8b8ae78959d2"),
+    ("model:koszul1", "cohomology"): (3, "c2bc5ed4364556ce0028e6d1eb2f0249ee6197889851175d04184121cc16f813"),
+    ("model:koszul2", "bv-core"): (0, "c43d2c60c39f30a28aa4c061c9f6f49459e4f6dd5da72c582339a4bf8fc4d59f"),
     ("model:koszul2", "brackets"): (0, "c2f6ffedd26ecdabad6260b357f815f7a29bbca02c17d95db1740bf4e8dbd930"),
     ("model:koszul2", "linfty"): (0, "1d2f2d03f3d03d6ef37406425471f751f6c885a14ae8556fdc963a6f75bebf3d"),
-    ("model:koszul2", "split"): (0, "a6461091964bc7913aae35bd8ffa4020a5f3d422704e0a61d4193185cfb3995f"),
-    ("model:koszul2", "derivation"): (0, "d12f61801b7104592f22c3a0d9ae19abca460cac448469e86137bf662897d8cf"),
-    ("model:koszul2", "bvinfty"): (0, "c095e4cc7ed53102e0cd1a415cafbed29a0a09a954c60a6d97ec121f5b665495"),
-    ("model:koszul2", "gerstenhaber"): (0, "e2e9db4e5491b408080a65e03f71276606b35884c36f38896b94f00c57eeae80"),
-    ("model:koszul2", "cohomology"): (0, "2d3f370c08c7df34f6450a98729d371d351ba6cf67457f89b9c5604e75615a30"),
-    ("model:mixed-order", "bv-core"): (0, "702909c9093aaf5d213fc2a8616caad8520d7736109ccbb905d83ab9ae002ef3"),
+    ("model:koszul2", "split"): (0, "8e7fa326c9becb6281e351eb1109481c64226faa51ad14675e85580b95bcdebb"),
+    ("model:koszul2", "derivation"): (0, "66c878ab1575ab7278e92abb3f532eac2df68bf00b428fe34ad52aa06b7f00c3"),
+    ("model:koszul2", "bvinfty"): (0, "484b71deb8806f3e4b156b6e3ba32be0da17d12cbdbcc6e568458925e6c6fa4d"),
+    ("model:koszul2", "gerstenhaber"): (0, "3617037d3b9b1d0961f5963b5a5c23c1028e045b0b96052f4cda3eb31cdd2b34"),
+    ("model:koszul2", "cohomology"): (0, "c65ab13689010a55b75a54ccd08fdbe4f3948bc460cdf6ef24168bf9ebbfc9d5"),
+    ("model:mixed-order", "bv-core"): (0, "920bf3e97a65259be6b9bd6ee439d766773cecabe66a14414353bbba4621e077"),
     ("model:mixed-order", "brackets"): (0, "43893365a514a1d9e8f2016efaeeb1d9d65198f06ab3f653b16ae36dd1d81e8c"),
     ("model:mixed-order", "linfty"): (0, "95580c3bdeaa53a11c785eb766b2a64c2fd8a34b1615325058c687f4115742e6"),
-    ("model:mixed-order", "split"): (0, "3a5b34ecc492bc89d356527f660cc78796df9cc2e0815ea21e44acabb5808ad8"),
-    ("model:mixed-order", "derivation"): (0, "d4a7df1d3d608c04139fb26435052d1d1d029a32ea88fa8e605fdbc4ee86c4cc"),
-    ("model:mixed-order", "bvinfty"): (0, "eb63ff698bc7a84c5a87f161abac73739fcee960bc6f61760280952ace97893a"),
-    ("model:mixed-order", "gerstenhaber"): (1, "be336ce502a94b01c66c140912b8ed7abc9b23411235ccd32e1810cc470b4f8a"),
-    ("model:mixed-order", "cohomology"): (3, "be60fbb64fa7598946bdf6ab8e98cbeb550449d33c7f11df42a04087a633908e"),
-    ("model:polyvector2", "bv-core"): (0, "1e3d0e7a1459c795bd9e724d10ea742c6a050158e985bd6b05ab29943cc67170"),
+    ("model:mixed-order", "split"): (0, "53364128e41e8a7f2fd44bf3e10add11e4b926d8ee45fec36b0da0f1d5121873"),
+    ("model:mixed-order", "derivation"): (0, "9fba6eb81b4302a8ea4452bacdc475f8be0e3948b24d9ddbda9524c5aee87763"),
+    ("model:mixed-order", "bvinfty"): (0, "7330cb2fb5bc81ed1a4b07acb49dd08448a3a9354bd1a3f8618d1ea42a13a3d9"),
+    ("model:mixed-order", "gerstenhaber"): (1, "72a9cc98b3193959d0b34eeb5a5154f6fed9065660abf3c8498eb2615027ba0e"),
+    ("model:mixed-order", "cohomology"): (3, "b447e70ef476a24706463085bed39c0198fbc5a370f302f201a5c20bbf745a51"),
+    ("model:polyvector2", "bv-core"): (0, "f540657c79bf043ec6a462c0b9a1257b7be86a0909368232624060339dad6ad3"),
     ("model:polyvector2", "brackets"): (0, "fa0aaf3fefb498f965fa81d7122b07f9441f9ee420a01892ea2db679db3cc349"),
     ("model:polyvector2", "linfty"): (0, "b54f088b2208620185d884f948dcab0ec3bf0ada282ba1aca0aeddf52f7e5ca3"),
-    ("model:polyvector2", "split"): (0, "da7504ef448eb3a301d96087a86e7dbf648ece38877e47667e8a8fabf5f895d3"),
-    ("model:polyvector2", "derivation"): (0, "f42674ed63a703e95294e8c28b6cb28f263bc617f97cb25e7aed4b3ac9820002"),
-    ("model:polyvector2", "bvinfty"): (0, "8567dbd7ad56e7f35489b07e20a5c0615be03a68d5ae9a7cbe0bd15777e14e93"),
-    ("model:polyvector2", "gerstenhaber"): (0, "84b4e08c4e715e0ffc7a744b1ce0e20fa6feb2bf03a4a8112dfa604dac23d7b2"),
-    ("model:polyvector2", "cohomology"): (0, "8b2e12c6d3d41cf6dc2ed7fd784bb2e24e7870bd2cb513fadb196c84c2f44098"),
-    ("model:polyvector3", "bv-core"): (0, "1bd1d710739dc80039466c98a089af4d9f209eda880c9686e9530bcb645ae648"),
+    ("model:polyvector2", "split"): (0, "61bcfd907c076186c3bf6cdb66001e5754c076855e79c330ad06a7ffbc07c93e"),
+    ("model:polyvector2", "derivation"): (0, "18e1478b1305111d741b7f099ebbc848040d66461d7e946f641af7cdb743f9f1"),
+    ("model:polyvector2", "bvinfty"): (0, "29f32d2a4cd717a9657f1f657ece7b3ca912e6f0d3c20f5284c73e9ee670d9c3"),
+    ("model:polyvector2", "gerstenhaber"): (0, "9ff8aa5f25e9580c627cef13a4a808cc414a1a717af7b36451fff1304dd410e7"),
+    ("model:polyvector2", "cohomology"): (0, "69c6f790f61f94f0564f07c1c92dc0965c788d5998839d36e4d7c2ee4e3e0fcb"),
+    ("model:polyvector3", "bv-core"): (0, "998e25b4f700df6391b505f716d9d6f0c37af5a847d0806f699811eff74f8e52"),
     ("model:polyvector3", "brackets"): (0, "e6d6f99af158b4bb1acc9e68db9dfaabc19f54ebfa20f4c30fa1e3ce3616c1e9"),
     ("model:polyvector3", "linfty"): (0, "65969249244edabf5027a0e136e4753908ef34e8c8a3a67c77b87335afc1c2c4"),
-    ("model:polyvector3", "split"): (0, "a1ab93b95066b94410fb6c9495b5d5ddb95704824aeabf188e2692ee916f0eb8"),
-    ("model:polyvector3", "derivation"): (0, "f1d4495dd220ede7a341b435bff0fdcd9641adde2a92f58a66abb81fb0ed7afb"),
-    ("model:polyvector3", "bvinfty"): (0, "6751a69eaa4c28aaaf468c476ffdeb7c35a995b54076d57e9c27c3fede22cc22"),
-    ("model:polyvector3", "gerstenhaber"): (0, "518cad9b170ddbcb142d1d1e00a55ea86a49ae2f09af6599eb1c3d63e466112a"),
-    ("model:polyvector3", "cohomology"): (0, "d1b971645b3577a558505783e853363caf3d419ce699cb11553d895019ddddbd"),
+    ("model:polyvector3", "split"): (0, "4fff72a3b6abdd574abecc629db7cd8c66adff5867f501b78c6325133c80ffb2"),
+    ("model:polyvector3", "derivation"): (0, "37078bc0ea1ce995699935a66053de6e1ef6e98af140a0fa8667bdfd10fbbba4"),
+    ("model:polyvector3", "bvinfty"): (0, "8a55bc941c0d3eb48c77d8d94b61954b450c8a180bcdfd9ad7a8eb8685f18a58"),
+    ("model:polyvector3", "gerstenhaber"): (0, "9188aa46148c1e2a362e5f6da5c3b775a42f9d2ffdf3ef75cfa0a2f53081dedb"),
+    ("model:polyvector3", "cohomology"): (0, "214e0b9dba076ea912b6179416d7e464fb2e8b0de133b6b449657828decf3ab1"),
     ("laplacian-plus-xi1", "bv-core"): (1, "a4c885d018c63a705c773bca072ad10e1b1733d016b6a617eb6f772ef1462ebc"),
     ("laplacian-plus-xi1", "brackets"): (0, "21c6335fd41db07e6042f4c6fdc797543ceecd916f8505fd79c10e4585d1212d"),
     ("laplacian-plus-xi1", "linfty"): (1, "5e878cb29d6ce9e57cf25ad3ad7691e287e1335b7718f92c439e9a41f5a1fe54"),
     ("laplacian-plus-xi1", "split"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("laplacian-plus-xi1", "derivation"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("laplacian-plus-xi1", "bvinfty"): (1, "3760530e6a9e437b1990bfbf214aa90120a3c7ab3834ab12af3b6c7ae1ae4e1b"),
-    ("laplacian-plus-xi1", "gerstenhaber"): (1, "46a240413ea70b4a75c5470d371b3daf2112f5200ce0ab04616b61391d5c6560"),
+    ("laplacian-plus-xi1", "bvinfty"): (1, "b1fbfc019642dfa20ab918d139abbecafa90553a4d61bc3e6e78dc86ebcb520c"),
+    ("laplacian-plus-xi1", "gerstenhaber"): (1, "969f67eb5451cb3596bfc67b9bf0f742a37fd804c546cd6ae98ea4ab6ba1a199"),
     ("laplacian-plus-xi1", "cohomology"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("second-order-degree-one", "bv-core"): (0, "ae6e0ef03ebbd911c2d40b81c6c35cf54f5cf781a0b638e9e30333dc5ecb32a4"),
+    ("second-order-degree-one", "bv-core"): (0, "fcde1e4f6fe1d3562ced32d424ff17bda1beea431d742fc758a495e6fbad81ff"),
     ("second-order-degree-one", "brackets"): (0, "536249ee178ebfec6e848baa39ba017a05366c5832afff74ceb1c12723fbd35d"),
     ("second-order-degree-one", "linfty"): (0, "e5dd99b3fbeb9020e09064bc62efd41f6e568ad86253c35532ac40a67a009426"),
     ("second-order-degree-one", "split"): (1, "22bb725244b510476b64990b16a634f984c4b278f40b2c0cb909a974a533d4a5"),
-    ("second-order-degree-one", "derivation"): (1, "d004ed8524a474f8a222b122567eb9c49d65417d3ce38244f9c6698f6a44dc43"),
+    ("second-order-degree-one", "derivation"): (1, "d8690ed5a7f52e1c484835506d30e2eb6241da935061aa5e8a3a4ddf1be7a794"),
     ("second-order-degree-one", "bvinfty"): (1, "3b0a9f85875e521bc42c95c36543e0bad411dcd16ba0a5233f4b9c3bcb3d07d2"),
-    ("second-order-degree-one", "gerstenhaber"): (0, "0eeb926f0dd4faccecb8b6859f1ab6c8b5ae046a5299a3846f960cd75b886c05"),
+    ("second-order-degree-one", "gerstenhaber"): (0, "47a2ef9ef8e861246866b1d4ed4fefe6f4ec5c59a9c34ee3f987b6040378a831"),
     ("second-order-degree-one", "cohomology"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 
 def _report_digest(capsys, argv):
-    code = main(argv + GOLDEN_BUDGET)
+    # split, cohomology and explain take no budget
+    budget = GOLDEN_BUDGET if argv[0] in ("check", "brackets") else []
+    code = main(argv + ["--format", "json", *budget])
     return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
@@ -893,10 +960,10 @@ GOLDEN_COHOMOLOGY_SPECS = {
     "koszul-fractional": KOSZUL_FRACTIONAL,
 }
 GOLDEN_COHOMOLOGY = {
-    ("model:koszul2", "6"): (0, "5bad8a864db552f346bc753f62b8e1afa37ebafd0ade3286272632c258d0c095"),
-    ("model:mixed-order", "4"): (3, "56ca82de4e74de34a22719f4064f7b2595686a393ed7b86a79f3e07069334875"),
+    ("model:koszul2", "6"): (0, "a456ceaf72db2237f62cace1591f044a0401854a9420ca788bfc9a079f5d0533"),
+    ("model:mixed-order", "4"): (3, "32d4a64f679b5a76bc32d0e9781729ea52b46adc9263aad896fa828e3deb374a"),
     ("laplacian-as-d", "3"): (3, "ee466c784bb4105a3d518235a4ffa963a330e3f63373a53ec53d1e64c7df31f0"),
-    ("koszul-fractional", "7"): (0, "f028f249a9136372daa366c045410deaa5fe2ef9088323c501d65142a483920f"),
+    ("koszul-fractional", "7"): (0, "cbf6412049f92ce3aaa06d9b2ab4fe56a24d422424a258d43a2fdebbac532080"),
 }
 
 
@@ -927,11 +994,11 @@ MERGE_SPECS = {
 }
 GOLDEN_MERGE = {
     ("koszul1-own-D", "explain"): (0, "888165d49d4a8ee95f0bec17360c55331f726a03b2b76af595eab34f112e627a"),
-    ("koszul1-own-D", "check"): (3, "10cd7b33086553ee4ae8f92c87e079196a3370e954322eae6f00040939aea3f8"),
+    ("koszul1-own-D", "check"): (3, "10802633bc95825e187bd15708825fa12083b2864257b0e7955be4ca92f2d184"),
     ("laplacian-as-d", "explain"): (0, "c026c13c2496d735d14a1fa02c671bcbc775ed0fe74e146b2a01b012bac856ac"),
-    ("laplacian-as-d", "check"): (1, "ff84837d4018db29b35d217e0e82644135c6c0f3a72cf81da354d461725b82d0"),
+    ("laplacian-as-d", "check"): (1, "645d85da1d8008e1878f57a5dee8a3807d223db2286a616468937fc3324ca93d"),
     ("mixed-order-plus-X", "explain"): (0, "b6041dcd4058e51cb352399357ec85ad2213da64782c91e925288c16ac093c3a"),
-    ("mixed-order-plus-X", "check"): (3, "328e85a6d0a45e2f7c6c4f4077efb92553a0a5f0df5104e5a0025ebdd4399a73"),
+    ("mixed-order-plus-X", "check"): (3, "fdfc542f07d0293e0370304f1f83413cb05b524db9456c5d57141cb050a15179"),
 }
 
 
@@ -1008,7 +1075,6 @@ def test_induced_items_of_mixed_order_pass_at_the_default_budget(window, capsys)
     assert main(argv) == 3
     suite, _ = json.loads(capsys.readouterr().out)["suites"]
     dims = _mixed_order_window_dims(window)
-    triples = f"{min(sum(dims.values()) ** 3, 200)} triples"
     items = [(i["name"], i["status"], i["details"]) for i in suite["items"]]
     assert items[0] == ("slice dimensions", "pass", str(dims))
     assert {s for n, s, _ in items if n != "window truncation"} == {"pass"}
@@ -1016,12 +1082,23 @@ def test_induced_items_of_mixed_order_pass_at_the_default_budget(window, capsys)
     warnings = [d for _, _, d in items if "outside the window" in d]
     assert len(warnings) == len(set(warnings)) == sum(n == "window truncation" for n, _, _ in items)
     assert sum(str(dims) in d for _, _, d in items) == 1
-    assert items[-4:] == [
-        ("induced operator has order <= 2 on representatives", "pass", triples),
-        ("induced bracket: graded antisymmetry", "pass", f"{min(sum(dims.values()) ** 2, 200)} pairs"),
-        ("induced bracket: graded Jacobi", "pass", triples),
-        ("induced bracket: Leibniz rule", "pass", triples),
+    assert items[-5:] == [
+        ("induced operator squares to zero on classes", "pass", "exact"),
+        ("induced operator has order <= 2 on representatives", "pass", "exact"),
+        ("induced bracket: graded antisymmetry", "pass", "exact"),
+        ("induced bracket: graded Jacobi", "pass", "exact"),
+        ("induced bracket: Leibniz rule", "pass", "exact"),
     ]
+    # evaluated on the algebra at the first 200 pairs and triples of the
+    # classes' representatives, each identity holds
+    model = BUILTIN_MODELS["mixed-order"]()
+    evaluated = induced_identities_on_representatives(
+        cohomology(model.d, window), model.d, model.D, Budget())
+    assert evaluated.passed and evaluated.fully_tested
+    n = sum(dims.values())
+    triples = f"{min(n ** 3, 200)} triples"
+    assert [i.details for i in evaluated.items[1:]] == [
+        triples, f"{min(n ** 2, 200)} pairs", triples, triples]
 
 
 FRACTIONAL_BRACKETS_SPEC = """GENERATORS
@@ -1095,9 +1172,9 @@ ORDER_SOURCES = {
 def test_component_lines_equal_evaluating_every_tuple(source, suite):
     # each "component n=..." line, read off a normal form, is the certificate
     # of evaluating every tuple of the degree-1 window: the same status and,
-    # for a pass, the same sharpness and tuple count; a failure's witness is
-    # a tuple of that window at which the bracket, evaluated on elements, is
-    # nonzero.  bvinfty splits D - d, split splits D.
+    # for a pass, the same sharpness, with every tuple evaluated; a failure's
+    # witness is a tuple of that window at which the bracket, evaluated on
+    # elements, is nonzero.  bvinfty splits D - d, split splits D.
     spec = parse_spec(ORDER_SOURCES[source])
     D = spec.main_operator()
     P = D - spec.differential() if suite == "bvinfty" else D
@@ -1118,6 +1195,8 @@ def test_component_lines_equal_evaluating_every_tuple(source, suite):
         comp = comps[3 - 2 * n]
         oracle = order_check_by_evaluation(comp, n, budget)
         assert (item.status, item.details) == (oracle.status, oracle.verdict())
+        if item.status == "pass":
+            assert oracle.tuples_tested == len(window) ** (n + 1)
         if item.status == "fail":
             args = [parse_element(spec.table, a) for a in item.witness.split("; ")]
             assert all(a.coeffs.keys() <= window for a in args)

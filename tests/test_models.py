@@ -3,7 +3,7 @@ from itertools import product as iter_product
 import pytest
 
 from bvcheck.algebra import AlgebraError, Element, enumerate_monomials
-from bvcheck.brackets import Budget, akman_order_check, bv_bracket
+from bvcheck.brackets import akman_order_check, bv_bracket
 from bvcheck.models import (
     BUILTIN_MODELS,
     exterior_cube_model,
@@ -26,7 +26,7 @@ def test_polyvector_degrees():
 def test_polyvector_square_zero_and_order():
     model = polyvector_model(2)
     assert model.D.is_square_zero()[0]
-    cert = akman_order_check(model.D, 2, Budget(max_degree=2, max_tuples=120))
+    cert = akman_order_check(model.D, 2)
     assert cert.passed and cert.sharp
 
 

@@ -94,6 +94,8 @@ ERROR_POSITIONS = [
     ("GENERATORS\nx 0\nSUITE linfty n=+1\n", "must be an integer", 3, 14),
     ("GENERATORS\nx 0\nSUITE linfty n=1_0\n", "must be an integer", 3, 14),
     ("GENERATORS\nx 0\nSUITE bv-core order=2 n\n", "must be key=value", 3, 23),
+    # the last value would silently win: the second key is the error
+    ("GENERATORS\nx 0\nSUITE linfty n=1 n=3\n", "repeated suite parameter 'n'", 3, 18),
 ]
 
 

@@ -45,9 +45,11 @@ from oracles import (
     bracket_derivation_defect,
     cohomology_by_fractions,
     gerstenhaber_by_evaluation,
+    induced_identities_on_representatives,
     induced_items_by_evaluation,
     jacobiator,
     leibniz_defect,
+    order_check_by_evaluation,
     square_by_degree_pairs,
 )
 from test_cli import CE_SPECS, KOSZUL_FRACTIONAL
@@ -63,18 +65,21 @@ def monomial_elements(table, max_degree):
 
 def test_laplacian_bracket_passes_axioms():
     # odd of order 2 with D o D = 0: Jacobi and Leibniz are read off the
-    # normal forms and pass on the window's counts; both offsets pass
+    # normal forms and hold exactly, as do antisymmetry and both offsets;
+    # evaluating every pair and triple of the window agrees
     model = polyvector_model(2)
     report = check_gerstenhaber(model.D, BUDGET)
     assert report.passed and report.fully_tested
     assert [(i.name, i.details) for i in report.items] == [
-        ("graded antisymmetry", "60 pairs"),
-        ("graded Jacobi", "60 triples"),
-        ("Leibniz rule", "60 triples"),
-        ("bracket degree offset -1", ""),
-        ("product degree offset +0", ""),
+        ("graded antisymmetry", "exact"),
+        ("graded Jacobi", "exact"),
+        ("Leibniz rule", "exact"),
+        ("bracket degree offset -1", "exact"),
+        ("product degree offset +0", "exact"),
     ]
-    _assert_agrees_with_evaluation(model.D)
+    _, evaluated = _assert_agrees_with_evaluation(model.D)
+    assert [i.details for i in evaluated.values()] == [
+        "169 pairs", "2197 triples", "2197 triples", "", ""]
 
 
 def test_gerstenhaber_evaluates_each_pair_once(monkeypatch):
@@ -161,7 +166,7 @@ def test_broken_bracket_fails_axioms():
 
 def test_degree_split_mixed_order():
     model = mixed_order_model()
-    certificates = degree_split(model.D, BUDGET)
+    certificates = degree_split(model.D)
     comps = model.D.degree_components()
     assert list(certificates) == [1, 2, 3]
     assert list(comps) == [-3, -1, 1]
@@ -173,7 +178,7 @@ def test_degree_split_mixed_order():
 def test_degree_split_assigns_by_degree_not_order():
     table = GeneratorTable(("xi", "u"), (-1, 1))
     D = Operator.derivative(table, "u")  # degree -1, so indexed n = 2
-    certificates = degree_split(D, BUDGET)
+    certificates = degree_split(D)
     assert list(certificates) == [2]
     assert certificates[2].passed and not certificates[2].sharp
 
@@ -184,7 +189,7 @@ def test_degree_split_flags_off_pattern_degrees():
     table = GeneratorTable(("a", "b"), (1, 1))
     off = Operator.term(table, 1, (1, 0), (0, 1))
     assert off.compose(off).is_zero()
-    assert degree_split(off, BUDGET) == {}
+    assert degree_split(off) == {}
     spec = parse_spec("GENERATORS\na 1\nb 1\n\nOPERATOR D\n1 | 1 0 | 0 1\n")
     assert spec.main_operator() == off
     report = run_suite("split", spec, BUDGET, {})
@@ -199,7 +204,7 @@ def test_degree_split_rejects_higher_order_plus_one_part():
     table = GeneratorTable(("x", "xi"), (0, -1))
     D = Operator.term(table, 1, (0, 0), (1, 1))
     assert D.compose(D).is_zero()
-    certificates = degree_split(D, BUDGET)
+    certificates = degree_split(D)
     assert list(certificates) == [1]
     assert not certificates[1].passed
     assert certificates[1].failure_witness == ((1, 0), (0, 1))
@@ -212,7 +217,7 @@ def test_degree_split_requires_square_zero():
     bad = model.D + Operator.multiplication(
         Element.generator(model.table, "xi1")
     )
-    assert list(degree_split(bad, BUDGET)) == [1, 2]
+    assert list(degree_split(bad)) == [1, 2]
     spec = parse_spec("GENERATORS\nx1 0\nxi1 1\n\nOPERATOR D\n1 | 0 0 | 1 1\n1 | 0 1 | 0 0\n")
     assert spec.main_operator() == bad
     with pytest.raises(AlgebraError, match=r"square-zero operator; D\^2 != 0 at x1$"):
@@ -310,19 +315,20 @@ def _gerstenhaber_items(D):
 def _jacobi_is_evaluated(D, read_off) -> bool:
     """Whether ``check_gerstenhaber`` evaluated Jacobi on the window's triples
     (the Leibniz rule fails, or D is even) instead of reading it off D o D."""
-    return read_off["Leibniz rule"].status == "fail" or bool(D) and not D.is_odd()
+    return read_off["Leibniz rule"].status == "fail" or not D.is_odd()
 
 
 def _assert_agrees_with_evaluation(D):
     """Each item has the oracle's status on a window that holds every
-    constructed witness.  A pass, and an evaluated Jacobi, is the oracle's
+    constructed witness, whose every pair and triple the oracle evaluates.
+    An exact pass is a pass there, and an evaluated Jacobi is the oracle's
     item; a failure read off a normal form fails the oracle's identity at
     its witness.  Returns the items."""
     read_off, evaluated = _gerstenhaber_items(D)
     assert read_off.keys() == evaluated.keys()
     for name, item in read_off.items():
         assert item.status == evaluated[name].status, name
-        if item.status == "pass":
+        if item.status == "pass" and item.details != "exact":
             assert item == evaluated[name], name
     bracket = partial(bv_bracket, D)
     if read_off["Leibniz rule"].status == "fail":
@@ -451,7 +457,8 @@ def test_jacobi_from_the_square_equals_evaluating_every_triple(D):
     assert exact.status == evaluated.status
     assert (exact.status == "fail") == (not bracket_vanishes(D.square(), 3))
     if exact.status == "pass":
-        assert exact == evaluated
+        assert exact.details == "exact"
+        assert evaluated.details == f"{len(monomial_elements(D.table, 2)) ** 3} triples"
 
 
 @pytest.mark.parametrize("mult, deriv, nonzero", [
@@ -504,8 +511,7 @@ def test_induced_anticommutator_is_the_degree_zero_part_of_the_square(make, anti
 
 def test_derivation_lemma_koszul_model():
     model = koszul_complex_model([1])
-    budget = Budget(max_degree=4, max_tuples=120)
-    report = check_derivation_lemma(model.D, budget)
+    report = check_derivation_lemma(model.D)
     assert report.passed
     names = {i.name: i for i in report.items}
     assert names["D is a bracket derivation"].status == "pass"
@@ -519,8 +525,7 @@ def test_derivation_lemma_koszul_model():
 def test_d1_is_a_bracket_derivation_where_its_anticommutator_has_order_one(model):
     # D1 is a product derivation and D1 o D + D o D1 has order <= 1, so (iv)
     # passes, and D1's evaluated bracket-derivation defect is 0 on the window
-    budget = Budget(max_degree=2, max_tuples=400)
-    items = {i.name: i for i in check_derivation_lemma(model.D, budget).items}
+    items = {i.name: i for i in check_derivation_lemma(model.D).items}
     assert items["D1 product Leibniz"].status == "pass"
     iv = items["D1 bracket-derivation failure"]
     assert (iv.status, iv.details, iv.witness) == (
@@ -535,7 +540,7 @@ def test_derivation_lemma_rejects_non_square_zero():
     model = polyvector_model(1)
     bad = model.D + Operator.multiplication(Element.generator(model.table, "xi1"))
     with pytest.raises(AlgebraError):
-        check_derivation_lemma(bad, BUDGET)
+        check_derivation_lemma(bad)
 
 
 EXTERIOR2 = GeneratorTable(("xi1", "xi2"), (1, 1))
@@ -552,7 +557,7 @@ def test_derivation_lemma_requires_an_odd_operator(D):
     # odd D: the even one is no derivation of its own bracket
     assert D.square().is_zero()
     with pytest.raises(AlgebraError, match="odd"):
-        check_derivation_lemma(D, BUDGET)
+        check_derivation_lemma(D)
 
 
 def test_derivation_clauses_iii_and_iv_follow_the_product_derivation_certificate(monkeypatch):
@@ -562,17 +567,18 @@ def test_derivation_clauses_iii_and_iv_follow_the_product_derivation_certificate
     D = Operator.term(GeneratorTable(("x", "y"), (0, -1)), 1, (0, 0), (1, 1))
     certified, real = [], structures.akman_order_check
     monkeypatch.setattr(structures, "akman_order_check",
-                        lambda P, k, budget: certified.append(P) or real(P, k, budget))
+                        lambda P, k: certified.append(P) or real(P, k))
     iv = "undecided: D1 is not a product derivation"
-    # (iii) fails at the constructed (x, y), even where two pairs of the
-    # window miss it, and (iv) is then not read
-    for budget in (Budget(max_degree=1, max_tuples=2), Budget(max_degree=1, max_tuples=3)):
-        items = {i.name: i for i in check_derivation_lemma(D, budget).items}
-        assert (items["D1 product Leibniz"].status, items["D1 product Leibniz"].witness) == (
-            "fail", "(x, y)")
-        assert (items["D1 bracket-derivation failure"].status,
-                items["D1 bracket-derivation failure"].details) == ("untested", iv)
+    # (iii) fails at the constructed (x, y), and (iv) is then not read
+    items = {i.name: i for i in check_derivation_lemma(D).items}
+    assert (items["D1 product Leibniz"].status, items["D1 product Leibniz"].witness) == (
+        "fail", "(x, y)")
+    assert (items["D1 bracket-derivation failure"].status,
+            items["D1 bracket-derivation failure"].details) == ("untested", iv)
     assert certified and all(P == D for P in certified)  # D or D1, never [D1, D]
+    # evaluating two pairs of the window misses it, and three meet it
+    assert order_check_by_evaluation(D, 1, Budget(max_degree=1, max_tuples=2)).passed
+    assert not order_check_by_evaluation(D, 1, Budget(max_degree=1, max_tuples=3)).passed
 
 
 def test_even_square_zero_operator_is_no_bracket_derivation():
@@ -585,7 +591,7 @@ def test_even_square_zero_operator_is_no_bracket_derivation():
 
 
 def test_derivation_lemma_accepts_the_zero_operator():
-    report = check_derivation_lemma(Operator.zero(EXTERIOR2), BUDGET)
+    report = check_derivation_lemma(Operator.zero(EXTERIOR2))
     assert report.passed
 
 
@@ -593,14 +599,14 @@ def test_derivation_lemma_accepts_the_zero_operator():
 
 def test_bvinfty_koszul_model_passes():
     model = koszul_complex_model([1])
-    report = check_bvinfty(model.d, model.D, BUDGET)
+    report = check_bvinfty(model.d, model.D)
     assert report.passed and report.fully_tested
 
 
 def test_bvinfty_detects_wrong_differential_degree():
     model = koszul_complex_model([1])
     wrong_d = model.D.degree_components()[-3]  # degree -3, not +1
-    report = check_bvinfty(wrong_d, model.D, BUDGET)
+    report = check_bvinfty(wrong_d, model.D)
     names = {i.name: i.status for i in report.items}
     assert names["d homogeneous of degree +1"] == "fail"
 
@@ -619,7 +625,7 @@ def test_bvinfty_builds_d_squared_once(square_zero, monkeypatch):
         return compose(self, other)
 
     monkeypatch.setattr(Operator, "compose", counting)
-    report = check_bvinfty(d, model.D, BUDGET)
+    report = check_bvinfty(d, model.D)
     assert sum(a is d and b is d for a, b in pairs) == 1
     item = next(i for i in report.items if i.name == "d squares to zero")
     assert item.status == ("pass" if square_zero else "fail")
@@ -652,7 +658,7 @@ def test_bvinfty_detects_positive_tail():
     d = Operator.zero(table)
     # D - d has a degree +1 piece: xi1 * d/dx1
     D = model.D + Operator.term(table, 1, (0, 1), (1, 0))
-    report = check_bvinfty(d, D, BUDGET)
+    report = check_bvinfty(d, D)
     names = {i.name: i.status for i in report.items}
     assert names["degree of D - d is negative"] == "fail"
 
@@ -866,28 +872,28 @@ def test_cohomology_of_two_dimensional_lie_algebras_matches_the_rational_loop(a,
 
 def test_induced_bv_koszul():
     model = koszul_complex_model([1])
-    report = induced_bv(model.d, model.D, 4, BUDGET)
+    report = induced_bv(model.d, model.D, 4)
     assert report.passed
 
 
 def test_induced_bv_polyvector_zero_differential():
-    # the five classes 1, x1, xi1, x1^2, x1 xi1: 125 triples
+    # the five classes 1, x1, xi1, x1^2, x1 xi1: the Laplacian has order 2,
+    # so the items hold exactly, and evaluating all 125 triples agrees
     model = polyvector_model(1)
-    report = induced_bv(model.d, model.D, 2, Budget(max_degree=2, max_tuples=125))
+    report = induced_bv(model.d, model.D, 2)
     assert report.passed and report.fully_tested
-    names = {i.name: i.status for i in report.items}
-    assert names["induced operator squares to zero on classes"] == "pass"
-    assert names["induced operator has order <= 2 on representatives"] == "pass"
-    # the Laplacian has order 2, so the items hold on every class and a
-    # smaller budget caps only the counts
-    report = induced_bv(model.d, model.D, 2, BUDGET)
-    assert report.passed and report.fully_tested
-    assert [(i.name, i.details) for i in report.items[-4:]] == [
-        ("induced operator has order <= 2 on representatives", "60 triples"),
-        ("induced bracket: graded antisymmetry", "25 pairs"),
-        ("induced bracket: graded Jacobi", "60 triples"),
-        ("induced bracket: Leibniz rule", "60 triples"),
+    assert [(i.name, i.details) for i in report.items[-5:]] == [
+        ("induced operator squares to zero on classes", "exact"),
+        ("induced operator has order <= 2 on representatives", "exact"),
+        ("induced bracket: graded antisymmetry", "exact"),
+        ("induced bracket: graded Jacobi", "exact"),
+        ("induced bracket: Leibniz rule", "exact"),
     ]
+    oracle = induced_items_by_evaluation(cohomology(model.d, 2), model.D, 2,
+                                         Budget(max_tuples=125))
+    assert oracle.passed and oracle.fully_tested
+    assert [i.details for i in oracle.items[-4:]] == [
+        "125 triples", "25 pairs", "125 triples", "125 triples"]
 
 
 @pytest.mark.parametrize(
@@ -921,9 +927,27 @@ def test_induced_maps_are_computed_once_per_argument(model, window, monkeypatch)
         monkeypatch.setattr(module, "akman_bracket", recorded("bracket", module.akman_bracket))
     for name in ("koszul_bracket", "_akman_on_monomials"):
         monkeypatch.setattr(brackets, name, recorded("bracket", getattr(brackets, name)))
-    report = induced_bv(model.d, model.D, window, BUDGET)
+    report = induced_bv(model.d, model.D, window)
     assert report.passed and report.fully_tested
     assert recording and calls == []
+
+
+def test_induced_items_on_a_window_with_no_class_are_untested():
+    # d = d/dxi with xi of degree -1 is acyclic on the exterior algebra of
+    # (xi, eta), which window 2 holds whole: d xi = 1 and d(xi eta) = eta.
+    # D = d + d/deta passes the homotopy-BV check, but no class is left to
+    # carry an induced identity, as evaluating them finds too
+    table = GeneratorTable(("xi", "eta"), (-1, 1))
+    d = Operator.derivative(table, "xi")
+    D = d + Operator.derivative(table, "eta")
+    H = cohomology(d, 2)
+    assert H.dims() == {} and not H.warnings
+    report = induced_bv(d, D, 2)
+    assert report.passed and not report.fully_tested
+    assert [(i.status, i.details) for i in report.items[-5:]] == [
+        ("untested", "no class in the window")] * 5
+    oracle = induced_items_by_evaluation(H, D.degree_components()[-1], 2, BUDGET)
+    assert [i.status for i in oracle.items[1:]] == ["untested"] * 5
 
 
 @cache
@@ -947,26 +971,24 @@ def _exhaustive_oracle(model, window):
     + ["polyvector1", "polyvector2"],
 )
 def test_induced_items_equal_evaluating_every_case(model, window, max_tuples):
-    # on a zero induced operator (every Koszul model) the lines are those of
-    # evaluating every boundary, class and tuple; with d = 0 (polyvector)
-    # every element is a class and no product leaves the boundaries behind,
-    # so evaluation is exact: each pass is one of evaluating every case, and
-    # the budget's prefix finds no failure
+    # on a zero induced operator (every Koszul model), and with d = 0
+    # (polyvector), where every element is a class and no product leaves the
+    # boundaries behind, evaluation is exact: each item passes as evaluating
+    # every boundary, class and tuple does, on the same boundaries, and the
+    # budget's prefix finds no failure
     budget = Budget(max_degree=2, max_tuples=max_tuples)
-    report = induced_bv(model.d, model.D, window, budget)
+    report = induced_bv(model.d, model.D, window)
     assert report.items[0].name == "d D2 + D2 d = 0 (exact operator identity)"
     D2 = model.D.degree_components().get(-1, Operator.zero(model.table))
+    assert not D2 or model.d.is_zero()
     H = cohomology(model.d, window)
     oracle = induced_items_by_evaluation(H, D2, window, budget)
-    if not D2:
-        assert [i.line() for i in report.items[1:]] == [i.line() for i in oracle.items]
-        return
-    assert model.d.is_zero()
     exhaustive = _exhaustive_oracle(model, window)
+    assert report.items[1] == exhaustive.items[0]
     for item, prefix, full in zip(report.items[1:], oracle.items, exhaustive.items, strict=True):
         assert item.name == prefix.name == full.name
         assert prefix.status != "fail"
-        assert item.status != "pass" or full.status == "pass"
+        assert item.status == full.status == "pass"
 
 
 def test_induced_bv_of_an_order_three_d2_is_a_precondition_error():
@@ -976,15 +998,14 @@ def test_induced_bv_of_an_order_three_d2_is_a_precondition_error():
     # evaluating every triple, which fails order <= 2 at (x2, x1, xi1)
     model = polyvector_model(2)
     D = Operator.term(model.table, 1, (0, 0, 0, 0), (1, 1, 1, 0))
-    budget = Budget(max_degree=2, max_tuples=200)
-    failed = [(i.name, i.witness) for i in check_bvinfty(model.d, D, budget).items
+    failed = [(i.name, i.witness) for i in check_bvinfty(model.d, D).items
               if i.status != "pass"]
     assert failed == [("component n=2 (degree -1) has order <= 2", "x1; x2; xi1")]
     with pytest.raises(AlgebraError, match=(
         r"homotopy-BV check failed: component n=2 \(degree -1\) has order <= 2 "
         r"\(witness: x1; x2; xi1\)$"
     )):
-        induced_bv(model.d, D, 1, budget)
+        induced_bv(model.d, D, 1)
     H = cohomology(model.d, 1)
     oracle = {i.name: i for i in induced_items_by_evaluation(H, D, 1, Budget(max_tuples=125)).items}
     order = oracle["induced operator has order <= 2 on representatives"]
@@ -1021,9 +1042,14 @@ def test_induced_bv_of_a_unimodular_linear_poisson_structure_passes(sign, casimi
     table = d.table
     assert d.apply(parse_element(table, casimir)).is_zero()
     assert cohomology(d, 3).dims() == {0: 2, 3: 1}
-    report = induced_bv(d, D, 3, Budget())
+    report = induced_bv(d, D, 3)
     assert report.passed and report.fully_tested
-    assert [i.details for i in report.items[-4:]] == [
+    assert [i.details for i in report.items[-5:]] == ["exact"] * 5
+    # evaluated on the algebra: products of the classes leave window 3
+    evaluated = induced_identities_on_representatives(cohomology(d, 3), d, D, Budget())
+    assert [i.name for i in evaluated.items] == [i.name for i in report.items[-5:]]
+    assert evaluated.passed and evaluated.fully_tested
+    assert [i.details for i in evaluated.items[-4:]] == [
         "27 triples", "9 pairs", "27 triples", "27 triples",
     ]
 
@@ -1035,9 +1061,12 @@ def test_induced_bv_of_the_heisenberg_structure_passes_every_triple():
     H = cohomology(d, 3)
     n = sum(H.dims().values())
     assert H.dims()[0] == 4
-    report = induced_bv(d, D, 3, Budget(max_tuples=n**3))
+    report = induced_bv(d, D, 3)
     assert report.passed and report.fully_tested
-    assert [i.details for i in report.items[-4:]] == [
+    assert [i.details for i in report.items[-5:]] == ["exact"] * 5
+    evaluated = induced_identities_on_representatives(H, d, D, Budget(max_tuples=n**3))
+    assert evaluated.passed and evaluated.fully_tested
+    assert [i.details for i in evaluated.items[-4:]] == [
         f"{n**3} triples", f"{n**2} pairs", f"{n**3} triples", f"{n**3} triples",
     ]
 
