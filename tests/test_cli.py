@@ -305,6 +305,9 @@ def test_exact_and_vacuous_passes_on_the_unit_alone_stay_passes(capsys):
     assert "[PASS    ] graded Jacobi - exact" in out
     assert "[PASS    ] D1 product Leibniz - vacuous: no degree +1 part" in out
     assert "[PASS    ] D is a bracket derivation - exact" in out
+
+
+def test_derivation_lines_on_the_unit_alone_are_exact_passes(capsys):
     # koszul1's D has a degree +1 part: (iii) holds exactly, so (iv) is decided
     code = main(["check", "--model", "koszul1", "--suite", "derivation", "--budget-degree", "0"])
     out = capsys.readouterr().out
