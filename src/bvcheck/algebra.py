@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from typing import Iterator, Mapping
 
 Monomial = tuple[int, ...]
@@ -183,16 +183,6 @@ class Element:
             form = self._int_form = parity, scale, ints
         return form
 
-    def is_homogeneous(self) -> bool:
-        return len({self.table.monomial_degree(m) for m in self.coeffs}) <= 1
-
-    def grade_decompose(self) -> dict[int, "Element"]:
-        """Split into homogeneous components, keyed by degree."""
-        parts: dict[int, dict[Monomial, Coeff]] = {}
-        for mono, c in self.coeffs.items():
-            parts.setdefault(self.table.monomial_degree(mono), {})[mono] = c
-        return {d: Element(self.table, cs) for d, cs in sorted(parts.items())}
-
     # --- arithmetic -------------------------------------------------------
 
     def _check_table(self, other: "Element") -> None:
@@ -270,18 +260,6 @@ def enumerate_monomials(table: GeneratorTable, max_degree: int) -> list[Monomial
     monos = [m for m, _ in prefixes]
     monos.sort(key=lambda m: (sum(m), m))
     return monos
-
-
-def count_monomials(table: GeneratorTable, max_degree: int) -> int:
-    """``len(enumerate_monomials(table, max_degree))`` in closed form: ``j``
-    of the odd generators, and a total exponent of at most ``max_degree - j``
-    on the even ones."""
-    n_odd = len(table.odd)
-    n_even = len(table) - n_odd
-    return sum(
-        comb(n_odd, j) * comb(n_even + max_degree - j, n_even)
-        for j in range(min(max_degree, n_odd) + 1)
-    )
 
 
 # --- parsing / formatting (shared with the CLI report round-trip) ----------

@@ -24,6 +24,11 @@ values, or on cohomology classes, is evaluated only by the test oracles
 
 Signs read only parities, so arguments and D are required parity-homogeneous;
 degree-homogeneous inputs are the common case.
+
+Every sampled check draws its arguments the same way: ``window_elements``
+builds the budget's window of monomials as ``Element``s once, and
+``window_tuples`` streams tuples of them, the whole product or a seeded
+sample, which ``StructReport.sample`` searches with ``first_witness``.
 """
 
 from __future__ import annotations
@@ -215,24 +220,24 @@ class Budget:
             raise AlgebraError("budget degree and tuple count must be >= 0")
 
 
-def window_elements(table, budget: Budget) -> dict[Monomial, Element]:
-    """Each monomial of the budget's window as an ``Element``, built once so
-    that a suite can index the tuples of ``monomial_tuples`` into it.  The
-    Elements are shared by every tuple: read them, never mutate them."""
-    return {m: Element.monomial(table, m) for m in enumerate_monomials(table, budget.max_degree)}
+def window_elements(table, budget: Budget) -> list[Element]:
+    """Each monomial of the budget's window as an ``Element``, in
+    ``enumerate_monomials`` order, built once so that every tuple of
+    ``window_tuples`` over it shares them: read them, never mutate them."""
+    return [Element.monomial(table, m) for m in enumerate_monomials(table, budget.max_degree)]
 
 
-def monomial_tuples(table, arity: int, budget: Budget):
-    """Deterministic tuple stream: full product if small, else seeded sample.
+def window_tuples(window, arity: int, budget: Budget):
+    """Deterministic stream of ``arity``-tuples of the items of ``window``:
+    their full product if small, else a sample seeded by ``budget.seed``.
 
     Lazy and single-pass: a sampled tuple is drawn only when it is consumed."""
-    monos = enumerate_monomials(table, budget.max_degree)
-    if len(monos) ** arity <= budget.max_tuples:
-        yield from iter_product(monos, repeat=arity)
+    if len(window) ** arity <= budget.max_tuples:
+        yield from iter_product(window, repeat=arity)
         return
     rng = random.Random(budget.seed)
     for _ in range(budget.max_tuples):
-        yield tuple(monos[rng.randrange(len(monos))] for _ in range(arity))
+        yield tuple(window[rng.randrange(len(window))] for _ in range(arity))
 
 
 def first_witness(cases, holds):

@@ -19,16 +19,15 @@ import json
 import sys
 from functools import cache
 
-from .algebra import AlgebraError, count_monomials, format_element
+from .algebra import AlgebraError, format_element
 from .brackets import (
     Budget,
     akman_bracket,
     akman_order_check,
     bracket_vanishes,
-    first_witness,
     koszul_bracket,
-    monomial_tuples,
     window_elements,
+    window_tuples,
 )
 from .linfty import verify_linfty
 from .models import BUILTIN_MODELS
@@ -60,44 +59,16 @@ def _bv_core(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
 
 
 def _brackets(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
-    table = spec.table
     D = spec.main_operator()
-    report = StructReport("bracket route agreement",
-                          unit_alone=count_monomials(table, budget.max_degree) == 1)
-    arity = params.get("arity", 3)
-    if arity < 1:
-        raise AlgebraError(f"bracket arity must be >= 1, got {arity}")
+    report = StructReport("bracket route agreement")
+    window = window_elements(spec.table, budget)
 
-    elements = window_elements(table, budget)
-
-    def routes_differ(tup):
-        elems = [elements[m] for m in tup]
+    def routes_differ(elems):
         return akman_bracket(D, elems).coeffs != koszul_bracket(D, elems).coeffs
 
-    for n in range(1, arity + 1):
-        tested, bad = first_witness(monomial_tuples(table, n, budget), routes_differ)
-        report.tally(
-            f"recursion vs unshuffle expansion, arity {n}",
-            tested,
-            None if bad is None else str(bad),  # str of the monomial tuple
-            "tuples",
-        )
-    return report
-
-
-def _linfty(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
-    D = spec.main_operator()
-    n_max = params.get("n", 3)
-    report = StructReport("square-zero relation family",
-                          unit_alone=count_monomials(spec.table, budget.max_degree) == 1)
-    for rr in verify_linfty(D, n_max, budget):
-        report.tally(
-            f"relation n={rr.index}",
-            rr.tuples_tested,
-            None if rr.passed else str(rr.failing_tuple),  # str of the monomial tuple
-            "tuples",
-            count_failures=True,
-        )
+    for n in range(1, params.get("arity", 3) + 1):
+        report.sample(f"recursion vs unshuffle expansion, arity {n}", window, n, budget,
+                      routes_differ, "tuples")
     return report
 
 
@@ -131,34 +102,38 @@ def _cohomology(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     return report
 
 
-# suite name -> (report from (spec, budget, params), the parameters it reads);
-# key order is the listing order
+# suite name -> (report from (spec, budget, params), {parameter it reads: its
+# least value}); key order is the listing order
 SUITES = {
-    "bv-core": (_bv_core, ("order",)),
-    "brackets": (_brackets, ("arity",)),
-    "linfty": (_linfty, ("n",)),
-    "split": (_split, ()),
+    "bv-core": (_bv_core, {"order": 0}),
+    "brackets": (_brackets, {"arity": 1}),
+    "linfty": (lambda spec, budget, params: verify_linfty(
+        spec.main_operator(), params.get("n", 3), budget), {"n": 1}),
+    "split": (_split, {}),
     "derivation": (lambda spec, budget, params: check_derivation_lemma(
-        spec.main_operator()), ()),
+        spec.main_operator()), {}),
     "bvinfty": (lambda spec, budget, params: check_bvinfty(
-        spec.differential(), spec.main_operator()), ()),
+        spec.differential(), spec.main_operator()), {}),
     "gerstenhaber": (lambda spec, budget, params: check_gerstenhaber(
-        spec.main_operator(), budget), ()),
-    "cohomology": (_cohomology, ("window",)),
+        spec.main_operator(), budget), {}),
+    "cohomology": (_cohomology, {"window": 0}),
 }
 
 
 def check_suites(suites) -> None:
     """A spec error at the first (name, params) pair whose name is no suite,
-    or whose params hold a key that its suite does not read."""
+    or whose params hold a key that its suite does not read, or a value
+    below that key's least."""
     for name, params in suites:
         if name not in SUITES:
             raise SpecError(f"unknown suite {name!r} (known: {', '.join(SUITES)})")
-        keys = SUITES[name][1]
-        for key in params:
-            if key not in keys:
+        least = SUITES[name][1]
+        for key, value in params.items():
+            if key not in least:
                 raise SpecError(f"suite {name!r} takes no parameter {key!r} "
-                                f"(it reads: {', '.join(keys) or 'none'})")
+                                f"(it reads: {', '.join(least) or 'none'})")
+            if value < least[key]:
+                raise SpecError(f"suite {name!r} needs {key} >= {least[key]}, got {value}")
 
 
 def run_suite(name: str, spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
@@ -267,13 +242,11 @@ def main(argv=None) -> int:
         elif args.command == "brackets":
             D = spec.main_operator()
             report = run_suite("brackets", spec, budget, {"arity": args.arity})
-            table = spec.table
             values = StructReport(f"arity-{args.arity} bracket values")
             # nothing to tabulate when every bracket of this arity vanishes
             if not bracket_vanishes(D, args.arity):
-                elements = window_elements(table, budget)
-                for tup in monomial_tuples(table, args.arity, budget):
-                    elems = [elements[m] for m in tup]
+                window = window_elements(spec.table, budget)
+                for elems in window_tuples(window, args.arity, budget):
                     val = akman_bracket(D, elems)
                     if not val.is_zero():
                         label = ", ".join(format_element(e) for e in elems)

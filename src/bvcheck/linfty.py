@@ -11,15 +11,16 @@ the n-th bracket of D o D (Akman; Voronov), so it vanishes for every n iff
 D o D = 0; the n = 1 member is literally D(D a).  The library evaluates that
 bracket of the square by the recursion (``akman_bracket``), memoised on
 ``D.square()``; the tests compare it with the expansion above.
+``verify_linfty`` samples each relation on the budget's window, one
+``StructReport.sample`` line per n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import AlgebraError, Element
-from .brackets import Budget, akman_bracket, first_witness, monomial_tuples, window_elements
+from .brackets import Budget, akman_bracket, window_elements
 from .operators import Operator
+from .structures import StructReport
 
 
 def linfty_relation(D: Operator, n: int, args) -> Element:
@@ -32,30 +33,17 @@ def linfty_relation(D: Operator, n: int, args) -> Element:
     return akman_bracket(D.square(), args)
 
 
-@dataclass
-class RelationReport:
-    """Outcome of testing one relation index over an enumerated tuple set."""
-
-    index: int
-    tuples_tested: int
-    passed: bool
-    failing_tuple: tuple | None = None
-
-
-def verify_linfty(D: Operator, n_max: int, budget: Budget | None = None) -> list[RelationReport]:
-    """Test the relation family for n = 1..n_max on enumerated monomial tuples."""
+def verify_linfty(D: Operator, n_max: int, budget: Budget | None = None) -> StructReport:
+    """The relation family for n = 1..n_max, each relation sampled on the
+    tuples of the budget's window."""
     if not D.is_odd():
         raise AlgebraError("relation family requires an odd operator")
     if n_max < 1:
         raise AlgebraError(f"relation family needs n >= 1, got {n_max}")
     budget = budget or Budget()
-    table = D.table
-    elements = window_elements(table, budget)
-    reports = []
+    window = window_elements(D.table, budget)
+    report = StructReport("square-zero relation family")
     for n in range(1, n_max + 1):
-        def fails(tup):
-            return not linfty_relation(D, n, [elements[m] for m in tup]).is_zero()
-
-        tested, failing = first_witness(monomial_tuples(table, n, budget), fails)
-        reports.append(RelationReport(n, tested, failing is None, failing))
-    return reports
+        report.sample(f"relation n={n}", window, n, budget,
+                      lambda args: not linfty_relation(D, n, args).is_zero(), "tuples")
+    return report

@@ -13,8 +13,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import (
-    AlgebraError, Element, GeneratorTable, count_monomials, enumerate_monomials, format_element,
-    format_monomial,
+    AlgebraError, Element, GeneratorTable, enumerate_monomials, format_element, format_monomial,
 )
 from .brackets import (
     Budget,
@@ -25,7 +24,8 @@ from .brackets import (
     bracket_witness,
     bv_bracket,
     first_witness,
-    monomial_tuples,
+    window_elements,
+    window_tuples,
 )
 from .linalg import RowSpace, _reduce, kernel_and_image
 from .operators import Operator
@@ -51,7 +51,6 @@ class CheckItem:
 class StructReport:
     title: str
     items: list[CheckItem] = field(default_factory=list)
-    unit_alone: bool = False  # tallies count cases on a window of the unit monomial alone
 
     def add(self, name, status, details="", witness=None):
         self.items.append(CheckItem(name, status, details, witness))
@@ -63,20 +62,24 @@ class StructReport:
         else:
             self.add(name, "fail", witness=_show(witness))
 
-    def tally(self, name, tried, witness, unit="", *, count_failures=False):
-        """A sampled line: fail at ``witness``, or pass with ``tried`` counted
-        in ``unit`` (if any); untested when no case was tried, and when the
-        cases are the unit monomial alone (``unit_alone``), where a pass
-        exercises nothing.  With ``count_failures`` a failure keeps the count
-        too, as the relation-family lines always have.
-        """
-        count = f"{tried} {unit}" if unit else ""
+    def tally(self, name, tried, witness, unit=""):
+        """A counted line: fail at ``witness``, else pass with ``tried``
+        counted in ``unit`` (if any), or untested when no case was tried."""
         if witness is not None:
-            self.add(name, "fail", count if count_failures else "", _show(witness))
-        elif tried and self.unit_alone:
-            self.add(name, "untested", ", ".join(filter(None, (count, "the unit monomial alone"))))
+            self.add(name, "fail", witness=_show(witness))
         else:
-            self.add(name, "pass" if tried else "untested", count)
+            self.add(name, "pass" if tried else "untested", f"{tried} {unit}" if unit else "")
+
+    def sample(self, name, window, arity, budget: Budget, fails, unit):
+        """A sampled line: ``fails`` searched over ``window_tuples(window,
+        arity, budget)`` up to its first witness, then ``tally``'d; a pass on
+        a window of the unit monomial alone exercises nothing, and is
+        untested."""
+        tried, witness = first_witness(window_tuples(window, arity, budget), fails)
+        if witness is None and tried and len(window) == 1:
+            self.add(name, "untested", f"{tried} {unit}, the unit monomial alone")
+        else:
+            self.tally(name, tried, witness, unit)
 
     def certify(self, name, cert: OrderCertificate, table: GeneratorTable):
         """An order certificate's verdict, with its failure witness, if any,
@@ -150,18 +153,17 @@ def check_gerstenhaber(D: Operator, budget: Budget | None = None) -> StructRepor
     order <= 2 certificate of D.  For an odd D whose Leibniz rule holds, the
     Jacobiator is ±F^3_{D o D} (Koszul; Akman): Jacobi holds exactly when it
     vanishes, else fails at its constructed witness, confirmed by one
-    evaluation.  Otherwise Jacobi is evaluated on the budget's
-    ``monomial_tuples`` triples up to the first failure, with the bracket
-    memoised for this call; D and the monomials are parity-homogeneous, and
-    so is every bracket of them.  A degree-homogeneous D and monomial
-    arguments fix the bracket and product degrees, which hold as offsets.
+    evaluation.  Otherwise Jacobi is sampled on the budget's window triples
+    (``StructReport.sample``), with the bracket memoised for this call; D
+    and the monomials are parity-homogeneous, and so is every bracket of
+    them.  A degree-homogeneous D and monomial arguments fix the bracket and
+    product degrees, which hold as offsets.
     """
     budget = budget or Budget()
     table = D.table
     cert = akman_order_check(D, 2)
     bracket = cache(lambda a, b: bv_bracket(D, a, b))
-    report = StructReport("bracket of the main operator",
-                          unit_alone=count_monomials(table, budget.max_degree) == 1)
+    report = StructReport("bracket of the main operator")
 
     def jacobi_fails(triple):
         a, b, c = triple
@@ -172,9 +174,8 @@ def check_gerstenhaber(D: Operator, budget: Budget | None = None) -> StructRepor
 
     report.holds("graded antisymmetry")
     if not cert.passed or not D.is_odd():
-        report.tally("graded Jacobi", *first_witness(
-            (as_elements(table, t) for t in monomial_tuples(table, 3, budget)), jacobi_fails
-        ), "triples")
+        report.sample("graded Jacobi", window_elements(table, budget), 3, budget,
+                      jacobi_fails, "triples")
     elif bracket_vanishes(D.square(), 3):
         report.holds("graded Jacobi")
     else:

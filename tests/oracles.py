@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice, product as iter_product
-from math import lcm
+from math import comb, lcm
 
 from bvcheck.algebra import (
     AlgebraError,
@@ -15,6 +15,7 @@ from bvcheck.algebra import (
     GeneratorTable,
     enumerate_monomials,
     monomial_mul,
+    parse_element,
 )
 from bvcheck.brackets import (
     Budget,
@@ -22,7 +23,7 @@ from bvcheck.brackets import (
     akman_bracket,
     bv_bracket,
     first_witness,
-    monomial_tuples,
+    window_tuples,
 )
 from bvcheck.graded import koszul_sign, unshuffles
 from bvcheck.operators import Operator
@@ -38,6 +39,38 @@ def enumerate_monomials_by_box(table: GeneratorTable, max_degree: int) -> list:
     monos = [m for m in iter_product(*ranges) if sum(m) <= max_degree]
     monos.sort(key=lambda m: (sum(m), m))
     return monos
+
+
+def count_monomials(table: GeneratorTable, max_degree: int) -> int:
+    """``len(enumerate_monomials(table, max_degree))`` in closed form: ``j``
+    of the odd generators, and a total exponent of at most ``max_degree - j``
+    on the even ones."""
+    n_odd = len(table.odd)
+    n_even = len(table) - n_odd
+    return sum(
+        comb(n_odd, j) * comb(n_even + max_degree - j, n_even)
+        for j in range(min(max_degree, n_odd) + 1)
+    )
+
+
+def is_homogeneous(a: Element) -> bool:
+    """Whether every monomial of ``a`` has one degree (true for 0)."""
+    return len({a.table.monomial_degree(m) for m in a.coeffs}) <= 1
+
+
+def grade_decompose(a: Element) -> dict[int, Element]:
+    """``a`` split into homogeneous components, keyed by degree."""
+    parts: dict[int, dict] = {}
+    for mono, c in a.coeffs.items():
+        parts.setdefault(a.table.monomial_degree(mono), {})[mono] = c
+    return {d: Element(a.table, cs) for d, cs in sorted(parts.items())}
+
+
+def witness_elements(table: GeneratorTable, witness: str) -> list[Element]:
+    """A report's witness ``(a, b, ...)`` of monomial elements read back with
+    ``parse_element``."""
+    assert witness.startswith("(") and witness.endswith(")"), witness
+    return [parse_element(table, text) for text in witness[1:-1].split(", ")]
 
 
 def vec_add(a: dict, b: dict, scale: Fraction = Fraction(1)) -> dict:
@@ -381,17 +414,16 @@ def relation_by_expansion(D, n, args) -> Element:
     return out
 
 
-def monomial_tuples_eager(table, arity: int, budget: Budget) -> list:
-    """``monomial_tuples`` as one list, every sampled tuple drawn up front."""
-    monos = enumerate_monomials(table, budget.max_degree)
-    if not monos:
+def window_tuples_eager(window: list, arity: int, budget: Budget) -> list:
+    """``window_tuples`` as one list, every sampled tuple drawn up front."""
+    if not window:
         return []
-    total = len(monos) ** arity
+    total = len(window) ** arity
     if total <= budget.max_tuples:
-        return list(iter_product(monos, repeat=arity))
+        return list(iter_product(window, repeat=arity))
     rng = random.Random(budget.seed)
     return [
-        tuple(monos[rng.randrange(len(monos))] for _ in range(arity))
+        tuple(window[rng.randrange(len(window))] for _ in range(arity))
         for _ in range(budget.max_tuples)
     ]
 
@@ -408,10 +440,11 @@ def order_check_by_evaluation(D, k: int, budget: Budget | None = None) -> OrderC
     def nonzero(tup):
         return not akman_bracket(D, [Element.monomial(table, m) for m in tup]).is_zero()
 
-    tested, failure = first_witness(monomial_tuples(table, k + 1, budget), nonzero)
+    monos = enumerate_monomials(table, budget.max_degree)
+    tested, failure = first_witness(window_tuples(monos, k + 1, budget), nonzero)
     sharp_witness = None
     if failure is None and k >= 1:
-        _, sharp_witness = first_witness(monomial_tuples(table, k, budget), nonzero)
+        _, sharp_witness = first_witness(window_tuples(monos, k, budget), nonzero)
     return OrderCertificate(tested, failure is None, failure, sharp_witness is not None)
 
 
@@ -435,8 +468,8 @@ def bracket_derivation_defect(D, X, a, b) -> Element:
 
     def bracket(u, v):
         out = Element.zero(u.table)
-        for cu in u.grade_decompose().values():
-            for cv in v.grade_decompose().values():
+        for cu in grade_decompose(u).values():
+            for cv in grade_decompose(v).values():
                 out = out + bv_bracket(D, cu, cv)
         return out
 
@@ -448,8 +481,8 @@ def _hom_bilinear(fn, a: Element, b: Element) -> Element:
     """``fn`` of two homogeneous elements, extended bilinearly over the
     degree components of ``a`` and ``b``."""
     out = Element.zero(a.table)
-    for ca in a.grade_decompose().values():
-        for cb in b.grade_decompose().values():
+    for ca in grade_decompose(a).values():
+        for cb in grade_decompose(b).values():
             out = out + fn(ca, cb)
     return out
 

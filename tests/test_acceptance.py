@@ -18,8 +18,8 @@ from bvcheck.brackets import (
     akman_order_check,
     bv_bracket,
     koszul_bracket,
-    monomial_tuples,
     window_elements,
+    window_tuples,
 )
 from bvcheck.cli import main
 from bvcheck.linfty import linfty_relation, verify_linfty
@@ -44,6 +44,7 @@ from oracles import (
     order_check_by_evaluation,
     relation_by_expansion,
     schouten_oracle,
+    witness_elements,
 )
 
 
@@ -101,8 +102,7 @@ def test_criterion_3_bracket_route_equivalence():
     for model in models:
         budget = Budget(max_degree=2, max_tuples=40, seed=1)
         for arity in range(1, 6):
-            for tup in monomial_tuples(model.table, arity, budget):
-                elems = [Element.monomial(model.table, m) for m in tup]
+            for elems in window_tuples(window_elements(model.table, budget), arity, budget):
                 total += 1
                 if akman_bracket(model.D, elems) != koszul_bracket(model.D, elems):
                     mismatches += 1
@@ -112,8 +112,7 @@ def test_criterion_3_bracket_route_equivalence():
 def test_criterion_4_relation_family_forward_and_converse():
     # order-2 operator, sampled window
     poly = polyvector_model(2)
-    poly_reports = verify_linfty(poly.D, 4, Budget(max_degree=2, max_tuples=60))
-    poly_ok = all(r.passed for r in poly_reports)
+    poly_ok = verify_linfty(poly.D, 4, Budget(max_degree=2, max_tuples=60)).passed
 
     # order-3 operator on the 8-dimensional exterior algebra, exhaustively;
     # the relation is graded symmetric, so sorted tuples span all of them.
@@ -136,17 +135,18 @@ def test_criterion_4_relation_family_forward_and_converse():
     # concrete witness tuple
     bad = ext.D + Operator.multiplication(Element.generator(ext.table, "xi1"))
     assert not bad.is_square_zero()[0]
-    failing = [r for r in verify_linfty(bad, 2, Budget(max_degree=3, max_tuples=200))
-               if not r.passed]
-    converse_ok = bool(failing) and failing[0].failing_tuple is not None
+    report = verify_linfty(bad, 2, Budget(max_degree=3, max_tuples=200))
+    failing = [(n, i) for n, i in enumerate(report.items, 1) if i.status == "fail"]
+    converse_ok = bool(failing) and failing[0][1].witness is not None
     if converse_ok:
-        elems = [Element.monomial(ext.table, m) for m in failing[0].failing_tuple]
-        converse_ok = not linfty_relation(bad, failing[0].index, elems).is_zero()
+        n, item = failing[0]
+        elems = witness_elements(ext.table, item.witness)
+        converse_ok = not linfty_relation(bad, n, elems).is_zero()
 
     announce(
         4,
         poly_ok and ext_ok and converse_ok,
-        f"exhaustive {checked} basis tuples; converse witness at n={failing[0].index}",
+        f"exhaustive {checked} basis tuples; converse witness at n={failing[0][0]}",
     )
 
 
@@ -176,10 +176,8 @@ def test_criterion_6_derivation_lemma():
     derivation = items["D is a bracket derivation"]
     leibniz1 = items["D1 product Leibniz"]
     # the exact lines, and evaluating the window's pairs agrees
-    elements = window_elements(model.table, budget)
     pairs = 0
-    for ma, mb in monomial_tuples(model.table, 2, budget):
-        a, b = elements[ma], elements[mb]
+    for a, b in window_tuples(window_elements(model.table, budget), 2, budget):
         pairs += bracket_derivation_defect(model.D, model.D, a, b).is_zero()
     evaluated1 = order_check_by_evaluation(model.D.degree_components()[1], 1, budget)
     pairs1 = evaluated1.tuples_tested if evaluated1.passed else 0

@@ -18,7 +18,8 @@ from bvcheck.brackets import (
     bv_bracket,
     first_witness,
     koszul_bracket,
-    monomial_tuples,
+    window_elements,
+    window_tuples,
 )
 from bvcheck.graded import koszul_sign
 from bvcheck.linalg import kernel_and_image
@@ -33,8 +34,8 @@ from bvcheck.structures import check_gerstenhaber
 from oracles import (
     akman_bracket_by_elements,
     koszul_bracket_by_unshuffles,
-    monomial_tuples_eager,
     order_check_by_evaluation,
+    window_tuples_eager,
 )
 
 MODEL = polyvector_model(2)
@@ -67,8 +68,7 @@ def test_laplacian_pairs_by_hand():
 def test_recursion_matches_unshuffle_expansion():
     budget = Budget(max_degree=2, max_tuples=40)
     for arity in range(1, 4):
-        for tup in monomial_tuples(TABLE, arity, budget):
-            elems = [elem(m) for m in tup]
+        for elems in window_tuples(window_elements(TABLE, budget), arity, budget):
             assert akman_bracket(DELTA, elems) == koszul_bracket(DELTA, elems)
 
 
@@ -91,8 +91,7 @@ def test_routes_agree_even_with_nonvanishing_on_units():
     D = Operator.multiplication(gen("xi1")) + Operator.derivative(TABLE, "xi2")
     budget = Budget(max_degree=2, max_tuples=30)
     for arity in range(1, 4):
-        for tup in monomial_tuples(TABLE, arity, budget):
-            elems = [elem(m) for m in tup]
+        for elems in window_tuples(window_elements(TABLE, budget), arity, budget):
             assert akman_bracket(D, elems) == koszul_bracket(D, elems)
 
 
@@ -433,7 +432,8 @@ def test_order_check_matches_evaluating_every_tuple(budget):
             # a pass evaluates nothing, and no tuple of the window fails
             assert cert == OrderCertificate(0, True, sharp=cert.sharp,
                                             degenerate_zero=D.is_zero()), (label, k)
-            window = 0 if D.is_zero() else len(list(monomial_tuples(D.table, k + 1, budget)))
+            monos = enumerate_monomials(D.table, budget.max_degree)
+            window = 0 if D.is_zero() else len(list(window_tuples(monos, k + 1, budget)))
             assert (oracle.passed, oracle.tuples_tested) == (True, window), (label, k)
     # passes, failures both found and missed by the window all occur
     assert {("pass", "pass"), ("fail", "fail"), ("fail", "pass")} <= seen
@@ -628,8 +628,9 @@ def test_negative_budget_is_a_domain_error(field):
 
 def test_monomial_tuples_deterministic():
     budget = Budget(max_degree=2, max_tuples=17, seed=5)
-    first = list(monomial_tuples(TABLE, 3, budget))
-    second = list(monomial_tuples(TABLE, 3, budget))
+    monos = enumerate_monomials(TABLE, budget.max_degree)
+    first = list(window_tuples(monos, 3, budget))
+    second = list(window_tuples(monos, 3, budget))
     assert first == second
     assert len(first) == 17
 
@@ -644,9 +645,14 @@ def test_monomial_tuples_deterministic():
 def test_lazy_tuples_are_the_eager_list(arity, max_degree, max_tuples, seed):
     # the same product order, and the same seeded draws in the same order
     budget = Budget(max_degree=max_degree, max_tuples=max_tuples, seed=seed)
-    eager = monomial_tuples_eager(TABLE, arity, budget)
-    assert list(monomial_tuples(TABLE, arity, budget)) == eager
-    assert len(eager) == min(len(enumerate_monomials(TABLE, max_degree)) ** arity, max_tuples)
+    monos = enumerate_monomials(TABLE, max_degree)
+    eager = window_tuples_eager(monos, arity, budget)
+    assert list(window_tuples(monos, arity, budget)) == eager
+    assert len(eager) == min(len(monos) ** arity, max_tuples)
+    # over the window's Elements the stream is the same tuples, as Elements
+    window = window_elements(TABLE, budget)
+    assert list(window_tuples(window, arity, budget)) == [
+        tuple(Element.monomial(TABLE, m) for m in t) for t in eager]
 
 
 def _counting_draws(monkeypatch) -> list:

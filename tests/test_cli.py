@@ -7,7 +7,7 @@ import pytest
 
 from bvcheck import brackets, cli, linfty, structures
 from bvcheck.algebra import AlgebraError, Element, enumerate_monomials, parse_element
-from bvcheck.brackets import Budget, bv_bracket, window_elements
+from bvcheck.brackets import Budget, bv_bracket, window_elements, window_tuples
 from bvcheck.cli import SUITES, build_parser, main
 from bvcheck.graded import koszul_sign, unshuffles
 from bvcheck.models import BUILTIN_MODELS
@@ -19,7 +19,11 @@ from oracles import (
     akman_bracket_by_elements,
     gerstenhaber_by_evaluation,
     induced_identities_on_representatives,
+    jacobiator,
+    koszul_bracket_by_unshuffles,
     order_check_by_evaluation,
+    relation_by_expansion,
+    witness_elements,
 )
 
 LAPLACIAN_SPEC = """\
@@ -272,7 +276,7 @@ LIBRARY_REPORTS = {
     "gerstenhaber": lambda spec, budget: structures.check_gerstenhaber(spec.main_operator(), budget),
     "derivation": lambda spec, budget: structures.check_derivation_lemma(spec.main_operator()),
     "brackets": lambda spec, budget: cli._brackets(spec, budget, {}),
-    "linfty": lambda spec, budget: cli._linfty(spec, budget, {}),
+    "linfty": lambda spec, budget: linfty.verify_linfty(spec.main_operator(), 3, budget),
 }
 
 
@@ -465,20 +469,30 @@ BAD_SUITES_SPEC = "MODEL polyvector2\nSUITE linfty\nSUITE bv-core ordr=1\nSUITE 
 
 @pytest.mark.parametrize("command", ["check", "explain"])
 def test_every_suite_is_checked_before_any_runs(command, tmp_path, monkeypatch, capsys):
-    # the first bad SUITE line is an error before linfty, the one good suite, runs
+    # the first bad SUITE line, a key its suite does not read or a value
+    # below the key's least, is an error before linfty, the one good suite, runs
     monkeypatch.setattr(cli, "verify_linfty", lambda *args: pytest.fail("linfty ran"))
-    spec = write(tmp_path, "s.spec", BAD_SUITES_SPEC)
-    assert main([command, "--spec", spec]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == (
-        "", "spec error: suite 'bv-core' takes no parameter 'ordr' (it reads: order)\n")
+    for text, message in [
+        (BAD_SUITES_SPEC, "suite 'bv-core' takes no parameter 'ordr' (it reads: order)"),
+        ("MODEL polyvector2\nSUITE linfty\nSUITE cohomology window=-1\n",
+         "suite 'cohomology' needs window >= 0, got -1"),
+        ("MODEL polyvector2\nSUITE linfty\nSUITE brackets arity=0\n",
+         "suite 'brackets' needs arity >= 1, got 0"),
+        ("MODEL polyvector2\nSUITE linfty n=0\n", "suite 'linfty' needs n >= 1, got 0"),
+        ("MODEL polyvector2\nSUITE linfty\nSUITE bv-core order=-1\n",
+         "suite 'bv-core' needs order >= 0, got -1"),
+    ]:
+        spec = write(tmp_path, "s.spec", text)
+        assert main([command, "--spec", spec]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"spec error: {message}\n")
 
 
 def test_each_suite_reads_the_parameters_it_lists(tmp_path, capsys):
     # every listed key is accepted; a wrong value of it shows that it is read
     for name, value, code in [("bv-core", "order=1", 1), ("brackets", "arity=0", 2),
                               ("linfty", "n=0", 2), ("cohomology", "window=-1", 2)]:
-        assert SUITES[name][1] == (value.split("=")[0],)
+        assert list(SUITES[name][1]) == [value.split("=")[0]]
         spec = write(tmp_path, "s.spec", f"MODEL polyvector2\nSUITE {name} {value}\n")
         assert main(["check", "--spec", spec]) == code
         assert "takes no parameter" not in capsys.readouterr().err
@@ -545,7 +559,7 @@ def test_bracket_suites_leave_the_window_and_the_operator_caches_unchanged(
 
     def recording(table, budget):
         elements = brackets.window_elements(table, budget)
-        windows.append((elements, {m: (e.table, dict(e.coeffs)) for m, e in elements.items()}))
+        windows.append((elements, [(e.table, dict(e.coeffs)) for e in elements]))
         return elements
 
     monkeypatch.setattr(cli, "window_elements", recording)
@@ -560,10 +574,11 @@ def test_bracket_suites_leave_the_window_and_the_operator_caches_unchanged(
     assert [_caches(op) for op in ops] == cached
     assert len(windows) == 2
     for elements, built in windows:
-        assert {m: (e.table, e.coeffs) for m, e in elements.items()} == built
-        assert all(coeffs == {m: 1} for m, (_, coeffs) in built.items())
+        assert [(e.table, e.coeffs) for e in elements] == built
+        monos = enumerate_monomials(D.table, budget.max_degree)
+        assert [coeffs for _, coeffs in built] == [{m: 1} for m in monos]
         # every kept argument form is what a fresh Element computes
-        forms = {m: e._int_form for m, e in elements.items() if e._int_form is not None}
+        forms = {m: e._int_form for m, e in zip(monos, elements) if e._int_form is not None}
         assert forms
         for m, form in forms.items():
             assert form == (D.table.monomial_parity(m), 1, {m: 1})
@@ -585,6 +600,70 @@ def test_bracket_suites_leave_the_window_and_the_operator_caches_unchanged(
         assert any(signs for _, _, signs in cached)  # a sign table was filled and checked
     else:
         assert cached[1][1]  # the relations fill and read the square's recursion memo
+
+
+# every caller of StructReport.sample: its suite and parameters, its sampled
+# lines with their arities, a spec on which they pass at SAMPLE_BUDGET, one
+# on which some fail, and an oracle that is nonzero exactly where a line fails
+SAMPLE_BUDGET = Budget(max_degree=2, max_tuples=60, seed=3)
+SAMPLED_CALLERS = {
+    "route-agreement": (
+        "brackets", {"arity": 3},
+        [(f"recursion vs unshuffle expansion, arity {n}", n) for n in (1, 2, 3)],
+        "MODEL polyvector2\n", "MODEL polyvector2\n",
+        lambda D, args: koszul_bracket_by_unshuffles(D, args) - cli.koszul_bracket(D, args),
+    ),
+    "relation-n": (
+        "linfty", {"n": 3}, [(f"relation n={n}", n) for n in (1, 2, 3)],
+        "MODEL polyvector2\n", PERTURBED_SPEC,
+        lambda D, args: relation_by_expansion(D, len(args), args),
+    ),
+    # mixed-order fails Leibniz and an even D has no exact Jacobi path
+    "evaluated-jacobi": (
+        "gerstenhaber", {}, [("graded Jacobi", 3)],
+        "MODEL mixed-order\n", EVEN_ORDER_TWO_SPEC,
+        lambda D, args: jacobiator(partial(bv_bracket, D), *args),
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(SAMPLED_CALLERS))
+def test_sampled_lines_follow_one_rule(caller, monkeypatch):
+    suite, params, lines, passing, failing, defect = SAMPLED_CALLERS[caller]
+    unit = "triples" if suite == "gerstenhaber" else "tuples"
+
+    def sampled(text, budget):
+        spec = parse_spec(text)
+        items = {i.name: i for i in cli.run_suite(suite, spec, budget, params).items}
+        return spec, window_elements(spec.table, budget), [(items[n], a) for n, a in lines]
+
+    # a pass counts every tuple that the window's stream yields
+    _, window, items = sampled(passing, SAMPLE_BUDGET)
+    for item, arity in items:
+        tuples = len(list(window_tuples(window, arity, SAMPLE_BUDGET)))
+        assert (item.status, item.details) == ("pass", f"{tuples} {unit}")
+    # on the window of the unit alone a pass exercises nothing
+    _, _, items = sampled(passing, Budget(max_degree=0))
+    for item, _ in items:
+        assert (item.status, item.details) == ("untested", f"1 {unit}, the unit monomial alone")
+    # a failure prints, as elements, the stream's first tuple where the oracle
+    # is nonzero; the routes agree, so one of them is broken to fail
+    if suite == "brackets":
+        real = cli.koszul_bracket
+        monkeypatch.setattr(cli, "koszul_bracket", lambda D, args: real(D, args).scale(2))
+    spec, window, items = sampled(failing, SAMPLE_BUDGET)
+    D = spec.main_operator()
+    statuses = set()
+    for item, arity in items:
+        first = next((t for t in window_tuples(window, arity, SAMPLE_BUDGET) if defect(D, t)),
+                     None)
+        statuses.add(item.status)
+        if item.status == "fail":
+            args = tuple(witness_elements(spec.table, item.witness))
+            assert item.details == "" and args == first and defect(D, args)
+        else:
+            assert first is None and item.status == "pass"
+    assert "fail" in statuses
 
 
 def test_split_subcommand(capsys):
@@ -762,7 +841,7 @@ def test_gerstenhaber_evaluates_no_arity_three_bracket(monkeypatch, capsys):
     assert arities == []
     # evaluating both on 200 triples of the default window agrees
     D = BUILTIN_MODELS["polyvector2"]().D
-    elems = list(window_elements(D.table, Budget()).values())
+    elems = window_elements(D.table, Budget())
     evaluated = gerstenhaber_by_evaluation(partial(bv_bracket, D), lambda a, b: a * b, elems)
     assert evaluated.passed and evaluated.fully_tested
     assert [i.details for i in evaluated.items[1:]] == ["200 triples", "200 triples"]
@@ -884,7 +963,7 @@ GOLDEN = {
     ("model:polyvector3", "cohomology"): (0, "214e0b9dba076ea912b6179416d7e464fb2e8b0de133b6b449657828decf3ab1"),
     ("laplacian-plus-xi1", "bv-core"): (1, "a4c885d018c63a705c773bca072ad10e1b1733d016b6a617eb6f772ef1462ebc"),
     ("laplacian-plus-xi1", "brackets"): (0, "21c6335fd41db07e6042f4c6fdc797543ceecd916f8505fd79c10e4585d1212d"),
-    ("laplacian-plus-xi1", "linfty"): (1, "5e878cb29d6ce9e57cf25ad3ad7691e287e1335b7718f92c439e9a41f5a1fe54"),
+    ("laplacian-plus-xi1", "linfty"): (1, "b2f53edd2271376f37f72e39ea8a4418680982fb81c63fbfa45e2e04348dbe0d"),
     ("laplacian-plus-xi1", "split"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("laplacian-plus-xi1", "derivation"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("laplacian-plus-xi1", "bvinfty"): (1, "b1fbfc019642dfa20ab918d139abbecafa90553a4d61bc3e6e78dc86ebcb520c"),

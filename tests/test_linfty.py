@@ -1,11 +1,11 @@
 import pytest
 
 from bvcheck.algebra import AlgebraError, Element, enumerate_monomials
-from bvcheck.brackets import Budget, monomial_tuples
+from bvcheck.brackets import Budget, window_elements, window_tuples
 from bvcheck.linfty import linfty_relation, verify_linfty
 from bvcheck.models import BUILTIN_MODELS, exterior_cube_model, polyvector_model
 from bvcheck.operators import Operator
-from oracles import relation_by_expansion
+from oracles import relation_by_expansion, witness_elements
 
 MODEL = polyvector_model(2)
 TABLE = MODEL.table
@@ -34,8 +34,7 @@ def test_relation_is_the_bracket_of_the_square(name):
     for D in (model.D, bent):
         nonzero = 0
         for n in (1, 2, 3):
-            for tup in monomial_tuples(table, n, budget):
-                args = [Element.monomial(table, m) for m in tup]
+            for args in window_tuples(window_elements(table, budget), n, budget):
                 value = linfty_relation(D, n, args)
                 assert value == relation_by_expansion(D, n, args)
                 nonzero += not value.is_zero()
@@ -52,9 +51,9 @@ def test_relation_with_a_zero_argument_is_zero(n):
 
 
 def test_relations_vanish_for_square_zero_operator():
-    reports = verify_linfty(DELTA, 3, Budget(max_degree=2, max_tuples=40))
-    assert all(r.passed for r in reports)
-    assert [r.index for r in reports] == [1, 2, 3]
+    report = verify_linfty(DELTA, 3, Budget(max_degree=2, max_tuples=40))
+    assert report.passed and report.fully_tested
+    assert [i.name for i in report.items] == ["relation n=1", "relation n=2", "relation n=3"]
 
 
 def test_relations_fail_for_non_square_zero_perturbation():
@@ -64,13 +63,13 @@ def test_relations_fail_for_non_square_zero_perturbation():
     )
     assert bad.is_odd()
     assert not bad.is_square_zero()[0]
-    reports = verify_linfty(bad, 2, Budget(max_degree=3, max_tuples=100))
-    failing = [r for r in reports if not r.passed]
+    report = verify_linfty(bad, 2, Budget(max_degree=3, max_tuples=100))
+    failing = [(n, i) for n, i in enumerate(report.items, 1) if i.status == "fail"]
     assert failing
-    first = failing[0]
-    assert first.failing_tuple is not None
-    elems = [Element.monomial(model.table, m) for m in first.failing_tuple]
-    assert not linfty_relation(bad, first.index, elems).is_zero()
+    n, first = failing[0]
+    assert first.witness is not None
+    elems = witness_elements(model.table, first.witness)
+    assert not linfty_relation(bad, n, elems).is_zero()
 
 
 def test_verify_linfty_requires_odd_operator():
