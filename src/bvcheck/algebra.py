@@ -9,10 +9,9 @@ and equality is exact.  Coefficients are ``fractions.Fraction``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Mapping
 
 Monomial = tuple[int, ...]
 Coeff = Fraction
@@ -22,22 +21,27 @@ class AlgebraError(ValueError):
     """Domain error: mismatched tables, bad exponents, inhomogeneous input..."""
 
 
-@dataclass(frozen=True)
 class GeneratorTable:
-    """Ordered list of generator names with their integer degrees."""
+    """Ordered list of generator names with their integer degrees, equal and
+    hashed by both; ``odd`` is derived from them.  Never mutate a table."""
 
-    names: tuple[str, ...]
-    degrees: tuple[int, ...]
-    # indices of the odd generators, ascending; only these carry signs
-    odd: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.names) != len(self.degrees):
+    def __init__(self, names: tuple[str, ...], degrees: tuple[int, ...]):
+        if len(names) != len(degrees):
             raise AlgebraError("GeneratorTable: names/degrees length mismatch")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise AlgebraError("GeneratorTable: duplicate generator names")
-        odd = tuple(i for i, d in enumerate(self.degrees) if d % 2)
-        object.__setattr__(self, "odd", odd)
+        self.names = names
+        self.degrees = degrees
+        # indices of the odd generators, ascending; only these carry signs
+        self.odd = tuple(i for i, d in enumerate(degrees) if d % 2)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names and self.degrees == other.degrees
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.degrees))
 
     def __len__(self) -> int:
         return len(self.names)

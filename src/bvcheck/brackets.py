@@ -34,7 +34,6 @@ sample, which ``StructReport.sample`` searches with ``first_witness``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
 from math import prod
@@ -207,17 +206,15 @@ def bv_bracket(delta: Operator, a: Element, b: Element) -> Element:
     return -val if a and a.parity() else val
 
 
-@dataclass
 class Budget:
     """Enumeration budget for sampled checks; seed makes sampling reproducible."""
 
-    max_degree: int = 3
-    max_tuples: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_degree < 0 or self.max_tuples < 0:
+    def __init__(self, max_degree: int = 3, max_tuples: int = 200, seed: int = 0):
+        if max_degree < 0 or max_tuples < 0:
             raise AlgebraError("budget degree and tuple count must be >= 0")
+        self.max_degree = max_degree
+        self.max_tuples = max_tuples
+        self.seed = seed
 
 
 def window_elements(table, budget: Budget) -> list[Element]:
@@ -252,17 +249,24 @@ def first_witness(cases, holds):
     return tried, None
 
 
-@dataclass
 class OrderCertificate:
     """Machine-checkable evidence that an operator has a given bracket order.
 
-    ``tuples_tested`` counts the brackets evaluated to reach the verdict."""
+    ``tuples_tested`` counts the brackets evaluated to reach the verdict.
+    Certificates are equal when every field is."""
 
-    tuples_tested: int
-    passed: bool
-    failure_witness: tuple | None = None
-    sharp: bool = False  # a passing order k >= 1 with F^k nonzero
-    degenerate_zero: bool = False
+    def __init__(self, tuples_tested: int, passed: bool, failure_witness: tuple | None = None,
+                 sharp: bool = False, degenerate_zero: bool = False):
+        self.tuples_tested = tuples_tested
+        self.passed = passed
+        self.failure_witness = failure_witness
+        self.sharp = sharp  # a passing order k >= 1 with F^k nonzero
+        self.degenerate_zero = degenerate_zero
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def status(self) -> str:

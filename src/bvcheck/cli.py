@@ -120,20 +120,24 @@ SUITES = {
 }
 
 
-def check_suites(suites) -> None:
+def check_suites(suites, spec: ModelSpec | None = None) -> None:
     """A spec error at the first (name, params) pair whose name is no suite,
     or whose params hold a key that its suite does not read, or a value
-    below that key's least."""
-    for name, params in suites:
+    below that key's least.  When the pairs are ``spec.suites``, the error
+    names the SUITE line and the column of the name or the parameter."""
+    for i, (name, params) in enumerate(suites):
+        def error(k, message):  # k: the token's place on its SUITE line
+            return spec.suite_error(i, k, message) if spec else SpecError(message)
+
         if name not in SUITES:
-            raise SpecError(f"unknown suite {name!r} (known: {', '.join(SUITES)})")
+            raise error(1, f"unknown suite {name!r} (known: {', '.join(SUITES)})")
         least = SUITES[name][1]
-        for key, value in params.items():
+        for k, (key, value) in enumerate(params.items(), start=2):
             if key not in least:
-                raise SpecError(f"suite {name!r} takes no parameter {key!r} "
-                                f"(it reads: {', '.join(least) or 'none'})")
+                raise error(k, f"suite {name!r} takes no parameter {key!r} "
+                               f"(it reads: {', '.join(least) or 'none'})")
             if value < least[key]:
-                raise SpecError(f"suite {name!r} needs {key} >= {least[key]}, got {value}")
+                raise error(k, f"suite {name!r} needs {key} >= {least[key]}, got {value}")
 
 
 def run_suite(name: str, spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
@@ -236,7 +240,8 @@ def main(argv=None) -> int:
 
         if args.command == "check":
             suites = [(s, {}) for s in args.suite] or spec.suites or [("bv-core", {})]
-            check_suites(suites)  # every one, before any runs
+            # every one, before any runs; a spec's own SUITE lines name their place
+            check_suites(suites, spec if suites is spec.suites else None)
             reports = [run_suite(n, spec, budget, p) for n, p in suites]
 
         elif args.command == "brackets":
@@ -270,7 +275,7 @@ def main(argv=None) -> int:
             reports = [report, reps]
 
         else:  # explain
-            check_suites(spec.suites)
+            check_suites(spec.suites, spec)
             report = StructReport("parsed spec")
             t = spec.table
             report.add(

@@ -17,13 +17,14 @@ from math import gcd
 
 def _subtract(vec: dict, scale: int, row: dict, holders=None, vec_pivot=None) -> None:
     """``vec -= scale * row`` in place, dropping entries that cancel; with
-    ``holders`` (a set per label of ``row``), ``vec_pivot`` joins the holders
-    of each label ``vec`` gains and leaves those of each label it loses."""
+    ``holders`` (a set per label that can pivot), ``vec_pivot`` joins the
+    holders of each such label ``vec`` gains and leaves those of each it
+    loses."""
     for k, v in row.items():
         prev = vec.get(k)
         if prev is None:
             vec[k] = -scale * v
-            if holders is not None:
+            if holders is not None and k in holders:
                 holders[k].add(vec_pivot)
         else:
             nv = prev - scale * v
@@ -31,7 +32,7 @@ def _subtract(vec: dict, scale: int, row: dict, holders=None, vec_pivot=None) ->
                 vec[k] = nv
             else:
                 del vec[k]
-                if holders is not None:
+                if holders is not None and k in holders:
                     holders[k].discard(vec_pivot)
 
 
@@ -80,12 +81,15 @@ class RowSpace:
     pivot; ``holders`` maps each label to the pivots of the rows holding it,
     so a new pivot is eliminated from those rows alone, each independently
     of the others, exactly as a scan of every row would.  Only a label that
-    a row gains or loses in an elimination changes its holders.
+    a row gains or loses in an elimination changes its holders.  With
+    ``tags``, the labels ``>= tags`` are tags: no inserted vector may pivot
+    at one, so they keep no holders.
     """
 
-    def __init__(self):
+    def __init__(self, tags=None):
         self.rows: dict = {}
         self.holders: dict = {}
+        self.tags = tags
 
     def reduce(self, vec: dict) -> int:
         """Reduce ``vec`` in place modulo the space, as ``_reduce`` does."""
@@ -98,8 +102,10 @@ class RowSpace:
         _make_primitive(vec, pivot)
         rows, holders = self.rows, self.holders
         held = holders.pop(pivot, ())
+        tags = self.tags
         for k in vec:
-            holders.setdefault(k, set()).add(pivot)
+            if tags is None or k < tags:
+                holders.setdefault(k, set()).add(pivot)
         for row_pivot in held:
             r = rows[row_pivot]
             _eliminate(r, vec, pivot, holders, row_pivot)
@@ -132,14 +138,15 @@ def kernel_and_image(labels: list, vectors: list[dict]):
     always sit in the vector part, whose fully reduced rows are then the
     image's basis; dicts then hash small ints.  Each vector, with its label's
     tag at entry 1, is reduced in one ``RowSpace``: a kernel combination is
-    what is left of its tags, over the factor ``reduce`` returns.
+    what is left of its tags, over the factor ``reduce`` returns.  A vector
+    of tags alone is never inserted, so the space holds no tag's holders.
     """
     entries = sorted(set().union(*vectors))
     names = entries + sorted(labels)
     n = len(entries)
     entry_id = {k: i for i, k in enumerate(entries)}
     tag_id = {label: i for i, label in enumerate(names[n:], n)}
-    space = RowSpace()
+    space = RowSpace(tags=n)
     kernel: list[tuple[dict, int]] = []
     for label, vec in zip(labels, vectors, strict=True):
         aug = {entry_id[k]: v for k, v in vec.items()}

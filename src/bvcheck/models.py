@@ -4,20 +4,18 @@ Koszul-type complexes with a negative-degree second-order perturbation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import AlgebraError, GeneratorTable
 from .operators import Operator
 
 
-@dataclass(frozen=True)
 class Model:
     """A generator table with a distinguished odd square-zero operator and,
     when meaningful, its degree +1 differential part."""
 
-    table: GeneratorTable
-    D: Operator
-    d: Operator
+    def __init__(self, table: GeneratorTable, D: Operator, d: Operator):
+        self.table = table
+        self.D = D
+        self.d = d
 
 
 def _multi(n: int, exps: dict[int, int]) -> tuple:

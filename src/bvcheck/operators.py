@@ -13,11 +13,11 @@ check exact and decidable.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm, perm, prod
 from operator import sub
-from typing import Iterator, Mapping
 
 from .algebra import (
     AlgebraError,
@@ -241,8 +241,10 @@ class Operator:
                 continue
             sign, prod = sm
             out[prod] = out.get(prod, 0) + n * (sign * dc)
-        image = self._int_images[mono] = {m: v for m, v in out.items() if v}
-        return image
+        if 0 in out.values():  # a sum cancelled
+            out = {m: v for m, v in out.items() if v}
+        self._int_images[mono] = out
+        return out
 
     # --- composition ------------------------------------------------------
 

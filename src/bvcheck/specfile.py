@@ -25,7 +25,6 @@ name is in the spec; ``spec.operators`` holds them all after parsing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import GeneratorTable
@@ -43,14 +42,18 @@ class SpecError(Exception):
         self.col = col
 
 
-@dataclass
 class ModelSpec:
-    table: GeneratorTable | None = None
-    operators: dict[str, Operator] = field(default_factory=dict)
-    suites: list[tuple[str, dict]] = field(default_factory=list)
-    # the zero differential of a spec without ``d``, made once so that every
-    # call returns the same operator and shares its caches
-    _zero_d: Operator | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, table: GeneratorTable | None = None,
+                 operators: dict[str, Operator] | None = None,
+                 suites: list[tuple[str, dict]] | None = None):
+        self.table = table
+        self.operators = {} if operators is None else operators
+        self.suites = [] if suites is None else suites
+        # (line number, text) of the SUITE line of each entry of ``suites``
+        self.suite_lines: list[tuple[int, str]] = []
+        # the zero differential of a spec without ``d``, made once so that every
+        # call returns the same operator and shares its caches
+        self._zero_d: Operator | None = None
 
     def main_operator(self) -> Operator:
         if "D" in self.operators:
@@ -65,6 +68,11 @@ class ModelSpec:
         if self._zero_d is None:
             self._zero_d = Operator.zero(self.table)
         return self._zero_d
+
+    def suite_error(self, i: int, k: int, message: str) -> SpecError:
+        """A spec error at the k-th token of the SUITE line of ``suites[i]``."""
+        lineno, code = self.suite_lines[i]
+        return SpecError(message, lineno, _column(code, k))
 
 
 def _is_int(tok: str) -> bool:
@@ -187,6 +195,7 @@ def parse_spec(text: str) -> ModelSpec:
                                         _column(code, k))
                     params[key] = int(val)
                 spec.suites.append((words[1], params))
+                spec.suite_lines.append((lineno, code))
         elif section == "GENERATORS":
             if len(words) != 2:
                 raise SpecError("generator line must be `name degree`", lineno, col)

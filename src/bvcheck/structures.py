@@ -8,7 +8,6 @@ errors (violated preconditions) do raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
@@ -31,12 +30,20 @@ from .linalg import RowSpace, _reduce, kernel_and_image
 from .operators import Operator
 
 
-@dataclass
 class CheckItem:
-    name: str
-    status: str  # "pass" | "fail" | "untested"
-    details: str = ""
-    witness: str | None = None
+    """One report line.  Its attributes are exactly the report's JSON item,
+    and items are equal when every attribute is."""
+
+    def __init__(self, name: str, status: str, details: str = "", witness: str | None = None):
+        self.name = name
+        self.status = status  # "pass" | "fail" | "untested"
+        self.details = details
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def line(self) -> str:
         out = f"[{self.status.upper():8}] {self.name}"
@@ -47,10 +54,10 @@ class CheckItem:
         return out
 
 
-@dataclass
 class StructReport:
-    title: str
-    items: list[CheckItem] = field(default_factory=list)
+    def __init__(self, title: str, items: list[CheckItem] | None = None):
+        self.title = title
+        self.items = [] if items is None else items
 
     def add(self, name, status, details="", witness=None):
         self.items.append(CheckItem(name, status, details, witness))
@@ -309,7 +316,6 @@ def check_bvinfty(d: Operator, D: Operator) -> StructReport:
 # Cohomology
 # --------------------------------------------------------------------------
 
-@dataclass
 class CohomologyBasis:
     """Per-degree representatives of ker d / im d on a finite monomial window,
     shared by every caller of ``cohomology`` for one d and window: read it,
@@ -324,10 +330,13 @@ class CohomologyBasis:
     ``Element`` it reports.
     """
 
-    table: GeneratorTable
-    representatives: dict[int, list[Element]]
-    boundaries: dict  # all boundaries from window monomials, one fully reduced basis
-    warnings: list[str]
+    def __init__(self, table: GeneratorTable, representatives: dict[int, list[Element]],
+                 boundaries: dict, warnings: list[str]):
+        self.table = table
+        self.representatives = representatives
+        # all boundaries from window monomials, one fully reduced basis
+        self.boundaries = boundaries
+        self.warnings = warnings
 
     def dims(self) -> dict[int, int]:
         return {g: len(reps) for g, reps in sorted(self.representatives.items())}

@@ -14,6 +14,7 @@ from bvcheck.algebra import (
     parse_element,
 )
 from bvcheck.models import koszul_complex_model, mixed_order_model
+from bvcheck.operators import Operator
 from oracles import count_monomials, enumerate_monomials_by_box, grade_decompose
 
 TABLE = GeneratorTable(("x", "y", "xi", "eta"), (0, 2, 1, 3))
@@ -236,6 +237,28 @@ def test_equal_elements_hash_equal_over_equal_tables():
     x = Element.generator(TABLE, "x")
     assert hash(x) == hash(2 * x) and x != 2 * x
     assert len({x, 2 * x, -x, x + x}) == 3
+
+
+def test_tables_are_equal_and_hash_by_names_and_degrees():
+    twin = GeneratorTable(TABLE.names, TABLE.degrees)
+    assert twin == TABLE and hash(twin) == hash(TABLE)
+    assert twin.odd == TABLE.odd == (2, 3)  # derived, not compared
+    assert {TABLE: "table"}[twin] == "table" and len({TABLE, twin}) == 1
+    assert hash(Operator.derivative(twin, "x")) == hash(Operator.derivative(TABLE, "x"))
+    for other in [GeneratorTable(TABLE.names, (0, 2, 1, 1)),
+                  GeneratorTable(("x", "y", "eta", "xi"), TABLE.degrees),
+                  GeneratorTable(TABLE.names[:3], TABLE.degrees[:3])]:
+        assert other != TABLE and TABLE != other
+    assert TABLE != (TABLE.names, TABLE.degrees)
+
+
+@pytest.mark.parametrize("names, degrees, message", [
+    (("x", "xi"), (0,), "length mismatch"),
+    (("x", "x"), (0, 1), "duplicate generator names"),
+], ids=["length", "duplicate"])
+def test_malformed_tables_are_domain_errors(names, degrees, message):
+    with pytest.raises(AlgebraError, match=message):
+        GeneratorTable(names, degrees)
 
 
 @given(elem_st)

@@ -295,6 +295,19 @@ def test_order_check_zero_operator_is_degenerate():
     assert "order 0" in cert.verdict()
 
 
+def test_certificates_are_equal_field_by_field():
+    assert akman_order_check(DELTA, 2) == OrderCertificate(0, True, sharp=True)
+    failing = akman_order_check(DELTA, 1)
+    assert failing == OrderCertificate(1, False, failing.failure_witness)
+    sharp = OrderCertificate(0, True, sharp=True)
+    for other in [OrderCertificate(1, True, sharp=True), OrderCertificate(0, False, sharp=True),
+                  OrderCertificate(0, True, failing.failure_witness, sharp=True),
+                  OrderCertificate(0, True),
+                  OrderCertificate(0, True, sharp=True, degenerate_zero=True)]:
+        assert other != sharp and sharp != other
+    assert sharp != (0, True, None, True, False)
+
+
 def test_failing_order_certificate_has_no_details():
     # its report line is the status and the witness: nothing was counted
     cert = akman_order_check(DELTA, 1)

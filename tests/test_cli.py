@@ -1,10 +1,14 @@
 import hashlib
 import json
+import subprocess
+import sys
 from functools import partial
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import bvcheck
 from bvcheck import brackets, cli, linfty, structures
 from bvcheck.algebra import AlgebraError, Element, enumerate_monomials, parse_element
 from bvcheck.brackets import Budget, bv_bracket, window_elements, window_tuples
@@ -13,7 +17,7 @@ from bvcheck.graded import koszul_sign, unshuffles
 from bvcheck.models import BUILTIN_MODELS
 from bvcheck.operators import Operator
 from bvcheck.specfile import parse_spec
-from bvcheck.structures import cohomology
+from bvcheck.structures import CheckItem, cohomology
 
 from oracles import (
     akman_bracket_by_elements,
@@ -342,6 +346,26 @@ def test_json_reports_are_byte_identical(tmp_path):
     assert all(s["passed"] for s in payload["suites"])
 
 
+def test_a_report_item_is_its_json_item():
+    # a JSON report prints vars(item): its attributes are exactly the keys
+    item = CheckItem("order <= 2", "fail", witness="x1")
+    assert vars(item) == {"name": "order <= 2", "status": "fail", "details": "", "witness": "x1"}
+    assert item == CheckItem("order <= 2", "fail", "", "x1")
+    assert item != CheckItem("order <= 2", "fail", "", "x2")
+
+
+def test_the_cli_imports_no_dataclasses_inspect_or_typing():
+    # each check is a process of its own, and its start-up is mostly import;
+    # these modules, with what they import, cost about a quarter of it.  Run
+    # without the site module, which may import any of them itself
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import bvcheck.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))")
+    src = Path(bvcheck.__file__).parent.parent
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_json_failure_witness_round_trips(tmp_path):
     spec = write(tmp_path, "bad.spec", NOT_SQUARE_ZERO_SPEC)
     target = tmp_path / "report.json"
@@ -434,13 +458,22 @@ def test_unknown_suite_is_a_spec_error(tmp_path, capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+SUITE_LINE_SPEC = "MODEL polyvector2\nSUITE linfty n=2\n"
+
+
 @pytest.mark.parametrize("argv, text, message", [
     (["check", "--model", "polyvector2", "--suite", "nosuch"], None,
      f"unknown suite 'nosuch' (known: {', '.join(SUITES)})"),
     (["check", "--model", "nosuch"], None, "unknown model 'nosuch' (known: "),
     (["check"], "GENERATORS\nx 0\nOPERATOR a\n1 | 0 | 1\nOPERATOR b\n2 | 0 | 1\n",
      "no operator named 'D' and no model"),
-], ids=["suite", "model", "no-D"])
+    # a flag is at fault, not the spec's own SUITE line
+    (["check", "--suite", "nosuch"], SUITE_LINE_SPEC,
+     f"unknown suite 'nosuch' (known: {', '.join(SUITES)})"),
+    (["brackets", "--arity", "0"], SUITE_LINE_SPEC, "suite 'brackets' needs arity >= 1, got 0"),
+    (["cohomology", "--window", "-1"], SUITE_LINE_SPEC,
+     "suite 'cohomology' needs window >= 0, got -1"),
+], ids=["suite", "model", "no-D", "suite-flag", "arity-flag", "window-flag"])
 def test_spec_errors_of_no_spec_line_print_no_position(argv, text, message, tmp_path, capsys):
     if text is not None:
         argv = argv + ["--spec", write(tmp_path, "s.spec", text)]
@@ -451,17 +484,25 @@ def test_spec_errors_of_no_spec_line_print_no_position(argv, text, message, tmp_
 
 
 @pytest.mark.parametrize("suite, message", [
-    ("bv-core ordr=1", "suite 'bv-core' takes no parameter 'ordr' (it reads: order)"),
-    ("linfty window=3", "suite 'linfty' takes no parameter 'window' (it reads: n)"),
-    ("split order=2", "suite 'split' takes no parameter 'order' (it reads: none)"),
+    ("bv-core ordr=1",
+     "line 2, col 15: suite 'bv-core' takes no parameter 'ordr' (it reads: order)"),
+    ("linfty window=3", "line 2, col 14: suite 'linfty' takes no parameter 'window' (it reads: n)"),
+    ("split order=2", "line 2, col 13: suite 'split' takes no parameter 'order' (it reads: none)"),
     ("linfty n=+1", "line 2, col 14: suite parameter 'n' must be an integer"),
     ("linfty n=1_0", "line 2, col 14: suite parameter 'n' must be an integer"),
+    ("nosuch", f"line 2, col 7: unknown suite 'nosuch' (known: {', '.join(SUITES)})"),
+    ("bv-core  order=1   order=0", "line 2, col 26: repeated suite parameter 'order'"),
+    ("bv-core  order=1\tarity=0", "line 2, col 24: suite 'bv-core' takes no parameter 'arity' "
+     "(it reads: order)"),
+    ("brackets \t arity=0", "line 2, col 18: suite 'brackets' needs arity >= 1, got 0"),
 ])
 def test_suite_parameters_are_checked(suite, message, tmp_path, capsys):
+    # an error read from a SUITE line names the line and its token's column
     spec = write(tmp_path, "s.spec", f"MODEL polyvector2\nSUITE {suite}\n")
-    assert main(["check", "--spec", spec]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"spec error: {message}\n")
+    for command in ("check", "explain"):
+        assert main([command, "--spec", spec]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"spec error: {message}\n")
 
 
 BAD_SUITES_SPEC = "MODEL polyvector2\nSUITE linfty\nSUITE bv-core ordr=1\nSUITE nosuch\n"
@@ -473,14 +514,18 @@ def test_every_suite_is_checked_before_any_runs(command, tmp_path, monkeypatch, 
     # below the key's least, is an error before linfty, the one good suite, runs
     monkeypatch.setattr(cli, "verify_linfty", lambda *args: pytest.fail("linfty ran"))
     for text, message in [
-        (BAD_SUITES_SPEC, "suite 'bv-core' takes no parameter 'ordr' (it reads: order)"),
+        (BAD_SUITES_SPEC,
+         "line 3, col 15: suite 'bv-core' takes no parameter 'ordr' (it reads: order)"),
         ("MODEL polyvector2\nSUITE linfty\nSUITE cohomology window=-1\n",
-         "suite 'cohomology' needs window >= 0, got -1"),
+         "line 3, col 18: suite 'cohomology' needs window >= 0, got -1"),
         ("MODEL polyvector2\nSUITE linfty\nSUITE brackets arity=0\n",
-         "suite 'brackets' needs arity >= 1, got 0"),
-        ("MODEL polyvector2\nSUITE linfty n=0\n", "suite 'linfty' needs n >= 1, got 0"),
+         "line 3, col 16: suite 'brackets' needs arity >= 1, got 0"),
+        ("MODEL polyvector2\nSUITE linfty n=0\n",
+         "line 2, col 14: suite 'linfty' needs n >= 1, got 0"),
         ("MODEL polyvector2\nSUITE linfty\nSUITE bv-core order=-1\n",
-         "suite 'bv-core' needs order >= 0, got -1"),
+         "line 3, col 15: suite 'bv-core' needs order >= 0, got -1"),
+        ("MODEL polyvector2\nSUITE linfty\n# a comment\n\n  SUITE nosuch n=1\n",
+         f"line 5, col 9: unknown suite 'nosuch' (known: {', '.join(SUITES)})"),
     ]:
         spec = write(tmp_path, "s.spec", text)
         assert main([command, "--spec", spec]) == 2

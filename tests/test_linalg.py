@@ -1,9 +1,11 @@
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvcheck import linalg
 from bvcheck.linalg import RowSpace, kernel_and_image
 from oracles import (
     RowSpaceByCopies, fraction_view, integer_vectors, kernel_and_image_by_copies, vec_add,
@@ -238,6 +240,22 @@ def test_the_holder_index_names_exactly_the_rows_holding_each_label(case):
         for k in labels:
             assert space.holders.get(k, set()) == {p for p, r in space.rows.items() if k in r}
         assert_integer_rows(space)
+    # kernel_and_image's space holds its entries' holders and no tag's: its
+    # rows hold tags, but a tag never pivots
+    spaces = []
+
+    class RecordedRowSpace(RowSpace):
+        def __init__(self, tags=None):
+            super().__init__(tags)
+            spaces.append(self)
+
+    with mock.patch.object(linalg, "RowSpace", RecordedRowSpace):
+        kernel_and_image(list(range(len(vectors))), integer_vectors(vectors))
+    (space,) = spaces
+    n = len(set().union(*vectors))
+    assert space.tags == n and space.holders.keys() <= set(range(n))
+    for k in range(n):
+        assert space.holders.get(k, set()) == {p for p, r in space.rows.items() if k in r}
 
 
 def assert_same_kernel_and_image(labels, vectors):

@@ -442,3 +442,12 @@ def test_int_image_is_den_times_the_fraction_oracle(name, data):
         oracle = {m: den * v for m, v in image_by_fractions(D, mono).items()}
         assert list(image.items()) == list(oracle.items())
         assert all(type(v) is int for v in image.values())
+
+
+def test_an_image_drops_the_entries_whose_sums_cancel():
+    # x1 d/dx1 - x2 d/dx2 + x1 d/dx2 sends x1*x2 to x1*x2 - x1*x2 + x1^2
+    table = polyvector_model(2).table
+    x1, x2, x1x2, x1sq = (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0)
+    D = Operator(table, {(x1, x1): 1, (x2, x2): -1, (x1, x2): 1})
+    assert D.int_image(x1x2) == image_by_fractions(D, x1x2) == {x1sq: 1}
+    assert D.int_image(x1) == {x1: 1}
