@@ -246,24 +246,28 @@ class Element:
         return format_element(self)
 
 
-def enumerate_monomials(table: GeneratorTable, max_degree: int) -> list[Monomial]:
-    """All normal-form monomials with total exponent sum <= max_degree.
-
-    Deterministic order: by total exponent, then by exponent tuple.  Odd
-    generators contribute exponent 0 or 1.  Exponent prefixes are extended one
-    generator at a time within what is left of the budget.
+def graded_monomials(table: GeneratorTable, max_degree: int) -> Iterator[tuple[Monomial, int]]:
+    """``(monomial, degree)`` for every normal-form monomial with total
+    exponent sum <= max_degree, by total exponent, then by exponent tuple.
+    Odd generators contribute exponent 0 or 1.  ``layers[s]`` holds the
+    suffixes of total ``s`` in tuple order, with their degrees; each is
+    extended by the generator before it, exponent ascending, so none is sorted.
     """
-    prefixes = [((), 0)] if max_degree >= 0 else []
-    for i in range(len(table)):
-        cap = 1 if table.parity(i) else max_degree
-        prefixes = [
-            (m + (e,), s + e)
-            for m, s in prefixes
-            for e in range(min(cap, max_degree - s) + 1)
+    layers = [[((), 0)]] + [[] for _ in range(max_degree)] if max_degree >= 0 else []
+    for i in reversed(range(len(table))):
+        cap, deg = 1 if table.parity(i) else max_degree, table.degrees[i]
+        layers = [
+            [((e,) + m, e * deg + g) for e in range(min(cap, s) + 1) for m, g in layers[s - e]]
+            for s in range(len(layers))
         ]
-    monos = [m for m, _ in prefixes]
-    monos.sort(key=lambda m: (sum(m), m))
-    return monos
+    for layer in layers:
+        yield from layer
+
+
+def enumerate_monomials(table: GeneratorTable, max_degree: int) -> list[Monomial]:
+    """All normal-form monomials with total exponent sum <= max_degree, in
+    ``graded_monomials`` order: by total exponent, then by exponent tuple."""
+    return [m for m, _ in graded_monomials(table, max_degree)]
 
 
 # --- parsing / formatting (shared with the CLI report round-trip) ----------

@@ -138,8 +138,9 @@ def kernel_and_image(labels: list, vectors: list[dict]):
     always sit in the vector part, whose fully reduced rows are then the
     image's basis; dicts then hash small ints.  Each vector, with its label's
     tag at entry 1, is reduced in one ``RowSpace``: a kernel combination is
-    what is left of its tags, over the factor ``reduce`` returns.  A vector
-    of tags alone is never inserted, so the space holds no tag's holders.
+    what is left of its tags, over the factor ``reduce`` returns, and an
+    empty vector's is its own label, unreduced.  A vector of tags alone is
+    never inserted, so the space holds no tag's holders.
     """
     entries = sorted(set().union(*vectors))
     names = entries + sorted(labels)
@@ -149,6 +150,9 @@ def kernel_and_image(labels: list, vectors: list[dict]):
     space = RowSpace(tags=n)
     kernel: list[tuple[dict, int]] = []
     for label, vec in zip(labels, vectors, strict=True):
+        if not vec:
+            kernel.append(({label: 1}, 1))
+            continue
         aug = {entry_id[k]: v for k, v in vec.items()}
         aug[tag_id[label]] = 1
         scale = space.reduce(aug)
@@ -160,3 +164,19 @@ def kernel_and_image(labels: list, vectors: list[dict]):
         names[p]: {names[k]: v for k, v in row.items() if k < n}
         for p, row in space.rows.items()
     }
+
+
+def image_rows(vectors: list[dict]) -> dict:
+    """The image of ``vectors`` as ``kernel_and_image`` gives it, in the same
+    pivots and dict order, but with no kernel: one untagged ``RowSpace``
+    over the entries renamed to ints, so each row is primitive over its
+    entries alone.  Empty vectors are skipped."""
+    entries = sorted(set().union(*vectors))
+    entry_id = {k: i for i, k in enumerate(entries)}
+    space = RowSpace()
+    for vec in filter(None, vectors):
+        vec = {entry_id[k]: v for k, v in vec.items()}
+        space.reduce(vec)
+        if vec:
+            space.insert(vec)
+    return {entries[p]: {entries[k]: v for k, v in row.items()} for p, row in space.rows.items()}

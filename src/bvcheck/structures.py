@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import (
-    AlgebraError, Element, GeneratorTable, enumerate_monomials, format_element, format_monomial,
+    AlgebraError, Element, GeneratorTable, format_element, format_monomial, graded_monomials,
 )
 from .brackets import (
     Budget,
@@ -26,7 +26,7 @@ from .brackets import (
     window_elements,
     window_tuples,
 )
-from .linalg import RowSpace, _reduce, kernel_and_image
+from .linalg import RowSpace, _reduce, image_rows, kernel_and_image
 from .operators import Operator
 
 
@@ -321,13 +321,13 @@ class CohomologyBasis:
     shared by every caller of ``cohomology`` for one d and window: read it,
     never mutate it.
 
-    ``boundaries`` holds the image rows of every slice as ``kernel_and_image``
-    returns them, in integers: pivot -> row, positive at the pivot, the
-    fully reduced basis of the window's boundaries times that entry.
-    ``cohomology`` reduces kernel combinations against them with ``_reduce``,
-    so its integer ``RowSpace`` of representatives sees only the residuals
-    that are not boundaries; a residual becomes ``Fraction``s only for the
-    ``Element`` it reports.
+    ``boundaries`` holds the image rows of every slice as ``image_rows``
+    returns them, in integers: pivot -> row, primitive over its entries and
+    positive at the pivot, the fully reduced basis of the window's boundaries
+    times that entry.  ``cohomology`` reduces kernel combinations against
+    them with ``_reduce``, so its integer ``RowSpace`` of representatives
+    sees only the residuals that are not boundaries; a residual becomes
+    ``Fraction``s only for the ``Element`` it reports.
     """
 
     def __init__(self, table: GeneratorTable, representatives: dict[int, list[Element]],
@@ -346,6 +346,10 @@ def cohomology(d: Operator, window_degree: int = 4) -> CohomologyBasis:
     """Kernel-mod-image of a square-zero degree-homogeneous d, per degree,
     over the window of monomials with total exponent <= window_degree.
     Built once per window and kept on ``d``: later calls share it.
+
+    A rank pass (``image_rows``) gives each slice's boundary rows and rank.
+    Kernel combinations are made only in a slice whose kernel dimension
+    exceeds its boundary rows lying wholly in the window: cycles, no class.
     """
     if window_degree < 0:
         raise AlgebraError(f"cohomology window must be >= 0, got {window_degree}")
@@ -366,28 +370,34 @@ def cohomology(d: Operator, window_degree: int = 4) -> CohomologyBasis:
     truncation_risk = bool(growths) and min(growths) <= 0 and not whole
 
     by_degree: dict[int, list] = {}
-    for m in enumerate_monomials(table, window_degree):
-        by_degree.setdefault(table.monomial_degree(m), []).append(m)
+    for m, g in graded_monomials(table, window_degree):
+        by_degree.setdefault(g, []).append(m)
 
     # d is homogeneous, so the slices' images span disjoint parts of the boundaries;
     # a negative-degree d maps later slices into earlier ones, so eliminate all first
     boundaries: dict = {}
-    kernels: dict[int, list] = {}
+    room: dict[int, int] = {}
     for g, slice_monos in sorted(by_degree.items()):
-        images = [d.int_image(m) for m in slice_monos]
-        kernels[g], image = kernel_and_image(slice_monos, images)
-        boundaries.update(image)
+        rows = image_rows([d.int_image(m) for m in slice_monos])
+        room[g] = room.get(g, 0) + len(slice_monos) - len(rows)
+        inside = sum(all(sum(k) <= window_degree for k in row) for row in rows.values())
+        if inside:
+            h = table.monomial_degree(next(iter(rows)))
+            room[h] = room.get(h, 0) - inside
+        boundaries.update(rows)
 
-    # a kernel combination reduces in integers; most reduce to 0, a boundary,
-    # and only a new class's residual becomes Fractions
+    # class pass, on the slices with room for a class: a kernel combination
+    # reduces in integers, and only a new class's residual becomes Fractions
     representatives: dict[int, list[Element]] = {}
     for g, slice_monos in sorted(by_degree.items()):
         reps: list[Element] = []
-        rep_space = RowSpace()
-        for combo, scale in kernels[g]:
-            scale *= _reduce(combo, boundaries)
-            if rep_space.add(combo):
-                reps.append(Element(table, {k: Fraction(v, scale) for k, v in combo.items()}))
+        if room[g] > 0:
+            kernel, _ = kernel_and_image(slice_monos, [d.int_image(m) for m in slice_monos])
+            rep_space = RowSpace()
+            for combo, scale in kernel:
+                scale *= _reduce(combo, boundaries)
+                if rep_space.add(combo):
+                    reps.append(Element(table, {k: Fraction(v, scale) for k, v in combo.items()}))
         if reps:
             representatives[g] = reps
         if truncation_risk and any(

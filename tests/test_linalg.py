@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvcheck import linalg
-from bvcheck.linalg import RowSpace, kernel_and_image
+from bvcheck.linalg import RowSpace, image_rows, kernel_and_image
 from oracles import (
     RowSpaceByCopies, fraction_view, integer_vectors, kernel_and_image_by_copies, vec_add,
 )
@@ -316,6 +316,43 @@ def test_a_common_scalar_changes_neither_kernel_nor_image(case, s, rng):
 )
 def test_elimination_edge_inputs_match_the_copying_oracle(vectors):
     assert_same_kernel_and_image(list(range(len(vectors))), vectors)
+
+
+def test_an_empty_vector_is_its_own_labels_kernel_combination_unreduced():
+    # each empty vector is ({label: 1}, 1) in its place among the kernel
+    # combinations, and only the others are reduced
+    labels = [(1, "c"), (1, "b"), (0, 2), (1, "a"), (0, 1)]
+    vectors = [{}, vec((0, 2), (1, 3)), {}, vec((0, 4), (1, 6)), {}]
+    reduced = []
+
+    class RecordedRowSpace(RowSpace):
+        def reduce(self, vec):
+            reduced.append(dict(vec))
+            return super().reduce(vec)
+
+    with mock.patch.object(linalg, "RowSpace", RecordedRowSpace):
+        kernel, _ = kernel_and_image(labels, integer_vectors(vectors))
+    assert len(reduced) == 2
+    assert [kernel[i] for i in (0, 1, 3)] == [({(1, "c"): 1}, 1), ({(0, 2): 1}, 1), ({(0, 1): 1}, 1)]
+    assert all(type(v) is int for c, scale in kernel for v in (*c.values(), scale))
+    assert_same_kernel_and_image(labels, vectors)
+
+
+@given(sparse_vectors(WIDE_COEFF, max_vectors=12))
+@settings(max_examples=150, deadline=None)
+def test_image_rows_are_the_image_primitive_over_its_entries(case):
+    # the same pivots, dict orders and fraction view as kernel_and_image's
+    # image, each row divided by the gcd of its own entries
+    vectors, _ = case
+    ints = integer_vectors(vectors)
+    rows = image_rows(ints)
+    image = kernel_and_image(list(range(len(ints))), ints)[1]
+    assert ordered(fraction_view([], rows)[1]) == ordered(fraction_view([], image)[1])
+    assert ordered(fraction_view([], rows)[1]) == ordered(kernel_and_image_by_copies(
+        list(range(len(vectors))), vectors)[1])
+    for pivot, row in rows.items():
+        assert row[pivot] > 0 and gcd(*row.values()) == 1
+        assert all(type(v) is int for v in row.values())
 
 
 def test_a_new_pivot_held_by_several_rows_is_eliminated_from_each():
