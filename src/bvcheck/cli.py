@@ -58,18 +58,23 @@ def _bv_core(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
     return report
 
 
-def _brackets(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
-    D = spec.main_operator()
+def _route_agreement(D, window: list, budget: Budget, arity: int) -> StructReport:
+    """The recursion against the unshuffle expansion at arities 1..arity, on
+    tuples of ``window``."""
     report = StructReport("bracket route agreement")
-    window = window_elements(spec.table, budget)
 
     def routes_differ(elems):
         return akman_bracket(D, elems).coeffs != koszul_bracket(D, elems).coeffs
 
-    for n in range(1, params.get("arity", 3) + 1):
+    for n in range(1, arity + 1):
         report.sample(f"recursion vs unshuffle expansion, arity {n}", window, n, budget,
                       routes_differ, "tuples")
     return report
+
+
+def _brackets(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
+    return _route_agreement(spec.main_operator(), window_elements(spec.table, budget),
+                            budget, params.get("arity", 3))
 
 
 def _split(spec: ModelSpec, budget: Budget, params: dict) -> StructReport:
@@ -245,12 +250,14 @@ def main(argv=None) -> int:
             reports = [run_suite(n, spec, budget, p) for n, p in suites]
 
         elif args.command == "brackets":
+            # one window for the route suite and the value table
+            check_suites([("brackets", {"arity": args.arity})])
             D = spec.main_operator()
-            report = run_suite("brackets", spec, budget, {"arity": args.arity})
+            window = window_elements(spec.table, budget)
+            report = _route_agreement(D, window, budget, args.arity)
             values = StructReport(f"arity-{args.arity} bracket values")
             # nothing to tabulate when every bracket of this arity vanishes
             if not bracket_vanishes(D, args.arity):
-                window = window_elements(spec.table, budget)
                 for elems in window_tuples(window, args.arity, budget):
                     val = akman_bracket(D, elems)
                     if not val.is_zero():

@@ -169,14 +169,12 @@ def kernel_and_image(labels: list, vectors: list[dict]):
 def image_rows(vectors: list[dict]) -> dict:
     """The image of ``vectors`` as ``kernel_and_image`` gives it, in the same
     pivots and dict order, but with no kernel: one untagged ``RowSpace``
-    over the entries renamed to ints, so each row is primitive over its
-    entries alone.  Empty vectors are skipped."""
-    entries = sorted(set().union(*vectors))
-    entry_id = {k: i for i, k in enumerate(entries)}
+    over the vectors themselves, which it consumes, so each row is primitive
+    over its entries alone.  Entries must sort as the labels they stand for,
+    as packed monomials do; empty vectors are skipped."""
     space = RowSpace()
     for vec in filter(None, vectors):
-        vec = {entry_id[k]: v for k, v in vec.items()}
         space.reduce(vec)
         if vec:
             space.insert(vec)
-    return {entries[p]: {entries[k]: v for k, v in row.items()} for p, row in space.rows.items()}
+    return space.rows

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import comb, lcm, perm, prod
-from operator import sub
+from operator import lshift, sub, xor
 
 from .algebra import (
     AlgebraError,
@@ -245,6 +246,54 @@ class Operator:
             out = {m: v for m, v in out.items() if v}
         self._int_images[mono] = out
         return out
+
+    def packed(self, window: int):
+        """``(pack, unpack, image)``: monomials of total exponent <= window as
+        ints ordered like their tuples, and ``int_image`` on them as a fresh
+        dict in the same order.  Generator 0 takes the top field, an odd one
+        1 bit and an even one room for the window plus the largest multiplier
+        exponent, so no image carries.  A term sends a code holding its odd
+        derivatives (``need``) and no other odd multiplier (``test``) to
+        ``code + shift``, negated when it holds an odd count of ``sign``'s
+        bits: the odd factors above each odd derivative, and those d^alpha
+        leaves above each odd multiplier."""
+        table, odd = self.table, self.table.odd
+        wide = (window + max((max(m) for m, _ in self.terms), default=0)).bit_length()
+        widths = [1 if table.parity(i) else wide for i in range(len(table))]
+        offsets = [sum(widths[i + 1:]) for i in range(len(table))]
+        fields = [(o, (1 << w) - 1) for o, w in zip(offsets, widths)]
+        above = [sum(1 << offsets[j] for j in odd if j < i) for i in range(len(table))]
+
+        def pack(mono):
+            return sum(map(lshift, mono, offsets))
+
+        def odd_above(mono):  # xor of the odd bits above each odd factor
+            return reduce(xor, (above[i] for i in odd if mono[i]), 0)
+
+        plan = []
+        self.den()  # builds the integer terms
+        for mult, deriv, support, n in self._int_terms[1]:
+            need = sum(1 << offsets[i] for i in odd if deriv[i])
+            test = need | sum(1 << offsets[i] for i in odd if mult[i] > deriv[i])
+            evens = [(*fields[i], a) for i, a in support if not table.parity(i)]
+            plan.append((need, test, odd_above(deriv) ^ odd_above(mult) & ~need, evens,
+                         pack(mult) - pack(deriv), n))
+
+        def image(c):
+            out = {}
+            for need, test, sign, evens, shift, n in plan:
+                if (c ^ need) & test:
+                    continue
+                for o, f, a in evens:
+                    n *= perm(c >> o & f, a)  # 0 when the exponent is below a
+                if n:
+                    k = c + shift
+                    out[k] = out.get(k, 0) + (-n if (c & sign).bit_count() & 1 else n)
+            if 0 in out.values():  # a sum cancelled
+                out = {k: v for k, v in out.items() if v}
+            return out
+
+        return pack, lambda c: tuple(c >> o & f for o, f in fields), image
 
     # --- composition ------------------------------------------------------
 

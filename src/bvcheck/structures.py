@@ -322,12 +322,13 @@ class CohomologyBasis:
     never mutate it.
 
     ``boundaries`` holds the image rows of every slice as ``image_rows``
-    returns them, in integers: pivot -> row, primitive over its entries and
-    positive at the pivot, the fully reduced basis of the window's boundaries
-    times that entry.  ``cohomology`` reduces kernel combinations against
-    them with ``_reduce``, so its integer ``RowSpace`` of representatives
-    sees only the residuals that are not boundaries; a residual becomes
-    ``Fraction``s only for the ``Element`` it reports.
+    returns them on packed monomials, unpacked once: pivot -> integer row,
+    primitive over its entries and positive at the pivot, the fully reduced
+    basis of the window's boundaries times that entry.  ``cohomology``
+    reduces kernel combinations against the packed rows with ``_reduce``, so
+    its integer ``RowSpace`` of representatives sees only the residuals that
+    are not boundaries; a residual becomes ``Fraction``s only for the
+    ``Element`` it reports.
     """
 
     def __init__(self, table: GeneratorTable, representatives: dict[int, list[Element]],
@@ -347,7 +348,10 @@ def cohomology(d: Operator, window_degree: int = 4) -> CohomologyBasis:
     over the window of monomials with total exponent <= window_degree.
     Built once per window and kept on ``d``: later calls share it.
 
-    A rank pass (``image_rows``) gives each slice's boundary rows and rank.
+    Monomials are packed into ints of the same order (``Operator.packed``),
+    so an image is integer additions and the passes eliminate the codes
+    themselves; rows and representatives are unpacked once, at the end.  A
+    rank pass (``image_rows``) gives each slice's boundary rows and rank.
     Kernel combinations are made only in a slice whose kernel dimension
     exceeds its boundary rows lying wholly in the window: cycles, no class.
     """
@@ -369,43 +373,52 @@ def cohomology(d: Operator, window_degree: int = 4) -> CohomologyBasis:
     whole = len(table.odd) == len(table) and window_degree >= len(table)
     truncation_risk = bool(growths) and min(growths) <= 0 and not whole
 
+    pack, unpack, image = d.packed(window_degree)
     by_degree: dict[int, list] = {}
+    names: dict[int, tuple] = {}  # code -> window monomial; row codes join at the end
     for m, g in graded_monomials(table, window_degree):
-        by_degree.setdefault(g, []).append(m)
+        c = pack(m)
+        by_degree.setdefault(g, []).append(c)
+        names[c] = m
 
     # d is homogeneous, so the slices' images span disjoint parts of the boundaries;
     # a negative-degree d maps later slices into earlier ones, so eliminate all first
     boundaries: dict = {}
     room: dict[int, int] = {}
-    for g, slice_monos in sorted(by_degree.items()):
-        rows = image_rows([d.int_image(m) for m in slice_monos])
-        room[g] = room.get(g, 0) + len(slice_monos) - len(rows)
-        inside = sum(all(sum(k) <= window_degree for k in row) for row in rows.values())
+    for g, codes in sorted(by_degree.items()):
+        rows = image_rows(list(map(image, codes)))
+        room[g] = room.get(g, 0) + len(codes) - len(rows)
+        inside = sum(names.keys() >= row.keys() for row in rows.values())
         if inside:
-            h = table.monomial_degree(next(iter(rows)))
+            h = g + d.degree()
             room[h] = room.get(h, 0) - inside
         boundaries.update(rows)
 
     # class pass, on the slices with room for a class: a kernel combination
     # reduces in integers, and only a new class's residual becomes Fractions
     representatives: dict[int, list[Element]] = {}
-    for g, slice_monos in sorted(by_degree.items()):
+    for g, codes in sorted(by_degree.items()):
         reps: list[Element] = []
         if room[g] > 0:
-            kernel, _ = kernel_and_image(slice_monos, [d.int_image(m) for m in slice_monos])
+            kernel, _ = kernel_and_image(codes, list(map(image, codes)))
             rep_space = RowSpace()
             for combo, scale in kernel:
                 scale *= _reduce(combo, boundaries)
                 if rep_space.add(combo):
-                    reps.append(Element(table, {k: Fraction(v, scale) for k, v in combo.items()}))
+                    reps.append(Element(table, {
+                        names[k]: Fraction(v, scale) for k, v in combo.items()}))
         if reps:
             representatives[g] = reps
         if truncation_risk and any(
-            sum(m) >= window_degree + min(growths) for m in slice_monos
+            sum(names[c]) >= window_degree + min(growths) for c in codes
         ):
             warnings.append(
                 f"degree {g}: boundaries from outside the window may be missed"
             )
+    for row in boundaries.values():
+        names.update((k, unpack(k)) for k in row if k not in names)
+    boundaries = {names[p]: {names[k]: v for k, v in row.items()}
+                  for p, row in boundaries.items()}
     basis = CohomologyBasis(table, representatives, boundaries, warnings)
     d._cohomology[window_degree] = basis
     return basis

@@ -713,3 +713,22 @@ def induced_identities_on_representatives(H, d, D, budget: Budget) -> StructRepo
     for item in axioms.items:
         report.add("induced bracket: " + item.name, item.status, item.details, item.witness)
     return report
+
+
+def gl_chevalley_eilenberg(n):
+    """The Chevalley-Eilenberg operator -sum_{i<j} c^k_ij e_k d/de_i d/de_j of
+    gl_n on odd generators E_ab of degree 1, [E_ab, E_ce] = delta_bc E_ae -
+    delta_ea E_cb, so that d(e_i e_j) = [e_i, e_j]."""
+    basis = [(a, b) for a in range(n) for b in range(n)]
+    table = GeneratorTable(tuple(f"e{a + 1}{b + 1}" for a, b in basis), (1,) * n * n)
+    unit = [tuple(int(k == i) for k in range(n * n)) for i in range(n * n)]
+    terms = {}
+    for i, (a, b) in enumerate(basis):
+        for j in range(i + 1, n * n):
+            c, e = basis[j]
+            deriv = tuple(map(sum, zip(unit[i], unit[j])))
+            for k, coeff in ((a * n + e, int(b == c)), (c * n + b, -int(e == a))):
+                if coeff:
+                    key = (unit[k], deriv)
+                    terms[key] = terms.get(key, 0) - coeff
+    return table, Operator(table, terms)

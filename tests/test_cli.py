@@ -564,6 +564,15 @@ def test_brackets_value_table_is_skipped_when_the_arity_vanishes(monkeypatch, ca
     assert capsys.readouterr().out.split("arity-3 bracket values\n")[1] == "result: PASS\n"
 
 
+def test_brackets_command_builds_its_window_once(monkeypatch, capsys):
+    # the route suite and the value table read one window
+    calls, real = [], cli.window_elements
+    monkeypatch.setattr(cli, "window_elements", lambda *a: calls.append(a) or real(*a))
+    assert main(["brackets", "--model", "mixed-order", "--arity", "3"]) == 0
+    assert len(calls) == 1
+    assert "arity-3 bracket values" in capsys.readouterr().out
+
+
 # the Laplacian plus 1/2 xi1: odd, with D o D = 1/2 d/dx1 != 0
 PERTURBED_SPEC = """\
 GENERATORS

@@ -345,7 +345,7 @@ def test_image_rows_are_the_image_primitive_over_its_entries(case):
     # image, each row divided by the gcd of its own entries
     vectors, _ = case
     ints = integer_vectors(vectors)
-    rows = image_rows(ints)
+    rows = image_rows([dict(v) for v in ints])  # it consumes its vectors
     image = kernel_and_image(list(range(len(ints))), ints)[1]
     assert ordered(fraction_view([], rows)[1]) == ordered(fraction_view([], image)[1])
     assert ordered(fraction_view([], rows)[1]) == ordered(kernel_and_image_by_copies(

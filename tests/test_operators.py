@@ -15,6 +15,7 @@ from bvcheck.operators import Operator, _derivative, format_operator
 from oracles import (
     _diff_by_generators,
     compose_by_single_derivatives,
+    gl_chevalley_eilenberg,
     image_by_fractions,
     square_zero_witness_by_scan,
 )
@@ -451,3 +452,40 @@ def test_an_image_drops_the_entries_whose_sums_cancel():
     D = Operator(table, {(x1, x1): 1, (x2, x2): -1, (x1, x2): 1})
     assert D.int_image(x1x2) == image_by_fractions(D, x1x2) == {x1sq: 1}
     assert D.int_image(x1) == {x1: 1}
+
+
+def _packed_shapes() -> dict:
+    """``IMAGE_SHAPES``, the gl_2 Chevalley-Eilenberg operator (odd
+    multipliers, two odd derivatives per term), an odd multiplier between
+    two odd derivatives, a second derivative in an even generator and terms
+    whose image sums cancel."""
+    shapes = dict(IMAGE_SHAPES)
+    shapes["y d^2/dx^2"] = Operator.term(TABLE, 1, (0, 1, 0, 0), (2, 0, 0, 0))
+    shapes["gl2 Chevalley-Eilenberg"] = gl_chevalley_eilenberg(2)[1]
+    odd3 = GeneratorTable(("xi1", "xi2", "xi3"), (1, 1, 1))
+    shapes["xi2 d/dxi1 d/dxi3"] = Operator.term(odd3, 1, (0, 1, 0), (1, 0, 1))
+    x1, x2 = (1, 0, 0, 0), (0, 1, 0, 0)
+    shapes["cancelling"] = Operator(polyvector_model(2).table,
+                                    {(x1, x1): 1, (x2, x2): -1, (x1, x2): 1})
+    return shapes
+
+
+PACKED_SHAPES = _packed_shapes()
+
+
+@pytest.mark.parametrize("window", range(4))
+@pytest.mark.parametrize("name", sorted(PACKED_SHAPES))
+def test_packed_images_are_int_image_on_codes_of_the_same_order(name, window):
+    D = PACKED_SHAPES[name]
+    pack, unpack, image = D.packed(window)
+    seen = set()
+    for mono in enumerate_monomials(D.table, window):
+        code = pack(mono)
+        assert unpack(code) == mono
+        packed = image(code)
+        # the same entries in the same order, each image code a round trip
+        assert [(unpack(k), v) for k, v in packed.items()] == list(D.int_image(mono).items())
+        assert all(pack(unpack(k)) == k for k in packed)
+        seen |= {mono, *map(unpack, packed)}
+    codes = [pack(m) for m in sorted(seen)]
+    assert codes == sorted(codes) and len(set(codes)) == len(codes)

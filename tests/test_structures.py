@@ -45,6 +45,7 @@ from oracles import (
     bracket_derivation_defect,
     cohomology_by_fractions,
     gerstenhaber_by_evaluation,
+    gl_chevalley_eilenberg,
     induced_identities_on_representatives,
     induced_items_by_evaluation,
     is_homogeneous,
@@ -741,15 +742,22 @@ def test_boundary_space_is_the_span_of_every_window_image(name, window):
 
 
 def test_cohomology_is_built_once_per_differential_and_window(monkeypatch):
-    # counts the rank pass, which every slice takes; int_image keeps one dict
-    # per monomial on d, so a slice is named by its images' ids
+    # counts the rank pass, which every slice takes; its images are fresh
+    # dicts, so a slice is named by the codes of the monomials imaged for it
     model = koszul_complex_model([2])
-    slices, real = [], structures.image_rows
+    slices, imaged, real, real_packed = [], [], structures.image_rows, Operator.packed
+
+    def packed(d, window):
+        imaged.clear()
+        pack, unpack, image = real_packed(d, window)
+        return pack, unpack, lambda c: imaged.append(c) or image(c)
 
     def counting(vectors):
-        slices.append(tuple(map(id, vectors)))
+        slices.append(tuple(imaged))
+        imaged.clear()
         return real(vectors)
 
+    monkeypatch.setattr(Operator, "packed", packed)
     monkeypatch.setattr(structures, "image_rows", counting)
     H = cohomology(model.d, 5)
     degrees = {model.table.monomial_degree(m) for m in enumerate_monomials(model.table, 5)}
@@ -1116,25 +1124,6 @@ def test_induced_bv_of_the_heisenberg_structure_passes_every_triple():
     ]
 
 
-def _gl_chevalley_eilenberg(n):
-    """The Chevalley-Eilenberg operator -sum_{i<j} c^k_ij e_k d/de_i d/de_j of
-    gl_n on odd generators E_ab of degree 1, [E_ab, E_ce] = delta_bc E_ae -
-    delta_ea E_cb, so that d(e_i e_j) = [e_i, e_j]."""
-    basis = [(a, b) for a in range(n) for b in range(n)]
-    table = GeneratorTable(tuple(f"e{a + 1}{b + 1}" for a, b in basis), (1,) * n * n)
-    unit = [tuple(int(k == i) for k in range(n * n)) for i in range(n * n)]
-    terms = {}
-    for i, (a, b) in enumerate(basis):
-        for j in range(i + 1, n * n):
-            c, e = basis[j]
-            deriv = tuple(map(sum, zip(unit[i], unit[j])))
-            for k, coeff in ((a * n + e, int(b == c)), (c * n + b, -int(e == a))):
-                if coeff:
-                    key = (unit[k], deriv)
-                    terms[key] = terms.get(key, 0) - coeff
-    return table, Operator(table, terms)
-
-
 @pytest.mark.parametrize("n, degrees", [(2, {0, 1, 3, 4}), (3, {0, 1, 3, 4, 5, 6, 8, 9})],
                          ids=["gl2", "gl3"])
 def test_chevalley_eilenberg_homology_of_gl_n_is_the_exterior_algebra_on_primitives(n, degrees):
@@ -1143,7 +1132,20 @@ def test_chevalley_eilenberg_homology_of_gl_n_is_the_exterior_algebra_on_primiti
     # is a sum of distinct primitive degrees.  The window n^2 holds every
     # monomial, so nothing is truncated.  Without the signs of the odd
     # derivatives, d o d is still 0 on gl_3 but the classes move
-    _, d = _gl_chevalley_eilenberg(n)
+    _, d = gl_chevalley_eilenberg(n)
     H = cohomology(d, n * n)
     assert H.dims() == {g: 1 for g in sorted(degrees)}
+    assert not H.warnings
+
+
+@pytest.mark.parametrize("window", [254, 255, 256, 257, 300])
+def test_cohomology_packs_an_even_field_wider_than_eight_bits(window):
+    # koszul2: d(x^a xi) = x^(a+2), so H = Q[x]/(x^2), classes 1 and x in
+    # degrees 0 and 2.  x^a xi is in the window for a < window, so there are
+    # window boundaries, pivots x^2 .. x^(window+1); from window 254 on,
+    # x's field needs 9 bits
+    H = cohomology(koszul_complex_model([2]).d, window)
+    assert H.dims() == {0: 1, 2: 1}
+    assert len(H.boundaries) == window
+    assert sorted(H.boundaries) == [(a + 2, 0) for a in range(window)]
     assert not H.warnings
