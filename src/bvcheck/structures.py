@@ -350,7 +350,8 @@ def cohomology(d: Operator, window_degree: int = 4) -> CohomologyBasis:
 
     Monomials are packed into ints of the same order (``Operator.packed``),
     so an image is integer additions and the passes eliminate the codes
-    themselves; rows and representatives are unpacked once, at the end.  A
+    themselves; each code is unpacked once, a boundary row's before the
+    class pass, whose reductions can carry it into a class.  A
     rank pass (``image_rows``) gives each slice's boundary rows and rank.
     Kernel combinations are made only in a slice whose kernel dimension
     exceeds its boundary rows lying wholly in the window: cycles, no class.
@@ -375,7 +376,7 @@ def cohomology(d: Operator, window_degree: int = 4) -> CohomologyBasis:
 
     pack, unpack, image = d.packed(window_degree)
     by_degree: dict[int, list] = {}
-    names: dict[int, tuple] = {}  # code -> window monomial; row codes join at the end
+    names: dict[int, tuple] = {}  # code -> monomial: the window's, then the rows'
     for m, g in graded_monomials(table, window_degree):
         c = pack(m)
         by_degree.setdefault(g, []).append(c)
@@ -393,6 +394,10 @@ def cohomology(d: Operator, window_degree: int = 4) -> CohomologyBasis:
             h = g + d.degree()
             room[h] = room.get(h, 0) - inside
         boundaries.update(rows)
+    # a row can reach outside the window, and reducing by it carries its codes
+    # into a representative
+    for row in boundaries.values():
+        names.update((k, unpack(k)) for k in row if k not in names)
 
     # class pass, on the slices with room for a class: a kernel combination
     # reduces in integers, and only a new class's residual becomes Fractions
@@ -415,8 +420,6 @@ def cohomology(d: Operator, window_degree: int = 4) -> CohomologyBasis:
             warnings.append(
                 f"degree {g}: boundaries from outside the window may be missed"
             )
-    for row in boundaries.values():
-        names.update((k, unpack(k)) for k in row if k not in names)
     boundaries = {names[p]: {names[k]: v for k, v in row.items()}
                   for p, row in boundaries.items()}
     basis = CohomologyBasis(table, representatives, boundaries, warnings)

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -842,6 +842,24 @@ def test_a_boundary_that_leaves_the_window_leaves_its_class():
     assert_matches_the_rational_loop(spec.table, spec.differential(), 1)
 
 
+# d = e d/dx + e x d/dx, of degree +1: d^2 = 0 since e^2 = 0
+STRADDLE_SPEC = "GENERATORS\nx 0\ne 1\nOPERATOR d\n1 | 0 1 | 1 0\n1 | 1 1 | 1 0\n"
+
+
+def test_a_class_reduced_by_a_row_that_straddles_the_window():
+    # window 1 holds 1, x (degree 0) and e (degree 1).  The one boundary row
+    # d(x) = e + e x has its pivot e inside the window and e x outside, so
+    # the cycle e reduces to the class -e x, outside the window, and the
+    # growth-0 term e d/dx makes both slices warn
+    spec = parse_spec(STRADDLE_SPEC)
+    H = cohomology(spec.differential(), 1)
+    assert {g: [str(r) for r in rs] for g, rs in H.representatives.items()} == {
+        0: ["1"], 1: ["-x*e"]}
+    assert H.warnings == [
+        f"degree {g}: boundaries from outside the window may be missed" for g in (0, 1)]
+    assert_matches_the_rational_loop(spec.table, spec.differential(), 1)
+
+
 def one_term_differentials():
     """Every one-term odd square-zero d = a^i y^j d/da^k d/dy^l on two
     generators of degrees -2..3, each exponent <= 2 (<= 1 on an odd one)."""
@@ -860,6 +878,32 @@ def test_cohomology_of_every_small_one_term_differential_matches_the_rational_lo
     # leaves without room is checked against the full elimination
     ds = list(one_term_differentials())
     assert parse_spec(LEAK_SPEC).differential() in ds
+    for d in ds:
+        for window in range(4):
+            assert_matches_the_rational_loop(d.table, d, window)
+
+
+def two_term_differentials():
+    """Every degree-homogeneous square-zero sum of two odd terms
+    x^i e^j d/dx^k d/de^l on two generators of degrees -1..2, each exponent
+    <= 2 (<= 1 on an odd one)."""
+    for degrees in iter_product(range(-1, 3), repeat=2):
+        table = GeneratorTable(("x", "e"), degrees)
+        caps = [range(2 if g % 2 else 3) for g in degrees]
+        terms = [Operator.term(table, 1, mult, deriv)
+                 for mult in iter_product(*caps) for deriv in iter_product(*caps)]
+        terms = [t for t in terms if t.is_odd() and not t.is_zero()]
+        for s, t in combinations(terms, 2):
+            d = s + t
+            if not d.is_zero() and d.is_degree_homogeneous() and d.square().is_zero():
+                yield d
+
+
+def test_cohomology_of_every_small_two_term_differential_matches_the_rational_loop():
+    # terms of different growth: a boundary row can straddle the window and
+    # carry codes from outside it into a class
+    ds = list(two_term_differentials())
+    assert parse_spec(STRADDLE_SPEC).differential() in ds
     for d in ds:
         for window in range(4):
             assert_matches_the_rational_loop(d.table, d, window)
