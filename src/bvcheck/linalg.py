@@ -1,10 +1,12 @@
 """Exact linear algebra in integers on sparse vectors keyed by hashable labels.
 
-Vectors are dicts label -> int with no zero entries; labels (monomials) must
-sort deterministically.  The one elimination is fraction-free: a ``RowSpace``
-keeps primitive integer rows, positive at their pivots, the smallest labels.
-The rows are kept fully reduced, so every reduction is canonical and one
-sweep over a vector's own labels does it.  Each step is
+Vectors are dicts label -> int with no zero entries; labels must sort
+deterministically, and ``kernel_and_image`` takes int labels, such as packed
+monomials, which sort as the monomials they stand for.  The one
+elimination is fraction-free: a ``RowSpace`` keeps primitive integer rows,
+positive at their pivots, the smallest labels.  The rows are kept fully
+reduced, so every reduction is canonical and one sweep over a vector's own
+labels does it.  Each step is
 ``vec = p * vec - q * row``: a reduced vector is an integer multiple of the
 rational residual, and a row of the rational row of pivot coefficient 1, so
 a caller divides only where it needs a ``Fraction``.
@@ -121,9 +123,9 @@ class RowSpace:
         return bool(vec)
 
 
-def kernel_and_image(labels: list, vectors: list[dict]):
+def kernel_and_image(labels: list[int], vectors: list[dict]):
     """Nullspace combinations and image rows of the map label_i -> vectors[i],
-    for integer vectors {entry: int}.
+    for integer vectors {entry: int} with int entries, and int labels >= 0.
 
     Returns (kernel, image).  ``kernel`` lists ``(combination, scale)``: an
     integer {label: coeff} combination and a ``scale > 0`` with
@@ -133,36 +135,30 @@ def kernel_and_image(labels: list, vectors: list[dict]):
     pivot entry gives the values, and dict orders, of the rational
     elimination.  Raises ``ValueError`` unless there is one label per vector.
 
-    Entries are renamed to ints that sort as they do, and labels to ints
-    after every entry, in label order, so the augmented vectors' pivots
-    always sit in the vector part, whose fully reduced rows are then the
-    image's basis; dicts then hash small ints.  Each vector, with its label's
-    tag at entry 1, is reduced in one ``RowSpace``: a kernel combination is
-    what is left of its tags, over the factor ``reduce`` returns, and an
-    empty vector's is its own label, unreduced.  A vector of tags alone is
-    never inserted, so the space holds no tag's holders.
+    Label ``c`` is tagged as entry ``top + c``, with ``top`` above every
+    entry, so the augmented vectors' pivots always sit in the vector part,
+    whose fully reduced rows are then the image's basis.  Each vector, its
+    tag set to 1, is reduced in place in one ``RowSpace``, so the vectors
+    are consumed: a kernel combination is what is left of its tags,
+    over the factor ``reduce`` returns, and an empty vector's is its own
+    label, unreduced.  A vector of tags alone is never inserted, so the
+    space holds no tag's holders.
     """
-    entries = sorted(set().union(*vectors))
-    names = entries + sorted(labels)
-    n = len(entries)
-    entry_id = {k: i for i, k in enumerate(entries)}
-    tag_id = {label: i for i, label in enumerate(names[n:], n)}
-    space = RowSpace(tags=n)
+    top = max(map(max, filter(None, vectors)), default=-1) + 1
+    space = RowSpace(tags=top)
     kernel: list[tuple[dict, int]] = []
     for label, vec in zip(labels, vectors, strict=True):
         if not vec:
             kernel.append(({label: 1}, 1))
             continue
-        aug = {entry_id[k]: v for k, v in vec.items()}
-        aug[tag_id[label]] = 1
-        scale = space.reduce(aug)
-        if min(aug) >= n:  # only tags are left
-            kernel.append(({names[k]: v for k, v in aug.items()}, scale))
+        vec[top + label] = 1
+        scale = space.reduce(vec)
+        if min(vec) >= top:  # only tags are left
+            kernel.append(({k - top: v for k, v in vec.items()}, scale))
         else:
-            space.insert(aug)
+            space.insert(vec)
     return kernel, {
-        names[p]: {names[k]: v for k, v in row.items() if k < n}
-        for p, row in space.rows.items()
+        p: {k: v for k, v in row.items() if k < top} for p, row in space.rows.items()
     }
 
 
@@ -170,8 +166,8 @@ def image_rows(vectors: list[dict]) -> dict:
     """The image of ``vectors`` as ``kernel_and_image`` gives it, in the same
     pivots and dict order, but with no kernel: one untagged ``RowSpace``
     over the vectors themselves, which it consumes, so each row is primitive
-    over its entries alone.  Entries must sort as the labels they stand for,
-    as packed monomials do; empty vectors are skipped."""
+    over its entries alone.  Entries may be any labels that sort, as packed
+    monomials do; empty vectors are skipped."""
     space = RowSpace()
     for vec in filter(None, vectors):
         space.reduce(vec)

@@ -322,21 +322,23 @@ class CohomologyBasis:
     never mutate it.
 
     ``boundaries`` holds the image rows of every slice as ``image_rows``
-    returns them on packed monomials, unpacked once: pivot -> integer row,
+    returns them, still packed: pivot code -> integer row over codes,
     primitive over its entries and positive at the pivot, the fully reduced
-    basis of the window's boundaries times that entry.  ``cohomology``
-    reduces kernel combinations against the packed rows with ``_reduce``, so
-    its integer ``RowSpace`` of representatives sees only the residuals that
-    are not boundaries; a residual becomes ``Fraction``s only for the
-    ``Element`` it reports.
+    basis of the window's boundaries times that entry.  ``unpack`` turns a
+    code back into its monomial.  ``cohomology`` reduces kernel combinations
+    against the packed rows with ``_reduce``, so its integer ``RowSpace`` of
+    representatives sees only the residuals that are not boundaries; a
+    residual is unpacked into ``Fraction``s only for the ``Element`` it
+    reports.
     """
 
     def __init__(self, table: GeneratorTable, representatives: dict[int, list[Element]],
-                 boundaries: dict, warnings: list[str]):
+                 boundaries: dict, unpack, warnings: list[str]):
         self.table = table
         self.representatives = representatives
         # all boundaries from window monomials, one fully reduced basis
         self.boundaries = boundaries
+        self.unpack = unpack
         self.warnings = warnings
 
     def dims(self) -> dict[int, int]:
@@ -350,9 +352,8 @@ def cohomology(d: Operator, window_degree: int = 4) -> CohomologyBasis:
 
     Monomials are packed into ints of the same order (``Operator.packed``),
     so an image is integer additions and the passes eliminate the codes
-    themselves; each code is unpacked once, a boundary row's before the
-    class pass, whose reductions can carry it into a class.  A
-    rank pass (``image_rows``) gives each slice's boundary rows and rank.
+    themselves; only a new class's codes are unpacked, for its ``Element``.
+    A rank pass (``image_rows``) gives each slice's boundary rows and rank.
     Kernel combinations are made only in a slice whose kernel dimension
     exceeds its boundary rows lying wholly in the window: cycles, no class.
     """
@@ -376,11 +377,11 @@ def cohomology(d: Operator, window_degree: int = 4) -> CohomologyBasis:
 
     pack, unpack, image = d.packed(window_degree)
     by_degree: dict[int, list] = {}
-    names: dict[int, tuple] = {}  # code -> monomial: the window's, then the rows'
+    total: dict[int, int] = {}  # window code -> total exponent
     for m, g in graded_monomials(table, window_degree):
         c = pack(m)
         by_degree.setdefault(g, []).append(c)
-        names[c] = m
+        total[c] = sum(m)
 
     # d is homogeneous, so the slices' images span disjoint parts of the boundaries;
     # a negative-degree d maps later slices into earlier ones, so eliminate all first
@@ -389,18 +390,15 @@ def cohomology(d: Operator, window_degree: int = 4) -> CohomologyBasis:
     for g, codes in sorted(by_degree.items()):
         rows = image_rows(list(map(image, codes)))
         room[g] = room.get(g, 0) + len(codes) - len(rows)
-        inside = sum(names.keys() >= row.keys() for row in rows.values())
+        inside = sum(total.keys() >= row.keys() for row in rows.values())
         if inside:
             h = g + d.degree()
             room[h] = room.get(h, 0) - inside
         boundaries.update(rows)
-    # a row can reach outside the window, and reducing by it carries its codes
-    # into a representative
-    for row in boundaries.values():
-        names.update((k, unpack(k)) for k in row if k not in names)
 
     # class pass, on the slices with room for a class: a kernel combination
-    # reduces in integers, and only a new class's residual becomes Fractions
+    # reduces in integers, and only a new class's residual, whose codes a row
+    # reaching outside the window can carry in, is unpacked into Fractions
     representatives: dict[int, list[Element]] = {}
     for g, codes in sorted(by_degree.items()):
         reps: list[Element] = []
@@ -411,18 +409,16 @@ def cohomology(d: Operator, window_degree: int = 4) -> CohomologyBasis:
                 scale *= _reduce(combo, boundaries)
                 if rep_space.add(combo):
                     reps.append(Element(table, {
-                        names[k]: Fraction(v, scale) for k, v in combo.items()}))
+                        unpack(k): Fraction(v, scale) for k, v in combo.items()}))
         if reps:
             representatives[g] = reps
         if truncation_risk and any(
-            sum(names[c]) >= window_degree + min(growths) for c in codes
+            total[c] >= window_degree + min(growths) for c in codes
         ):
             warnings.append(
                 f"degree {g}: boundaries from outside the window may be missed"
             )
-    boundaries = {names[p]: {names[k]: v for k, v in row.items()}
-                  for p, row in boundaries.items()}
-    basis = CohomologyBasis(table, representatives, boundaries, warnings)
+    basis = CohomologyBasis(table, representatives, boundaries, unpack, warnings)
     d._cohomology[window_degree] = basis
     return basis
 

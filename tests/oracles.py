@@ -154,9 +154,12 @@ def fraction_view(kernel: list, image: dict):
 
 
 def boundary_space(H) -> RowSpaceByCopies:
-    """``H.boundaries`` as the rational fully reduced rows, each integer row
-    divided by its pivot entry."""
-    return fraction_view([], H.boundaries)[1]
+    """``H.boundaries``, decoded through ``H.unpack``, as the rational fully
+    reduced rows over monomials, each integer row divided by its pivot
+    entry."""
+    unpack = H.unpack
+    return fraction_view([], {unpack(p): {unpack(k): v for k, v in row.items()}
+                              for p, row in H.boundaries.items()})[1]
 
 
 def cohomology_by_fractions(table: GeneratorTable, d: Operator, window_degree: int):

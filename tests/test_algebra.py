@@ -261,6 +261,17 @@ def test_malformed_tables_are_domain_errors(names, degrees, message):
         GeneratorTable(names, degrees)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Element.generator(TABLE, "z"), "unknown generator 'z'"),
+    (lambda: TABLE.check_monomial((0, 0, 0)), "wrong length"),
+    (lambda: TABLE.check_monomial((0, -1, 0, 0)), "negative exponent"),
+    (lambda: parse_element(TABLE, "x**y"), "empty factor"),
+], ids=["unknown-generator", "length", "negative-exponent", "empty-factor"])
+def test_malformed_monomials_and_elements_are_domain_errors(build, message):
+    with pytest.raises(AlgebraError, match=message):
+        build()
+
+
 @given(elem_st)
 @settings(max_examples=80, deadline=None)
 def test_format_parse_round_trip(a):

@@ -22,7 +22,6 @@ from bvcheck.brackets import (
     window_tuples,
 )
 from bvcheck.graded import koszul_sign
-from bvcheck.linalg import kernel_and_image
 from bvcheck.models import (
     BUILTIN_MODELS,
     koszul_complex_model,
@@ -33,6 +32,7 @@ from bvcheck.operators import Operator
 from bvcheck.structures import check_gerstenhaber
 from oracles import (
     akman_bracket_by_elements,
+    kernel_and_image_by_copies,
     koszul_bracket_by_unshuffles,
     order_check_by_evaluation,
     window_tuples_eager,
@@ -554,8 +554,8 @@ def test_bracket_vanishes_exactly_on_the_span_of_its_short_terms(scope):
     beta there with a nonzero coefficient; at the monomial x^beta in that
     slot every other derivative either kills x^beta or is not below beta,
     and d^beta(x^beta) is a nonzero scalar.  So the kernel over the finite
-    window, computed by ``kernel_and_image`` over the term labels, is the
-    kernel on the whole algebra.
+    window, computed by ``kernel_and_image_by_copies`` over the term labels,
+    is the kernel on the whole algebra.
     """
     table, n_max = VANISHING_SCOPES[scope]
     terms = [(m, a) for m in enumerate_monomials(table, 1) for a in enumerate_monomials(table, 2)]
@@ -574,9 +574,9 @@ def test_bracket_vanishes_exactly_on_the_span_of_its_short_terms(scope):
                         assert c.denominator == 1  # a term of coefficient 1
                         vec[k, m] = c.numerator
                 vectors.append(vec)
-            kernel, _ = kernel_and_image(span, vectors)
+            kernel, _ = kernel_and_image_by_copies(span, vectors)
             short = [t for t in span if 0 < sum(t[1]) < n]
-            assert sorted(tuple(c) for c, _ in kernel) == [(t,) for t in sorted(short)], (parity, n)
+            assert sorted(tuple(c) for c in kernel) == [(t,) for t in sorted(short)], (parity, n)
             assert [bracket_vanishes(op, n) for op in ops] == [t in short for t in span]
 
 
@@ -630,6 +630,11 @@ def test_laplacian_fails_order_one():
     assert cert.failure_witness is not None
     elems = [elem(m) for m in cert.failure_witness]
     assert not akman_bracket(DELTA, elems).is_zero()
+
+
+def test_negative_order_is_a_domain_error():
+    with pytest.raises(AlgebraError, match="order must be >= 0"):
+        akman_order_check(DELTA, -1)
 
 
 @pytest.mark.parametrize("field", ["max_degree", "max_tuples"])

@@ -43,6 +43,11 @@ def test_unshuffles_rejects_bad_arity():
         unshuffles(4, 3)
 
 
+def test_koszul_sign_rejects_a_length_mismatch():
+    with pytest.raises(GradedError, match="2 degrees for a permutation of 1"):
+        koszul_sign([1, 1], (0,))
+
+
 def test_is_unshuffle_rejects_non_monotone():
     assert not is_unshuffle((1, 0, 2), 2)
     assert is_unshuffle((0, 2, 1), 2)

@@ -91,6 +91,8 @@ def test_relation_of_a_square_zero_operator_checks_its_arguments():
         linfty_relation(DELTA, 2, [gen("x1"), Element.generator(other, "xi1")])
     with pytest.raises(AlgebraError):
         linfty_relation(DELTA, 1, [gen("x1") + gen("xi1")])
+    with pytest.raises(AlgebraError, match="relation index 2 with 1 arguments"):
+        linfty_relation(DELTA, 2, [gen("x1")])
 
 
 @pytest.mark.parametrize("n_max", [0, -2])

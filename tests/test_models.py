@@ -84,6 +84,11 @@ def test_koszul_model_multi_pair():
     assert model.d.degree() == 1
 
 
+def test_polyvector_model_rejects_n_below_one():
+    with pytest.raises(AlgebraError, match="n >= 1"):
+        polyvector_model(0)
+
+
 def test_koszul_model_rejects_bad_weights():
     with pytest.raises(AlgebraError):
         koszul_complex_model([])

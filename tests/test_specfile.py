@@ -67,6 +67,7 @@ ERROR_POSITIONS = [
     ("GENERATORS\nx \u00b2", "bad degree", 2, 3),
     ("GENERATORS\nx 0\nGENERATORS\n", "duplicate GENERATORS", 3, 1),
     ("GENERATORS\nx 0\nOPERATOR D\nfoo | 0 | 1\n", "bad rational", 4, 1),
+    ("GENERATORS\nx 0\nOPERATOR D\n1 | 0 1\n", "term line must be", 4, 1),
     ("GENERATORS\nx 0\nOPERATOR D\n1 | 0 0 | 1\n", "expected 1 exponents", 4, 4),
     ("GENERATORS\nx 0\nOPERATOR D\n1 | --1 | 0\n", "bad exponent", 4, 5),
     ("GENERATORS\nxi 1\nOPERATOR D\n1 | 0 | 2\n", "odd generator", 4, 9),
@@ -75,6 +76,9 @@ ERROR_POSITIONS = [
      "duplicate operator", 5, 10),
     ("MODEL nosuch\n", "unknown model", 1, 7),
     ("MODEL polyvector2\nGENERATORS\n", "conflicts", 2, 1),
+    ("MODEL\n", "MODEL needs exactly one name", 1, 1),
+    ("MODEL polyvector2 koszul1\n", "MODEL needs exactly one name", 1, 1),
+    ("GENERATORS\nx 0\nMODEL polyvector2\n", "MODEL conflicts with an earlier table", 3, 1),
     ("GENERATORS\nx 0\nSUITE\n", "SUITE needs a name", 3, 1),
     ("GENERATORS\nx 0\nSUITE linfty n=two\n", "must be an integer", 3, 14),
     ("MODEL polyvector2\nBOGUS\n", "unrecognized", 2, 1),
@@ -83,6 +87,7 @@ ERROR_POSITIONS = [
     ("GENERATORS\nzero zero\n", "bad degree", 2, 6),
     ("GENERATORS\n  x 0\n  x 1\n", "duplicate generator", 3, 3),
     ("GENERATORS\nx 0\nOPERATOR D\n  foo | 0 | 1\n", "bad rational", 4, 3),
+    ("GENERATORS\nx 0\nOPERATOR D\n  1 | 0 1\n", "term line must be", 4, 3),
     ("GENERATORS\nx 0\ny 0\nOPERATOR D\n1 | 0 x | 0 0\n", "bad exponent", 5, 7),
     ("GENERATORS\nx 0\ny 0\nOPERATOR D\n1 | 0 0 | 0 x\n", "bad exponent", 5, 13),
     ("GENERATORS\nx 0\ny 0\nOPERATOR D\n1 | 0 -1 | 0 0\n", "negative exponent", 5, 7),
