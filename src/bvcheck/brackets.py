@@ -23,7 +23,8 @@ values, or on cohomology classes, is evaluated only by the test oracles
 (tests/oracles.py).
 
 Signs read only parities, so arguments and D are required parity-homogeneous;
-degree-homogeneous inputs are the common case.
+degree-homogeneous inputs are the common case.  ``akman_order_check`` reads
+the normal-form rule of ``operators``, and evaluates only to confirm a witness.
 
 Every sampled check draws its arguments the same way: ``window_elements``
 builds the budget's window of monomials as ``Element``s once, and
@@ -42,7 +43,7 @@ from .algebra import (
     AlgebraError, Element, Monomial, enumerate_monomials, monomial_mul,
 )
 from .graded import koszul_sign, unshuffles
-from .operators import Operator
+from .operators import Operator, bracket_vanishes, bracket_witness
 
 
 def _check_parity(D: Operator) -> int:
@@ -280,33 +281,6 @@ class OrderCertificate:
         if self.degenerate_zero:
             return "pass (zero operator, order 0 by convention)"
         return "exact, sharp" if self.sharp else "exact, not sharp"
-
-
-def bracket_vanishes(P: Operator, n: int) -> bool:
-    """Exactly whether ``F^n_P`` is zero on the whole algebra: no term of ``P``
-    multiplies without differentiating, and every term has fewer than n
-    derivatives (the empty subset is left out of the bracket, so a
-    multiplication term shows in every arity)."""
-    return all(0 < sum(deriv) < n for _, deriv in P.terms)
-
-
-def bracket_witness(P: Operator, n: int) -> tuple:
-    """Monomials at which ``F^n_P`` is nonzero, for ``P`` with
-    ``not bracket_vanishes(P, n)``: n units if ``P`` has a multiplication
-    term (``F^n_P(1, ..., 1) = ±P(1)``), else the derivatives of a
-    multi-index α with |α| >= n, of least |α| (the lexicographically greatest
-    of those), split into n nonempty groups.  A term contributes there only
-    if its α' <= α, so by minimality only the terms with derivative α do,
-    each wholly differentiating every argument, and their distinct
-    multipliers cannot cancel.  (A split of a top term can cancel a lower one.)
-    """
-    width = len(P.table)
-    if any(not sum(deriv) for _, deriv in P.terms):
-        return ((0,) * width,) * n
-    alpha = max((d for _, d in P.terms if sum(d) >= n), key=lambda d: (-sum(d), d))
-    word = [i for i, e in enumerate(alpha) for _ in range(e)]
-    groups = [[i] for i in word[: n - 1]] + [word[n - 1 :]]
-    return tuple(tuple(g.count(i) for i in range(width)) for g in groups)
 
 
 def akman_order_check(D: Operator, k: int) -> OrderCertificate:

@@ -7,8 +7,9 @@ as "differentiate, then multiply":
 
 where d^alpha = d_0^{alpha_0} o d_1^{alpha_1} o ... in table order with the
 lowest index outermost, and each d_i is the left partial derivative with the
-parity of its generator.  Normal forms make composition and the square-zero
-check exact and decidable.
+parity of its generator.  Normal forms make composition exact, and each exact
+zero test is one rule on them: ``F^n_P = 0`` iff ``bracket_vanishes(P, n)``,
+else ``bracket_witness(P, n)``; ``is_square_zero`` is its n = 1 on ``D o D``.
 """
 
 from __future__ import annotations
@@ -377,20 +378,13 @@ class Operator:
         return all(d % 2 for d in self._degrees)
 
     def is_square_zero(self):
-        """Exact check of D o D == 0 on normal forms.
-
-        Returns (True, None) or (False, witness), the witness the least
-        monomial m, by total exponent and then exponent tuple, with
-        D(D(m)) != 0: the least derivative index alpha of the square.  A
-        smaller monomial is killed by every derivative of the square, and at
-        alpha only the terms with derivative alpha act, each as its
-        coefficient times the nonzero scalar d^alpha(x^alpha) times its own
-        multiplier, so they cannot cancel.  One evaluation confirms it.
-        """
+        """Exact check of D o D == 0 on normal forms: (True, None), or (False,
+        witness) with ``bracket_witness(D o D, 1)``, as F^1 of the square is the
+        square itself, confirmed by one evaluation."""
         square = self.square()
         if square.is_zero():
             return True, None
-        witness = min((d for _, d in square.terms), key=lambda d: (sum(d), d))
+        (witness,) = bracket_witness(square, 1)
         if square.apply(Element.monomial(self.table, witness)).is_zero():
             raise AssertionError("constructed square witness is killed by D o D")
         return False, witness
@@ -402,6 +396,33 @@ class Operator:
 
     def __repr__(self) -> str:
         return f"Operator({format_operator(self)!r})"
+
+
+def bracket_vanishes(P: Operator, n: int) -> bool:
+    """Exactly whether ``F^n_P`` is zero on the whole algebra: no term of ``P``
+    multiplies without differentiating, and every term has fewer than n
+    derivatives (the empty subset is left out of the bracket, so a
+    multiplication term shows in every arity)."""
+    return all(0 < sum(deriv) < n for _, deriv in P.terms)
+
+
+def bracket_witness(P: Operator, n: int) -> tuple:
+    """Monomials at which ``F^n_P`` is nonzero, for ``P`` with
+    ``not bracket_vanishes(P, n)``: n units if ``P`` has a multiplication
+    term (``F^n_P(1, ..., 1) = ±P(1)``), else the derivatives of a
+    multi-index α with |α| >= n, of least |α| (the lexicographically greatest
+    of those), split into n nonempty groups.  A term contributes there only
+    if its α' <= α, so by minimality only the terms with derivative α do,
+    each wholly differentiating every argument, and their distinct
+    multipliers cannot cancel.  (A split of a top term can cancel a lower one.)
+    """
+    width = len(P.table)
+    if any(not sum(deriv) for _, deriv in P.terms):
+        return ((0,) * width,) * n
+    alpha = max((d for _, d in P.terms if sum(d) >= n), key=lambda d: (-sum(d), d))
+    word = [i for i, e in enumerate(alpha) for _ in range(e)]
+    groups = [[i] for i in word[: n - 1]] + [word[n - 1 :]]
+    return tuple(tuple(g.count(i) for i in range(width)) for g in groups)
 
 
 def format_operator(D: Operator) -> str:

@@ -297,16 +297,20 @@ def compose_by_single_derivatives(A: Operator, B: Operator) -> Operator:
     return Operator(table, result)
 
 
-def square_zero_witness_by_scan(D: Operator):
-    """``D.is_square_zero()`` by applying D twice, uncached, to each monomial
-    in ``enumerate_monomials`` order up to total exponent 2 * order(D), the
-    longest derivative D o D can have: a nonzero normal form moves a monomial
-    no longer than its derivatives, so the scan returns the first one moved."""
-    table = D.table
-    for mono in enumerate_monomials(table, 2 * D.structural_order()):
+def square_zero_first_hits(D: Operator) -> list:
+    """The monomials of least total exponent that D o D moves, by applying D
+    twice, uncached, to each monomial in ``enumerate_monomials`` order up to
+    total exponent 2 * order(D), the longest derivative D o D can have: a
+    nonzero normal form moves a monomial no longer than its derivatives, so
+    the list is empty exactly when D o D = 0, and D o D kills every monomial
+    shorter than those it lists."""
+    hits: list = []
+    for mono in enumerate_monomials(D.table, 2 * D.structural_order()):
+        if hits and sum(mono) > sum(hits[0]):
+            break
         if _apply_by_fractions(D, _apply_by_fractions(D, {mono: 1})):
-            return False, mono
-    return True, None
+            hits.append(mono)
+    return hits
 
 
 def is_unshuffle(sigma: tuple[int, ...], k: int) -> bool:

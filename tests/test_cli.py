@@ -135,6 +135,13 @@ def test_bvinfty_shows_square_witnesses_as_monomials(text, failing, tmp_path, ca
     assert out.count("squares to zero (witness:") == len(failing)
 
 
+def test_bv_core_shows_the_rule_s_square_witness(tmp_path, capsys):
+    # D o D = d/dx1 + d/dx2 moves x1 and x2; bracket_witness(D o D, 1) picks x1
+    spec = write(tmp_path, "tied.spec", LAPLACIAN_PLUS_XI1_XI2_SPEC)
+    assert main(["check", "--spec", spec, "--suite", "bv-core"]) == 1
+    assert "[FAIL    ] operator squares to zero (witness: x1)" in capsys.readouterr().out
+
+
 def test_exit_code_two_on_malformed_spec(tmp_path, capsys):
     spec = write(tmp_path, "broken.spec", "GENERATORS\nx zero\n")
     code = main(["check", "--spec", spec])
@@ -963,6 +970,9 @@ GOLDEN_SPECS = {
     "second-order-degree-one": "GENERATORS\nx 0\ny -1\n\nOPERATOR D\n1 | 0 0 | 1 1\n",
 }
 GOLDEN_BUDGET = ["--budget-degree", "2", "--budget-tuples", "40"]
+# the polyvector2 Laplacian plus multiplication by xi1 + xi2: D o D =
+# d/dx1 + d/dx2, whose two least derivative indices tie
+LAPLACIAN_PLUS_XI1_XI2_SPEC = GOLDEN_SPECS["laplacian-plus-xi1"] + "1 | 0 0 0 1 | 0 0 0 0\n"
 # d/dx1 d/dx2 d/dxi1 on the polyvector2 generators with d = 0: odd, square
 # zero, of degree -1 and order 3, so outside the homotopy-BV definition
 ORDER_THREE_D2_SPEC = "MODEL polyvector2\n\nOPERATOR D\n1 | 0 0 0 0 | 1 1 1 0\n"

@@ -11,14 +11,16 @@ from bvcheck.algebra import (
 )
 from bvcheck.brackets import _check_parity
 from bvcheck.models import BUILTIN_MODELS, mixed_order_model, polyvector_model
-from bvcheck.operators import Operator, _derivative, format_operator
+from bvcheck.operators import Operator, _derivative, bracket_witness, format_operator
+from bvcheck.specfile import parse_spec
 from oracles import (
     _diff_by_generators,
     compose_by_single_derivatives,
     gl_chevalley_eilenberg,
     image_by_fractions,
-    square_zero_witness_by_scan,
+    square_zero_first_hits,
 )
+from test_cli import GOLDEN_COHOMOLOGY_SPECS, GOLDEN_SPECS, LAPLACIAN_PLUS_XI1_XI2_SPEC
 
 TABLE = GeneratorTable(("x", "y", "xi", "eta"), (0, 2, 1, 3))
 # odd and even generators interleaved, odd ones of negative degree included
@@ -214,20 +216,48 @@ def test_is_odd():
     assert Operator.zero(TABLE).is_odd()
 
 
+def assert_square_witness_follows_the_rule(D):
+    """``is_square_zero`` is the rule for ``F^1_{D o D} = D o D``: its witness
+    is ``bracket_witness(D o D, 1)``, D o D moves it, and a scan finds that
+    D o D kills every monomial of smaller total exponent; of the monomials
+    the scan finds moved first, it is the greatest exponent tuple."""
+    ok, witness = D.is_square_zero()
+    hits = square_zero_first_hits(D)
+    assert ok == (not hits) == D.square().is_zero()
+    if ok:
+        assert witness is None
+    else:
+        assert (witness,) == bracket_witness(D.square(), 1)
+        assert witness in hits and witness == max(hits)
+
+
 def test_square_zero_check_and_witness():
     dxi = Operator.derivative(TABLE, "xi")
     ok, witness = dxi.is_square_zero()
     assert ok and witness is None
 
+    # the square of d/dx + x has the multiplication terms 1 and x^2: the unit
     bad = Operator.derivative(TABLE, "x") + Operator.multiplication(gen("x"))
-    ok, witness = bad.is_square_zero()
-    assert not ok
-    m = Element.monomial(TABLE, witness)
+    assert bad.is_square_zero() == (False, (0, 0, 0, 0))
+    m = Element.monomial(TABLE, (0, 0, 0, 0))
     assert not bad.apply(bad.apply(m)).is_zero()
 
-    # (d/dx + d/dy)^2 has three derivatives of length 2: y^2 is the least
+    # (d/dx + d/dy)^2 has three derivatives of length 2, x^2, x*y and y^2, and
+    # moves each: the rule takes the lexicographically greatest tuple, x^2
     tied = Operator.derivative(TABLE, "x") + Operator.derivative(TABLE, "y")
-    assert tied.is_square_zero() == (False, (0, 2, 0, 0)) == square_zero_witness_by_scan(tied)
+    assert tied.is_square_zero() == (False, (2, 0, 0, 0))
+    assert square_zero_first_hits(tied) == [(0, 2, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0)]
+    for D in (dxi, bad, tied):
+        assert_square_witness_follows_the_rule(D)
+
+
+def test_square_witness_of_the_laplacian_plus_xi1_xi2_is_x1():
+    # D o D = d/dx1 + d/dx2: two least indices tie, and the rule takes x1
+    D = parse_spec(LAPLACIAN_PLUS_XI1_XI2_SPEC).main_operator()
+    assert D.square() == (Operator.derivative(D.table, "x1")
+                          + Operator.derivative(D.table, "x2"))
+    assert D.is_square_zero() == (False, (1, 0, 0, 0))
+    assert_square_witness_follows_the_rule(D)
 
 
 @st.composite
@@ -241,12 +271,22 @@ def random_operators(draw):
     return Operator(table, draw(st.dictionaries(keys, st.integers(-3, 3), max_size=4)))
 
 
-@given(st.one_of(random_operators(), st.sampled_from(sorted(BUILTIN_MODELS))))
+@given(random_operators())
 @settings(max_examples=200, deadline=None)
-def test_square_zero_witness_is_the_scan_s_first_hit(D):
-    if isinstance(D, str):
-        D = BUILTIN_MODELS[D]().D
-    assert D.is_square_zero() == square_zero_witness_by_scan(D)
+def test_square_zero_witness_of_a_random_operator_follows_the_rule(D):
+    assert_square_witness_follows_the_rule(D)
+
+
+# the golden specs and the Laplacian plus xi1 + xi2, by name
+SPECS = {**GOLDEN_SPECS, **GOLDEN_COHOMOLOGY_SPECS,
+         "laplacian-plus-xi1-xi2": LAPLACIAN_PLUS_XI1_XI2_SPEC}
+
+
+@pytest.mark.parametrize("source", sorted(BUILTIN_MODELS) + sorted(SPECS))
+def test_square_zero_witness_of_every_model_and_golden_spec_follows_the_rule(source):
+    D = (BUILTIN_MODELS[source]().D if source in BUILTIN_MODELS
+         else parse_spec(SPECS[source]).main_operator())
+    assert_square_witness_follows_the_rule(D)
 
 
 @pytest.mark.parametrize("square_zero", [True, False])

@@ -626,6 +626,22 @@ def test_derivation_lemma_accepts_the_zero_operator():
     assert report.passed
 
 
+def test_an_odd_multiplication_exhibits_its_product_leibniz_failure():
+    # D = e, multiplication by an odd generator: odd, square zero and with no
+    # derivative, yet no product derivation, as D(1 1) - D(1) 1 - 1 D(1) = -e.
+    # Clause (ii) reads D's order <= 1 certificate, so it exhibits (1, 1),
+    # the witness at which (iii) fails the same operator
+    table = GeneratorTable(("x", "e"), (0, 1))
+    e, one = Element.generator(table, "e"), Element.one(table)
+    D = Operator.multiplication(e)
+    assert D.is_odd() and D.square().is_zero()
+    items = {i.name: i for i in check_derivation_lemma(D).items}
+    ii, iii = items["product-Leibniz failure of D"], items["D1 product Leibniz"]
+    assert (ii.status, ii.details, ii.witness) == ("pass", "failure witness exhibited", "(1, 1)")
+    assert (iii.status, iii.witness) == ("fail", "(1, 1)")
+    assert D.apply(one * one) - D.apply(one) * one - one * D.apply(one) == -e
+
+
 # --- homotopy-BV triple -----------------------------------------------------
 
 def test_bvinfty_koszul_model_passes():
