@@ -251,15 +251,6 @@ def test_square_zero_check_and_witness():
         assert_square_witness_follows_the_rule(D)
 
 
-def test_square_witness_of_the_laplacian_plus_xi1_xi2_is_x1():
-    # D o D = d/dx1 + d/dx2: two least indices tie, and the rule takes x1
-    D = parse_spec(LAPLACIAN_PLUS_XI1_XI2_SPEC).main_operator()
-    assert D.square() == (Operator.derivative(D.table, "x1")
-                          + Operator.derivative(D.table, "x2"))
-    assert D.is_square_zero() == (False, (1, 0, 0, 0))
-    assert_square_witness_follows_the_rule(D)
-
-
 @st.composite
 def random_operators(draw):
     """Operators whose squares have multiplication terms, odd derivatives and

@@ -1127,7 +1127,7 @@ def test_induced_items_equal_evaluating_every_case(model, window, max_tuples):
     H = cohomology(model.d, window)
     oracle = induced_items_by_evaluation(H, D2, window, budget)
     exhaustive = _exhaustive_oracle(model, window)
-    assert report.items[1] == exhaustive.items[0]
+    assert report.items[1].details == "exact"
     for item, prefix, full in zip(report.items[1:], oracle.items, exhaustive.items, strict=True):
         assert item.name == prefix.name == full.name
         assert prefix.status != "fail"
