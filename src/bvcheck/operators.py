@@ -379,8 +379,8 @@ class Operator:
 
     def is_square_zero(self):
         """Exact check of D o D == 0 on normal forms: (True, None), or (False,
-        witness) with ``bracket_witness(D o D, 1)``, as F^1 of the square is the
-        square itself, confirmed by one evaluation."""
+        witness) with the witness ``bracket_witness(D o D, 1)`` (F^1 of an
+        operator is the operator), confirmed by one evaluation."""
         square = self.square()
         if square.is_zero():
             return True, None

@@ -217,7 +217,7 @@ def degree_split(P: Operator) -> dict[int, OrderCertificate]:
 
 def check_derivation_lemma(D: Operator) -> StructReport:
     """The odd square-zero operator is a derivation of its own bracket but
-    (when its order <= 1 certificate fails) not of the product, while its degree +1
+    (when it is no product derivation) not of the product, while its degree +1
     part is a derivation of the product but generally not of the bracket.
 
     Derivation rule for the bracket [a,b] = (-1)^{|a|} F^2(a,b):
@@ -241,7 +241,7 @@ def check_derivation_lemma(D: Operator) -> StructReport:
     # (i) D is a derivation of the bracket: its defect is a bracket of D o D = 0
     report.holds("D is a bracket derivation")
 
-    # (ii) product-Leibniz failure witness whenever D's order <= 1 certificate fails
+    # (ii) product-Leibniz failure witness whenever D has order > 1
     cert = akman_order_check(D, 1)
     if cert.passed:
         report.add("product-Leibniz failure of D", "pass", "vacuous: no order >= 2 part")
